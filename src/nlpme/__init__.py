@@ -55,7 +55,6 @@ from .operators import (
     neg_half_order_norm,
     riesz_gradient,
     spectral_derivative,
-    spectral_laplacian,
 )
 from .similarity import (
     ExponentSet,

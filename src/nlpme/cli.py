@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--output", default=None,
                         help="output directory (overrides NLPME_OUTPUT and config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent runs")
     return parser
 
 
@@ -45,7 +43,7 @@ def main(argv=None) -> int:
         return 2
 
     output = args.output or os.environ.get("NLPME_OUTPUT") or cfg.output_dir
-    man = run_experiment(cfg, output_dir=output, threads=args.threads)
+    man = run_experiment(cfg, output_dir=output)
     for c in man.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name} = {c.value:.6g}" +

@@ -60,6 +60,9 @@ EXPERIMENTS = (
 
 INITIAL_KINDS = ("gaussian", "bump", "two-bump", "heaviside-primitive", "file")
 
+# pipelines that normalize by the initial mass or its support
+NEEDS_MASS = ("continuation", "propagation", "asymptotics")
+
 
 class ConfigError(ValueError):
     """Raised for syntax or semantic problems; message names the key."""
@@ -190,8 +193,11 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             delta=_get(parser, "model", "delta", float, default=0.0),
             mu=_get(parser, "model", "mu", float, default=0.0),
         )
+        if kwargs["N"] != 1:
+            raise ConfigError(
+                f"model.n: the solvers are one-dimensional, got n = {kwargs['N']}")
         try:
-            model = ModelParams(R=half_length, **kwargs)
+            model = ModelParams(**kwargs)
         except ValueError as exc:
             msg = str(exc)
             key = "model.m" if msg.startswith("m ") else (
@@ -243,6 +249,8 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         )
         if initial.mass < 0:
             raise ConfigError(f"initial.mass: must be nonnegative, got {initial.mass}")
+        if initial.mass == 0 and kind in NEEDS_MASS:
+            raise ConfigError(f"initial.mass: {kind} needs positive mass, got 0")
         if initial.kind == "file":
             if not initial.path:
                 raise ConfigError("initial.path: required for kind = file")

@@ -11,7 +11,6 @@ stands in for convergence to the self-similar attractor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,13 +239,11 @@ def weak_form_residual(traj: Trajectory, testfn: SeparableTestFunction) -> float
     grid = traj.grid
     h = grid.spacing
     edge = 0.95 * grid.half_length
-    probe = testfn.value(grid.nodes, traj.times[0])
     if abs(testfn.value(np.array([-edge]), 0.0)[0]) > 0 or \
        abs(testfn.value(np.array([edge]), 0.0)[0]) > 0:
         raise ValueError("test function touches the box boundary")
     if testfn._tfac(traj.times[-1]) > 1e-14:
         raise ValueError("test function must vanish at the trajectory's final time")
-    del probe
 
     p = traj.params
     integrand = np.empty(len(traj.times))
@@ -294,14 +291,12 @@ def _rescale_initial(u0: Field, lam: float) -> Field:
 
 
 def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float,
-                    n_snapshots: int = 6, threads: int = 1) -> list:
+                    n_snapshots: int = 6) -> list:
     """Evolve lam^N u0(lam x) to t_probe for each lam.
 
     All members share mass(u0) by construction plus conservation.  Returns
     FamilyMember entries holding full trajectories (snapshot at t_probe is
-    member.final).  Members are independent, so with threads > 1 they run
-    concurrently; each member is computed identically either way and the
-    assembly order is fixed, so results do not depend on the thread count.
+    member.final).
     """
     lambdas = [float(l) for l in lambdas]
     if any(l < 1.0 for l in lambdas) or any(
@@ -310,15 +305,11 @@ def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float,
         raise ValueError("lambdas must be >= 1 and increasing")
     snap_times = np.linspace(0.0, t_probe, n_snapshots)
 
-    def run(lam: float) -> FamilyMember:
-        init = _rescale_initial(u0, lam)
-        return FamilyMember(lam, simulate_density(init, p, t_probe,
-                                                  snap_times=snap_times))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, lambdas))
-    return [run(lam) for lam in lambdas]
+    return [
+        FamilyMember(lam, simulate_density(_rescale_initial(u0, lam), p, t_probe,
+                                           snap_times=snap_times))
+        for lam in lambdas
+    ]
 
 
 @dataclass
@@ -332,7 +323,7 @@ class ConvergenceReport:
 
 
 def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
-                           lp: float = 2.0, threads: int = 1) -> ConvergenceReport:
+                           lp: float = 2.0) -> ConvergenceReport:
     """Cauchy record of the rescaled family at t_probe.
 
     Consecutive L^p distances between family members must decrease for the
@@ -343,7 +334,7 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
     from .similarity import scaling_exponents
 
     ex = scaling_exponents(p.m, p.s, p.N, 1.0)
-    members = rescaled_family(u0, p, lambdas, t_probe, threads=threads)
+    members = rescaled_family(u0, p, lambdas, t_probe)
     h = u0.grid.spacing
 
     def dist(a: Field, b: Field) -> float:

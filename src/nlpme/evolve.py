@@ -33,6 +33,7 @@ from .operators import (
     frac_laplacian,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
+    mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,
 )
@@ -75,7 +76,6 @@ class ModelParams:
     eps: float = 0.0
     delta: float = 0.0
     mu: float = 0.0
-    R: float | None = None
 
     def __post_init__(self):
         if not self.m > 1.0:
@@ -168,8 +168,6 @@ def _face_velocity(u: np.ndarray, w: np.ndarray, p: ModelParams):
 def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
     """Largest eigenvalue of the order-(1-s) operator actually in use."""
     if p.eps > 0.0:
-        from .operators import mollified_symbol
-
         return float(np.max(mollified_symbol(grid, p.s, p.eps)))
     return float((math.pi / grid.spacing) ** (2.0 * (1.0 - p.s)))
 
@@ -237,14 +235,10 @@ def _flux_update(u: np.ndarray, w: np.ndarray, p: ModelParams, dt: float, h: flo
     return u_new, clipped
 
 
-@dataclass
-class StepStats:
-    clipped_mass: float = 0.0
-
-
-def step_density(u: Field, p: ModelParams, dt: float, stats: StepStats | None = None) -> Field:
+def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
     """One explicit conservative step of the density equation.
 
+    Returns the stepped field and the mass clipped to keep it nonnegative.
     Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`.  The
     viscosity term uses the three-point Laplacian: it conserves mass by
     telescoping and keeps u >= 0 under the delta CFL bound, whereas the
@@ -267,9 +261,7 @@ def step_density(u: Field, p: ModelParams, dt: float, stats: StepStats | None = 
             u_new = np.maximum(u_new, 0.0)
     if not np.all(np.isfinite(u_new)):
         raise SimulationUnstable(0.0)
-    if stats is not None:
-        stats.clipped_mass += clipped
-    return u.with_values(u_new)
+    return u.with_values(u_new), clipped
 
 
 def _diagnose(u: Field, p: ModelParams) -> SnapshotDiagnostics:
@@ -294,7 +286,6 @@ def simulate_density(
     snap_times=None,
     n_snapshots: int = 11,
     max_steps: int = 2_000_000,
-    method: str = "euler",
 ) -> Trajectory:
     """Evolve u0 with adaptive CFL steps, storing interpolated snapshots.
 
@@ -302,15 +293,9 @@ def simulate_density(
     requested time is filled by linear interpolation between the bracketing
     computed states.  Clipping is accumulated over the whole run and the
     run aborts if it ever exceeds 1e-6 of the initial mass.
-
-    `method` selects the stepper: "euler" (the tested reference) or "rk2"
-    (Heun's method, the average of two limited Euler stages; conservative
-    and nonnegative like the stages themselves).
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
-    if method not in ("euler", "rk2"):
-        raise ValueError(f"unknown stepping method {method!r}")
     if snap_times is None:
         snap_times = np.linspace(0.0, t_end, n_snapshots)
     snap_times = np.sort(np.asarray(snap_times, dtype=float))
@@ -318,7 +303,7 @@ def simulate_density(
         raise ValueError("snapshot times must lie within [0, t_end]")
 
     mass0 = float(u0.grid.spacing * u0.values.sum())
-    stats = StepStats()
+    clipped_mass = 0.0
     snapshots: list[Field] = []
     diags: list[SnapshotDiagnostics] = []
     stored_times: list[float] = []
@@ -340,18 +325,14 @@ def simulate_density(
         if dt <= 0.0 or not math.isfinite(dt):
             dt = t_end - t
         try:
-            if method == "rk2":
-                stage = step_density(u, p, dt, stats)
-                corrected = step_density(stage, p, dt, stats)
-                u_next = u.with_values(0.5 * (u.values + corrected.values))
-            else:
-                u_next = step_density(u, p, dt, stats)
+            u_next, clipped = step_density(u, p, dt)
         except SimulationUnstable:
             raise SimulationUnstable(
                 t,
                 Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                           stats.clipped_mass, steps),
+                           clipped_mass, steps),
             ) from None
+        clipped_mass += clipped
         t_next = t + dt
         while pending and pending[0] <= t_next + 1e-14:
             ts = pending.pop(0)
@@ -360,17 +341,17 @@ def simulate_density(
             store(ts, u.with_values(vals))
         u, t = u_next, t_next
         steps += 1
-        if mass0 > 0 and stats.clipped_mass > 1e-6 * mass0:
+        if mass0 > 0 and clipped_mass > 1e-6 * mass0:
             raise SimulationUnstable(
                 t,
                 Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                           stats.clipped_mass, steps),
+                           clipped_mass, steps),
             )
         if steps >= max_steps:
             raise RuntimeError(f"exceeded {max_steps} steps at t={t:.6g}")
 
     return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                      stats.clipped_mass, steps)
+                      clipped_mass, steps)
 
 
 @dataclass
@@ -391,7 +372,6 @@ def continuation_limit(
     t_end: float = 1.0,
     checkpoint: float | None = None,
     n_snapshots: int = 5,
-    threads: int = 1,
 ):
     """Run the solver along a vanishing (eps, delta, mu) schedule.
 
@@ -399,8 +379,7 @@ def continuation_limit(
     smaller in at least every nonzero coordinate.  Returns the final run's
     trajectory plus a report with the L2 distances at the checkpoint time
     between consecutive runs, which should decrease as the regularization
-    vanishes.  Runs are independent and execute concurrently for
-    threads > 1 with thread-count-independent results.
+    vanishes.
     """
     schedule = [tuple(float(x) for x in tri) for tri in schedule]
     if not schedule:
@@ -420,18 +399,11 @@ def continuation_limit(
 
     h = u0.grid.spacing
 
-    def run(triple):
-        eps, delta, mu = triple
-        params = ModelParams(p.m, p.s, p.N, eps=eps, delta=delta, mu=mu, R=p.R)
-        return simulate_density(u0, params, t_end, snap_times=snap_times)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, schedule))
-    else:
-        runs = [run(tri) for tri in schedule]
+    runs = [
+        simulate_density(u0, ModelParams(p.m, p.s, p.N, eps=eps, delta=delta, mu=mu),
+                         t_end, snap_times=snap_times)
+        for eps, delta, mu in schedule
+    ]
     checkpoints = [r.snapshot_at(checkpoint).values for r in runs]
     distances = [
         float(np.sqrt(h * np.sum((a - b) ** 2)))

@@ -95,7 +95,7 @@ def _standard_check_results(checks: dict) -> list:
     return out
 
 
-def _exp_simulate(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_simulate(cfg: ExperimentConfig, outdir: str):
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
@@ -110,7 +110,7 @@ def _exp_simulate(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_integrated(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_integrated(cfg: ExperimentConfig, outdir: str):
     p = cfg.model
     tol_rel = knob(cfg, "integrated.duality_tol", float, 0.05)
     n_pairs = knob(cfg, "integrated.pairs", int, 50)
@@ -176,7 +176,7 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_continuation(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_continuation(cfg: ExperimentConfig, outdir: str):
     raw = knob(cfg, "continuation.schedule", str,
                "0.1 0.01 0.01; 0.05 0.005 0.005; 0.025 0.0025 0.0025")
     schedule = []
@@ -190,8 +190,7 @@ def _exp_continuation(cfg: ExperimentConfig, outdir: str, threads: int = 1):
 
     u0 = cfg.initial_field()
     final, report = continuation_limit(u0, cfg.model, schedule,
-                                       t_end=cfg.t_end, checkpoint=checkpoint,
-                                       threads=threads)
+                                       t_end=cfg.t_end, checkpoint=checkpoint)
     m0 = mass(u0)
     mass_drift = max(abs(m - m0) / m0 for m in report.masses)
     checks = [
@@ -215,7 +214,7 @@ def _exp_continuation(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_propagation(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_propagation(cfg: ExperimentConfig, outdir: str):
     mode = knob(cfg, "propagation.mode", str,
                 "finite" if cfg.model.m >= 2.0 else "infinite")
     u0 = cfg.initial_field()
@@ -267,7 +266,7 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_smoothing(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
     window = knob(cfg, "smoothing.window", str, "1 20")
     wlo, whi = (float(t) for t in window.split())
     gap_tol = knob(cfg, "smoothing.gap_tol", float, 0.10)
@@ -294,14 +293,13 @@ def _exp_smoothing(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_asymptotics(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_asymptotics(cfg: ExperimentConfig, outdir: str):
     lambdas = [float(t) for t in knob(cfg, "asymptotics.lambdas", str,
                                       "1 2 4 8").split()]
     t_probe = knob(cfg, "asymptotics.t_probe", float, cfg.t_end)
     lp = knob(cfg, "asymptotics.lp", float, 2.0)
     u0 = cfg.initial_field()
-    report = asymptotic_convergence(u0, cfg.model, lambdas, t_probe, lp=lp,
-                                    threads=threads)
+    report = asymptotic_convergence(u0, cfg.model, lambdas, t_probe, lp=lp)
     m0 = mass(u0)
     mass_spread = max(abs(m - m0) / m0 for m in report.masses)
     checks = [
@@ -328,7 +326,7 @@ def _exp_asymptotics(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_transform_check(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
     q = knob(cfg, "transform.q", float, 2.0)
     sigma = knob(cfg, "transform.sigma", float, 0.5)
     tau_end = knob(cfg, "transform.tau_end", float, 14.0)
@@ -376,7 +374,7 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     return checks, files
 
 
-def _exp_barrier_check(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _exp_barrier_check(cfg: ExperimentConfig, outdir: str):
     p = cfg.model
     x0 = knob(cfg, "barrier.x0", float, -1.0)
     t_probe = knob(cfg, "barrier.t_probe", float, 0.1)
@@ -423,8 +421,7 @@ _DISPATCH = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
-                   threads: int = 1) -> RunManifest:
+def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> RunManifest:
     """Dispatch an experiment and write all artifacts plus the manifest.
 
     A numerical abort (instability) still produces a partial manifest with
@@ -436,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
     man = RunManifest(experiment=cfg.experiment, config_text=cfg.raw_text)
     start = time.monotonic()
     try:
-        checks, files = _DISPATCH[cfg.experiment](cfg, outdir, threads=threads)
+        checks, files = _DISPATCH[cfg.experiment](cfg, outdir)
         man.checks.extend(checks)
     except SimulationUnstable as exc:
         man.checks.append(CheckResult(

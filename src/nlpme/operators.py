@@ -11,9 +11,11 @@ Two families of operators live here:
 
       L_eps u(x) = C(1-s) * int (u(x) - u(y)) / (|x-y|^2 + eps^2)^((3-2s)/2) dy
 
-  discretized as a direct O(n^2) quadrature with the kernel periodized over
-  the box images.  As eps -> 0 it converges to the spectral (-Delta)^(1-s),
-  which is what the convergence tests check.
+  discretized by quadrature with the kernel periodized over the box
+  images.  The discrete operator is circulant, so it is applied as the
+  Fourier multiplier of its quadrature weights.  As eps -> 0 it converges
+  to the spectral (-Delta)^(1-s), which is what the convergence tests
+  check.
 
 All spectral operators annihilate the zero mode: on a periodic box the
 Riesz potential of the mean is not defined, and the pressure is only
@@ -22,6 +24,7 @@ determined up to a constant anyway.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,7 +34,6 @@ from .grid import Field, FracOrder
 
 __all__ = [
     "spectral_derivative",
-    "spectral_laplacian",
     "frac_laplacian",
     "riesz_gradient",
     "inv_laplacian_gradient",
@@ -60,12 +62,6 @@ def spectral_derivative(f: Field) -> Field:
     """First derivative with the Fourier multiplier i*k."""
     _check_finite(f)
     return _apply_multiplier(f, 1j * f.grid.wavenumbers)
-
-
-def spectral_laplacian(f: Field) -> Field:
-    """Second derivative with the multiplier -k^2."""
-    _check_finite(f)
-    return _apply_multiplier(f, -f.grid.wavenumbers**2)
 
 
 def frac_laplacian(f: Field, order: FracOrder) -> Field:
@@ -154,11 +150,16 @@ def frac_constant(alpha: float) -> float:
 
 # --- mollified operator -------------------------------------------------
 
-_kernel_cache: dict = {}
+# Memoised per (half_length, n, s, eps, images); a continuation schedule
+# touches a handful of eps values, so a small bound keeps every live key.
+_CACHE_SIZE = 16
 
 
-def _periodized_weights(grid, s: float, eps: float, images: int) -> np.ndarray:
-    """Quadrature weights w_d = h * C * sum_j K_eps(d*h + 2*L*j).
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _periodized_weights(
+    half_length: float, n: int, s: float, eps: float, images: int
+) -> np.ndarray:
+    """Quadrature weights w_d = h * C * sum_j K_eps(d*h + 2*L*j), read-only.
 
     The kernel K_eps(z) = (z^2 + eps^2)^(-(3-2s)/2) is summed explicitly
     over |j| <= images; the remaining tail decays like |z|^(-(3-2s)) and is
@@ -166,56 +167,47 @@ def _periodized_weights(grid, s: float, eps: float, images: int) -> np.ndarray:
     negligible that far out).  Without the tail the operator misses a slow
     |z|^(2s-3) contribution that the spectral comparison tests can see.
     """
-    key = (grid.half_length, grid.n, s, eps, images)
-    cached = _kernel_cache.get(key)
-    if cached is not None:
-        return cached
     p = 3.0 - 2.0 * s
-    L2 = 2.0 * grid.half_length
-    z = grid.spacing * np.arange(grid.n)
-    ksum = np.zeros(grid.n)
+    L2 = 2.0 * half_length
+    h = L2 / n
+    z = h * np.arange(n)
+    ksum = np.zeros(n)
     for j in range(-images, images + 1):
         ksum += ((z + L2 * j) ** 2 + eps**2) ** (-p / 2.0)
     frac = z / L2
     tail = L2 ** (-p) * (zeta(p, images + 1 + frac) + zeta(p, images + 1 - frac))
-    weights = frac_constant(1.0 - s) * grid.spacing * (ksum + tail)
+    weights = frac_constant(1.0 - s) * h * (ksum + tail)
     # the periodized kernel is even in the offset; symmetrizing removes the
     # tiny eps^2 asymmetry the analytic tail introduces at the window edge
-    weights = 0.5 * (weights + weights[(-np.arange(grid.n)) % grid.n])
-    _kernel_cache[key] = weights
+    weights = 0.5 * (weights + weights[(-np.arange(n)) % n])
+    weights.flags.writeable = False
     return weights
 
 
-def _kernel_matrix(grid, s: float, eps: float, images: int) -> np.ndarray:
-    key = ("matrix", grid.half_length, grid.n, s, eps, images)
-    cached = _kernel_cache.get(key)
-    if cached is not None:
-        return cached
-    w = _periodized_weights(grid, s, eps, images)
-    idx = np.arange(grid.n)
-    mat = w[(idx[:, None] - idx[None, :]) % grid.n]
-    _kernel_cache[key] = mat
-    return mat
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _symbol(half_length: float, n: int, s: float, eps: float, images: int) -> np.ndarray:
+    w = _periodized_weights(half_length, n, s, eps, images)
+    lam = np.maximum(w.sum() - np.fft.fft(w).real, 0.0)  # clip roundoff at k=0
+    lam.flags.writeable = False
+    return lam
 
 
 def mollified_frac_laplacian(
     f: Field, s: float, eps: float, images: int = 3
 ) -> Field:
-    """Mollified fractional Laplacian of order 1-s by direct quadrature.
+    """Mollified fractional Laplacian of order 1-s.
 
     Computes C(1-s) * sum_y (f(x) - f(y)) / (|x-y|^2 + eps^2)^((3-2s)/2) * h
-    with the kernel periodized over box images.  Symmetric and positive
-    semidefinite; constants map to zero for any eps.
+    with the kernel periodized over box images, applied through the
+    operator's Fourier symbol.  Symmetric and positive semidefinite;
+    constants map to zero for any eps.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
     _check_finite(f)
-    mat = _kernel_matrix(f.grid, s, eps, images)
-    u = f.values
-    total = mat.sum(axis=1)
-    return f.with_values(total * u - mat @ u)
+    return _apply_multiplier(f, mollified_symbol(f.grid, s, eps, images))
 
 
 def mollified_symbol(grid, s: float, eps: float, images: int = 3) -> np.ndarray:
@@ -223,13 +215,12 @@ def mollified_symbol(grid, s: float, eps: float, images: int = 3) -> np.ndarray:
 
     The discrete operator is a circulant difference operator, hence
     diagonal in the Fourier basis with nonnegative eigenvalues
-    lambda_j = sum_d w_d (1 - cos(k_j d h)).
+    lambda_j = sum_d w_d (1 - cos(k_j d h)).  The returned array is cached
+    and read-only.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w = _periodized_weights(grid, s, eps, images)
-    lam = w.sum() - np.fft.fft(w).real
-    return np.maximum(lam, 0.0)  # clip roundoff at the zero mode
+    return _symbol(grid.half_length, grid.n, s, eps, images)
 
 
 def mollified_half_apply(f: Field, s: float, eps: float, images: int = 3) -> Field:

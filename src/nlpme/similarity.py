@@ -81,7 +81,7 @@ def scaling_exponents(m: float, s: float, N: int = 1, p: float = 1.0) -> Exponen
     denom_p = (m - 1.0) * N + 2.0 * p * (1.0 - s)
     return ExponentSet(
         m=m, s=s, N=N, p=p,
-        alpha2=N / b,
+        alpha2=N * (1.0 / b),
         beta2=1.0 / b,
         b=b,
         gamma_p=N / denom_p,
@@ -255,6 +255,41 @@ def _drift_divergence(phi: Field, N: int) -> np.ndarray:
     return N * phi.values + phi.grid.nodes * dphi
 
 
+def _profile_terms(
+    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonlinear term of the selected profile equation and rate*div(y phi)."""
+    fam = kind.family
+    pos = np.maximum(phi.values, 0.0)
+    if fam is ProfileFamily.FPME:
+        nonlinear = frac_laplacian(
+            phi.with_values(pos**m_or_q), FracOrder(s_or_sigma)).values
+    elif fam is ProfileFamily.COMPANION:
+        nonlinear = phi.values**2 * frac_laplacian(
+            phi.with_values(pos**m_or_q), FracOrder(1.0 - s_or_sigma)).values
+    else:
+        w = riesz_gradient(phi, s_or_sigma)
+        nonlinear = spectral_derivative(
+            phi.with_values(pos ** (m_or_q - 1.0) * w.values)).values
+    return nonlinear, kind.rate * _drift_divergence(phi, N)
+
+
+def _masked_residual(
+    phi: Field, kind: ProfileKind, nonlinear: np.ndarray, drift: np.ndarray,
+    N: int, interior: float,
+) -> Field:
+    fam = kind.family
+    if fam is ProfileFamily.COMPANION:
+        dphi = spectral_derivative(phi).values
+        res = nonlinear - kind.rate * (N * phi.values - phi.grid.nodes * dphi)
+    elif fam in (ProfileFamily.EXTINCTION, ProfileFamily.FPME):
+        res = nonlinear - drift
+    else:
+        res = nonlinear + drift
+    mask = phi.grid.interior_mask(interior)
+    return phi.with_values(np.where(mask, res, 0.0))
+
+
 def profile_residual(
     phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float,
     N: int = 1, interior: float = 0.6,
@@ -272,34 +307,8 @@ def profile_residual(
     Cells outside the central `interior` fraction of the box are masked to
     zero: the y-weighted drift is meaningless near the truncation boundary.
     """
-    fam = kind.family
-    x = phi.grid.nodes
-    if fam in (ProfileFamily.MASS_CONSERVING, ProfileFamily.EXTINCTION,
-               ProfileFamily.ETERNAL):
-        m, s = m_or_q, s_or_sigma
-        w = riesz_gradient(phi, s)
-        flux = phi.with_values(np.maximum(phi.values, 0.0) ** (m - 1.0) * w.values)
-        nonlinear = spectral_derivative(flux).values
-        drift = _drift_divergence(phi, N)
-        sign = -1.0 if fam is ProfileFamily.EXTINCTION else 1.0
-        res = nonlinear + sign * kind.rate * drift
-    elif fam is ProfileFamily.FPME:
-        q, sigma = m_or_q, s_or_sigma
-        nonlinear = frac_laplacian(
-            phi.with_values(np.maximum(phi.values, 0.0) ** q), FracOrder(sigma)
-        ).values
-        res = nonlinear - kind.rate * _drift_divergence(phi, N)
-    elif fam is ProfileFamily.COMPANION:
-        mhat, s = m_or_q, s_or_sigma
-        lap = frac_laplacian(
-            phi.with_values(np.maximum(phi.values, 0.0) ** mhat), FracOrder(1.0 - s)
-        ).values
-        dphi = spectral_derivative(phi).values
-        res = phi.values**2 * lap - kind.rate * (N * phi.values - x * dphi)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown profile family {fam}")
-    mask = phi.grid.interior_mask(interior)
-    return phi.with_values(np.where(mask, res, 0.0))
+    nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
+    return _masked_residual(phi, kind, nonlinear, drift, N, interior)
 
 
 @dataclass
@@ -315,25 +324,9 @@ def residual_report(
     N: int = 1, interior: float = 0.6,
 ) -> ResidualReport:
     """Residual plus a normalization by the size of the equation's terms."""
-    res = profile_residual(phi, kind, m_or_q, s_or_sigma, N, interior)
+    nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
+    res = _masked_residual(phi, kind, nonlinear, drift, N, interior)
     mask = phi.grid.interior_mask(interior)
-    fam = kind.family
-    if fam is ProfileFamily.FPME:
-        nonlinear = frac_laplacian(
-            phi.with_values(np.maximum(phi.values, 0.0) ** m_or_q),
-            FracOrder(s_or_sigma),
-        ).values
-    elif fam is ProfileFamily.COMPANION:
-        nonlinear = phi.values**2 * frac_laplacian(
-            phi.with_values(np.maximum(phi.values, 0.0) ** m_or_q),
-            FracOrder(1.0 - s_or_sigma),
-        ).values
-    else:
-        w = riesz_gradient(phi, s_or_sigma)
-        nonlinear = spectral_derivative(
-            phi.with_values(np.maximum(phi.values, 0.0) ** (m_or_q - 1.0) * w.values)
-        ).values
-    drift = kind.rate * _drift_divergence(phi, N)
     scale = max(
         float(np.max(np.abs(nonlinear[mask]))), float(np.max(np.abs(drift[mask])))
     )

@@ -58,6 +58,13 @@ def test_parse_rejects_bad_m_with_key_name():
     assert "model.m" in str(err.value)
 
 
+def test_parse_rejects_multidimensional_model():
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace("s = 0.5", "s = 0.5\nn = 2"))
+    assert "model.n" in str(err.value)
+    assert parse_config(MINIMAL.replace("s = 0.5", "s = 0.5\nn = 1")).model.N == 1
+
+
 def test_parse_rejects_unknown_experiment_listing_names():
     text = MINIMAL.replace("kind = simulate", "kind = frobnicate", 1)
     with pytest.raises(ConfigError) as err:
@@ -188,6 +195,16 @@ def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys):
     assert "[FAIL]" not in capsys.readouterr().out
     _, cols = read_csv(tmp_path / "zero" / "snapshots.csv")
     assert all(np.all(c == 0.0) for c in cols[1:])
+
+
+@pytest.mark.parametrize("kind", ["propagation", "asymptotics", "continuation"])
+def test_cli_zero_mass_exit_two(tmp_path, capsys, kind):
+    cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
+    cfg = cfg.replace("mass = 1.0", "mass = 0.0")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/zero")
+    assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
+    assert "initial.mass" in capsys.readouterr().err
+    assert not (tmp_path / "zero").exists()
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):

@@ -20,6 +20,7 @@ from nlpme.operators import (
     riesz_gradient,
     spectral_derivative,
 )
+from nlpme.operators import _periodized_weights, _symbol
 
 
 def test_make_grid_spacing():
@@ -260,15 +261,33 @@ def test_mollified_positive_semidefinite():
 
 
 def test_mollified_symbol_matches_direct_apply():
-    """The quadrature operator is circulant: symbol application agrees."""
+    """Symbol application agrees with the O(n^2) quadrature sum.
+
+    Oracle: sum_d w_d (u_i - u_{(i-d) mod n}) over the periodized weights.
+    """
     g = make_grid(4.0, 128)
     rng = np.random.default_rng(4)
     f = Field(g, rng.standard_normal(g.n))
-    direct = mollified_frac_laplacian(f, 0.6, 0.2).values
-    lam = mollified_symbol(g, 0.6, 0.2)
-    spectral = np.fft.ifft(lam * np.fft.fft(f.values)).real
-    assert np.max(np.abs(direct - spectral)) < 1e-11
-    assert lam.min() >= 0.0
+    w = _periodized_weights(g.half_length, g.n, 0.6, 0.2, 3)
+    d = np.arange(g.n)
+    u = f.values
+    direct = np.array([np.sum(w * (u[i] - u[(i - d) % g.n])) for i in range(g.n)])
+    applied = mollified_frac_laplacian(f, 0.6, 0.2).values
+    assert np.max(np.abs(applied - direct)) < 1e-11
+    assert mollified_symbol(g, 0.6, 0.2).min() >= 0.0
+
+
+def test_mollified_caches_stay_bounded():
+    g = make_grid(4.0, 16)
+    f = Field(g, np.cos(g.nodes))
+    maxsize = _symbol.cache_info().maxsize
+    for eps in np.linspace(0.1, 0.5, maxsize + 5):
+        mollified_frac_laplacian(f, 0.5, float(eps))
+    for cached in (_periodized_weights, _symbol):
+        info = cached.cache_info()
+        assert info.misses > info.maxsize and info.currsize <= info.maxsize
+    with pytest.raises(ValueError):
+        mollified_symbol(g, 0.5, 0.1)[0] = 1.0  # cached arrays are read-only
 
 
 def test_mollified_eps_sweep_convergence_order():
