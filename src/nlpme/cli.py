@@ -2,7 +2,9 @@
 
 The output directory resolves in order: --output flag, NLPME_OUTPUT
 environment variable, the config's [output] dir.  Exit status is 0 only
-if every enabled check passed, so runs can gate CI pipelines directly.
+if every enabled check passed, so runs can gate CI pipelines directly; 1
+means a check failed, 2 bad input (missing config, or a config key or
+experiment knob that fails validation).
 """
 
 from __future__ import annotations
@@ -43,7 +45,11 @@ def main(argv=None) -> int:
         return 2
 
     output = args.output or os.environ.get("NLPME_OUTPUT") or cfg.output_dir
-    man = run_experiment(cfg, output_dir=output)
+    try:
+        man = run_experiment(cfg, output_dir=output)
+    except ConfigError as exc:  # an experiment knob, read when the run needs it
+        print(f"nlpme: config error: {exc}", file=sys.stderr)
+        return 2
     for c in man.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name} = {c.value:.6g}" +

@@ -296,3 +296,14 @@ def knob(cfg: ExperimentConfig, dotted: str, cast, default):
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{dotted}: cannot parse {raw!r} ({exc})") from None
+
+
+def window_knob(cfg: ExperimentConfig, dotted: str, default: tuple) -> tuple:
+    """Time-window knob `lo hi`: two floats with 0 < lo < hi.
+
+    The default is validated too, since some defaults depend on t_end.
+    """
+    window = knob(cfg, dotted, _floats, default)
+    if len(window) != 2 or not 0.0 < window[0] < window[1]:
+        raise ConfigError(f"{dotted}: need two times 0 < lo < hi, got {window}")
+    return window

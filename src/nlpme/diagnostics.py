@@ -235,6 +235,11 @@ def weak_form_residual(traj: Trajectory, testfn: SeparableTestFunction) -> float
     snapshots.  Vanishes for an exact weak solution; decreases under grid
     refinement for the scheme.  The test function must vanish near the box
     boundary and at the final time.
+
+    This is the residual of the limit equation (eps = delta = mu = 0): W is
+    always the spectral :func:`riesz_gradient`, also for a trajectory of a
+    regularized run, so there it measures the distance to the limit problem
+    rather than the consistency of the regularized scheme.
     """
     grid = traj.grid
     h = grid.spacing

@@ -31,8 +31,7 @@ import numpy as np
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
     frac_laplacian,
-    inv_laplacian_gradient,
-    mollified_frac_laplacian,
+    mollified_riesz_gradient,
     mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,
@@ -142,11 +141,23 @@ def pressure_gradient(u: Field, p: ModelParams) -> Field:
 
     For eps > 0 the factorization d/dx (-Delta)^(-1) L_eps is used, i.e. the
     spectral inverse-Laplacian gradient composed with the mollified operator
-    of order 1-s, which restores the spectral route as eps -> 0.
+    of order 1-s (one multiplier, i*lambda(k)/k), which restores the
+    spectral route as eps -> 0.
     """
     if p.eps > 0.0:
-        return inv_laplacian_gradient(mollified_frac_laplacian(u, p.s, p.eps))
+        return mollified_riesz_gradient(u, p.s, p.eps)
     return riesz_gradient(u, p.s)
+
+
+def _roll1(a: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(a, shift) of a 1-D array for shift = +1 or -1.
+
+    Bitwise the same result, without np.roll's generic-axis overhead,
+    which costs more than the copy on the grids used here.
+    """
+    if shift == 1:
+        return np.concatenate((a[-1:], a[:-1]))
+    return np.concatenate((a[1:], a[:1]))
 
 
 def _face_velocity(u: np.ndarray, w: np.ndarray, p: ModelParams):
@@ -154,15 +165,13 @@ def _face_velocity(u: np.ndarray, w: np.ndarray, p: ModelParams):
 
     Face i+1/2 sits between nodes i and i+1 (periodic wrap).  The mass flux
     is J = -a_up * w_face; mass moves rightward when w_face < 0, so the
-    donor cell is the left node for w_face < 0 and the right node otherwise.
+    advective factor is taken from the left node for w_face < 0 and from
+    the right node otherwise.
     """
     a = (u + p.mu) ** (p.m - 1.0)
-    u_right = np.roll(u, -1)
-    a_right = np.roll(a, -1)
-    w_face = 0.5 * (w + np.roll(w, -1))
-    a_up = np.where(w_face < 0.0, a, a_right)
-    donor = np.where(w_face < 0.0, u, u_right)
-    return w_face, a_up, donor
+    w_face = 0.5 * (w + _roll1(w, -1))
+    a_up = np.where(w_face < 0.0, a, _roll1(a, -1))
+    return w_face, a_up
 
 
 def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
@@ -172,7 +181,9 @@ def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
     return float((math.pi / grid.spacing) ** (2.0 * (1.0 - p.s)))
 
 
-def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
+def cfl_dt(
+    u: Field, p: ModelParams, cap: float = math.inf, w: Field | None = None
+) -> float:
     """Stable explicit step for the density scheme.
 
     Three limits are combined with the safety factor: the face-flux
@@ -183,13 +194,15 @@ def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
     symbol value of the nonlocal operator in use.  Without the last limit
     the high modes of the pressure term go unstable even though the flux
     CFL is satisfied.  With zero velocity and delta = 0 the returned step
-    is just `cap` (the configured horizon).
+    is just `cap` (the configured horizon).  `w` is the pressure gradient
+    of u when the caller already has it; it is computed otherwise.
     """
     if np.any(u.values < 0):
         raise ValueError("cfl_dt requires a nonnegative field")
     h = u.grid.spacing
-    w = pressure_gradient(u, p)
-    w_face, a_up, _ = _face_velocity(u.values, w.values, p)
+    if w is None:
+        w = pressure_gradient(u, p)
+    w_face, a_up = _face_velocity(u.values, w.values, p)
     vmax = float(np.max(np.abs(a_up * w_face)))
     dt = math.inf
     if vmax > 0.0:
@@ -211,11 +224,11 @@ def _flux_update(u: np.ndarray, w: np.ndarray, p: ModelParams, dt: float, h: flo
     content in one step; the scaling is applied to the shared face flux, so
     conservation is exact.
     """
-    w_face, a_up, donor = _face_velocity(u, w, p)
+    w_face, a_up = _face_velocity(u, w, p)
     J = -a_up * w_face
 
     out_right = np.maximum(J, 0.0)        # leaves cell i through face i+1/2
-    out_left = np.maximum(-np.roll(J, 1), 0.0)  # leaves cell i through face i-1/2
+    out_left = np.maximum(-_roll1(J, 1), 0.0)  # leaves cell i through face i-1/2
     outflow = (dt / h) * (out_right + out_left)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(
@@ -224,10 +237,10 @@ def _flux_update(u: np.ndarray, w: np.ndarray, p: ModelParams, dt: float, h: flo
             1.0,
         )
     # the donor of face i+1/2 is cell i when J>0, cell i+1 when J<0
-    donor_factor = np.where(J > 0.0, factor, np.roll(factor, -1))
+    donor_factor = np.where(J > 0.0, factor, _roll1(factor, -1))
     J = J * donor_factor
 
-    u_new = u - (dt / h) * (J - np.roll(J, 1))
+    u_new = u - (dt / h) * (J - _roll1(J, 1))
     clipped = 0.0
     if np.any(u_new < 0.0):
         clipped = float(-h * u_new[u_new < 0.0].sum())
@@ -235,11 +248,14 @@ def _flux_update(u: np.ndarray, w: np.ndarray, p: ModelParams, dt: float, h: flo
     return u_new, clipped
 
 
-def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
+def step_density(
+    u: Field, p: ModelParams, dt: float, w: Field | None = None
+) -> tuple[Field, float]:
     """One explicit conservative step of the density equation.
 
     Returns the stepped field and the mass clipped to keep it nonnegative.
-    Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`.  The
+    Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`; `w` is
+    the pressure gradient of u if already computed (see :func:`cfl_dt`).  The
     viscosity term uses the three-point Laplacian: it conserves mass by
     telescoping and keeps u >= 0 under the delta CFL bound, whereas the
     spectral Laplacian rings negative at degenerate fronts and burns the
@@ -247,14 +263,15 @@ def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
     """
     if np.any(u.values < 0):
         raise ValueError("step_density requires a nonnegative field")
-    w = pressure_gradient(u, p)
+    if w is None:
+        w = pressure_gradient(u, p)
     u_new, clipped = _flux_update(u.values, w.values, p, dt, u.grid.spacing)
     if p.delta > 0.0:
         # applied to the post-flux field: (I + dt*delta*Lap_h) preserves
         # nonnegativity on its own under the delta CFL bound, so the two
         # substeps cannot jointly overdraw a cell
         h = u.grid.spacing
-        visc = (np.roll(u_new, -1) - 2.0 * u_new + np.roll(u_new, 1)) / h**2
+        visc = (_roll1(u_new, -1) - 2.0 * u_new + _roll1(u_new, 1)) / h**2
         u_new = u_new + dt * p.delta * visc
         if np.any(u_new < 0.0):
             clipped += float(-h * u_new[u_new < 0.0].sum())
@@ -321,11 +338,12 @@ def simulate_density(
 
     steps = 0
     while t < t_end - 1e-14 and pending:
-        dt = cfl_dt(u, p, cap=t_end - t)
+        w = pressure_gradient(u, p)  # shared by the CFL bound and the flux
+        dt = cfl_dt(u, p, cap=t_end - t, w=w)
         if dt <= 0.0 or not math.isfinite(dt):
             dt = t_end - t
         try:
-            u_next, clipped = step_density(u, p, dt)
+            u_next, clipped = step_density(u, p, dt, w=w)
         except SimulationUnstable:
             raise SimulationUnstable(
                 t,

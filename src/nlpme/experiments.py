@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, knob
+from .config import ConfigError, ExperimentConfig, knob, window_knob
 from .csvio import write_csv
 from .diagnostics import (
     asymptotic_convergence,
@@ -217,16 +217,14 @@ def _exp_continuation(cfg: ExperimentConfig, outdir: str):
 def _exp_propagation(cfg: ExperimentConfig, outdir: str):
     mode = knob(cfg, "propagation.mode", str,
                 "finite" if cfg.model.m >= 2.0 else "infinite")
+    if mode == "finite":
+        window = window_knob(cfg, "propagation.window", (0.1, min(1.0, cfg.t_end)))
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     files: list = []
     checks: list = []
     if mode == "finite":
-        window = knob(cfg, "propagation.window", str, "")
-        wlo, whi = (0.1, min(1.0, cfg.t_end))
-        if window:
-            wlo, whi = (float(t) for t in window.split())
-        rep = finite_propagation_report(traj, window=(wlo, whi))
+        rep = finite_propagation_report(traj, window=window)
         checks.append(CheckResult("support_affine_fit", rep.verdict, rep.fit[2],
                                   f"slope {rep.fit[1]:.4g}"))
         write_csv(os.path.join(outdir, "support_radius.csv"),
@@ -267,12 +265,15 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
 
 
 def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
-    window = knob(cfg, "smoothing.window", str, "1 20")
-    wlo, whi = (float(t) for t in window.split())
+    wlo, whi = window_knob(cfg, "smoothing.window", (1.0, 20.0))
     gap_tol = knob(cfg, "smoothing.gap_tol", float, 0.10)
+    first = max(wlo / 4, 1e-3)  # snapshots run geometrically from here to t_end
+    if first > cfg.t_end:
+        raise ConfigError(
+            f"smoothing.window: snapshots start at max(lo/4, 1e-3) = {first:g}, "
+            f"after time.t_end = {cfg.t_end:g}")
     u0 = cfg.initial_field()
-    snap_times = np.concatenate([[0.0], np.geomspace(max(wlo / 4, 1e-3),
-                                                     cfg.t_end, 33)])
+    snap_times = np.concatenate([[0.0], np.geomspace(first, cfg.t_end, 33)])
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=snap_times)
     ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
     fit = smoothing_fit(traj, ex, window=(wlo, whi))

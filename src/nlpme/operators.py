@@ -13,9 +13,17 @@ Two families of operators live here:
 
   discretized by quadrature with the kernel periodized over the box
   images.  The discrete operator is circulant, so it is applied as the
-  Fourier multiplier of its quadrature weights.  As eps -> 0 it converges
-  to the spectral (-Delta)^(1-s), which is what the convergence tests
-  check.
+  Fourier multiplier lambda(k) of its quadrature weights.  As eps -> 0 it
+  converges to the spectral (-Delta)^(1-s), which is what the convergence
+  tests check.  Its pressure gradient d/dx (-Delta)^(-1) L_eps is folded
+  into the single multiplier i*lambda(k)/k.
+
+Every multiplier acts on real fields through the real FFT: its symbol is
+sampled on the half spectrum k_j = pi*j/L, j = 0..n/2, memoised per
+(half_length, n, order...) in a bounded cache and handed out read-only.
+Odd symbols (those with a factor i*k) send the Nyquist bin to zero; the
+n/2 mode has no odd real counterpart on the grid.  The Parseval energies
+stay on the complex FFT.
 
 All spectral operators annihilate the zero mode: on a periodic box the
 Riesz potential of the mean is not defined, and the pressure is only
@@ -43,6 +51,7 @@ __all__ = [
     "mollified_frac_laplacian",
     "mollified_symbol",
     "mollified_half_apply",
+    "mollified_riesz_gradient",
     "line_frac_laplacian",
     "line_frac_laplacian_outside",
 ]
@@ -53,15 +62,55 @@ def _check_finite(f: Field):
         raise ValueError("operator input contains NaN or Inf")
 
 
-def _apply_multiplier(f: Field, mult: np.ndarray) -> Field:
-    out = np.fft.ifft(mult * np.fft.fft(f.values)).real
-    return f.with_values(out)
+# Memoised per (half_length, n, order...): a run touches a handful of
+# orders and grids, so a small bound keeps every live key.
+_CACHE_SIZE = 16
+
+
+def _cached_readonly(build):
+    """Bounded memo of an array builder; the arrays it hands out are read-only."""
+
+    @functools.lru_cache(maxsize=_CACHE_SIZE)
+    @functools.wraps(build)
+    def cached(*key):
+        sym = build(*key)
+        sym.flags.writeable = False
+        return sym
+
+    return cached
+
+
+def _half_wavenumbers(half_length: float, n: int) -> np.ndarray:
+    """k_j = pi*j/L for j = 0..n/2, the rfft bins of a grid with these sizes."""
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * half_length / n)
+
+
+@_cached_readonly
+def _even_symbol(half_length: float, n: int, power: float) -> np.ndarray:
+    """|k|^power with the zero mode mapped to zero (power > 0)."""
+    return _half_wavenumbers(half_length, n) ** power
+
+
+@_cached_readonly
+def _odd_symbol(half_length: float, n: int, power: float) -> np.ndarray:
+    """i*k*|k|^power with the zero and Nyquist modes mapped to zero."""
+    k = _half_wavenumbers(half_length, n)
+    k[0] = 1.0  # guard; zeroed below
+    sym = 1j * k * k**power
+    sym[0] = 0.0
+    sym[-1] = 0.0
+    return sym
+
+
+def _apply_multiplier(f: Field, sym: np.ndarray) -> Field:
+    """Apply a half-spectrum symbol to a real field through the real FFT."""
+    return f.with_values(np.fft.irfft(sym * np.fft.rfft(f.values), f.grid.n))
 
 
 def spectral_derivative(f: Field) -> Field:
     """First derivative with the Fourier multiplier i*k."""
     _check_finite(f)
-    return _apply_multiplier(f, 1j * f.grid.wavenumbers)
+    return _apply_multiplier(f, _odd_symbol(f.grid.half_length, f.grid.n, 0.0))
 
 
 def frac_laplacian(f: Field, order: FracOrder) -> Field:
@@ -70,8 +119,8 @@ def frac_laplacian(f: Field, order: FracOrder) -> Field:
     The zero mode maps to zero; constants are annihilated exactly.
     """
     _check_finite(f)
-    k = f.grid.wavenumbers
-    return _apply_multiplier(f, np.abs(k) ** (2.0 * order.alpha))
+    sym = _even_symbol(f.grid.half_length, f.grid.n, 2.0 * order.alpha)
+    return _apply_multiplier(f, sym)
 
 
 def riesz_gradient(f: Field, s: float) -> Field:
@@ -84,22 +133,13 @@ def riesz_gradient(f: Field, s: float) -> Field:
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
     _check_finite(f)
-    k = f.grid.wavenumbers
-    absk = np.abs(k)
-    absk[0] = 1.0  # guard; multiplier at k=0 set to 0 below
-    mult = 1j * k * absk ** (-2.0 * s)
-    mult[0] = 0.0
-    return _apply_multiplier(f, mult)
+    return _apply_multiplier(f, _odd_symbol(f.grid.half_length, f.grid.n, -2.0 * s))
 
 
 def inv_laplacian_gradient(f: Field) -> Field:
     """Gradient of the inverse Laplacian, d/dx (-Delta)^(-1); multiplier i/k."""
     _check_finite(f)
-    k = f.grid.wavenumbers.copy()
-    k[0] = 1.0
-    mult = 1j / k
-    mult[0] = 0.0
-    return _apply_multiplier(f, mult)
+    return _apply_multiplier(f, _odd_symbol(f.grid.half_length, f.grid.n, -2.0))
 
 
 def half_order_energy(f: Field, order: FracOrder) -> float:
@@ -150,12 +190,8 @@ def frac_constant(alpha: float) -> float:
 
 # --- mollified operator -------------------------------------------------
 
-# Memoised per (half_length, n, s, eps, images); a continuation schedule
-# touches a handful of eps values, so a small bound keeps every live key.
-_CACHE_SIZE = 16
 
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@_cached_readonly
 def _periodized_weights(
     half_length: float, n: int, s: float, eps: float, images: int
 ) -> np.ndarray:
@@ -179,17 +215,29 @@ def _periodized_weights(
     weights = frac_constant(1.0 - s) * h * (ksum + tail)
     # the periodized kernel is even in the offset; symmetrizing removes the
     # tiny eps^2 asymmetry the analytic tail introduces at the window edge
-    weights = 0.5 * (weights + weights[(-np.arange(n)) % n])
-    weights.flags.writeable = False
-    return weights
+    return 0.5 * (weights + weights[(-np.arange(n)) % n])
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@_cached_readonly
 def _symbol(half_length: float, n: int, s: float, eps: float, images: int) -> np.ndarray:
     w = _periodized_weights(half_length, n, s, eps, images)
-    lam = np.maximum(w.sum() - np.fft.fft(w).real, 0.0)  # clip roundoff at k=0
-    lam.flags.writeable = False
-    return lam
+    return np.maximum(w.sum() - np.fft.rfft(w).real, 0.0)  # clip roundoff at k=0
+
+
+@_cached_readonly
+def _folded_symbol(
+    half_length: float, n: int, s: float, eps: float, images: int
+) -> np.ndarray:
+    """i*lambda(k)/k, the symbol of d/dx (-Delta)^(-1) L_eps."""
+    return _odd_symbol(half_length, n, -2.0) * _symbol(half_length, n, s, eps, images)
+
+
+def _check_mollified(f: Field, s: float, eps: float):
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    _check_finite(f)
 
 
 def mollified_frac_laplacian(
@@ -202,21 +250,32 @@ def mollified_frac_laplacian(
     operator's Fourier symbol.  Symmetric and positive semidefinite;
     constants map to zero for any eps.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    _check_finite(f)
+    _check_mollified(f, s, eps)
     return _apply_multiplier(f, mollified_symbol(f.grid, s, eps, images))
 
 
+def mollified_riesz_gradient(
+    f: Field, s: float, eps: float, images: int = 3
+) -> Field:
+    """Mollified pressure gradient d/dx (-Delta)^(-1) L_eps.
+
+    The composition of :func:`inv_laplacian_gradient` with
+    :func:`mollified_frac_laplacian`, applied as the one multiplier
+    i*lambda(k)/k; it tends to :func:`riesz_gradient` as eps -> 0.
+    """
+    _check_mollified(f, s, eps)
+    sym = _folded_symbol(f.grid.half_length, f.grid.n, s, eps, images)
+    return _apply_multiplier(f, sym)
+
+
 def mollified_symbol(grid, s: float, eps: float, images: int = 3) -> np.ndarray:
-    """Fourier eigenvalues of the mollified operator, in FFT ordering.
+    """Fourier eigenvalues of the mollified operator on the half spectrum.
 
     The discrete operator is a circulant difference operator, hence
     diagonal in the Fourier basis with nonnegative eigenvalues
-    lambda_j = sum_d w_d (1 - cos(k_j d h)).  The returned array is cached
-    and read-only.
+    lambda_j = sum_d w_d (1 - cos(k_j d h)).  They are even in k, so the
+    values at k_j = pi*j/L for j = 0..n/2 determine the operator.  The
+    returned array is cached and read-only.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")

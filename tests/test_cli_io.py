@@ -214,6 +214,35 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert "model.m" in capsys.readouterr().err
 
 
+def test_cli_bad_knob_exit_two(tmp_path, capsys):
+    cfg = MINIMAL.replace("kind = simulate", "kind = integrated", 1)
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + "\n[integrated]\npairs = x\n"
+    assert main(["integrated", "--config", _write(tmp_path, cfg)]) == 2
+    assert "integrated.pairs" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("kind, t_end, window", [
+    ("smoothing", "0.1", None),  # default 1 20: snapshots would start at 0.25
+    ("smoothing", "0.5", "abc"),
+    ("smoothing", "0.5", "0.2"),
+    ("smoothing", "0.5", "0.4 0.1"),
+    ("smoothing", "0.5", "0 0.4"),
+    ("propagation", "0.5", "abc"),
+    ("propagation", "0.5", "0.3 0.1"),
+    ("propagation", "0.05", None),  # default 0.1 t_end is empty
+])
+def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
+    cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
+    cfg = cfg.replace("t_end = 0.5", f"t_end = {t_end}")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    if window is not None:
+        cfg += f"\n[{kind}]\nwindow = {window}\n"
+    assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
+    assert f"{kind}.window" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
 def test_cli_missing_config_exit_two(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 

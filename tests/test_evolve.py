@@ -11,16 +11,19 @@ import pytest
 
 from nlpme.evolve import (
     ModelParams,
+    _roll1,
     cfl_dt,
     continuation_limit,
     fpme_cfl_dt,
     fractional_heat_evolution,
+    pressure_gradient,
     simulate_density,
     simulate_fpme,
     step_density,
     step_fpme,
 )
 from nlpme.grid import Field, make_grid
+from nlpme.operators import inv_laplacian_gradient, mollified_frac_laplacian
 from nlpme.initial_data import gaussian_bump, mollified_dirac
 
 
@@ -164,8 +167,6 @@ def test_scaling_commutation_lambda_two():
 
 def test_mollified_pressure_route_approaches_spectral():
     """The eps > 0 pressure path converges to the Riesz gradient."""
-    from nlpme.evolve import pressure_gradient
-
     g = make_grid(10.0, 512)
     u = gaussian_bump(g, 1.0, width=0.8)
     ref = pressure_gradient(u, ModelParams(2.0, 0.5)).values
@@ -278,3 +279,57 @@ def test_fpme_long_run_decay_exponent():
         sups.append(float(u.values.max()))
     slope = np.polyfit(np.log(ts), np.log(sups), 1)[0]
     assert abs(slope + 0.5) < 0.05
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.9])
+def test_folded_mollified_pressure_matches_composition(s):
+    """The one-multiplier eps > 0 pressure equals d/dx (-Delta)^(-1) L_eps.
+
+    Oracle: the two operators applied one after the other.
+    """
+    g = make_grid(10.0, 512)
+    rng = np.random.default_rng(11)
+    u = Field(g, gaussian_bump(g, 1.0, width=0.8).values
+              + 0.01 * rng.random(g.n))
+    for eps in (0.2, 0.05):
+        got = pressure_gradient(u, ModelParams(2.0, s, eps=eps)).values
+        want = inv_laplacian_gradient(mollified_frac_laplacian(u, s, eps)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(2.0, 0.3),
+    ModelParams(1.5, 0.3, eps=0.05, delta=0.01, mu=0.01),
+], ids=["limit", "regularized"])
+def test_simulate_density_equals_hand_loop_bitwise(p):
+    """Sharing one pressure gradient per step changes no bit of the run.
+
+    Oracle: cfl_dt / step_density called without `w`, each computing the
+    pressure gradient itself, with the solver's snapshot interpolation.
+    """
+    g = make_grid(8.0, 256)
+    u0 = gaussian_bump(g, 1.0, width=0.7)
+    t_end = 0.5
+    snap_times = [0.0, 0.13, 0.31, t_end]
+    traj = simulate_density(u0, p, t_end, snap_times=snap_times)
+
+    u, t, steps = u0, 0.0, 0
+    frames = [u0.values]
+    pending = snap_times[1:]
+    while t < t_end - 1e-14:
+        dt = cfl_dt(u, p, cap=t_end - t)
+        u_next, _ = step_density(u, p, dt)
+        while pending and pending[0] <= t + dt + 1e-14:
+            theta = min(max((pending.pop(0) - t) / dt, 0.0), 1.0)
+            frames.append((1 - theta) * u.values + theta * u_next.values)
+        u, t, steps = u_next, t + dt, steps + 1
+    assert traj.steps == steps > 10
+    assert len(traj.snapshots) == len(frames)
+    for snap, frame in zip(traj.snapshots, frames):
+        assert np.array_equal(snap.values, frame)
+
+
+def test_roll1_is_np_roll():
+    a = np.random.default_rng(5).standard_normal(37)
+    for shift in (1, -1):
+        assert np.array_equal(_roll1(a, shift), np.roll(a, shift))

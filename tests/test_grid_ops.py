@@ -13,14 +13,22 @@ from nlpme.operators import (
     frac_constant,
     frac_laplacian,
     half_order_energy,
+    inv_laplacian_gradient,
     mollified_frac_laplacian,
     mollified_half_apply,
+    mollified_riesz_gradient,
     mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,
     spectral_derivative,
 )
-from nlpme.operators import _periodized_weights, _symbol
+from nlpme.operators import (
+    _even_symbol,
+    _folded_symbol,
+    _odd_symbol,
+    _periodized_weights,
+    _symbol,
+)
 
 
 def test_make_grid_spacing():
@@ -328,3 +336,75 @@ def test_dissipation_inequality_discrete():
             half = mollified_half_apply(psi_big, s, eps)
             rhs = h * np.sum(half.values**2)
             assert lhs >= rhs - 1e-8
+
+
+def _complex_fft_oracle(f, mult):
+    """The full-spectrum complex path: Re ifft(mult * fft(f))."""
+    return np.fft.ifft(mult * np.fft.fft(f)).real
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_rfft_operators_match_complex_fft_oracle(n, s):
+    """Every real-FFT multiplier agrees with its complex-FFT counterpart.
+
+    Oracle: the full symbol in FFT ordering, applied with fft/ifft and the
+    real part taken, which drops the Nyquist bin of an odd multiplier.  The
+    input carries the Nyquist mode (-1)^j, which odd multipliers must send
+    to zero.
+    """
+    g = make_grid(4.0, n)
+    k = g.wavenumbers
+    absk = np.abs(k)
+    inv_absk = np.zeros(n)
+    inv_absk[1:] = 1.0 / absk[1:]
+    eps = 0.2
+    w = _periodized_weights(g.half_length, g.n, s, eps, 3)
+    lam = np.maximum(w.sum() - np.fft.fft(w).real, 0.0)
+    oracles = {
+        "spectral_derivative": (lambda f: spectral_derivative(f), 1j * k, True),
+        "frac_laplacian": (lambda f: frac_laplacian(f, FracOrder(s)),
+                           absk ** (2.0 * s), False),
+        "riesz_gradient": (lambda f: riesz_gradient(f, s),
+                           1j * k * inv_absk ** (2.0 * s), True),
+        "inv_laplacian_gradient": (inv_laplacian_gradient,
+                                   1j * k * inv_absk**2, True),
+        "mollified_frac_laplacian": (
+            lambda f: mollified_frac_laplacian(f, s, eps), lam, False),
+        "mollified_half_apply": (
+            lambda f: mollified_half_apply(f, s, eps), np.sqrt(lam), False),
+        "mollified_riesz_gradient": (
+            lambda f: mollified_riesz_gradient(f, s, eps),
+            1j * k * inv_absk**2 * lam, True),
+    }
+    rng = np.random.default_rng(n)
+    nyquist = (-1.0) ** np.arange(n)
+    f = Field(g, rng.standard_normal(n) + nyquist)
+    for name, (op, mult, odd) in oracles.items():
+        got = op(f).values
+        want = _complex_fft_oracle(f.values, mult)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+        alone = op(Field(g, nyquist)).values
+        if odd:
+            assert np.max(np.abs(alone)) <= 1e-13 * np.max(np.abs(mult)), name
+        else:
+            assert np.allclose(alone, mult[n // 2] * nyquist, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(mult))), name
+
+
+def test_symbol_caches_stay_bounded_and_read_only():
+    g = make_grid(4.0, 16)
+    f = Field(g, np.cos(g.nodes))
+    maxsize = _odd_symbol.cache_info().maxsize
+    for s in np.linspace(0.05, 0.95, maxsize + 5):
+        frac_laplacian(f, FracOrder(float(s)))
+        riesz_gradient(f, float(s))
+        mollified_riesz_gradient(f, float(s), 0.1)
+    for cached in (_even_symbol, _odd_symbol, _folded_symbol):
+        info = cached.cache_info()
+        assert info.misses > info.maxsize and info.currsize <= info.maxsize
+    for sym in (_even_symbol(4.0, 16, 0.5), _odd_symbol(4.0, 16, -1.0),
+                _folded_symbol(4.0, 16, 0.5, 0.1, 3)):
+        with pytest.raises(ValueError):
+            sym[0] = 1.0
