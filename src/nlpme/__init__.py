@@ -32,6 +32,7 @@ from .integrated import (
     PrimitiveField,
     barrier_exponents,
     barrier_subsolution,
+    comparison_sweep,
     contact_check,
     differentiate_primitive,
     heaviside_primitive,

@@ -26,6 +26,7 @@ __all__ = [
     "support_radius",
     "tail_mass",
     "DecayFit",
+    "decay_fit_span",
     "smoothing_fit",
     "MonotonicityReport",
     "energy_monotonicity",
@@ -86,6 +87,12 @@ class DecayFit:
     fit_window: tuple
 
 
+def decay_fit_span(times) -> bool:
+    """Whether sorted fit times suffice for :func:`smoothing_fit`: at least
+    5 of them, spanning at least a decade."""
+    return len(times) >= 5 and times[-1] >= 10.0 * times[0]
+
+
 def smoothing_fit(traj: Trajectory, ex: ExponentSet,
                   window: tuple = (1.0, 20.0)) -> DecayFit:
     """Log-log slope of the sup-norm against the predicted t^(-gamma).
@@ -98,7 +105,7 @@ def smoothing_fit(traj: Trajectory, ex: ExponentSet,
     times = traj.times
     sups = np.array([d.sup_norm for d in traj.diagnostics])
     sel = (times >= t0) & (times <= t1) & (sups > 0)
-    if sel.sum() < 5 or times[sel][-1] < 10.0 * times[sel][0]:
+    if not decay_fit_span(times[sel]):
         raise ValueError("fit needs >= 5 snapshots spanning at least a decade")
     slope = float(np.polyfit(np.log(times[sel]), np.log(sups[sel]), 1)[0])
     gamma = ex.gamma_p

@@ -150,14 +150,15 @@ def pressure_gradient(u: Field, p: ModelParams) -> Field:
 
 
 def _roll1(a: np.ndarray, shift: int) -> np.ndarray:
-    """np.roll(a, shift) of a 1-D array for shift = +1 or -1.
+    """np.roll(a, shift, axis=-1) for shift = +1 or -1.
 
-    Bitwise the same result, without np.roll's generic-axis overhead,
-    which costs more than the copy on the grids used here.
+    Bitwise the same result, for one field or a (B, n) stack of them,
+    without np.roll's generic-axis overhead, which costs more than the copy
+    on the grids used here.
     """
     if shift == 1:
-        return np.concatenate((a[-1:], a[:-1]))
-    return np.concatenate((a[1:], a[:1]))
+        return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
 def _face_velocity(u: np.ndarray, w: np.ndarray, p: ModelParams):

@@ -18,6 +18,7 @@ from .config import ConfigError, ExperimentConfig, knob, window_knob
 from .csvio import write_csv
 from .diagnostics import (
     asymptotic_convergence,
+    decay_fit_span,
     finite_propagation_report,
     infinite_propagation_report,
     mass,
@@ -33,12 +34,11 @@ from .evolve import (
 from .grid import Field, FracOrder, make_grid
 from .initial_data import gaussian_bump
 from .integrated import (
+    comparison_sweep,
+    differentiate_primitive,
     infinite_speed_witness,
     integrate_density,
-    integrated_cfl_dt,
-    differentiate_primitive,
     simulate_integrated,
-    step_integrated,
 )
 from .manifest import CheckResult, RunManifest, write_manifest
 from .similarity import (
@@ -135,10 +135,13 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
     ]
 
     # ordered-pair comparison sweep (mass-matched shifts: the box surrogate
-    # of whole-line comparison needs equal far-field offsets)
+    # of whole-line comparison needs equal far-field offsets).  Every pair
+    # is drawn before any is stepped; stepping draws no random numbers, so
+    # the rng call order, and with it the seeded data, is that of drawing
+    # and stepping one pair at a time.
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
-    worst = 0.0
+    pairs = []
     for _ in range(n_pairs):
         u = np.zeros(grid.n)
         for _ in range(int(rng.integers(1, 4))):
@@ -152,12 +155,8 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
         v = integrate_density(Field(grid, u))
         V = integrate_density(Field(grid, ush))
         V.values = np.maximum(V.values, v.values)
-        for _ in range(n_steps):
-            dt = min(integrated_cfl_dt(v, p.m, alpha),
-                     integrated_cfl_dt(V, p.m, alpha))
-            v = step_integrated(v, p.m, alpha, dt)
-            V = step_integrated(V, p.m, alpha, dt)
-            worst = max(worst, float(np.max(v.values - V.values)))
+        pairs.append((v, V))
+    worst, _ = comparison_sweep(pairs, p.m, alpha, n_steps)
     checks.append(CheckResult(
         "comparison_violation", worst < 1e-8, worst,
         f"{n_pairs} ordered pairs, {n_steps} steps each"))
@@ -219,6 +218,12 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
                 "finite" if cfg.model.m >= 2.0 else "infinite")
     if mode == "finite":
         window = window_knob(cfg, "propagation.window", (0.1, min(1.0, cfg.t_end)))
+        inside = np.count_nonzero((cfg.snap_times >= window[0])
+                                  & (cfg.snap_times <= window[1]))
+        if inside < 3:
+            raise ConfigError(
+                f"propagation.window: holds {inside} of the snapshot times; "
+                "the affine support fit needs at least 3")
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     files: list = []
@@ -272,8 +277,14 @@ def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
         raise ConfigError(
             f"smoothing.window: snapshots start at max(lo/4, 1e-3) = {first:g}, "
             f"after time.t_end = {cfg.t_end:g}")
-    u0 = cfg.initial_field()
     snap_times = np.concatenate([[0.0], np.geomspace(first, cfg.t_end, 33)])
+    inside = snap_times[(snap_times >= wlo) & (snap_times <= whi)]
+    if not decay_fit_span(inside):
+        raise ConfigError(
+            f"smoothing.window: holds {len(inside)} of the snapshot times "
+            f"(geometric from {first:g} to time.t_end = {cfg.t_end:g}); "
+            "the decay fit needs >= 5 spanning at least a decade")
+    u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=snap_times)
     ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
     fit = smoothing_fit(traj, ex, window=(wlo, whi))

@@ -11,6 +11,13 @@ is applied (the whole-line fractional Laplacian of an affine function is
 zero) and boundary cells are frozen so the wrap region never feeds back
 into measurements.
 
+The scheme is written once, over rows: its CFL bound, its step and the
+validation of primitives act on a C-contiguous (B, n) stack with per-row
+masses and steps, and the public one-primitive functions are the B = 1
+case.  The comparison sweep (ordered pairs v <= V stepped side by side)
+is then one batched call, :func:`comparison_sweep`, whose rows are bitwise
+what stepping each pair alone gives.
+
 The barrier side implements the comparison machinery used to witness
 infinite propagation speed for m < 2: a decaying power profile plus a
 compactly supported bump whose fractional Laplacian has a strictly
@@ -26,9 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolve import _roll1
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
-    frac_laplacian,
+    _apply_rows,
+    _check_finite,
+    _even_symbol,
     line_frac_laplacian,
     line_frac_laplacian_outside,
 )
@@ -42,6 +52,7 @@ __all__ = [
     "heaviside_primitive",
     "integrated_cfl_dt",
     "step_integrated",
+    "comparison_sweep",
     "simulate_integrated",
     "make_barrier_bump",
     "barrier_subsolution",
@@ -60,6 +71,23 @@ BOUNDARY_TOL = 1e-6
 FROZEN_FRACTION = 0.96  # cells with |x| > this fraction of L never move
 
 
+def _check_rows(X: np.ndarray, M: np.ndarray) -> None:
+    """Validate a (B, n) stack of primitives, row b running from 0 to M[b].
+
+    Every row must be nondecreasing within MONOTONE_TOL, stay inside
+    [0, M] and match the boundary values 0 and M, each up to a tolerance
+    relative to max(M, 1).
+    """
+    scale = np.maximum(M, 1.0)
+    if np.any(np.min(np.diff(X, axis=-1), axis=-1) < -MONOTONE_TOL * scale):
+        raise ValueError("primitive is not monotone within tolerance")
+    band = BOUNDARY_TOL * scale
+    if np.any(X.min(axis=-1) < -band) or np.any(X.max(axis=-1) > M + band):
+        raise ValueError("primitive leaves [0, M]")
+    if np.any(np.abs(X[:, 0]) > band) or np.any(np.abs(X[:, -1] - M) > band):
+        raise ValueError("primitive does not match its boundary values 0 and M")
+
+
 @dataclass
 class PrimitiveField:
     """Nondecreasing primitive running from ~0 at -L to ~M at +L."""
@@ -72,14 +100,7 @@ class PrimitiveField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise ValueError("values do not match grid size")
-        M = self.total_mass
-        scale = max(M, 1.0)
-        if np.min(np.diff(v)) < -MONOTONE_TOL * scale:
-            raise ValueError("primitive is not monotone within tolerance")
-        if v.min() < -BOUNDARY_TOL * scale or v.max() > M + BOUNDARY_TOL * scale:
-            raise ValueError("primitive leaves [0, M]")
-        if abs(v[0]) > BOUNDARY_TOL * scale or abs(v[-1] - M) > BOUNDARY_TOL * scale:
-            raise ValueError("primitive does not match its boundary values 0 and M")
+        _check_rows(v[None, :], np.array([self.total_mass], dtype=float))
         self.values = v
 
     def copy(self) -> "PrimitiveField":
@@ -113,28 +134,21 @@ def heaviside_primitive(grid: Grid1D, mass: float, x0: float) -> PrimitiveField:
     return PrimitiveField(grid, vals, float(mass))
 
 
-def _ramp(v: PrimitiveField) -> np.ndarray:
-    g = v.grid
-    return v.total_mass * (g.nodes + g.half_length) / (2.0 * g.half_length)
-
-
-def _one_sided_slopes(values: np.ndarray, h: float):
-    """Backward and forward difference quotients of a monotone primitive.
+def _one_sided_slopes(X: np.ndarray, h: float):
+    """Backward and forward difference quotients of monotone primitive rows.
 
     The wrap faces see the 0 -> M jump of the primitive; they are replaced
     by the interior one-sided values (those cells sit inside the frozen
     boundary band anyway).
     """
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    dminus = np.maximum((values - left) / h, 0.0)
-    dplus = np.maximum((right - values) / h, 0.0)
-    dminus[0] = dplus[0] = max(values[1] - values[0], 0.0) / h
-    dminus[-1] = dplus[-1] = max(values[-1] - values[-2], 0.0) / h
+    dminus = np.maximum((X - _roll1(X, 1)) / h, 0.0)
+    dplus = np.maximum((_roll1(X, -1) - X) / h, 0.0)
+    dminus[:, 0] = dplus[:, 0] = np.maximum(X[:, 1] - X[:, 0], 0.0) / h
+    dminus[:, -1] = dplus[:, -1] = np.maximum(X[:, -1] - X[:, -2], 0.0) / h
     return dminus, dplus
 
 
-def _godunov_slope(values: np.ndarray, h: float, A: np.ndarray) -> np.ndarray:
+def _godunov_slope(X: np.ndarray, h: float, A: np.ndarray) -> np.ndarray:
     """Upwinded slope magnitude for the factor |v_x|^(m-1).
 
     Where the nonlocal term pushes v down (A > 0) the backward difference
@@ -143,28 +157,69 @@ def _godunov_slope(values: np.ndarray, h: float, A: np.ndarray) -> np.ndarray:
     what makes the scheme order-preserving, while degenerate feet keep the
     forward slope and stay mobile (the infinite-propagation creep).
     """
-    dminus, dplus = _one_sided_slopes(values, h)
+    dminus, dplus = _one_sided_slopes(X, h)
     return np.where(A > 0.0, dminus, dplus)
+
+
+def _cfl_rows(X: np.ndarray, h: float, m: float, alpha: FracOrder,
+              cap: float = math.inf) -> np.ndarray:
+    """Stable step of each row of a (B, n) stack of primitives."""
+    dminus, dplus = _one_sided_slopes(X, h)
+    base = CFL_SAFETY * h ** (2.0 * alpha.alpha)
+    damp = min(1.0, 2.0 / math.pi ** (2.0 * alpha.alpha))
+    dts = np.empty(len(X))
+    for b, smax in enumerate(np.max(np.maximum(dminus, dplus), axis=-1)):
+        # one scalar pow per row: numpy's array power (a sqrt fast path for
+        # 0.5, a vectorized loop otherwise) can differ from it in the last bit
+        gmax = float(smax ** (m - 1.0))
+        dts[b] = cap if gmax <= 0.0 else min(base / gmax * damp, cap)
+    return dts
 
 
 def integrated_cfl_dt(v: PrimitiveField, m: float, alpha: FracOrder,
                       cap: float = math.inf) -> float:
     """Stable step: safety * h^(2 alpha) / max|v_x|^(m-1), with the spectral
     stability factor min(1, 2/pi^(2 alpha)) folded in."""
-    h = v.grid.spacing
-    dminus, dplus = _one_sided_slopes(v.values, h)
-    gmax = float(np.max(np.maximum(dminus, dplus)) ** (m - 1.0))
-    if gmax <= 0.0:
-        return float(cap)
-    dt = CFL_SAFETY * h ** (2.0 * alpha.alpha) / gmax
-    dt *= min(1.0, 2.0 / math.pi ** (2.0 * alpha.alpha))
-    return float(min(dt, cap))
+    return float(_cfl_rows(v.values[None, :], v.grid.spacing, m, alpha, cap)[0])
 
 
 @dataclass
 class RepairStats:
     monotonicity_mass: float = 0.0  # L1 size of cumulative-max repairs
     clamp_mass: float = 0.0
+
+
+def _step_rows(X: np.ndarray, M: np.ndarray, grid: Grid1D, m: float,
+               alpha: FracOrder, dt: np.ndarray,
+               stats: RepairStats | None = None) -> np.ndarray:
+    """One explicit step of every row of a (B, n) stack; row b has mass M[b]
+    and step dt[b].  Returns the new stack, not yet validated."""
+    if m <= 1.0:
+        raise ValueError(f"m must exceed 1, got {m}")
+    h = grid.spacing
+    L = grid.half_length
+    W = X - M[:, None] * (grid.nodes + L) / (2.0 * L)  # ramp removed
+    _check_finite(W)
+    A = _apply_rows(W, _even_symbol(L, grid.n, 2.0 * alpha.alpha))
+    slope = _godunov_slope(X, h, A) ** (m - 1.0)
+    new = X - dt[:, None] * slope * A
+    if not np.all(np.isfinite(new)):
+        raise RuntimeError("integrated step produced NaN (step too large)")
+
+    new = np.clip(new, _roll1(X, 1), _roll1(X, -1))
+    new[:, 0], new[:, -1] = X[:, 0], X[:, -1]
+    frozen = np.abs(grid.nodes) > FROZEN_FRACTION * L
+    new[:, frozen] = X[:, frozen]
+
+    mono = np.maximum.accumulate(new, axis=-1)
+    clamped = np.clip(mono, 0.0, M[:, None])
+    if stats is not None:
+        repair = h * np.sum(np.abs(mono - new), axis=-1)
+        clamp = h * np.sum(np.abs(clamped - mono), axis=-1)
+        for b in range(len(X)):  # row order, as B separate 1-D steps add up
+            stats.monotonicity_mass += float(repair[b])
+            stats.clamp_mass += float(clamp[b])
+    return clamped
 
 
 def step_integrated(v: PrimitiveField, m: float, alpha: FracOrder, dt: float,
@@ -179,30 +234,40 @@ def step_integrated(v: PrimitiveField, m: float, alpha: FracOrder, dt: float,
     re-monotonized by a cumulative max and clamped to [0, M] with any
     repaired mass recorded.
     """
-    if m <= 1.0:
-        raise ValueError(f"m must exceed 1, got {m}")
-    g = v.grid
-    h = g.spacing
-    w = Field(g, v.values - _ramp(v))
-    A = frac_laplacian(w, alpha).values
-    slope = _godunov_slope(v.values, h, A) ** (m - 1.0)
-    new = v.values - dt * slope * A
-    if not np.all(np.isfinite(new)):
-        raise RuntimeError("integrated step produced NaN (step too large)")
+    M = np.array([v.total_mass], dtype=float)
+    new = _step_rows(v.values[None, :], M, v.grid, m, alpha,
+                     np.array([dt], dtype=float), stats)
+    return PrimitiveField(v.grid, new[0], v.total_mass)
 
-    new = np.clip(new, np.roll(v.values, 1), np.roll(v.values, -1))
-    new[0], new[-1] = v.values[0], v.values[-1]
-    frozen = np.abs(g.nodes) > FROZEN_FRACTION * g.half_length
-    new[frozen] = v.values[frozen]
 
-    mono = np.maximum.accumulate(new)
-    repair = float(h * np.sum(np.abs(mono - new)))
-    clamped = np.clip(mono, 0.0, v.total_mass)
-    clamp = float(h * np.sum(np.abs(clamped - mono)))
-    if stats is not None:
-        stats.monotonicity_mass += repair
-        stats.clamp_mass += clamp
-    return PrimitiveField(g, clamped, v.total_mass)
+def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
+    """Step P ordered pairs (v, V) together; return (worst, final stack).
+
+    The 2P primitives run as one (2P, n) stack, lower members first.  Each
+    pair steps with its own dt = min(cfl(v), cfl(V)), every row is
+    validated after every step, and `worst` is the largest max(v - V) seen
+    over all pairs and steps (0 if the order always held).  Each row is
+    bitwise what stepping its pair alone with :func:`step_integrated`
+    gives.
+    """
+    if not pairs:
+        return 0.0, np.empty((0, 0))
+    grid = pairs[0][0].grid
+    if any(v.grid != grid or V.grid != grid for v, V in pairs):
+        raise ValueError("comparison_sweep requires every primitive on one grid")
+    P = len(pairs)
+    X = np.stack([v.values for v, _ in pairs] + [V.values for _, V in pairs])
+    M = np.array([v.total_mass for v, _ in pairs]
+                 + [V.total_mass for _, V in pairs], dtype=float)
+    _check_rows(X, M)
+    worst = 0.0
+    for _ in range(n_steps):
+        dts = _cfl_rows(X, grid.spacing, m, alpha)
+        dt = np.minimum(dts[:P], dts[P:])
+        X = _step_rows(X, M, grid, m, alpha, np.concatenate((dt, dt)))
+        _check_rows(X, M)
+        worst = max(worst, float(np.max(X[:P] - X[P:])))
+    return worst, X
 
 
 def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
@@ -294,6 +359,11 @@ class BarrierBump:
     probe_values: np.ndarray  # (-Delta)^s G at the probes
 
     def __call__(self, x):
+        if isinstance(x, float):  # quad's integrand: same operations, no arrays
+            y = (x - self.center) / self.radius
+            if abs(y) < 1.0:
+                return self.height * np.exp(1.0 - 1.0 / (1.0 - y * y))
+            return 0.0
         y = (np.asarray(x, dtype=float) - self.center) / self.radius
         out = np.zeros_like(y)
         inside = np.abs(y) < 1.0

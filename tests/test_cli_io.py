@@ -231,6 +231,8 @@ def test_cli_bad_knob_exit_two(tmp_path, capsys):
     ("propagation", "0.5", "abc"),
     ("propagation", "0.5", "0.3 0.1"),
     ("propagation", "0.05", None),  # default 0.1 t_end is empty
+    ("smoothing", "2", None),  # default 1 20: [1, 2] is no decade
+    ("propagation", "0.5", "0.2 0.3"),  # one snapshot (t = 0.25) inside
 ])
 def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)

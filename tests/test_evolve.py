@@ -330,6 +330,7 @@ def test_simulate_density_equals_hand_loop_bitwise(p):
 
 
 def test_roll1_is_np_roll():
-    a = np.random.default_rng(5).standard_normal(37)
-    for shift in (1, -1):
-        assert np.array_equal(_roll1(a, shift), np.roll(a, shift))
+    rng = np.random.default_rng(5)
+    for a in (rng.standard_normal(37), rng.standard_normal((3, 37))):
+        for shift in (1, -1):
+            assert np.array_equal(_roll1(a, shift), np.roll(a, shift, axis=-1))

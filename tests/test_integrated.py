@@ -13,11 +13,17 @@ from scipy.integrate import quad
 from nlpme.evolve import ModelParams, simulate_density
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.initial_data import compact_bump, gaussian_bump
+from nlpme.operators import frac_laplacian
 from nlpme.integrated import (
+    BarrierBump,
     BarrierParams,
+    PrimitiveField,
     RepairStats,
+    _check_rows,
+    _step_rows,
     barrier_exponents,
     barrier_subsolution,
+    comparison_sweep,
     contact_check,
     differentiate_primitive,
     heaviside_primitive,
@@ -150,6 +156,193 @@ def test_ordered_pairs_stay_ordered():
             V = step_integrated(V, m, al, dt)
             worst = max(worst, float(np.max(v.values - V.values)))
     assert worst < 1e-8
+
+
+def _ordered_pairs(g, rng, count):
+    """Mass-matched ordered pairs v <= V, drawn as the integrated pipeline
+    draws them."""
+    pairs = []
+    for _ in range(count):
+        u = np.zeros(g.n)
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.uniform(-0.4 * g.half_length, 0.4 * g.half_length)
+            w, a = rng.uniform(0.4, 1.2), rng.uniform(0.2, 1.0)
+            u += a * np.exp(-0.5 * ((g.nodes - c) / w) ** 2)
+        shift = rng.uniform(0.2, 1.5)
+        ush = np.interp(g.nodes + shift, g.nodes, u, left=0.0, right=0.0)
+        ush *= u.sum() / ush.sum()
+        v = integrate_density(Field(g, u))
+        V = integrate_density(Field(g, ush))
+        V.values = np.maximum(V.values, v.values)
+        pairs.append((v, V))
+    return pairs
+
+
+def _reference_slopes(values, h):
+    dminus = np.maximum((values - np.roll(values, 1)) / h, 0.0)
+    dplus = np.maximum((np.roll(values, -1) - values) / h, 0.0)
+    dminus[0] = dplus[0] = max(values[1] - values[0], 0.0) / h
+    dminus[-1] = dplus[-1] = max(values[-1] - values[-2], 0.0) / h
+    return dminus, dplus
+
+
+def _reference_cfl(v, m, al):
+    """One primitive's CFL step written out with np.roll and scalars."""
+    h = v.grid.spacing
+    dminus, dplus = _reference_slopes(v.values, h)
+    gmax = float(np.max(np.maximum(dminus, dplus)) ** (m - 1.0))
+    if gmax <= 0.0:
+        return np.inf
+    dt = 0.4 * h ** (2.0 * al.alpha) / gmax
+    dt *= min(1.0, 2.0 / np.pi ** (2.0 * al.alpha))
+    return float(dt)
+
+
+def _reference_step(v, m, al, dt, stats):
+    """One primitive's step written out on its own: ramp, frac_laplacian,
+    upwind slope, neighbour clip, frozen band, cumulative max, clamp."""
+    g, x = v.grid, v.values
+    ramp = v.total_mass * (g.nodes + g.half_length) / (2.0 * g.half_length)
+    A = frac_laplacian(Field(g, x - ramp), al).values
+    dminus, dplus = _reference_slopes(x, g.spacing)
+    new = x - dt * np.where(A > 0.0, dminus, dplus) ** (m - 1.0) * A
+    new = np.clip(new, np.roll(x, 1), np.roll(x, -1))
+    new[0], new[-1] = x[0], x[-1]
+    frozen = np.abs(g.nodes) > 0.96 * g.half_length
+    new[frozen] = x[frozen]
+    mono = np.maximum.accumulate(new)
+    clamped = np.clip(mono, 0.0, v.total_mass)
+    stats.monotonicity_mass += float(g.spacing * np.sum(np.abs(mono - new)))
+    stats.clamp_mass += float(g.spacing * np.sum(np.abs(clamped - mono)))
+    return PrimitiveField(g, clamped, v.total_mass)
+
+
+def _reference_sweep(pairs, m, al, n_steps):
+    worst, lower, upper = 0.0, [], []
+    for v, V in pairs:
+        for _ in range(n_steps):
+            dt = min(_reference_cfl(v, m, al), _reference_cfl(V, m, al))
+            v = _reference_step(v, m, al, dt, RepairStats())
+            V = _reference_step(V, m, al, dt, RepairStats())
+            worst = max(worst, float(np.max(v.values - V.values)))
+        lower.append(v.values)
+        upper.append(V.values)
+    return worst, np.stack(lower + upper)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("m", [1.5, 2.5])
+@pytest.mark.parametrize("s", [0.2, 0.5])
+def test_comparison_sweep_equals_hand_loop_bitwise(n, m, s):
+    """The stacked sweep against stepping each pair alone, in the public
+    1-D functions and in the written-out reference."""
+    g = make_grid(10.0, n)
+    al = FracOrder(1.0 - s)
+    for seed in (1, 2, 3):
+        pairs = _ordered_pairs(g, np.random.default_rng(seed), 4)
+        worst, final = comparison_sweep(pairs, m, al, 25)
+
+        ref_worst, lower, upper = 0.0, [], []
+        for v, V in pairs:
+            for _ in range(25):
+                dt = min(integrated_cfl_dt(v, m, al), integrated_cfl_dt(V, m, al))
+                v = step_integrated(v, m, al, dt)
+                V = step_integrated(V, m, al, dt)
+                ref_worst = max(ref_worst, float(np.max(v.values - V.values)))
+            lower.append(v.values)
+            upper.append(V.values)
+        assert worst == ref_worst
+        assert np.array_equal(final, np.stack(lower + upper))
+        ref_worst, ref_final = _reference_sweep(pairs, m, al, 25)
+        assert worst == ref_worst
+        assert np.array_equal(final, ref_final)
+
+
+def test_comparison_sweep_matches_reference_at_pipeline_size():
+    """The integrated pipeline's grid and seeded pairs, a few steps: a
+    per-row CFL power taken as an array ** 0.5 differs here by one ulp."""
+    g = make_grid(15.0, 1024)
+    al = FracOrder(0.5)
+    pairs = _ordered_pairs(g, np.random.default_rng(1), 50)
+    worst, final = comparison_sweep(pairs, 1.5, al, 3)
+    ref_worst, ref_final = _reference_sweep(pairs, 1.5, al, 3)
+    assert worst == ref_worst
+    assert np.array_equal(final, ref_final)
+
+
+def test_comparison_sweep_without_pairs():
+    worst, final = comparison_sweep([], 1.5, FracOrder(0.5), 10)
+    assert worst == 0.0 and final.size == 0
+
+
+def test_stack_step_equals_separate_steps_bitwise():
+    """Rows with their own masses and steps, including steps far above the
+    CFL bound so that the monotone and range repairs engage; the repair
+    totals accumulate over both calls."""
+    g = make_grid(10.0, 256)
+    m, al = 1.5, FracOrder(0.5)
+    rows = [v for pair in _ordered_pairs(g, np.random.default_rng(1), 3)
+            for v in pair]
+    rows += [heaviside_primitive(g, 1.3, -1.0), PrimitiveField(g, np.zeros(g.n), 0.0)]
+    dts = np.array([integrated_cfl_dt(v, m, al) for v in rows[:-1]] + [1e-3])
+    X = np.stack([v.values for v in rows])
+    M = np.array([v.total_mass for v in rows])
+    stack_stats, row_stats, ref_stats = RepairStats(), RepairStats(), RepairStats()
+    for factor in (40.0, 400.0, 1.0):
+        out = _step_rows(X, M, g, m, al, factor * dts, stack_stats)
+        for b, (v, dt) in enumerate(zip(rows, dts)):
+            one = step_integrated(v, m, al, factor * dt, row_stats)
+            ref = _reference_step(v, m, al, factor * dt, ref_stats)
+            assert np.array_equal(out[b], one.values)
+            assert np.array_equal(out[b], ref.values)
+        for stats in (row_stats, ref_stats):
+            assert stack_stats.monotonicity_mass == stats.monotonicity_mass
+            assert stack_stats.clamp_mass == stats.clamp_mass
+    assert stack_stats.monotonicity_mass > 0.0  # the large step did repair
+
+
+def test_scalar_bump_path_equals_array_path():
+    g = make_grid(10.0, 64)
+    bump = BarrierBump(field=Field(g, np.zeros(g.n)), center=2.3, radius=1.1,
+                       height=0.7, cap=0.7, tail_coef=0.0,
+                       probe_nodes=np.empty(0), probe_values=np.empty(0))
+    lo, hi = bump.center - bump.radius, bump.center + bump.radius
+    points = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+              np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+              bump.center, -5.0, 9.0, *np.linspace(lo, hi, 101)]
+    for x in points:
+        fast = bump(float(x))
+        slow = bump(np.array([x]))
+        assert fast == slow[0]
+        assert fast == bump(np.asarray(x))  # 0-d array: the array path
+    assert bump(float(bump.center)) == bump.height
+
+
+def test_row_validator_rejects_what_primitive_field_rejects():
+    g = make_grid(10.0, 128)
+    good = np.linspace(0.0, 1.0, g.n)
+    nonmono = good.copy()
+    nonmono[50] = nonmono[49] - 1e-3
+    below = good.copy()
+    below[0] = -1e-3
+    above = good.copy()
+    above[-2:] = [1.0 + 1e-3, 1.0 + 1e-3]
+    cases = [nonmono, below, above,
+             np.linspace(0.2, 1.0, g.n),   # left boundary value
+             np.linspace(0.0, 0.8, g.n)]   # right boundary value
+    # tolerances scale with each row's own mass: the heavy first row's
+    # band would admit every violation below
+    heavy = 1e6 * good
+    masses = np.array([1e6, 1.0, 1.0])
+    _check_rows(np.stack([heavy, good, good]), masses)
+    for bad in cases:
+        with pytest.raises(ValueError) as field_error:
+            PrimitiveField(g, bad, 1.0)
+        with pytest.raises(ValueError) as rows_error:
+            _check_rows(np.stack([heavy, bad, good]), masses)
+        assert str(rows_error.value) == str(field_error.value)
+    with pytest.raises(ValueError):
+        PrimitiveField(g, good[:-1], 1.0)  # shape is checked by the field
 
 
 def test_steps_are_deterministic():
