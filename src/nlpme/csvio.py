@@ -9,28 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_csv", "read_csv", "format_float"]
-
-
-def format_float(x: float) -> str:
-    return "%.17g" % float(x)
+__all__ = ["write_csv", "read_csv"]
 
 
 def write_csv(path, header, columns) -> None:
-    """Write named columns; all columns must share one length."""
+    """Write named columns; all columns must share one length.
+
+    Every value is written as "%.17g" of its double; rows are formatted
+    one at a time, so no copy of the table is built in memory.
+    """
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     nrows = {len(c) for c in columns}
     if len(columns) > 0 and len(nrows) != 1:
         raise ValueError("columns must share one length")
-    lines = [",".join(header)]
-    if columns:
-        for row in zip(*columns):
-            lines.append(",".join(format_float(x) for x in row))
-    text = "\n".join(lines) + "\n"
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii") as f:
-        f.write(text)
+        f.write(",".join(header) + "\n")
+        f.writelines(row_format % row for row in zip(*columns))
 
 
 def read_csv(path):

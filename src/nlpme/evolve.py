@@ -12,6 +12,14 @@ driven negative (the limiter only engages at degenerate front cells where
 the naive update would overdraw); whatever tiny negatives remain from the
 viscosity term are clipped and the clipped mass is tracked.
 
+A step is three array pieces: `_face_flux` (the advective factor, face
+average and upwind choice), `_stable_dt` (the step bound, which also
+names the limit that set it) and `_apply_flux` (limiter, update,
+viscosity, clipping, NaN check).  `simulate_density` runs them on plain
+arrays after one pressure evaluation per step and keeps step telemetry;
+the public `cfl_dt` and `step_density` are the same pieces behind Field
+checks.
+
 A companion explicit integrator for the fractional porous medium equation
 
     u_t + (-Delta)^sigma (u^q) = 0
@@ -24,12 +32,15 @@ q = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
+    _apply_rows,
+    _check_finite,
+    _even_symbol,
     frac_laplacian,
     mollified_riesz_gradient,
     mollified_symbol,
@@ -57,6 +68,8 @@ __all__ = [
 
 CFL_SAFETY = 0.4
 POSITIVITY_HEADROOM = 0.9  # a cell may lose at most this fraction per step
+# the bounds of the density step size, in the order they are applied
+STEP_LIMITS = ("advective", "stiffness", "viscosity", "cap")
 
 
 @dataclass(frozen=True)
@@ -99,7 +112,12 @@ class SnapshotDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Time-stamped snapshots of a run plus per-snapshot diagnostics."""
+    """Time-stamped snapshots of a run plus per-snapshot diagnostics.
+
+    The step telemetry covers every completed step: its count, the
+    smallest and largest dt (NaN before the first step), and `limits`,
+    how many steps each bound of STEP_LIMITS set.
+    """
 
     params: ModelParams
     times: np.ndarray
@@ -107,6 +125,9 @@ class Trajectory:
     diagnostics: list
     clipped_mass: float = 0.0
     steps: int = 0
+    dt_min: float = math.nan
+    dt_max: float = math.nan
+    limits: dict = field(default_factory=lambda: dict.fromkeys(STEP_LIMITS, 0))
 
     @property
     def grid(self) -> Grid1D:
@@ -161,18 +182,20 @@ def _roll1(a: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
-def _face_velocity(u: np.ndarray, w: np.ndarray, p: ModelParams):
-    """Face-averaged pressure gradient and upwinded advective factor.
+def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams):
+    """Face fluxes J and advective factor a = (u + mu)^(m-1) of one state.
 
-    Face i+1/2 sits between nodes i and i+1 (periodic wrap).  The mass flux
-    is J = -a_up * w_face; mass moves rightward when w_face < 0, so the
+    Face i+1/2 sits between nodes i and i+1 (periodic wrap).  J[i] is the
+    mass flux through it, J = -a_up * w_face with w_face the face-averaged
+    pressure gradient; mass moves rightward when w_face < 0, so the
     advective factor is taken from the left node for w_face < 0 and from
-    the right node otherwise.
+    the right node otherwise.  Both the step bound and the update read
+    these two arrays.
     """
     a = (u + p.mu) ** (p.m - 1.0)
     w_face = 0.5 * (w + _roll1(w, -1))
     a_up = np.where(w_face < 0.0, a, _roll1(a, -1))
-    return w_face, a_up
+    return -a_up * w_face, a
 
 
 def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
@@ -180,6 +203,34 @@ def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
     if p.eps > 0.0:
         return float(np.max(mollified_symbol(grid, p.s, p.eps)))
     return float((math.pi / grid.spacing) ** (2.0 * (1.0 - p.s)))
+
+
+def _stable_dt(J: np.ndarray, a: np.ndarray, grid: Grid1D, p: ModelParams,
+               cap: float):
+    """Stable step from the face fluxes; returns (dt, binding limit).
+
+    The limit is the name in STEP_LIMITS of the bound that set dt; a tie
+    goes to the earlier one, and "cap" also covers a state with no limit
+    at all.
+    """
+    h = grid.spacing
+    dt, limit = math.inf, "cap"
+    vmax = float(np.max(np.abs(J)))
+    if vmax > 0.0:
+        dt, limit = h / vmax, "advective"
+    amax = float(np.max(a))
+    if amax > 0.0:
+        stiff = 2.0 / (amax * _max_symbol(grid, p))
+        if stiff < dt:
+            dt, limit = stiff, "stiffness"
+    if p.delta > 0.0:
+        visc = h * h / (2.0 * p.delta)
+        if visc < dt:
+            dt, limit = visc, "viscosity"
+    dt = CFL_SAFETY * dt
+    if cap < dt:
+        return float(cap), "cap"
+    return float(dt), limit
 
 
 def cfl_dt(
@@ -200,52 +251,49 @@ def cfl_dt(
     """
     if np.any(u.values < 0):
         raise ValueError("cfl_dt requires a nonnegative field")
-    h = u.grid.spacing
     if w is None:
         w = pressure_gradient(u, p)
-    w_face, a_up = _face_velocity(u.values, w.values, p)
-    vmax = float(np.max(np.abs(a_up * w_face)))
-    dt = math.inf
-    if vmax > 0.0:
-        dt = h / vmax
-    amax = float(np.max((u.values + p.mu) ** (p.m - 1.0)))
-    if amax > 0.0:
-        dt = min(dt, 2.0 / (amax * _max_symbol(u.grid, p)))
-    if p.delta > 0.0:
-        dt = min(dt, h * h / (2.0 * p.delta))
-    dt = CFL_SAFETY * dt
-    return float(min(dt, cap))
+    J, a = _face_flux(u.values, w.values, p)
+    return _stable_dt(J, a, u.grid, p, cap)[0]
 
 
-def _flux_update(u: np.ndarray, w: np.ndarray, p: ModelParams, dt: float, h: float):
-    """One conservative flux update; returns (new values, clipped mass).
+def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParams):
+    """One conservative step from the face fluxes; returns (new values, clipped mass).
 
-    J[i] is the mass flux through face i+1/2.  Outgoing fluxes are scaled
-    per donor cell so no cell loses more than POSITIVITY_HEADROOM of its
-    content in one step; the scaling is applied to the shared face flux, so
-    conservation is exact.
+    Outgoing fluxes are scaled per donor cell so no cell loses more than
+    POSITIVITY_HEADROOM of its content in one step; the scaling is applied
+    to the shared face flux, so conservation is exact.  The viscosity term
+    uses the three-point Laplacian: it conserves mass by telescoping and
+    keeps u >= 0 under the delta CFL bound, whereas the spectral Laplacian
+    rings negative at degenerate fronts and burns the clipping budget.
+    The result is nonnegative; raises :class:`SimulationUnstable` on NaN.
     """
-    w_face, a_up = _face_velocity(u, w, p)
-    J = -a_up * w_face
-
     out_right = np.maximum(J, 0.0)        # leaves cell i through face i+1/2
     out_left = np.maximum(-_roll1(J, 1), 0.0)  # leaves cell i through face i-1/2
     outflow = (dt / h) * (out_right + out_left)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(
-            outflow > 0.0,
-            np.minimum(1.0, POSITIVITY_HEADROOM * u / np.where(outflow > 0, outflow, 1.0)),
-            1.0,
-        )
+    # min(1, headroom * u / outflow) where mass leaves the cell, 1 elsewhere
+    factor = np.ones_like(u)
+    np.divide(POSITIVITY_HEADROOM * u, outflow, out=factor, where=outflow > 0.0)
+    np.minimum(1.0, factor, out=factor)
     # the donor of face i+1/2 is cell i when J>0, cell i+1 when J<0
-    donor_factor = np.where(J > 0.0, factor, _roll1(factor, -1))
-    J = J * donor_factor
+    J = J * np.where(J > 0.0, factor, _roll1(factor, -1))
 
     u_new = u - (dt / h) * (J - _roll1(J, 1))
     clipped = 0.0
     if np.any(u_new < 0.0):
         clipped = float(-h * u_new[u_new < 0.0].sum())
         u_new = np.maximum(u_new, 0.0)
+    if p.delta > 0.0:
+        # applied to the post-flux field: (I + dt*delta*Lap_h) preserves
+        # nonnegativity on its own under the delta CFL bound, so the two
+        # substeps cannot jointly overdraw a cell
+        visc = (_roll1(u_new, -1) - 2.0 * u_new + _roll1(u_new, 1)) / h**2
+        u_new = u_new + dt * p.delta * visc
+        if np.any(u_new < 0.0):
+            clipped += float(-h * u_new[u_new < 0.0].sum())
+            u_new = np.maximum(u_new, 0.0)
+    if not np.all(np.isfinite(u_new)):
+        raise SimulationUnstable(0.0)
     return u_new, clipped
 
 
@@ -256,29 +304,16 @@ def step_density(
 
     Returns the stepped field and the mass clipped to keep it nonnegative.
     Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`; `w` is
-    the pressure gradient of u if already computed (see :func:`cfl_dt`).  The
-    viscosity term uses the three-point Laplacian: it conserves mass by
-    telescoping and keeps u >= 0 under the delta CFL bound, whereas the
-    spectral Laplacian rings negative at degenerate fronts and burns the
-    clipping budget.  Raises :class:`SimulationUnstable` on NaN.
+    the pressure gradient of u if already computed (see :func:`cfl_dt`).
+    The step is the positivity-limited flux update followed by the
+    three-point viscosity term.  Raises :class:`SimulationUnstable` on NaN.
     """
     if np.any(u.values < 0):
         raise ValueError("step_density requires a nonnegative field")
     if w is None:
         w = pressure_gradient(u, p)
-    u_new, clipped = _flux_update(u.values, w.values, p, dt, u.grid.spacing)
-    if p.delta > 0.0:
-        # applied to the post-flux field: (I + dt*delta*Lap_h) preserves
-        # nonnegativity on its own under the delta CFL bound, so the two
-        # substeps cannot jointly overdraw a cell
-        h = u.grid.spacing
-        visc = (_roll1(u_new, -1) - 2.0 * u_new + _roll1(u_new, 1)) / h**2
-        u_new = u_new + dt * p.delta * visc
-        if np.any(u_new < 0.0):
-            clipped += float(-h * u_new[u_new < 0.0].sum())
-            u_new = np.maximum(u_new, 0.0)
-    if not np.all(np.isfinite(u_new)):
-        raise SimulationUnstable(0.0)
+    J, _ = _face_flux(u.values, w.values, p)
+    u_new, clipped = _apply_flux(u.values, J, dt, u.grid.spacing, p)
     return u.with_values(u_new), clipped
 
 
@@ -310,7 +345,10 @@ def simulate_density(
     Snapshot times default to a uniform subdivision of [0, t_end].  Each
     requested time is filled by linear interpolation between the bracketing
     computed states.  Clipping is accumulated over the whole run and the
-    run aborts if it ever exceeds 1e-6 of the initial mass.
+    run aborts if it ever exceeds 1e-6 of the initial mass.  Each step is
+    bitwise the one :func:`cfl_dt` and :func:`step_density` would take;
+    the trajectory also records the dt range and the limit behind each
+    step.
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
@@ -320,57 +358,65 @@ def simulate_density(
     if len(snap_times) == 0 or snap_times[0] < 0 or snap_times[-1] > t_end + 1e-12:
         raise ValueError("snapshot times must lie within [0, t_end]")
 
-    mass0 = float(u0.grid.spacing * u0.values.sum())
+    grid = u0.grid
+    h = grid.spacing
+    mass0 = float(h * u0.values.sum())
     clipped_mass = 0.0
     snapshots: list[Field] = []
     diags: list[SnapshotDiagnostics] = []
     stored_times: list[float] = []
+    limits = dict.fromkeys(STEP_LIMITS, 0)
+    dt_min, dt_max = math.inf, -math.inf
 
     def store(t: float, f: Field):
         stored_times.append(t)
         snapshots.append(f)
         diags.append(_diagnose(f, p))
 
+    def trajectory() -> Trajectory:
+        span = (dt_min, dt_max) if steps else (math.nan, math.nan)
+        return Trajectory(p, np.asarray(stored_times), snapshots, diags,
+                          clipped_mass, steps, *span, limits)
+
     pending = list(snap_times)
     t = 0.0
-    u = u0.copy()
-    while pending and abs(pending[0] - t) <= 1e-14 * max(1.0, t_end):
-        store(pending.pop(0), u.copy())
-
     steps = 0
+    while pending and abs(pending[0] - t) <= 1e-14 * max(1.0, t_end):
+        store(pending.pop(0), u0.copy())
+
+    # The loop steps plain arrays.  Each new state leaves _apply_flux
+    # nonnegative and finite, so it is neither re-checked nor wrapped in a
+    # new Field: `state` is the Field handed to the pressure operator, its
+    # values rebound to each new state.
+    state = u0.copy()
+    u = state.values
     while t < t_end - 1e-14 and pending:
-        w = pressure_gradient(u, p)  # shared by the CFL bound and the flux
-        dt = cfl_dt(u, p, cap=t_end - t, w=w)
+        w = pressure_gradient(state, p).values  # shared by the bound and the update
+        J, a = _face_flux(u, w, p)
+        dt, limit = _stable_dt(J, a, grid, p, t_end - t)
         if dt <= 0.0 or not math.isfinite(dt):
-            dt = t_end - t
+            dt, limit = t_end - t, "cap"
         try:
-            u_next, clipped = step_density(u, p, dt, w=w)
+            u_next, clipped = _apply_flux(u, J, dt, h, p)
         except SimulationUnstable:
-            raise SimulationUnstable(
-                t,
-                Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                           clipped_mass, steps),
-            ) from None
+            raise SimulationUnstable(t, trajectory()) from None
         clipped_mass += clipped
         t_next = t + dt
         while pending and pending[0] <= t_next + 1e-14:
             ts = pending.pop(0)
             theta = min(max((ts - t) / dt, 0.0), 1.0)
-            vals = (1 - theta) * u.values + theta * u_next.values
-            store(ts, u.with_values(vals))
+            store(ts, Field(grid, (1 - theta) * u + theta * u_next))
         u, t = u_next, t_next
+        state.values = u
         steps += 1
+        limits[limit] += 1
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         if mass0 > 0 and clipped_mass > 1e-6 * mass0:
-            raise SimulationUnstable(
-                t,
-                Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                           clipped_mass, steps),
-            )
+            raise SimulationUnstable(t, trajectory())
         if steps >= max_steps:
             raise RuntimeError(f"exceeded {max_steps} steps at t={t:.6g}")
 
-    return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                      clipped_mass, steps)
+    return trajectory()
 
 
 @dataclass
@@ -523,20 +569,24 @@ def fpme_profile_by_rescaling(
     mass = float(h * u0.values.sum())
     u = np.maximum(u0.values.copy(), 0.0)
     kmax_pow = (math.pi / h) ** (2.0 * sigma)
+    # the symbol frac_laplacian applies, looked up once for the whole run
+    sym = _even_symbol(grid.half_length, grid.n, 2.0 * FracOrder(sigma).alpha)
     y_face = grid.nodes + 0.5 * h
     y_face[-1] = 0.0  # no transport through the wrap face
+    # transport velocity of the drift is -beta*y (inward): the donor of
+    # each face is its outward neighbor
+    outward = y_face > 0.0
     tau = 0.0
     while tau < tau_end:
         umax = float(u.max())
         dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
         dt_drift = h / (beta1 * grid.half_length)
         dt = CFL_SAFETY * min(dt_diff, dt_drift, (tau_end - tau) / CFL_SAFETY)
-        diff = frac_laplacian(Field(grid, u**q), FracOrder(sigma)).values
-        # transport velocity of the drift is -beta*y (inward): donor is the
-        # outward neighbor of each face
-        donor = np.where(y_face > 0.0, np.roll(u, -1), u)
-        flux = y_face * donor
-        div_drift = (flux - np.roll(flux, 1)) / h
+        uq = u**q
+        _check_finite(uq)
+        diff = _apply_rows(uq, sym)
+        flux = y_face * np.where(outward, _roll1(u, -1), u)
+        div_drift = (flux - _roll1(flux, 1)) / h
         u = u - dt * diff + dt * beta1 * div_drift
         u = np.maximum(u, 0.0)
         total = h * u.sum()

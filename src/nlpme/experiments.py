@@ -73,6 +73,14 @@ def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
     )
     files.append("diagnostics.csv")
 
+    # step telemetry; steps_<limit> counts the steps that limit bound
+    stats = {"steps": traj.steps, "clipped_mass": traj.clipped_mass,
+             "dt_min": traj.dt_min, "dt_max": traj.dt_max}
+    stats.update((f"steps_{name}", count) for name, count in traj.limits.items())
+    write_csv(os.path.join(outdir, "solver_stats.csv"), list(stats),
+              [[value] for value in stats.values()])
+    files.append("solver_stats.csv")
+
     stride = max(1, len(traj.times) // max_curves)
     series = [
         Series(grid.nodes.tolist(), traj.snapshots[i].values.tolist(),

@@ -148,7 +148,7 @@ def _one_sided_slopes(X: np.ndarray, h: float):
     return dminus, dplus
 
 
-def _godunov_slope(X: np.ndarray, h: float, A: np.ndarray) -> np.ndarray:
+def _godunov_slope(slopes, A: np.ndarray) -> np.ndarray:
     """Upwinded slope magnitude for the factor |v_x|^(m-1).
 
     Where the nonlocal term pushes v down (A > 0) the backward difference
@@ -156,18 +156,20 @@ def _godunov_slope(X: np.ndarray, h: float, A: np.ndarray) -> np.ndarray:
     cell then stalls as it approaches the neighbor it would cross, which is
     what makes the scheme order-preserving, while degenerate feet keep the
     forward slope and stay mobile (the infinite-propagation creep).
+    `slopes` is the pair returned by :func:`_one_sided_slopes`.
     """
-    dminus, dplus = _one_sided_slopes(X, h)
+    dminus, dplus = slopes
     return np.where(A > 0.0, dminus, dplus)
 
 
-def _cfl_rows(X: np.ndarray, h: float, m: float, alpha: FracOrder,
+def _cfl_rows(slopes, h: float, m: float, alpha: FracOrder,
               cap: float = math.inf) -> np.ndarray:
-    """Stable step of each row of a (B, n) stack of primitives."""
-    dminus, dplus = _one_sided_slopes(X, h)
+    """Stable step of each row of a (B, n) stack of primitives, from the
+    stack's :func:`_one_sided_slopes`."""
+    dminus, dplus = slopes
     base = CFL_SAFETY * h ** (2.0 * alpha.alpha)
     damp = min(1.0, 2.0 / math.pi ** (2.0 * alpha.alpha))
-    dts = np.empty(len(X))
+    dts = np.empty(len(dminus))
     for b, smax in enumerate(np.max(np.maximum(dminus, dplus), axis=-1)):
         # one scalar pow per row: numpy's array power (a sqrt fast path for
         # 0.5, a vectorized loop otherwise) can differ from it in the last bit
@@ -180,7 +182,9 @@ def integrated_cfl_dt(v: PrimitiveField, m: float, alpha: FracOrder,
                       cap: float = math.inf) -> float:
     """Stable step: safety * h^(2 alpha) / max|v_x|^(m-1), with the spectral
     stability factor min(1, 2/pi^(2 alpha)) folded in."""
-    return float(_cfl_rows(v.values[None, :], v.grid.spacing, m, alpha, cap)[0])
+    h = v.grid.spacing
+    slopes = _one_sided_slopes(v.values[None, :], h)
+    return float(_cfl_rows(slopes, h, m, alpha, cap)[0])
 
 
 @dataclass
@@ -189,11 +193,12 @@ class RepairStats:
     clamp_mass: float = 0.0
 
 
-def _step_rows(X: np.ndarray, M: np.ndarray, grid: Grid1D, m: float,
+def _step_rows(X: np.ndarray, slopes, M: np.ndarray, grid: Grid1D, m: float,
                alpha: FracOrder, dt: np.ndarray,
                stats: RepairStats | None = None) -> np.ndarray:
     """One explicit step of every row of a (B, n) stack; row b has mass M[b]
-    and step dt[b].  Returns the new stack, not yet validated."""
+    and step dt[b], and `slopes` is the stack's :func:`_one_sided_slopes`.
+    Returns the new stack, not yet validated."""
     if m <= 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
     h = grid.spacing
@@ -201,7 +206,7 @@ def _step_rows(X: np.ndarray, M: np.ndarray, grid: Grid1D, m: float,
     W = X - M[:, None] * (grid.nodes + L) / (2.0 * L)  # ramp removed
     _check_finite(W)
     A = _apply_rows(W, _even_symbol(L, grid.n, 2.0 * alpha.alpha))
-    slope = _godunov_slope(X, h, A) ** (m - 1.0)
+    slope = _godunov_slope(slopes, A) ** (m - 1.0)
     new = X - dt[:, None] * slope * A
     if not np.all(np.isfinite(new)):
         raise RuntimeError("integrated step produced NaN (step too large)")
@@ -235,8 +240,9 @@ def step_integrated(v: PrimitiveField, m: float, alpha: FracOrder, dt: float,
     repaired mass recorded.
     """
     M = np.array([v.total_mass], dtype=float)
-    new = _step_rows(v.values[None, :], M, v.grid, m, alpha,
-                     np.array([dt], dtype=float), stats)
+    X = v.values[None, :]
+    new = _step_rows(X, _one_sided_slopes(X, v.grid.spacing), M, v.grid, m,
+                     alpha, np.array([dt], dtype=float), stats)
     return PrimitiveField(v.grid, new[0], v.total_mass)
 
 
@@ -262,9 +268,10 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
     _check_rows(X, M)
     worst = 0.0
     for _ in range(n_steps):
-        dts = _cfl_rows(X, grid.spacing, m, alpha)
+        slopes = _one_sided_slopes(X, grid.spacing)  # shared by bound and step
+        dts = _cfl_rows(slopes, grid.spacing, m, alpha)
         dt = np.minimum(dts[:P], dts[P:])
-        X = _step_rows(X, M, grid, m, alpha, np.concatenate((dt, dt)))
+        X = _step_rows(X, slopes, M, grid, m, alpha, np.concatenate((dt, dt)))
         _check_rows(X, M)
         worst = max(worst, float(np.max(X[:P] - X[P:])))
     return worst, X

@@ -127,6 +127,27 @@ def test_csv_header_only_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b", "c"], [
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
+        [0.1, -1.0 / 3.0, 1e300, -1e-300, 123456789.0, 2.0**60, 1.0],
+        np.arange(7, dtype=np.int64),
+    ]),
+    (["only"], [np.geomspace(1e-12, 1e12, 17)]),
+    (["t", "v"], [[], []]),
+    ([], []),
+])
+def test_csv_bytes_are_per_value_17g(tmp_path, header, columns):
+    """Oracle: each value formatted alone as "%.17g" % float(x), joined
+    with commas, one line per row after the header."""
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    rows = zip(*columns) if columns else []
+    want = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % float(x) for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_svg_rendering_deterministic(tmp_path):
     fig = LineFigure("demo", "x", "y", [
         Series([0, 1, 2], [1.0, 0.5, 0.25], "a"),
@@ -185,6 +206,23 @@ def test_cli_exit_zero_on_pass_and_outputs(tmp_path, capsys):
     assert (outdir / "snapshots.csv").exists()
     assert (outdir / "diagnostics.csv").exists()
     assert (outdir / "density_evolution.svg").exists()
+
+
+def test_cli_writes_solver_stats(tmp_path):
+    """solver_stats.csv holds the run's step telemetry and is in the
+    manifest; every step is charged to one limit."""
+    cfg = MINIMAL.replace("dir = out", f"dir = {tmp_path}/out")
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    outdir = tmp_path / "out"
+    header, cols = read_csv(outdir / "solver_stats.csv")
+    stats = dict(zip(header, (float(c[0]) for c in cols)))
+    assert list(stats) == ["steps", "clipped_mass", "dt_min", "dt_max",
+                           "steps_advective", "steps_stiffness",
+                           "steps_viscosity", "steps_cap"]
+    assert stats["steps"] > 0
+    assert sum(v for k, v in stats.items() if k.startswith("steps_")) == stats["steps"]
+    assert 0.0 < stats["dt_min"] <= stats["dt_max"]
+    assert "file solver_stats.csv = sha256:" in (outdir / "manifest.txt").read_text()
 
 
 def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys):

@@ -6,15 +6,24 @@ Fourier-multiplier semigroup for the linear FPME, and the scaling algebra
 of the flow for the rescaling-commutation test.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlpme.evolve import (
+    CFL_SAFETY,
+    POSITIVITY_HEADROOM,
+    STEP_LIMITS,
     ModelParams,
+    SimulationUnstable,
     _roll1,
     cfl_dt,
     continuation_limit,
     fpme_cfl_dt,
+    fpme_profile_by_rescaling,
     fractional_heat_evolution,
     pressure_gradient,
     simulate_density,
@@ -22,9 +31,13 @@ from nlpme.evolve import (
     step_density,
     step_fpme,
 )
-from nlpme.grid import Field, make_grid
-from nlpme.operators import inv_laplacian_gradient, mollified_frac_laplacian
-from nlpme.initial_data import gaussian_bump, mollified_dirac
+from nlpme.grid import Field, FracOrder, make_grid
+from nlpme.operators import (
+    frac_laplacian,
+    inv_laplacian_gradient,
+    mollified_frac_laplacian,
+)
+from nlpme.initial_data import compact_bump, gaussian_bump, mollified_dirac
 
 
 def test_model_params_validation():
@@ -334,3 +347,209 @@ def test_roll1_is_np_roll():
     for a in (rng.standard_normal(37), rng.standard_normal((3, 37))):
         for shift in (1, -1):
             assert np.array_equal(_roll1(a, shift), np.roll(a, shift, axis=-1))
+
+
+def _public_loop(u0, p, t_end, snap_times):
+    """simulate_density's schedule written with the public cfl_dt and
+    step_density, each computing its own pressure gradient.
+
+    Returns (frames, steps, clipped mass).
+    """
+    u, t, steps, clipped = u0, 0.0, 0, 0.0
+    frames = [u0.values]
+    pending = list(snap_times[1:])
+    while t < t_end - 1e-14:
+        dt = cfl_dt(u, p, cap=t_end - t)
+        if dt <= 0.0 or not math.isfinite(dt):
+            dt = t_end - t
+        u_next, c = step_density(u, p, dt)
+        clipped += c
+        while pending and pending[0] <= t + dt + 1e-14:
+            theta = min(max((pending.pop(0) - t) / dt, 0.0), 1.0)
+            frames.append((1 - theta) * u.values + theta * u_next.values)
+        u, t, steps = u_next, t + dt, steps + 1
+    return frames, steps, clipped
+
+
+_regularization = st.one_of(st.just(0.0), st.floats(1e-3, 0.2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(1.05, 3.5), s=st.floats(0.1, 0.9), eps=_regularization,
+       delta=_regularization, mu=_regularization,
+       n=st.sampled_from([32, 64, 128]), compact=st.booleans())
+@example(m=1.05, s=0.1, eps=0.0, delta=0.0, mu=0.0, n=128, compact=True)
+@example(m=3.5, s=0.9, eps=0.2, delta=0.2, mu=0.2, n=32, compact=False)
+def test_fused_density_loop_equals_public_steps(m, s, eps, delta, mu, n, compact):
+    """simulate_density's one-pass step changes no bit of the run.
+
+    Oracle: the same schedule stepped with the public cfl_dt and
+    step_density.  The run also conserves mass to roundoff, stays
+    nonnegative, and accounts every step to one limit.
+    """
+    p = ModelParams(m, s, eps=eps, delta=delta, mu=mu)
+    g = make_grid(8.0, n)
+    u0 = (compact_bump(g, 1.0, radius=1.5) if compact
+          else gaussian_bump(g, 1.0, width=0.5))
+    t_end = 0.3
+    snap_times = [0.0, 0.1, t_end]
+    traj = simulate_density(u0, p, t_end, snap_times=snap_times)
+
+    frames, steps, clipped = _public_loop(u0, p, t_end, snap_times)
+    assert traj.steps == steps
+    assert traj.clipped_mass == clipped
+    assert len(traj.snapshots) == len(frames)
+    for snap, frame in zip(traj.snapshots, frames):
+        assert np.array_equal(snap.values, frame)
+    mass0 = traj.diagnostics[0].mass
+    for d, snap in zip(traj.diagnostics, traj.snapshots):
+        assert abs(d.mass - mass0) <= 1e-12 * mass0
+        assert snap.values.min() >= 0.0
+    assert sum(traj.limits.values()) == traj.steps
+
+
+def _reference_step(u, p, dt, w):
+    """The density step as first written: np.roll shifts, the limiter
+    factor through nested np.where under errstate, then viscosity."""
+    h = u.grid.spacing
+    v = u.values
+    a = (v + p.mu) ** (p.m - 1.0)
+    w_face = 0.5 * (w + np.roll(w, -1))
+    J = -np.where(w_face < 0.0, a, np.roll(a, -1)) * w_face
+    naive = v - (dt / h) * (J - np.roll(J, 1))
+    outflow = (dt / h) * (np.maximum(J, 0.0) + np.maximum(-np.roll(J, 1), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(
+            outflow > 0.0,
+            np.minimum(1.0, POSITIVITY_HEADROOM * v
+                       / np.where(outflow > 0, outflow, 1.0)),
+            1.0,
+        )
+    J = J * np.where(J > 0.0, factor, np.roll(factor, -1))
+    new = v - (dt / h) * (J - np.roll(J, 1))
+    clipped = 0.0
+    if np.any(new < 0.0):
+        clipped = float(-h * new[new < 0.0].sum())
+        new = np.maximum(new, 0.0)
+    if p.delta > 0.0:
+        new = new + dt * p.delta * (np.roll(new, -1) - 2.0 * new
+                                    + np.roll(new, 1)) / h**2
+        if np.any(new < 0.0):
+            clipped += float(-h * new[new < 0.0].sum())
+            new = np.maximum(new, 0.0)
+    return new, clipped, bool(np.any(factor < 1.0)), bool(np.any(naive < 0.0))
+
+
+@pytest.mark.parametrize("factor", [1.0, 30.0, 200.0])
+@pytest.mark.parametrize("p", [
+    ModelParams(2.0, 0.3),
+    ModelParams(1.2, 0.6, delta=0.05, mu=0.05),
+], ids=["limit", "regularized"])
+def test_step_equals_reference_scheme(p, factor):
+    """step_density and cfl_dt reproduce the reference scheme bit for bit,
+    also with steps past the CFL bound where the limiter and the clip act.
+
+    Oracle: the step written out with np.roll and the limiter's original
+    np.where form; the CFL bound recomputed from its three limits.
+    """
+    g = make_grid(8.0, 128)
+    u = compact_bump(g, 1.0, radius=1.5)
+    w = pressure_gradient(u, p)
+    dt = cfl_dt(u, p)
+
+    a = (u.values + p.mu) ** (p.m - 1.0)
+    w_face = 0.5 * (w.values + np.roll(w.values, -1))
+    vel = np.where(w_face < 0.0, a, np.roll(a, -1)) * w_face
+    bound = min(g.spacing / np.max(np.abs(vel)),
+                2.0 / (np.max(a) * (math.pi / g.spacing) ** (2.0 * (1.0 - p.s))))
+    if p.delta > 0.0:
+        bound = min(bound, g.spacing**2 / (2.0 * p.delta))
+    assert dt == CFL_SAFETY * bound
+
+    out, clipped = step_density(u, p, factor * dt)
+    ref, ref_clipped, limited, overdrawn = _reference_step(u, p, factor * dt, w.values)
+    assert np.array_equal(out.values, ref)
+    assert clipped == ref_clipped
+    if p.mu > 0.0:
+        # (u + mu)^(m-1) > 0 in the empty cells around the bump, whose
+        # outflow the limiter must cut to zero
+        assert limited
+    if factor == 200.0:
+        assert overdrawn and limited
+        assert (clipped > 0.0) == (p.delta > 0.0)  # the viscosity overshoots
+
+
+def test_unstable_step_raises_simulation_unstable():
+    g = make_grid(8.0, 64)
+    u = compact_bump(g, 1.0, radius=1.5)
+    with pytest.raises(SimulationUnstable), np.errstate(all="ignore"):
+        step_density(u, ModelParams(2.0, 0.5, delta=1e300), 1e10)
+
+
+@pytest.mark.parametrize("p, bound", [
+    (ModelParams(2.0, 0.2), "stiffness"),
+    (ModelParams(2.0, 0.9), "advective"),
+    (ModelParams(2.0, 0.5, delta=0.5), "viscosity"),
+])
+def test_step_telemetry(p, bound):
+    """Every step is charged to exactly one limit; which one follows the
+    regime: small s is stiff, s near 1 advective, large delta viscous.  Only
+    the last, horizon-capped step is charged to the cap."""
+    g = make_grid(15.0, 256)
+    traj = simulate_density(gaussian_bump(g, 2.0, width=1.0), p, 0.5,
+                            n_snapshots=5)
+    assert set(traj.limits) == set(STEP_LIMITS)
+    assert sum(traj.limits.values()) == traj.steps > 1
+    assert traj.limits[bound] == traj.steps - 1
+    assert traj.limits["cap"] == 1
+    assert 0.0 < traj.dt_min <= traj.dt_max
+
+
+def test_step_telemetry_without_steps():
+    g = make_grid(8.0, 64)
+    traj = simulate_density(gaussian_bump(g, 1.0), ModelParams(2.0, 0.5), 0.0,
+                            snap_times=[0.0])
+    assert traj.steps == 0 and sum(traj.limits.values()) == 0
+    assert math.isnan(traj.dt_min) and math.isnan(traj.dt_max)
+
+
+def _reference_fpme_relaxation(u0, q, sigma, tau_end):
+    """fpme_profile_by_rescaling as first written: np.roll shifts and a
+    Field plus frac_laplacian call per step."""
+    grid = u0.grid
+    beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)
+    h = grid.spacing
+    mass = float(h * u0.values.sum())
+    u = np.maximum(u0.values.copy(), 0.0)
+    kmax_pow = (math.pi / h) ** (2.0 * sigma)
+    y_face = grid.nodes + 0.5 * h
+    y_face[-1] = 0.0
+    tau = 0.0
+    while tau < tau_end:
+        umax = float(u.max())
+        dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
+        dt_drift = h / (beta1 * grid.half_length)
+        dt = CFL_SAFETY * min(dt_diff, dt_drift, (tau_end - tau) / CFL_SAFETY)
+        diff = frac_laplacian(Field(grid, u**q), FracOrder(sigma)).values
+        donor = np.where(y_face > 0.0, np.roll(u, -1), u)
+        flux = y_face * donor
+        div_drift = (flux - np.roll(flux, 1)) / h
+        u = u - dt * diff + dt * beta1 * div_drift
+        u = np.maximum(u, 0.0)
+        total = h * u.sum()
+        if total > 0.0:
+            u *= mass / total
+        tau += dt
+    return u
+
+
+@pytest.mark.parametrize("n, q, sigma, tau_end", [
+    (64, 2.0, 0.5, 14.0),
+    (512, 2.0, 0.5, 3.0),
+    (64, 1.5, 0.3, 6.0),
+])
+def test_fpme_relaxation_equals_reference_loop(n, q, sigma, tau_end):
+    g = make_grid(15.0, n)
+    u0 = gaussian_bump(g, 2.0, width=1.0)
+    got = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
+    assert np.array_equal(got.values, _reference_fpme_relaxation(u0, q, sigma, tau_end))

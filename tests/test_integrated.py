@@ -20,6 +20,7 @@ from nlpme.integrated import (
     PrimitiveField,
     RepairStats,
     _check_rows,
+    _one_sided_slopes,
     _step_rows,
     barrier_exponents,
     barrier_subsolution,
@@ -289,7 +290,8 @@ def test_stack_step_equals_separate_steps_bitwise():
     M = np.array([v.total_mass for v in rows])
     stack_stats, row_stats, ref_stats = RepairStats(), RepairStats(), RepairStats()
     for factor in (40.0, 400.0, 1.0):
-        out = _step_rows(X, M, g, m, al, factor * dts, stack_stats)
+        out = _step_rows(X, _one_sided_slopes(X, g.spacing), M, g, m, al,
+                         factor * dts, stack_stats)
         for b, (v, dt) in enumerate(zip(rows, dts)):
             one = step_integrated(v, m, al, factor * dt, row_stats)
             ref = _reference_step(v, m, al, factor * dt, ref_stats)
