@@ -18,14 +18,10 @@ from .evolve import (
     Trajectory,
     cfl_dt,
     continuation_limit,
-    fpme_cfl_dt,
     fpme_profile_by_rescaling,
-    fractional_heat_evolution,
     pressure_gradient,
     simulate_density,
-    simulate_fpme,
     step_density,
-    step_fpme,
 )
 from .integrated import (
     BarrierParams,
@@ -51,7 +47,6 @@ from .operators import (
     half_order_energy,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
-    mollified_half_apply,
     mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,

@@ -302,20 +302,19 @@ def _rescale_initial(u0: Field, lam: float) -> Field:
     return u0.with_values(vals)
 
 
-def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float,
-                    n_snapshots: int = 6) -> list:
+def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float) -> list:
     """Evolve lam^N u0(lam x) to t_probe for each lam.
 
     All members share mass(u0) by construction plus conservation.  Returns
-    FamilyMember entries holding full trajectories (snapshot at t_probe is
-    member.final).
+    FamilyMember entries holding full trajectories, with frames at six even
+    times over [0, t_probe] (the snapshot at t_probe is member.final).
     """
     lambdas = [float(l) for l in lambdas]
     if any(l < 1.0 for l in lambdas) or any(
         b <= a for a, b in zip(lambdas, lambdas[1:])
     ):
         raise ValueError("lambdas must be >= 1 and increasing")
-    snap_times = np.linspace(0.0, t_probe, n_snapshots)
+    snap_times = np.linspace(0.0, t_probe, 6)
 
     return [
         FamilyMember(lam, simulate_density(_rescale_initial(u0, lam), p, t_probe,

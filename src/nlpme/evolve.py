@@ -20,13 +20,9 @@ arrays after one pressure evaluation per step and keeps step telemetry;
 the public `cfl_dt` and `step_density` are the same pieces behind Field
 checks.
 
-A companion explicit integrator for the fractional porous medium equation
-
-    u_t + (-Delta)^sigma (u^q) = 0
-
-is included; it is used to manufacture self-similar profiles for the
-transformation tests and is exact against the multiplier semigroup when
-q = 1.
+`_march` is the one time loop of this solver and the integrated scheme:
+snapshot schedule, horizon cap, interpolation of the frames a step
+crosses and the step-count guard; a solver supplies only its step.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from .operators import (
     _apply_rows,
     _check_finite,
     _even_symbol,
-    frac_laplacian,
     mollified_riesz_gradient,
     mollified_symbol,
     neg_half_order_norm,
@@ -59,10 +54,6 @@ __all__ = [
     "simulate_density",
     "continuation_limit",
     "ContinuationReport",
-    "fpme_cfl_dt",
-    "step_fpme",
-    "simulate_fpme",
-    "fractional_heat_evolution",
     "fpme_profile_by_rescaling",
 ]
 
@@ -70,6 +61,7 @@ CFL_SAFETY = 0.4
 POSITIVITY_HEADROOM = 0.9  # a cell may lose at most this fraction per step
 # the bounds of the density step size, in the order they are applied
 STEP_LIMITS = ("advective", "stiffness", "viscosity", "cap")
+MAX_STEPS = 2_000_000  # a run that needs more steps is stuck, not slow
 
 
 @dataclass(frozen=True)
@@ -332,90 +324,100 @@ def _diagnose(u: Field, p: ModelParams) -> SnapshotDiagnostics:
     )
 
 
-def simulate_density(
-    u0: Field,
-    p: ModelParams,
-    t_end: float,
-    snap_times=None,
-    n_snapshots: int = 11,
-    max_steps: int = 2_000_000,
-) -> Trajectory:
-    """Evolve u0 with adaptive CFL steps, storing interpolated snapshots.
+def _march(u: np.ndarray, t_end: float, snap_times, step):
+    """Advance the array u from t = 0 to t_end, one `step` at a time.
 
-    Snapshot times default to a uniform subdivision of [0, t_end].  Each
-    requested time is filled by linear interpolation between the bracketing
-    computed states.  Clipping is accumulated over the whole run and the
-    run aborts if it ever exceeds 1e-6 of the initial mass.  Each step is
-    bitwise the one :func:`cfl_dt` and :func:`step_density` would take;
+    `step(u, t, cap)` returns (u_next, dt) with 0 < dt <= cap = t_end - t;
+    snap_times must be nonempty and lie in [0, t_end].  Yields (t, frames)
+    at t = 0 and after every step: frames are the (time, values) pairs of
+    the snapshot times reached, a copy of u at t = 0 and after a step the
+    linear interpolation between its two states.  Stops after the last
+    snapshot time; raises RuntimeError past MAX_STEPS steps.
+    """
+    snap_times = np.sort(np.asarray(snap_times, dtype=float))
+    if len(snap_times) == 0 or snap_times[0] < 0 or snap_times[-1] > t_end + 1e-12:
+        raise ValueError("snapshot times must lie within [0, t_end]")
+    pending = list(snap_times)
+    t = 0.0
+    frames = []
+    while pending and abs(pending[0] - t) <= 1e-14 * max(1.0, t_end):
+        frames.append((pending.pop(0), u.copy()))
+    yield t, frames
+    steps = 0
+    while t < t_end - 1e-14 and pending:
+        u_next, dt = step(u, t, t_end - t)
+        t_next = t + dt
+        frames = []
+        while pending and pending[0] <= t_next + 1e-14:
+            ts = pending.pop(0)
+            theta = min(max((ts - t) / dt, 0.0), 1.0)
+            frames.append((ts, (1 - theta) * u + theta * u_next))
+        u, t = u_next, t_next
+        yield t, frames
+        steps += 1
+        if steps >= MAX_STEPS:
+            raise RuntimeError(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
+
+
+def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Trajectory:
+    """Evolve u0 with adaptive CFL steps, storing snapshots at snap_times.
+
+    The snapshot times must lie in [0, t_end]; each is filled by linear
+    interpolation between the bracketing computed states.  Clipping is
+    accumulated over the whole run and the run aborts if it ever exceeds
+    1e-6 of the initial mass, after the step that overspent it.  Each step
+    is bitwise the one :func:`cfl_dt` and :func:`step_density` would take;
     the trajectory also records the dt range and the limit behind each
     step.
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
-    if snap_times is None:
-        snap_times = np.linspace(0.0, t_end, n_snapshots)
-    snap_times = np.sort(np.asarray(snap_times, dtype=float))
-    if len(snap_times) == 0 or snap_times[0] < 0 or snap_times[-1] > t_end + 1e-12:
-        raise ValueError("snapshot times must lie within [0, t_end]")
-
     grid = u0.grid
     h = grid.spacing
     mass0 = float(h * u0.values.sum())
     clipped_mass = 0.0
-    snapshots: list[Field] = []
-    diags: list[SnapshotDiagnostics] = []
-    stored_times: list[float] = []
+    stored_times, snapshots, diags = [], [], []
     limits = dict.fromkeys(STEP_LIMITS, 0)
     dt_min, dt_max = math.inf, -math.inf
-
-    def store(t: float, f: Field):
-        stored_times.append(t)
-        snapshots.append(f)
-        diags.append(_diagnose(f, p))
+    steps = 0
 
     def trajectory() -> Trajectory:
         span = (dt_min, dt_max) if steps else (math.nan, math.nan)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
                           clipped_mass, steps, *span, limits)
 
-    pending = list(snap_times)
-    t = 0.0
-    steps = 0
-    while pending and abs(pending[0] - t) <= 1e-14 * max(1.0, t_end):
-        store(pending.pop(0), u0.copy())
-
-    # The loop steps plain arrays.  Each new state leaves _apply_flux
+    # Steps work on plain arrays.  Each new state leaves _apply_flux
     # nonnegative and finite, so it is neither re-checked nor wrapped in a
     # new Field: `state` is the Field handed to the pressure operator, its
-    # values rebound to each new state.
+    # values rebound to each state.
     state = u0.copy()
-    u = state.values
-    while t < t_end - 1e-14 and pending:
+
+    def step(u, t, cap):
+        nonlocal clipped_mass, steps, dt_min, dt_max
+        state.values = u
         w = pressure_gradient(state, p).values  # shared by the bound and the update
         J, a = _face_flux(u, w, p)
-        dt, limit = _stable_dt(J, a, grid, p, t_end - t)
+        dt, limit = _stable_dt(J, a, grid, p, cap)
         if dt <= 0.0 or not math.isfinite(dt):
-            dt, limit = t_end - t, "cap"
+            dt, limit = cap, "cap"
         try:
             u_next, clipped = _apply_flux(u, J, dt, h, p)
         except SimulationUnstable:
             raise SimulationUnstable(t, trajectory()) from None
         clipped_mass += clipped
-        t_next = t + dt
-        while pending and pending[0] <= t_next + 1e-14:
-            ts = pending.pop(0)
-            theta = min(max((ts - t) / dt, 0.0), 1.0)
-            store(ts, Field(grid, (1 - theta) * u + theta * u_next))
-        u, t = u_next, t_next
-        state.values = u
         steps += 1
         limits[limit] += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        return u_next, dt
+
+    for t, frames in _march(state.values, t_end, snap_times, step):
+        for ts, values in frames:
+            snap = Field(grid, values)
+            stored_times.append(ts)
+            snapshots.append(snap)
+            diags.append(_diagnose(snap, p))
         if mass0 > 0 and clipped_mass > 1e-6 * mass0:
             raise SimulationUnstable(t, trajectory())
-        if steps >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps at t={t:.6g}")
-
     return trajectory()
 
 
@@ -436,13 +438,13 @@ def continuation_limit(
     schedule,
     t_end: float = 1.0,
     checkpoint: float | None = None,
-    n_snapshots: int = 5,
 ):
     """Run the solver along a vanishing (eps, delta, mu) schedule.
 
     Each triple must be componentwise <= its predecessor and strictly
     smaller in at least every nonzero coordinate.  Returns the final run's
-    trajectory plus a report with the L2 distances at the checkpoint time
+    trajectory (frames at five even times over [0, t_end] and at the
+    checkpoint) plus a report with the L2 distances at the checkpoint time
     between consecutive runs, which should decrease as the regularization
     vanishes.
     """
@@ -460,7 +462,7 @@ def continuation_limit(
                 )
     if checkpoint is None:
         checkpoint = t_end
-    snap_times = sorted(set(np.linspace(0.0, t_end, n_snapshots)) | {float(checkpoint)})
+    snap_times = sorted(set(np.linspace(0.0, t_end, 5)) | {float(checkpoint)})
 
     h = u0.grid.spacing
 
@@ -483,69 +485,6 @@ def continuation_limit(
         decreasing=all(b < a for a, b in zip(distances, distances[1:])),
     )
     return runs[-1], report
-
-
-# --- fractional porous medium equation ----------------------------------
-
-
-def fpme_cfl_dt(u: Field, q: float, sigma: float, cap: float = math.inf) -> float:
-    """Stable explicit step for u_t = -(-Delta)^sigma u^q.
-
-    The linearized symbol is q*u^(q-1)*|k|^(2 sigma); the bound uses the
-    grid's maximal frequency pi/h, which is stricter than the plain
-    h^(2 sigma) scaling by the factor (2/pi^(2 sigma)).
-    """
-    h = u.grid.spacing
-    umax = float(np.max(u.values))
-    if umax <= 0.0:
-        return float(cap)
-    amp = q * umax ** (q - 1.0) if q >= 1.0 else q * max(umax, 1e-12) ** (q - 1.0)
-    dt = CFL_SAFETY * 2.0 * h ** (2.0 * sigma) / (math.pi ** (2.0 * sigma) * amp)
-    return float(min(dt, cap))
-
-
-def step_fpme(u: Field, q: float, sigma: float, dt: float) -> Field:
-    """One explicit step of u_t = -(-Delta)^sigma (u^q)."""
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    if np.any(u.values < 0):
-        raise ValueError("step_fpme requires a nonnegative field")
-    rhs = frac_laplacian(u.with_values(u.values**q), FracOrder(sigma))
-    out = u.values - dt * rhs.values
-    if not np.all(np.isfinite(out)):
-        raise SimulationUnstable(0.0)
-    return u.with_values(out)
-
-
-def simulate_fpme(
-    u0: Field, q: float, sigma: float, t_end: float, t_start: float = 0.0
-) -> tuple[Field, float]:
-    """Evolve the fractional porous medium equation to t_end.
-
-    Tiny spectral negatives are clipped each step (recorded in the return's
-    second slot as total clipped mass).
-    """
-    u = u0.copy()
-    t = t_start
-    clipped = 0.0
-    h = u.grid.spacing
-    while t < t_end - 1e-14:
-        dt = fpme_cfl_dt(u, q, sigma, cap=t_end - t)
-        u = step_fpme(u, q, sigma, dt)
-        if np.any(u.values < 0.0):
-            clipped += float(-h * u.values[u.values < 0.0].sum())
-            u = u.with_values(np.maximum(u.values, 0.0))
-        t += dt
-    return u, clipped
-
-
-def fractional_heat_evolution(u0: Field, sigma: float, t: float) -> Field:
-    """Exact multiplier solution of u_t = -(-Delta)^sigma u at time t."""
-    k = u0.grid.wavenumbers
-    decay = np.exp(-np.abs(k) ** (2.0 * sigma) * t)
-    return u0.with_values(np.fft.ifft(decay * np.fft.fft(u0.values)).real)
 
 
 def fpme_profile_by_rescaling(

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, knob, window_knob
+from .config import ConfigError, ExperimentConfig, _floats, knob, window_knob
 from .csvio import write_csv
 from .diagnostics import (
     asymptotic_convergence,
@@ -314,8 +314,12 @@ def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
 
 
 def _exp_asymptotics(cfg: ExperimentConfig, outdir: str):
-    lambdas = [float(t) for t in knob(cfg, "asymptotics.lambdas", str,
-                                      "1 2 4 8").split()]
+    lambdas = knob(cfg, "asymptotics.lambdas", _floats, (1.0, 2.0, 4.0, 8.0))
+    if (len(lambdas) < 2 or not lambdas[0] >= 1.0
+            or not all(b > a for a, b in zip(lambdas, lambdas[1:]))):
+        raise ConfigError(
+            "asymptotics.lambdas: need >= 2 strictly increasing values, the "
+            f"first >= 1, got {lambdas}")
     t_probe = knob(cfg, "asymptotics.t_probe", float, cfg.t_end)
     lp = knob(cfg, "asymptotics.lp", float, 2.0)
     u0 = cfg.initial_field()

@@ -16,7 +16,9 @@ validation of primitives act on a C-contiguous (B, n) stack with per-row
 masses and steps, and the public one-primitive functions are the B = 1
 case.  The comparison sweep (ordered pairs v <= V stepped side by side)
 is then one batched call, :func:`comparison_sweep`, whose rows are bitwise
-what stepping each pair alone gives.
+what stepping each pair alone gives.  An adaptive run of one primitive,
+:func:`simulate_integrated`, steps a B = 1 stack through the density
+solver's time-loop driver, which also fills its snapshot frames.
 
 The barrier side implements the comparison machinery used to witness
 infinite propagation speed for m < 2: a decaying power profile plus a
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _roll1
+from .evolve import CFL_SAFETY, _march, _roll1
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
     _apply_rows,
@@ -65,7 +67,6 @@ __all__ = [
     "WitnessReport",
 ]
 
-CFL_SAFETY = 0.4
 MONOTONE_TOL = 1e-12
 BOUNDARY_TOL = 1e-6
 FROZEN_FRACTION = 0.96  # cells with |x| > this fraction of L never move
@@ -278,37 +279,31 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
 
 
 def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
-                        t_end: float, snap_times=None,
-                        max_steps: int = 2_000_000):
-    """Adaptive-step evolution of the primitive; returns (times, states, stats)."""
-    if snap_times is None:
-        snap_times = [0.0, t_end]
-    snap_times = np.sort(np.asarray(snap_times, dtype=float))
+                        t_end: float, snap_times):
+    """Adaptive-step evolution of the primitive; returns (times, states, stats).
+
+    The snapshot times must lie in [0, t_end]; each state is interpolated
+    linearly between the bracketing steps.  Every step is bitwise
+    :func:`integrated_cfl_dt` followed by :func:`step_integrated`, every
+    new primitive is validated, and `stats` sums the repairs of all steps.
+    """
+    grid, h = v0.grid, v0.grid.spacing
+    M = np.array([v0.total_mass], dtype=float)
     stats = RepairStats()
-    t = 0.0
-    v = v0.copy()
-    out_t, out_v = [], []
-    pending = list(snap_times)
-    while pending and abs(pending[0] - t) <= 1e-14 * max(1.0, t_end):
-        pending.pop(0)
-        out_t.append(t)
-        out_v.append(v.copy())
-    steps = 0
-    while t < t_end - 1e-14 and pending:
-        dt = integrated_cfl_dt(v, m, alpha, cap=t_end - t)
-        v_next = step_integrated(v, m, alpha, dt, stats)
-        t_next = t + dt
-        while pending and pending[0] <= t_next + 1e-14:
-            ts = pending.pop(0)
-            theta = min(max((ts - t) / dt, 0.0), 1.0)
-            vals = (1 - theta) * v.values + theta * v_next.values
-            out_t.append(ts)
-            out_v.append(PrimitiveField(v.grid, vals, v.total_mass))
-        v, t = v_next, t_next
-        steps += 1
-        if steps >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps at t={t:.6g}")
-    return np.asarray(out_t), out_v, stats
+
+    def step(X, t, cap):
+        slopes = _one_sided_slopes(X, h)  # shared by bound and step
+        dt = _cfl_rows(slopes, h, m, alpha, cap)
+        X = _step_rows(X, slopes, M, grid, m, alpha, dt, stats)
+        _check_rows(X, M)
+        return X, float(dt[0])
+
+    times, states = [], []
+    for _, frames in _march(v0.values[None, :], t_end, snap_times, step):
+        for ts, X in frames:
+            times.append(ts)
+            states.append(PrimitiveField(grid, X[0], v0.total_mass))
+    return np.asarray(times), states, stats
 
 
 # --- barriers ------------------------------------------------------------

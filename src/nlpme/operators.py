@@ -50,7 +50,6 @@ __all__ = [
     "frac_constant",
     "mollified_frac_laplacian",
     "mollified_symbol",
-    "mollified_half_apply",
     "mollified_riesz_gradient",
     "line_frac_laplacian",
     "line_frac_laplacian_outside",
@@ -289,12 +288,6 @@ def mollified_symbol(grid, s: float, eps: float, images: int = 3) -> np.ndarray:
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     return _symbol(grid.half_length, grid.n, s, eps, images)
-
-
-def mollified_half_apply(f: Field, s: float, eps: float, images: int = 3) -> Field:
-    """Apply the operator square root L_eps^(1/2), evaluated spectrally."""
-    lam = mollified_symbol(f.grid, s, eps, images)
-    return _apply_multiplier(f, np.sqrt(lam))
 
 
 # --- whole-line quadrature (barrier verification) -----------------------

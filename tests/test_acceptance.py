@@ -100,7 +100,8 @@ def test_criterion_03_conservation_and_monotonicity(m, s):
     t0 = time.monotonic()
     g = make_grid(20.0, 1024)
     u0 = gaussian_bump(g, 1.0, width=1.0)
-    traj = simulate_density(u0, ModelParams(m, s), 5.0, n_snapshots=11)
+    traj = simulate_density(u0, ModelParams(m, s), 5.0,
+                            snap_times=np.linspace(0.0, 5.0, 11))
     assert traj.clipped_mass < 1e-8 * traj.diagnostics[0].mass
     checks = standard_checks(traj, tol=1e-8)
     drift = checks["mass_drift"][0]

@@ -260,6 +260,17 @@ def test_cli_bad_knob_exit_two(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("lambdas", ["0.5 1 2", "abc", "1", "1 2 2", "2 1", "nan 2"])
+def test_cli_bad_lambdas_exit_two(tmp_path, capsys, lambdas):
+    cfg = MINIMAL.replace("kind = simulate", "kind = asymptotics", 1)
+    cfg = cfg.replace("n = 256", "n = 64")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    cfg += f"\n[asymptotics]\nlambdas = {lambdas}\n"
+    assert main(["asymptotics", "--config", _write(tmp_path, cfg)]) == 2
+    assert "asymptotics.lambdas" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("kind, t_end, window", [
     ("smoothing", "0.1", None),  # default 1 20: snapshots would start at 0.25
     ("smoothing", "0.5", "abc"),

@@ -136,7 +136,7 @@ def test_standard_checks_on_real_run():
     g = make_grid(15.0, 512)
     u0 = gaussian_bump(g, 1.0, width=0.8)
     p = ModelParams(2.0, 0.5)
-    traj = simulate_density(u0, p, 2.0, n_snapshots=9)
+    traj = simulate_density(u0, p, 2.0, snap_times=np.linspace(0.0, 2.0, 9))
     checks = standard_checks(traj, scaling_exponents(2.0, 0.5))
     assert checks["mass_drift"][1]
     for key in ("sup_monotone", "l2_monotone", "l4_monotone",

@@ -1,9 +1,9 @@
-"""Density-solver and FPME-integrator checks.
+"""Density-solver and FPME-relaxation checks.
 
 Oracles: stationarity of constants, exact flux telescoping for mass,
-re-evaluation of the stepped field for the sup-norm bound, the exact
-Fourier-multiplier semigroup for the linear FPME, and the scaling algebra
-of the flow for the rescaling-commutation test.
+re-evaluation of the stepped field for the sup-norm bound, hand loops of
+the public step functions for the driver, and the scaling algebra of the
+flow for the rescaling-commutation test.
 """
 
 import math
@@ -22,14 +22,10 @@ from nlpme.evolve import (
     _roll1,
     cfl_dt,
     continuation_limit,
-    fpme_cfl_dt,
     fpme_profile_by_rescaling,
-    fractional_heat_evolution,
     pressure_gradient,
     simulate_density,
-    simulate_fpme,
     step_density,
-    step_fpme,
 )
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.operators import (
@@ -117,7 +113,7 @@ def test_cfl_step_is_finite_and_stable():
 def test_simulate_zero_initial_data():
     g = make_grid(10.0, 128)
     traj = simulate_density(Field(g, np.zeros(g.n)), ModelParams(2.0, 0.5), 1.0,
-                            n_snapshots=3)
+                            snap_times=np.linspace(0.0, 1.0, 3))
     for s in traj.snapshots:
         assert np.all(s.values == 0.0)
 
@@ -125,7 +121,8 @@ def test_simulate_zero_initial_data():
 def test_simulate_mass_conservation_tight():
     g = make_grid(15.0, 512)
     u0 = gaussian_bump(g, 1.0, width=0.8)
-    traj = simulate_density(u0, ModelParams(1.8, 0.4), 2.0, n_snapshots=9)
+    traj = simulate_density(u0, ModelParams(1.8, 0.4), 2.0,
+                            snap_times=np.linspace(0.0, 2.0, 9))
     masses = [d.mass for d in traj.diagnostics]
     assert max(abs(m - masses[0]) / masses[0] for m in masses) < 1e-8
 
@@ -133,7 +130,8 @@ def test_simulate_mass_conservation_tight():
 def test_simulate_snapshots_nonnegative_and_increasing_times():
     g = make_grid(15.0, 512)
     u0 = gaussian_bump(g, 1.0, width=0.8)
-    traj = simulate_density(u0, ModelParams(1.5, 0.5), 1.0, n_snapshots=6)
+    traj = simulate_density(u0, ModelParams(1.5, 0.5), 1.0,
+                            snap_times=np.linspace(0.0, 1.0, 6))
     assert np.all(np.diff(traj.times) > 0)
     for s in traj.snapshots:
         assert np.min(s.values) >= 0.0
@@ -197,7 +195,8 @@ def test_clipping_budget_untouched_on_degenerate_fronts():
     """m < 2 runs must not burn the clipping budget at starved front cells."""
     g = make_grid(15.0, 512)
     u0 = gaussian_bump(g, 1.0, width=0.6)
-    traj = simulate_density(u0, ModelParams(1.5, 0.5), 2.0, n_snapshots=5)
+    traj = simulate_density(u0, ModelParams(1.5, 0.5), 2.0,
+                            snap_times=np.linspace(0.0, 2.0, 5))
     assert traj.clipped_mass < 1e-8
 
 
@@ -233,65 +232,6 @@ def test_continuation_rejects_non_monotone_schedule():
     p = ModelParams(2.0, 0.5)
     with pytest.raises(ValueError):
         continuation_limit(u0, p, [(0.1, 0.01, 0.01), (0.2, 0.005, 0.005)])
-
-
-# --- FPME ----------------------------------------------------------------
-
-
-def test_fpme_constant_is_stationary():
-    g = make_grid(10.0, 128)
-    u = Field(g, np.full(g.n, 0.4))
-    out = step_fpme(u, 2.0, 0.5, 1e-3)
-    assert np.max(np.abs(out.values - 0.4)) < 1e-15
-
-
-def test_fpme_parameter_validation():
-    g = make_grid(10.0, 128)
-    u = Field(g, np.zeros(g.n))
-    with pytest.raises(ValueError):
-        step_fpme(u, 0.0, 0.5, 1e-3)
-    with pytest.raises(ValueError):
-        step_fpme(u, 2.0, 1.0, 1e-3)
-
-
-def test_fpme_linear_matches_multiplier_semigroup():
-    """q = 1 with small fixed steps against the exact multiplier evolution."""
-    g = make_grid(10.0, 256)
-    u = gaussian_bump(g, 1.0, width=0.8)
-    sigma = 0.5
-    dt = 2e-6
-    steps = 50
-    v = u.copy()
-    for _ in range(steps):
-        v = step_fpme(v, 1.0, sigma, dt)
-    exact = fractional_heat_evolution(u, sigma, dt * steps)
-    err = np.sqrt(g.spacing * np.sum((v.values - exact.values) ** 2))
-    assert err < 1e-8
-
-
-def test_fpme_mass_conserved_per_step():
-    g = make_grid(10.0, 256)
-    u = gaussian_bump(g, 1.0, width=0.8)
-    dt = fpme_cfl_dt(u, 2.0, 0.5)
-    out = step_fpme(u, 2.0, 0.5, dt)
-    m0 = g.spacing * u.values.sum()
-    m1 = g.spacing * out.values.sum()
-    assert abs(m1 - m0) / m0 < 1e-10
-
-
-def test_fpme_long_run_decay_exponent():
-    """Sup decay of the q=2 flow matches beta1 = 1/(q-1+2 sigma) = 1/2."""
-    g = make_grid(40.0, 1024)
-    u = gaussian_bump(g, 1.0, width=0.5)
-    ts, sups = [], []
-    t = 0.0
-    for tn in np.geomspace(1.0, 30.0, 10):
-        u, _ = simulate_fpme(u, 2.0, 0.5, tn, t_start=t)
-        t = tn
-        ts.append(t)
-        sups.append(float(u.values.max()))
-    slope = np.polyfit(np.log(ts), np.log(sups), 1)[0]
-    assert abs(slope + 0.5) < 0.05
 
 
 @pytest.mark.parametrize("s", [0.2, 0.5, 0.9])
@@ -486,6 +426,62 @@ def test_unstable_step_raises_simulation_unstable():
         step_density(u, ModelParams(2.0, 0.5, delta=1e300), 1e10)
 
 
+@pytest.mark.parametrize("abort", ["budget", "nan"])
+def test_abort_carries_exact_partial_trajectory(monkeypatch, abort):
+    """A run that aborts at its k-th step reports where it stopped.
+
+    Over the clipping budget, the k-th step is completed: t_last is the
+    time it reached and the frames it crossed are stored.  On NaN the k-th
+    step is lost: t_last is the time before it.  Oracle: the public
+    cfl_dt / step_density loop, with frames interpolated by hand.
+    """
+    g = make_grid(8.0, 128)
+    u0 = gaussian_bump(g, 1.0, width=0.7)
+    p = ModelParams(2.0, 0.5)
+    t_end, k = 0.5, 5
+    ts, us, dts = [0.0], [u0.values], []
+    u = u0
+    for _ in range(k + 1):
+        dt = cfl_dt(u, p, cap=t_end - ts[-1])
+        u, _ = step_density(u, p, dt)
+        dts.append(dt)
+        ts.append(ts[-1] + dt)
+        us.append(u.values)
+    # frames inside step 2, inside step k and inside step k + 1
+    snap_times = [0.0, ts[1] + 0.5 * dts[1], ts[k - 1] + 0.25 * dts[k - 1],
+                  ts[k] + 0.5 * dts[k], t_end]
+
+    import nlpme.evolve as evolve
+
+    real = evolve._apply_flux
+    calls = []
+
+    def apply_flux(u, J, dt, h, p):
+        calls.append(dt)
+        if len(calls) == k and abort == "nan":
+            raise SimulationUnstable(0.0)
+        u_new, clipped = real(u, J, dt, h, p)
+        return u_new, (1.0 if len(calls) == k else clipped)
+
+    monkeypatch.setattr(evolve, "_apply_flux", apply_flux)
+    with pytest.raises(SimulationUnstable) as info:
+        simulate_density(u0, p, t_end, snap_times=snap_times)
+    done = k if abort == "budget" else k - 1
+    assert info.value.t_last == ts[done]
+    partial = info.value.partial
+    assert partial.steps == done
+    stored = [t for t in snap_times if t <= ts[done]]
+    assert list(partial.times) == stored
+    for t, snap in zip(stored, partial.snapshots):
+        want = u0.values
+        if t > 0.0:
+            j = max(i for i in range(len(dts)) if ts[i] < t)  # the step crossing t
+            theta = min(max((t - ts[j]) / dts[j], 0.0), 1.0)
+            want = (1 - theta) * us[j] + theta * us[j + 1]
+        assert np.array_equal(snap.values, want)
+    assert partial.clipped_mass == (1.0 if abort == "budget" else 0.0)
+
+
 @pytest.mark.parametrize("p, bound", [
     (ModelParams(2.0, 0.2), "stiffness"),
     (ModelParams(2.0, 0.9), "advective"),
@@ -497,7 +493,7 @@ def test_step_telemetry(p, bound):
     the last, horizon-capped step is charged to the cap."""
     g = make_grid(15.0, 256)
     traj = simulate_density(gaussian_bump(g, 2.0, width=1.0), p, 0.5,
-                            n_snapshots=5)
+                            snap_times=np.linspace(0.0, 0.5, 5))
     assert set(traj.limits) == set(STEP_LIMITS)
     assert sum(traj.limits.values()) == traj.steps > 1
     assert traj.limits[bound] == traj.steps - 1

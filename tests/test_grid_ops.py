@@ -15,7 +15,6 @@ from nlpme.operators import (
     half_order_energy,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
-    mollified_half_apply,
     mollified_riesz_gradient,
     mollified_symbol,
     neg_half_order_norm,
@@ -23,6 +22,7 @@ from nlpme.operators import (
     spectral_derivative,
 )
 from nlpme.operators import (
+    _apply_multiplier,
     _even_symbol,
     _folded_symbol,
     _odd_symbol,
@@ -317,6 +317,11 @@ def test_mollified_eps_sweep_convergence_order():
     assert errs[0] > errs[1] > errs[2]
 
 
+def _mollified_half_apply(f, s, eps):
+    """The operator square root L_eps^(1/2), through the root of its symbol."""
+    return _apply_multiplier(f, np.sqrt(mollified_symbol(f.grid, s, eps)))
+
+
 def test_dissipation_inequality_discrete():
     """Stroock-Varopoulos: sum psi(w) L_eps w >= ||L_eps^(1/2) Psi(w)||^2.
 
@@ -333,7 +338,7 @@ def test_dissipation_inequality_discrete():
         for s, eps in ((0.5, 0.1), (0.3, 0.2), (0.7, 0.05)):
             lhs = h * np.sum(w**3 * mollified_frac_laplacian(f, s, eps).values)
             psi_big = Field(g, (np.sqrt(3.0) / 2.0) * w**2)
-            half = mollified_half_apply(psi_big, s, eps)
+            half = _mollified_half_apply(psi_big, s, eps)
             rhs = h * np.sum(half.values**2)
             assert lhs >= rhs - 1e-8
 
@@ -371,8 +376,6 @@ def test_rfft_operators_match_complex_fft_oracle(n, s):
                                    1j * k * inv_absk**2, True),
         "mollified_frac_laplacian": (
             lambda f: mollified_frac_laplacian(f, s, eps), lam, False),
-        "mollified_half_apply": (
-            lambda f: mollified_half_apply(f, s, eps), np.sqrt(lam), False),
         "mollified_riesz_gradient": (
             lambda f: mollified_riesz_gradient(f, s, eps),
             1j * k * inv_absk**2 * lam, True),

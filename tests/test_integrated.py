@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nlpme import integrated
 from nlpme.evolve import ModelParams, simulate_density
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.initial_data import compact_bump, gaussian_bump
@@ -357,6 +358,70 @@ def test_steps_are_deterministic():
         v1 = step_integrated(v1, m, al, dt)
         v2 = step_integrated(v2, m, al, dt)
     assert np.array_equal(v1.values, v2.values)
+
+
+def _integrated_hand_loop(v0, m, al, t_end, snap_times):
+    """simulate_integrated's schedule written with the public
+    integrated_cfl_dt and step_integrated: the frame at t = 0 is v0, each
+    later frame interpolates linearly inside the step that crosses it.
+
+    Returns (times, frame values, stats, thetas of the crossed frames).
+    """
+    stats = RepairStats()
+    v, t = v0, 0.0
+    times, frames, thetas = [0.0], [v0.values], []
+    pending = list(snap_times[1:])
+    while t < t_end - 1e-14 and pending:
+        dt = integrated_cfl_dt(v, m, al, cap=t_end - t)
+        v_next = step_integrated(v, m, al, dt, stats)
+        while pending and pending[0] <= t + dt + 1e-14:
+            ts = pending.pop(0)
+            theta = min(max((ts - t) / dt, 0.0), 1.0)
+            times.append(ts)
+            frames.append((1 - theta) * v.values + theta * v_next.values)
+            thetas.append(theta)
+        v, t = v_next, t + dt
+    return times, frames, stats, thetas
+
+
+@pytest.mark.parametrize("n, m, safety", [
+    (128, 1.5, None), (128, 2.5, None), (512, 1.5, None), (512, 2.5, None),
+    (512, 1.5, 4.0),  # ten times the safe step: the monotone repair engages
+])
+def test_simulate_integrated_equals_hand_loop_bitwise(monkeypatch, n, m, safety):
+    """States, times and repair totals of simulate_integrated, bit for bit.
+
+    Oracle: the same schedule stepped with the public one-primitive
+    functions.  The inner frames fall strictly inside steps, so they are
+    true interpolations.
+    """
+    if safety is not None:
+        monkeypatch.setattr(integrated, "CFL_SAFETY", safety)
+    g = make_grid(8.0, n)
+    v0 = integrate_density(compact_bump(g, 1.0, radius=1.5))
+    al = FracOrder(0.6)
+    t_end = 0.2
+    snap_times = [0.0, 0.0123, 0.0871, 0.151, t_end]
+    times, states, stats = simulate_integrated(v0, m, al, t_end, snap_times)
+
+    ref_times, frames, ref_stats, thetas = _integrated_hand_loop(
+        v0, m, al, t_end, snap_times)
+    assert all(0.0 < theta < 1.0 for theta in thetas[:-1])
+    assert np.array_equal(times, ref_times)
+    assert len(states) == len(frames)
+    for state, frame in zip(states, frames):
+        assert state.total_mass == v0.total_mass
+        assert np.array_equal(state.values, frame)
+    assert stats == ref_stats
+    assert (stats.monotonicity_mass > 0.0) == (safety is not None)
+
+
+@pytest.mark.parametrize("snap_times", [[0.0, 0.2], [-0.05, 0.1], []])
+def test_simulate_integrated_rejects_bad_snapshot_times(snap_times):
+    g = make_grid(8.0, 64)
+    v0 = integrate_density(gaussian_bump(g, 1.0, width=0.8))
+    with pytest.raises(ValueError):
+        simulate_integrated(v0, 1.5, FracOrder(0.5), 0.1, snap_times)
 
 
 def test_duality_with_density_solver():
