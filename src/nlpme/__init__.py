@@ -14,6 +14,7 @@ from .grid import Field, FracOrder, Grid1D, make_grid
 from .evolve import (
     ContinuationReport,
     ModelParams,
+    RunAborted,
     SimulationUnstable,
     Trajectory,
     cfl_dt,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field
-from .evolve import ModelParams, Trajectory, simulate_density
+from .evolve import ModelParams, RunAborted, Trajectory, simulate_density
 from .operators import riesz_gradient
 from .similarity import ExponentSet, extract_profile
 
@@ -285,8 +285,8 @@ class FamilyMember:
 def _rescale_initial(u0: Field, lam: float) -> Field:
     """lam * u0(lam x) on the same grid, mass-renormalized to mass(u0).
 
-    Errors out if a visible fraction of the mass lives beyond the box after
-    the dilation (the box is too small for this lambda).
+    Raises RunAborted if a visible fraction of the mass lives beyond the
+    box after the dilation (the box is too small for this lambda).
     """
     grid = u0.grid
     vals = lam * np.interp(lam * grid.nodes, grid.nodes, u0.values,
@@ -294,7 +294,7 @@ def _rescale_initial(u0: Field, lam: float) -> Field:
     m0 = mass(u0)
     m1 = float(grid.spacing * vals.sum())
     if m0 > 0 and abs(m1 - m0) / m0 > 1e-3:
-        raise ValueError(
+        raise RunAborted(
             f"box too small for lambda={lam}: {abs(m1 - m0) / m0:.2e} of the mass clipped"
         )
     if m1 > 0:

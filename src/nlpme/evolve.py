@@ -48,6 +48,7 @@ __all__ = [
     "SnapshotDiagnostics",
     "Trajectory",
     "SimulationUnstable",
+    "RunAborted",
     "pressure_gradient",
     "cfl_dt",
     "step_density",
@@ -138,6 +139,16 @@ class Trajectory:
         theta = min(max(theta, 0.0), 1.0)
         vals = (1 - theta) * self.snapshots[j].values + theta * self.snapshots[j + 1].values
         return self.snapshots[j].with_values(vals)
+
+
+class RunAborted(RuntimeError):
+    """Raised when a run cannot reach its horizon for a reason other than
+    instability (too many steps, a box too small for the data); carries
+    the time reached."""
+
+    def __init__(self, message: str, t_last: float = 0.0):
+        super().__init__(message)
+        self.t_last = t_last
 
 
 class SimulationUnstable(RuntimeError):
@@ -332,7 +343,7 @@ def _march(u: np.ndarray, t_end: float, snap_times, step):
     at t = 0 and after every step: frames are the (time, values) pairs of
     the snapshot times reached, a copy of u at t = 0 and after a step the
     linear interpolation between its two states.  Stops after the last
-    snapshot time; raises RuntimeError past MAX_STEPS steps.
+    snapshot time; raises RunAborted past MAX_STEPS steps.
     """
     snap_times = np.sort(np.asarray(snap_times, dtype=float))
     if len(snap_times) == 0 or snap_times[0] < 0 or snap_times[-1] > t_end + 1e-12:
@@ -356,7 +367,7 @@ def _march(u: np.ndarray, t_end: float, snap_times, step):
         yield t, frames
         steps += 1
         if steps >= MAX_STEPS:
-            raise RuntimeError(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
+            raise RunAborted(f"exceeded {MAX_STEPS} steps at t={t:.6g}", t)
 
 
 def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Trajectory:

@@ -1,10 +1,12 @@
 """Batch experiment pipelines behind the command-line driver.
 
 Each experiment takes a validated configuration, runs the relevant
-solvers, writes CSV data and SVG figures into the output directory, and
-returns named pass/fail checks.  The manifest (check verdicts plus file
-checksums plus a config echo) is written last, atomically; the process
-exit status is 0 only if every check passed.
+solvers, writes CSV tables and SVG figures into the output directory, and
+returns named pass/fail checks.  A density run's snapshot matrix is
+written as `snapshots.npy` (column 0 is x, column j the snapshot at row
+j-1 of `diagnostics.csv`), streamed column by column.  The manifest
+(check verdicts plus file checksums plus a config echo) is written last,
+atomically; the process exit status is 0 only if every check passed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _floats, knob, window_knob
-from .csvio import write_csv
+from .csvio import write_csv, write_npy_columns
 from .diagnostics import (
     asymptotic_convergence,
     decay_fit_span,
@@ -26,6 +28,7 @@ from .diagnostics import (
     standard_checks,
 )
 from .evolve import (
+    RunAborted,
     SimulationUnstable,
     continuation_limit,
     fpme_profile_by_rescaling,
@@ -56,10 +59,9 @@ __all__ = ["run_experiment"]
 
 def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
     grid = traj.grid
-    header = ["x"] + [f"t={t:.6g}" for t in traj.times]
-    cols = [grid.nodes] + [s.values for s in traj.snapshots]
-    write_csv(os.path.join(outdir, "snapshots.csv"), header, cols)
-    files.append("snapshots.csv")
+    write_npy_columns(os.path.join(outdir, "snapshots.npy"),
+                      [grid.nodes] + [s.values for s in traj.snapshots])
+    files.append("snapshots.npy")
 
     d = traj.diagnostics
     write_csv(
@@ -83,8 +85,7 @@ def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
 
     stride = max(1, len(traj.times) // max_curves)
     series = [
-        Series(grid.nodes.tolist(), traj.snapshots[i].values.tolist(),
-               f"t={traj.times[i]:.3g}")
+        Series(grid.nodes, traj.snapshots[i].values, f"t={traj.times[i]:.3g}")
         for i in range(0, len(traj.times), stride)
     ]
     write_svg(LineFigure("density evolution", "x", "u", series),
@@ -174,6 +175,10 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
               ["x", "v_initial", "v_final", "density_final"],
               [grid.nodes, v0.values, states[-1].values, du.values])
     files.append("primitive.csv")
+    write_csv(os.path.join(outdir, "repair_stats.csv"),
+              ["monotonicity_mass", "clamp_mass"],
+              [[stats.monotonicity_mass], [stats.clamp_mass]])
+    files.append("repair_stats.csv")
     write_svg(LineFigure("integrated model", "x", "v", [
         Series(grid.nodes.tolist(), v0.values.tolist(), "t=0"),
         Series(grid.nodes.tolist(), states[-1].values.tolist(),
@@ -448,8 +453,9 @@ _DISPATCH = {
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> RunManifest:
     """Dispatch an experiment and write all artifacts plus the manifest.
 
-    A numerical abort (instability) still produces a partial manifest with
-    a failed `completed` check.  Returns the manifest; the caller decides
+    A numerical abort (instability, too many steps, a box too small for
+    the data) still produces a partial manifest with a failed `completed`
+    check that names the cause.  Returns the manifest; the caller decides
     the exit status from `manifest.all_passed`.
     """
     outdir = output_dir or cfg.output_dir
@@ -463,6 +469,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> RunM
         man.checks.append(CheckResult(
             "completed", False, exc.t_last,
             f"simulation unstable at t={exc.t_last:.6g}"))
+        files = []
+    except RunAborted as exc:
+        man.checks.append(CheckResult("completed", False, exc.t_last, str(exc)))
         files = []
     man.wall_clock = time.monotonic() - start
     for rel in files:

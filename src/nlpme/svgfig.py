@@ -3,12 +3,20 @@
 Polyline figures with optional log axes, enough for density evolution
 snapshots, log-log decay fits, and residual maps.  Output is plain
 deterministic text: the same figure spec always yields the same bytes.
+
+A figure is sized to what it can show: a polyline with more than four
+points per pixel column of the plot is reduced by M4 aggregation to the
+first, last, lowest and highest point of each column, which leaves the
+drawn envelope unchanged.  Axis bounds are taken from all points, and a
+polyline with fewer points is drawn through every one of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["Series", "LineFigure", "render_svg", "write_svg"]
 
@@ -18,7 +26,7 @@ _PALETTE = ["#1f5fa8", "#c23b22", "#2e8540", "#8031a7", "#b8860b", "#12787f",
 
 @dataclass
 class Series:
-    x: list
+    x: list  # or a 1-d array; x and y have one length
     y: list
     label: str = ""
 
@@ -35,18 +43,41 @@ class LineFigure:
     height: int = 480
 
 
-def _transform(vals, log):
-    out = []
-    for v in vals:
-        v = float(v)
-        if log:
-            if v <= 0.0 or not math.isfinite(v):
-                out.append(None)
-            else:
-                out.append(math.log10(v))
-        else:
-            out.append(v if math.isfinite(v) else None)
-    return out
+def _axis_values(vals, log: bool) -> np.ndarray:
+    """Values in axis units: log10 on a log axis, NaN where unplottable
+    (non-finite, or <= 0 on a log axis)."""
+    v = np.array(vals, dtype=float)
+    ok = np.isfinite(v)
+    if log:
+        ok &= v > 0.0
+        # math.log10, not np.log10: they differ in the last bit for a few
+        # inputs in a thousand, enough to move a coordinate that sits on a
+        # rounding boundary of its two printed decimals
+        v[ok] = np.fromiter(map(math.log10, v[ok].tolist()), float, np.count_nonzero(ok))
+    v[~ok] = np.nan
+    return v
+
+
+def _m4_indices(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices M4 keeps: in every run of consecutive equal `cols`, the
+    first, last, min-y and max-y points (first of ties), sorted and
+    without duplicates.
+
+    A polyline through the kept points covers, in each pixel column, the
+    same vertical span as one through all the points, and joins the
+    columns at the same points (Jugel et al., "M4", VLDB 2014).
+    """
+    n = len(cols)
+    starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    group = np.repeat(np.arange(len(starts)), lengths)
+
+    def first_hit(extreme):
+        hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), lengths))
+        return hits[np.concatenate(([True], group[hits[1:]] != group[hits[:-1]]))]
+
+    return np.unique(np.concatenate(
+        (starts, starts + lengths - 1, first_hit(np.minimum), first_hit(np.maximum))))
 
 
 def _ticks(lo: float, hi: float, log: bool, n: int = 5):
@@ -69,15 +100,18 @@ def render_svg(fig: LineFigure) -> str:
 
     pts = []
     for s in fig.series:
-        xs = _transform(s.x, fig.logx)
-        ys = _transform(s.y, fig.logy)
-        pts.append([(a, b) for a, b in zip(xs, ys) if a is not None and b is not None])
-    allx = [p[0] for poly in pts for p in poly]
-    ally = [p[1] for poly in pts for p in poly]
-    if not allx:
-        allx, ally = [0.0, 1.0], [0.0, 1.0]
-    xlo, xhi = min(allx), max(allx)
-    ylo, yhi = min(ally), max(ally)
+        if len(s.x) != len(s.y):
+            raise ValueError(f"series {s.label!r}: x and y lengths differ")
+        xs = _axis_values(s.x, fig.logx)
+        ys = _axis_values(s.y, fig.logy)
+        ok = ~(np.isnan(xs) | np.isnan(ys))
+        pts.append((xs[ok], ys[ok]))
+    allx = np.concatenate([xs for xs, _ in pts]) if pts else np.empty(0)
+    ally = np.concatenate([ys for _, ys in pts]) if pts else np.empty(0)
+    if not allx.size:
+        allx, ally = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    xlo, xhi = float(allx.min()), float(allx.max())
+    ylo, yhi = float(ally.min()), float(ally.max())
     if xhi == xlo:
         xhi = xlo + 1.0
     if yhi == ylo:
@@ -123,11 +157,15 @@ def render_svg(fig: LineFigure) -> str:
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{fig.ylabel}</text>')
 
-    for i, (s, poly) in enumerate(zip(fig.series, pts)):
-        if not poly:
+    for i, (s, (xs, ys)) in enumerate(zip(fig.series, pts)):
+        if not xs.size:
             continue
         color = _PALETTE[i % len(_PALETTE)]
-        path = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in poly)
+        xs, ys = px(xs), py(ys)
+        if xs.size > 4 * pw:  # more points than M4 keeps at most
+            keep = _m4_indices(np.floor(xs), ys)
+            xs, ys = xs[keep], ys[keep]
+        path = " ".join(map("%.2f,%.2f".__mod__, zip(xs.tolist(), ys.tolist())))
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if s.label:

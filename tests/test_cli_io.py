@@ -7,7 +7,7 @@ import pytest
 
 from nlpme.cli import main
 from nlpme.config import ConfigError, parse_config
-from nlpme.csvio import read_csv, write_csv
+from nlpme.csvio import read_csv, write_csv, write_npy_columns
 from nlpme.grid import make_grid
 from nlpme.manifest import CheckResult, RunManifest, manifest_core, write_manifest
 from nlpme.svgfig import LineFigure, Series, render_svg, write_svg
@@ -148,6 +148,84 @@ def test_csv_bytes_are_per_value_17g(tmp_path, header, columns):
     assert path.read_bytes() == want.encode("ascii")
 
 
+@pytest.mark.parametrize("columns", [
+    [np.linspace(-1.0, 1.0, 7),
+     [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
+     np.arange(7, dtype=np.int64)],
+    [np.geomspace(1e-300, 1e300, 33)],
+    [np.empty(0), np.empty(0)],
+])
+def test_npy_columns_bitwise(tmp_path, columns):
+    """np.load gives the stacked columns bit for bit; the body is the
+    columns' bytes in turn, and the whole file is numpy.save's for the
+    Fortran-ordered matrix when that is not also C-ordered."""
+    path = tmp_path / "m.npy"
+    write_npy_columns(path, columns)
+    want = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    got = np.load(path)
+    assert got.dtype == np.dtype("<f8") and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    data = path.read_bytes()
+    assert data.endswith(want.T.tobytes()) and len(data) % 64 == want.nbytes % 64
+    if not np.asfortranarray(want).flags.c_contiguous:
+        save = tmp_path / "save.npy"
+        np.save(save, np.asfortranarray(want))
+        assert data == save.read_bytes()
+
+
+def test_npy_columns_stream_without_stacking(tmp_path):
+    """Writing 64 columns of 8 KB allocates far less than the 512 KB
+    matrix: no stacked or transposed copy is built."""
+    import tracemalloc
+
+    columns = [np.full(1024, float(k)) for k in range(64)]
+    tracemalloc.start()
+    try:
+        write_npy_columns(tmp_path / "m.npy", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.array_equal(np.load(tmp_path / "m.npy"), np.column_stack(columns))
+
+
+@pytest.mark.parametrize("columns", [[], [np.zeros(3), np.zeros(4)],
+                                     [np.zeros((2, 2))]])
+def test_npy_columns_reject_bad_shapes(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_npy_columns(tmp_path / "m.npy", columns)
+
+
+def test_snapshots_npy_is_the_trajectory(tmp_path, monkeypatch):
+    """snapshots.npy holds x and every stored snapshot bit for bit, one
+    column per row of diagnostics.csv, and the manifest lists its hash."""
+    import hashlib
+
+    import nlpme.experiments as exps
+
+    runs = []
+    simulate = exps.simulate_density
+
+    def keep(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(exps, "simulate_density", keep)
+    exps.run_experiment(parse_config(MINIMAL), output_dir=str(tmp_path))
+    (traj,) = runs
+    snaps = np.load(tmp_path / "snapshots.npy")
+    want = np.column_stack([traj.grid.nodes] + [s.values for s in traj.snapshots])
+    assert snaps.shape == (256, 4) and snaps.flags.f_contiguous
+    assert np.array_equal(snaps.view(np.uint64), want.view(np.uint64))
+    header, cols = read_csv(tmp_path / "diagnostics.csv")
+    assert header[0] == "t" and np.array_equal(cols[0], traj.times)
+    assert len(cols[0]) == snaps.shape[1] - 1
+    digest = hashlib.sha256((tmp_path / "snapshots.npy").read_bytes()).hexdigest()
+    text = (tmp_path / "manifest.txt").read_text()
+    assert f"file snapshots.npy = sha256:{digest}" in text
+    assert not (tmp_path / "snapshots.csv").exists()
+
+
 def test_svg_rendering_deterministic(tmp_path):
     fig = LineFigure("demo", "x", "y", [
         Series([0, 1, 2], [1.0, 0.5, 0.25], "a"),
@@ -203,7 +281,7 @@ def test_cli_exit_zero_on_pass_and_outputs(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     outdir = tmp_path / "out"
     assert (outdir / "manifest.txt").exists()
-    assert (outdir / "snapshots.csv").exists()
+    assert (outdir / "snapshots.npy").exists()
     assert (outdir / "diagnostics.csv").exists()
     assert (outdir / "density_evolution.svg").exists()
 
@@ -231,8 +309,8 @@ def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys):
     rc = main(["simulate", "--config", _write(tmp_path, cfg)])
     assert rc == 0
     assert "[FAIL]" not in capsys.readouterr().out
-    _, cols = read_csv(tmp_path / "zero" / "snapshots.csv")
-    assert all(np.all(c == 0.0) for c in cols[1:])
+    snaps = np.load(tmp_path / "zero" / "snapshots.npy")
+    assert snaps.shape[1] > 1 and np.all(snaps[:, 1:] == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["propagation", "asymptotics", "continuation"])
@@ -337,6 +415,51 @@ def test_numerical_abort_gives_partial_manifest(tmp_path, monkeypatch):
     assert "check completed = FAIL" in text
 
 
+def test_cli_box_too_small_for_lambda_exit_one(tmp_path, capsys):
+    """The dilated data of the last lambda leaves the box: a manifest with
+    a failed `completed` check naming the cause, exit 1, no traceback."""
+    cfg = MINIMAL.replace("kind = simulate", "kind = asymptotics", 1)
+    cfg = cfg.replace("n = 256", "n = 64").replace("half_length = 15.0",
+                                                   "half_length = 4.0")
+    cfg = cfg.replace("width = 1.0", "width = 3.0")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    cfg += "\n[asymptotics]\nlambdas = 1 2 4\n"
+    assert main(["asymptotics", "--config", _write(tmp_path, cfg)]) == 1
+    assert "[FAIL] completed" in capsys.readouterr().out
+    text = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "check completed = FAIL" in text
+    assert "box too small for lambda=4" in text
+
+
+def test_cli_step_limit_exit_one(tmp_path, capsys, monkeypatch):
+    """A run past evolve.MAX_STEPS ends in a manifest, not a traceback."""
+    import nlpme.evolve as evolve
+
+    monkeypatch.setattr(evolve, "MAX_STEPS", 3)
+    cfg = MINIMAL.replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 1
+    assert "[FAIL] completed" in capsys.readouterr().out
+    text = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "check completed = FAIL" in text
+    assert "exceeded 3 steps" in text
+
+
+def test_cli_integrated_writes_repair_stats(tmp_path):
+    """repair_stats.csv holds the primitive run's RepairStats and is in the
+    manifest."""
+    cfg = MINIMAL.replace("kind = simulate", "kind = integrated", 1)
+    cfg = cfg.replace("n = 256", "n = 64").replace("t_end = 0.5", "t_end = 0.05")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    cfg += "\n[integrated]\npairs = 2\nsteps = 5\n"
+    main(["integrated", "--config", _write(tmp_path, cfg)])
+    header, cols = read_csv(tmp_path / "o" / "repair_stats.csv")
+    assert header == ["monotonicity_mass", "clamp_mass"]
+    assert [len(c) for c in cols] == [1, 1] and all(c[0] >= 0.0 for c in cols)
+    text = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "file repair_stats.csv = sha256:" in text
+    assert f"check monotonicity_repair = PASS value={cols[0][0]:.9g}" in text
+
+
 def test_run_twice_byte_identical_csv(tmp_path):
     from nlpme.config import parse_config as pc
     from nlpme.experiments import run_experiment
@@ -347,7 +470,7 @@ def test_run_twice_byte_identical_csv(tmp_path):
         cfg = pc(cfg_text)
         run_experiment(cfg, output_dir=str(tmp_path / sub))
         outs.append(tmp_path / sub)
-    for name in ("snapshots.csv", "diagnostics.csv"):
+    for name in ("snapshots.npy", "diagnostics.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     core0 = manifest_core((outs[0] / "manifest.txt").read_text())
     core1 = manifest_core((outs[1] / "manifest.txt").read_text())

@@ -24,7 +24,13 @@ from nlpme.diagnostics import (
     tail_mass,
     weak_form_residual,
 )
-from nlpme.evolve import ModelParams, SnapshotDiagnostics, Trajectory, simulate_density
+from nlpme.evolve import (
+    ModelParams,
+    RunAborted,
+    SnapshotDiagnostics,
+    Trajectory,
+    simulate_density,
+)
 from nlpme.grid import Field, make_grid
 from nlpme.initial_data import compact_bump, gaussian_bump, two_bump
 from nlpme.integrated import parabola_supersolution
@@ -237,7 +243,7 @@ def test_rescaled_family_rejects_clipped_box():
     g = make_grid(10.0, 256)
     wide = gaussian_bump(g, 1.0, width=6.0)  # lam*u0(lam x) would clip mass
     p = ModelParams(1.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(RunAborted, match="box too small for lambda=1.2"):
         rescaled_family(wide, p, [1.0, 1.2], 0.1)
 
 
