@@ -34,9 +34,7 @@ import numpy as np
 
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
-    _apply_rows,
-    _check_finite,
-    _even_symbol,
+    _frac_laplacian_rows,
     mollified_riesz_gradient,
     mollified_symbol,
     neg_half_order_norm,
@@ -519,8 +517,7 @@ def fpme_profile_by_rescaling(
     mass = float(h * u0.values.sum())
     u = np.maximum(u0.values.copy(), 0.0)
     kmax_pow = (math.pi / h) ** (2.0 * sigma)
-    # the symbol frac_laplacian applies, looked up once for the whole run
-    sym = _even_symbol(grid.half_length, grid.n, 2.0 * FracOrder(sigma).alpha)
+    order = FracOrder(sigma)
     y_face = grid.nodes + 0.5 * h
     y_face[-1] = 0.0  # no transport through the wrap face
     # transport velocity of the drift is -beta*y (inward): the donor of
@@ -532,9 +529,7 @@ def fpme_profile_by_rescaling(
         dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
         dt_drift = h / (beta1 * grid.half_length)
         dt = CFL_SAFETY * min(dt_diff, dt_drift, (tau_end - tau) / CFL_SAFETY)
-        uq = u**q
-        _check_finite(uq)
-        diff = _apply_rows(uq, sym)
+        diff = _frac_laplacian_rows(u**q, grid, order)
         flux = y_face * np.where(outward, _roll1(u, -1), u)
         div_drift = (flux - _roll1(flux, 1)) / h
         u = u - dt * diff + dt * beta1 * div_drift

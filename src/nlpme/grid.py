@@ -28,8 +28,6 @@ class Grid1D:
         Number of nodes, a power of two >= 16.
     spacing : float
         Node spacing h = 2L/n.
-    wavenumbers : ndarray
-        Angular frequencies k_j = pi*j/L in standard FFT ordering.
     nodes : ndarray
         Node positions x_i = -L + i*h.
     """
@@ -37,7 +35,6 @@ class Grid1D:
     half_length: float
     n: int
     spacing: float
-    wavenumbers: np.ndarray
     nodes: np.ndarray
 
     def __eq__(self, other) -> bool:
@@ -68,8 +65,7 @@ def make_grid(half_length: float, n: int) -> Grid1D:
     half_length = float(half_length)
     spacing = 2.0 * half_length / n
     nodes = -half_length + spacing * np.arange(n)
-    wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-    return Grid1D(half_length, n, spacing, wavenumbers, nodes)
+    return Grid1D(half_length, n, spacing, nodes)
 
 
 @dataclass(eq=False)
@@ -100,15 +96,6 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
-
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
-
-    def __rmul__(self, a: float) -> "Field":
-        return Field(self.grid, a * self.values)
 
 
 @dataclass(frozen=True)

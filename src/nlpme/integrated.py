@@ -38,9 +38,7 @@ import numpy as np
 from .evolve import CFL_SAFETY, _march, _roll1
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
-    _apply_rows,
-    _check_finite,
-    _even_symbol,
+    _frac_laplacian_rows,
     line_frac_laplacian,
     line_frac_laplacian_outside,
 )
@@ -205,8 +203,7 @@ def _step_rows(X: np.ndarray, slopes, M: np.ndarray, grid: Grid1D, m: float,
     h = grid.spacing
     L = grid.half_length
     W = X - M[:, None] * (grid.nodes + L) / (2.0 * L)  # ramp removed
-    _check_finite(W)
-    A = _apply_rows(W, _even_symbol(L, grid.n, 2.0 * alpha.alpha))
+    A = _frac_laplacian_rows(W, grid, alpha)
     slope = _godunov_slope(slopes, A) ** (m - 1.0)
     new = X - dt[:, None] * slope * A
     if not np.all(np.isfinite(new)):

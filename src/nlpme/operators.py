@@ -23,7 +23,7 @@ sampled on the half spectrum k_j = pi*j/L, j = 0..n/2, memoised per
 (half_length, n, order...) in a bounded cache and handed out read-only.
 Odd symbols (those with a factor i*k) send the Nyquist bin to zero; the
 n/2 mode has no odd real counterpart on the grid.  The Parseval energies
-stay on the complex FFT.
+weight the same half spectrum, counting each interior bin twice.
 
 All spectral operators annihilate the zero mode: on a periodic box the
 Riesz potential of the mean is not defined, and the pressure is only
@@ -38,7 +38,7 @@ import math
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .grid import Field, FracOrder
+from .grid import Field, FracOrder, Grid1D
 
 __all__ = [
     "spectral_derivative",
@@ -86,17 +86,18 @@ def _half_wavenumbers(half_length: float, n: int) -> np.ndarray:
 
 @_cached_readonly
 def _even_symbol(half_length: float, n: int, power: float) -> np.ndarray:
-    """|k|^power with the zero mode mapped to zero (power > 0)."""
-    return _half_wavenumbers(half_length, n) ** power
+    """|k|^power with the zero mode mapped to zero, for any sign of power."""
+    k = _half_wavenumbers(half_length, n)
+    k[0] = 1.0  # guard; zeroed below
+    sym = k**power
+    sym[0] = 0.0
+    return sym
 
 
 @_cached_readonly
 def _odd_symbol(half_length: float, n: int, power: float) -> np.ndarray:
     """i*k*|k|^power with the zero and Nyquist modes mapped to zero."""
-    k = _half_wavenumbers(half_length, n)
-    k[0] = 1.0  # guard; zeroed below
-    sym = 1j * k * k**power
-    sym[0] = 0.0
+    sym = 1j * _half_wavenumbers(half_length, n) * _even_symbol(half_length, n, power)
     sym[-1] = 0.0
     return sym
 
@@ -115,6 +116,25 @@ def _apply_multiplier(f: Field, sym: np.ndarray) -> Field:
     return f.with_values(_apply_rows(f.values, sym))
 
 
+def _frac_laplacian_rows(a: np.ndarray, grid: Grid1D, order: FracOrder) -> np.ndarray:
+    """(-Delta)^alpha along the last axis of a real array on `grid`."""
+    _check_finite(a)
+    return _apply_rows(a, _even_symbol(grid.half_length, grid.n, 2.0 * order.alpha))
+
+
+def _parseval(f: Field, sym: np.ndarray) -> float:
+    """int sym(k) |f^(k)|^2 dx over the full spectrum, from the half spectrum.
+
+    The bins 1..n/2-1 stand for their mirror images too and count twice;
+    the zero and Nyquist bins are their own mirrors and count once.
+    """
+    _check_finite(f.values)
+    grid = f.grid
+    power = sym * np.abs(np.fft.rfft(f.values)) ** 2
+    total = 2.0 * power[1:-1].sum() + power[0] + power[-1]
+    return float(2.0 * grid.half_length / grid.n**2 * total)
+
+
 def spectral_derivative(f: Field) -> Field:
     """First derivative with the Fourier multiplier i*k."""
     _check_finite(f.values)
@@ -126,9 +146,7 @@ def frac_laplacian(f: Field, order: FracOrder) -> Field:
 
     The zero mode maps to zero; constants are annihilated exactly.
     """
-    _check_finite(f.values)
-    sym = _even_symbol(f.grid.half_length, f.grid.n, 2.0 * order.alpha)
-    return _apply_multiplier(f, sym)
+    return f.with_values(_frac_laplacian_rows(f.values, f.grid, order))
 
 
 def riesz_gradient(f: Field, s: float) -> Field:
@@ -152,13 +170,7 @@ def inv_laplacian_gradient(f: Field) -> Field:
 
 def half_order_energy(f: Field, order: FracOrder) -> float:
     """Squared seminorm int |(-Delta)^(alpha/2) f|^2 dx via Parseval."""
-    _check_finite(f.values)
-    grid = f.grid
-    fhat = np.fft.fft(f.values)
-    w = np.abs(grid.wavenumbers) ** (2.0 * order.alpha)
-    return float(
-        2.0 * grid.half_length / grid.n**2 * np.sum(w * np.abs(fhat) ** 2)
-    )
+    return _parseval(f, _even_symbol(f.grid.half_length, f.grid.n, 2.0 * order.alpha))
 
 
 def neg_half_order_norm(f: Field, s: float) -> float:
@@ -170,16 +182,7 @@ def neg_half_order_norm(f: Field, s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    _check_finite(f.values)
-    grid = f.grid
-    fhat = np.fft.fft(f.values)
-    absk = np.abs(grid.wavenumbers)
-    absk[0] = 1.0
-    w = absk ** (-2.0 * s)
-    w[0] = 0.0
-    return float(
-        2.0 * grid.half_length / grid.n**2 * np.sum(w * np.abs(fhat) ** 2)
-    )
+    return _parseval(f, _even_symbol(f.grid.half_length, f.grid.n, -2.0 * s))
 
 
 def frac_constant(alpha: float) -> float:

@@ -244,21 +244,25 @@ def transform_profile_high_m(
     return HighMTransformResult(profile=psi, mhat=mhat, b=b, c=c)
 
 
-def _drift_divergence(phi: Field, N: int) -> np.ndarray:
-    """div(y phi) expanded as N phi + y phi' with a spectral phi'.
+def _drift_term(phi: Field, kind: ProfileKind, N: int) -> np.ndarray:
+    """Drift term of the family's profile equation, with a spectral phi'.
 
+    Every family but COMPANION carries rate*div(y phi), expanded as
+    rate*(N phi + y phi'); COMPANION carries rate*(N phi - y phi').
     Multiplying by y before differentiating would feed the sawtooth jump of
     y at the box wrap into the FFT; the product rule keeps every
     differentiated factor periodic.
     """
-    dphi = spectral_derivative(phi).values
-    return N * phi.values + phi.grid.nodes * dphi
+    y_dphi = phi.grid.nodes * spectral_derivative(phi).values
+    if kind.family is ProfileFamily.COMPANION:
+        return kind.rate * (N * phi.values - y_dphi)
+    return kind.rate * (N * phi.values + y_dphi)
 
 
 def _profile_terms(
     phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlinear term of the selected profile equation and rate*div(y phi)."""
+    """Nonlinear term of the selected profile equation and its drift term."""
     fam = kind.family
     pos = np.maximum(phi.values, 0.0)
     if fam is ProfileFamily.FPME:
@@ -271,21 +275,17 @@ def _profile_terms(
         w = riesz_gradient(phi, s_or_sigma)
         nonlinear = spectral_derivative(
             phi.with_values(pos ** (m_or_q - 1.0) * w.values)).values
-    return nonlinear, kind.rate * _drift_divergence(phi, N)
+    return nonlinear, _drift_term(phi, kind, N)
 
 
 def _masked_residual(
     phi: Field, kind: ProfileKind, nonlinear: np.ndarray, drift: np.ndarray,
-    N: int, interior: float,
+    interior: float,
 ) -> Field:
-    fam = kind.family
-    if fam is ProfileFamily.COMPANION:
-        dphi = spectral_derivative(phi).values
-        res = nonlinear - kind.rate * (N * phi.values - phi.grid.nodes * dphi)
-    elif fam in (ProfileFamily.EXTINCTION, ProfileFamily.FPME):
-        res = nonlinear - drift
-    else:
+    if kind.family in (ProfileFamily.MASS_CONSERVING, ProfileFamily.ETERNAL):
         res = nonlinear + drift
+    else:
+        res = nonlinear - drift
     mask = phi.grid.interior_mask(interior)
     return phi.with_values(np.where(mask, res, 0.0))
 
@@ -308,7 +308,7 @@ def profile_residual(
     zero: the y-weighted drift is meaningless near the truncation boundary.
     """
     nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
-    return _masked_residual(phi, kind, nonlinear, drift, N, interior)
+    return _masked_residual(phi, kind, nonlinear, drift, interior)
 
 
 @dataclass
@@ -325,7 +325,7 @@ def residual_report(
 ) -> ResidualReport:
     """Residual plus a normalization by the size of the equation's terms."""
     nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
-    res = _masked_residual(phi, kind, nonlinear, drift, N, interior)
+    res = _masked_residual(phi, kind, nonlinear, drift, interior)
     mask = phi.grid.interior_mask(interior)
     scale = max(
         float(np.max(np.abs(nonlinear[mask]))), float(np.max(np.abs(drift[mask])))

@@ -1,8 +1,8 @@
 """Grid construction and nonlocal-operator checks.
 
-Oracles: Fourier eigenfunctions for the spectral operators, two-mode
-Parseval sums for the energies, and the spectral operator itself for the
-eps -> 0 limit of the mollified quadrature operator.
+Oracles: Fourier eigenfunctions for the spectral operators, two-mode and
+full complex-FFT Parseval sums for the energies, and the spectral operator
+itself for the eps -> 0 limit of the mollified quadrature operator.
 """
 
 import numpy as np
@@ -25,10 +25,16 @@ from nlpme.operators import (
     _apply_multiplier,
     _even_symbol,
     _folded_symbol,
+    _half_wavenumbers,
     _odd_symbol,
     _periodized_weights,
     _symbol,
 )
+
+
+def _fft_wavenumbers(g):
+    """k_j = pi*j/L over the full spectrum, in FFT ordering."""
+    return 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.spacing)
 
 
 def test_make_grid_spacing():
@@ -54,10 +60,12 @@ def test_grid_nodes_and_wavenumbers():
     g = make_grid(2.0, 32)
     assert g.nodes[0] == -2.0
     assert np.allclose(np.diff(g.nodes), g.spacing)
-    # k_j = pi j / L in FFT order
-    assert g.wavenumbers[0] == 0.0
-    assert np.isclose(g.wavenumbers[1], np.pi / 2.0)
-    assert np.isclose(g.wavenumbers[-1], -np.pi / 2.0)
+    # k_j = pi j / L on the half spectrum j = 0..n/2
+    k = _half_wavenumbers(g.half_length, g.n)
+    assert len(k) == g.n // 2 + 1
+    assert k[0] == 0.0
+    assert np.isclose(k[1], np.pi / 2.0)
+    assert np.isclose(k[-1], np.pi / 2.0 * g.n / 2)
 
 
 def test_field_validation():
@@ -101,7 +109,7 @@ def test_frac_laplacian_alpha_one_is_minus_second_derivative():
     f = Field(g, np.exp(-g.nodes**2))
     lap = frac_laplacian(f, FracOrder(1.0))
     # oracle: the spectral second derivative applied directly
-    minus_fxx = np.fft.ifft(g.wavenumbers**2 * np.fft.fft(f.values)).real
+    minus_fxx = np.fft.ifft(_fft_wavenumbers(g)**2 * np.fft.fft(f.values)).real
     scale = np.max(np.abs(minus_fxx))
     assert np.max(np.abs(lap.values - minus_fxx)) < 1e-10 * scale
 
@@ -161,7 +169,8 @@ def test_composition_riesz_then_divergence():
     s = 0.35
     rng = np.random.default_rng(0)
     raw = np.fft.fft(rng.standard_normal(g.n))
-    raw[np.abs(g.wavenumbers) > 0.5 * np.abs(g.wavenumbers).max()] = 0.0
+    absk = np.abs(_fft_wavenumbers(g))
+    raw[absk > 0.5 * absk.max()] = 0.0
     vals = np.fft.ifft(raw).real
     vals -= vals.mean()
     f = Field(g, vals)
@@ -227,6 +236,38 @@ def test_neg_half_order_norm_ignores_constants():
     assert np.isclose(
         neg_half_order_norm(f, 0.5), neg_half_order_norm(shifted, 0.5), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_energies_match_complex_fft_parseval_oracle(n):
+    """Both energies equal the full-spectrum sum (2L/n^2) sum_k w(k) |f^(k)|^2.
+
+    Oracle: the complex FFT over all n bins, weight |k|^(2 alpha) or
+    |k|^(-2s) with the zero mode dropped from the negative power.  The
+    inputs put all their energy in the zero mode (both energies are then
+    exactly zero), in the Nyquist mode, or across every bin.
+    """
+    g = make_grid(3.0, n)
+    absk = np.abs(_fft_wavenumbers(g))
+    inv_absk = np.zeros(n)
+    inv_absk[1:] = 1.0 / absk[1:]
+    scale = 2.0 * g.half_length / n**2
+    alpha, s = 0.7, 0.4
+    rng = np.random.default_rng(11)
+    inputs = {
+        "constant": np.full(n, 1.3),
+        "nyquist": (-1.0) ** np.arange(n),
+        "random": rng.standard_normal(n),
+    }
+    for name, vals in inputs.items():
+        f = Field(g, vals)
+        power = np.abs(np.fft.fft(vals)) ** 2
+        want_pos = scale * np.sum(absk ** (2.0 * alpha) * power)
+        want_neg = scale * np.sum(inv_absk ** (2.0 * s) * power)
+        got_pos = half_order_energy(f, FracOrder(alpha))
+        got_neg = neg_half_order_norm(f, s)
+        assert np.isclose(got_pos, want_pos, rtol=1e-13, atol=0.0), name
+        assert np.isclose(got_neg, want_neg, rtol=1e-13, atol=0.0), name
 
 
 def test_frac_constant_half_is_one_over_pi():
@@ -332,7 +373,8 @@ def test_dissipation_inequality_discrete():
     rng = np.random.default_rng(7)
     for trial in range(10):
         raw = rng.random(g.n)
-        smooth = np.fft.ifft(np.exp(-np.abs(g.wavenumbers)) * np.fft.fft(raw)).real
+        smooth = np.fft.ifft(np.exp(-np.abs(_fft_wavenumbers(g)))
+                             * np.fft.fft(raw)).real
         w = np.abs(smooth)
         f = Field(g, w)
         for s, eps in ((0.5, 0.1), (0.3, 0.2), (0.7, 0.05)):
@@ -359,7 +401,7 @@ def test_rfft_operators_match_complex_fft_oracle(n, s):
     to zero.
     """
     g = make_grid(4.0, n)
-    k = g.wavenumbers
+    k = _fft_wavenumbers(g)
     absk = np.abs(k)
     inv_absk = np.zeros(n)
     inv_absk[1:] = 1.0 / absk[1:]

@@ -220,6 +220,26 @@ def test_companion_residual_formula():
     assert np.all(res.values[~interior] == 0.0)
 
 
+def test_companion_term_scale_uses_its_own_drift():
+    """The COMPANION report normalizes by rate*(N phi - y phi'), the term
+    its equation has, not by rate*div(y phi)."""
+    g = make_grid(12.0, 256)
+    s, mhat, b = 0.5, 1.0, 1.0 / 3.0
+    phi = Field(g, 0.05 + 0.3 * np.exp(-0.5 * g.nodes**2))
+    kind = ProfileKind(ProfileFamily.COMPANION, b)
+    rep = residual_report(phi, kind, mhat, s)
+    dphi = spectral_derivative(phi).values
+    drift = b * (phi.values - g.nodes * dphi)
+    res = rep.residual.values
+    nonlinear = res + drift
+    interior = g.interior_mask(0.6)
+    expected = max(np.max(np.abs(nonlinear[interior])),
+                   np.max(np.abs(drift[interior])))
+    assert np.isclose(rep.term_scale, expected, rtol=1e-12)
+    assert np.isclose(rep.term_scale, 0.1379, atol=5e-5)
+    assert np.array_equal(res, profile_residual(phi, kind, mhat, s).values)
+
+
 def test_residual_operator_on_exact_linear_profile():
     """q=1, sigma=1/2: the Barenblatt profile is the Cauchy kernel
     1/(pi (1+y^2)) with rate 1; the residual floor is box truncation."""
