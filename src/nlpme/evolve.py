@@ -18,7 +18,14 @@ names the limit that set it) and `_apply_flux` (limiter, update,
 viscosity, clipping, NaN check).  `simulate_density` runs them on plain
 arrays after one pressure evaluation per step and keeps step telemetry;
 the public `cfl_dt` and `step_density` are the same pieces behind Field
-checks.
+checks.  The pieces write every intermediate into a `_Workspace` of
+preallocated length-n buffers (one per run, or one per public call),
+read neighbours by slices plus the wrap element, and write each new state
+into whichever of the workspace's two state buffers does not hold the
+current one, so a step allocates no length-n array outside the pressure
+evaluation.  The limiter's factor pass runs only when some cell has
+POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
+(see `_apply_flux`) and skipping the multiply changes no bit.
 
 `_march` is the one time loop of this solver and the integrated scheme:
 snapshot schedule, horizon cap, interpolation of the frames a step
@@ -106,8 +113,9 @@ class Trajectory:
     """Time-stamped snapshots of a run plus per-snapshot diagnostics.
 
     The step telemetry covers every completed step: its count, the
-    smallest and largest dt (NaN before the first step), and `limits`,
-    how many steps each bound of STEP_LIMITS set.
+    smallest and largest dt (NaN before the first step), `limits`, how
+    many steps each bound of STEP_LIMITS set, and `limiter_steps`, in how
+    many steps the positivity limiter cut at least one cell's outflow.
     """
 
     params: ModelParams
@@ -119,6 +127,7 @@ class Trajectory:
     dt_min: float = math.nan
     dt_max: float = math.nan
     limits: dict = field(default_factory=lambda: dict.fromkeys(STEP_LIMITS, 0))
+    limiter_steps: int = 0
 
     @property
     def grid(self) -> Grid1D:
@@ -183,7 +192,38 @@ def _roll1(a: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
 
 
-def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams):
+class _Workspace:
+    """Preallocated length-n buffers of the density step.
+
+    A run builds one and hands it to every step; :func:`cfl_dt` and
+    :func:`step_density` build one per call.  `a` and `J` hold the outputs
+    of :func:`_face_flux`, `b1`..`b3` and `mask` are scratch, and each new
+    state is written to the one of the two `states` buffers that does not
+    hold the current state, so a step allocates no length-n array.
+    """
+
+    def __init__(self, n: int):
+        self.a, self.J, self.b1, self.b2, self.b3 = (np.empty(n) for _ in range(5))
+        self.mask = np.empty(n, dtype=bool)
+        self.states = (np.empty(n), np.empty(n))
+
+    def next_state(self, u: np.ndarray) -> np.ndarray:
+        """The state buffer that does not hold u."""
+        return self.states[1] if u is self.states[0] else self.states[0]
+
+
+def _shifted(a: np.ndarray, out: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(a, shift) for shift = +1 or -1, written into `out` by slices."""
+    if shift == 1:
+        out[1:] = a[:-1]
+        out[0] = a[-1]
+    else:
+        out[:-1] = a[1:]
+        out[-1] = a[0]
+    return out
+
+
+def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams, ws: _Workspace):
     """Face fluxes J and advective factor a = (u + mu)^(m-1) of one state.
 
     Face i+1/2 sits between nodes i and i+1 (periodic wrap).  J[i] is the
@@ -191,12 +231,18 @@ def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams):
     pressure gradient; mass moves rightward when w_face < 0, so the
     advective factor is taken from the left node for w_face < 0 and from
     the right node otherwise.  Both the step bound and the update read
-    these two arrays.
+    these two arrays, which are the workspace's `J` and `a`.
     """
-    a = (u + p.mu) ** (p.m - 1.0)
-    w_face = 0.5 * (w + _roll1(w, -1))
-    a_up = np.where(w_face < 0.0, a, _roll1(a, -1))
-    return -a_up * w_face, a
+    a = np.add(u, p.mu, out=ws.a)
+    a **= p.m - 1.0  # in place, through the same scalar-power fast paths as `**`
+    w_face = _shifted(w, ws.b1, -1)
+    w_face += w
+    w_face *= 0.5
+    J = _shifted(a, ws.J, -1)
+    np.copyto(J, a, where=np.less(w_face, 0.0, out=ws.mask))  # upwind a
+    np.negative(J, out=J)
+    J *= w_face
+    return J, a
 
 
 def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
@@ -216,7 +262,7 @@ def _stable_dt(J: np.ndarray, a: np.ndarray, grid: Grid1D, p: ModelParams,
     """
     h = grid.spacing
     dt, limit = math.inf, "cap"
-    vmax = float(np.max(np.abs(J)))
+    vmax = max(float(J.max()), -float(J.min()))  # max|J|; NaN if J has one
     if vmax > 0.0:
         dt, limit = h / vmax, "advective"
     amax = float(np.max(a))
@@ -254,48 +300,73 @@ def cfl_dt(
         raise ValueError("cfl_dt requires a nonnegative field")
     if w is None:
         w = pressure_gradient(u, p)
-    J, a = _face_flux(u.values, w.values, p)
+    J, a = _face_flux(u.values, w.values, p, _Workspace(u.grid.n))
     return _stable_dt(J, a, u.grid, p, cap)[0]
 
 
-def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParams):
-    """One conservative step from the face fluxes; returns (new values, clipped mass).
+def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParams,
+                ws: _Workspace):
+    """One conservative step from the face fluxes.
 
-    Outgoing fluxes are scaled per donor cell so no cell loses more than
-    POSITIVITY_HEADROOM of its content in one step; the scaling is applied
-    to the shared face flux, so conservation is exact.  The viscosity term
-    uses the three-point Laplacian: it conserves mass by telescoping and
-    keeps u >= 0 under the delta CFL bound, whereas the spectral Laplacian
-    rings negative at degenerate fronts and burns the clipping budget.
-    The result is nonnegative; raises :class:`SimulationUnstable` on NaN.
+    Returns (new values, clipped mass, limited); the new values are the
+    workspace's state buffer that does not hold u, and J is overwritten
+    with the limited fluxes.  Outgoing fluxes are scaled per donor cell so
+    no cell loses more than POSITIVITY_HEADROOM of its content in one
+    step; the scaling is applied to the shared face flux, so conservation
+    is exact.  `limited` tells whether it cut any cell's outflow.  The
+    viscosity term uses the three-point Laplacian: it conserves mass by
+    telescoping and keeps u >= 0 under the delta CFL bound, whereas the
+    spectral Laplacian rings negative at degenerate fronts and burns the
+    clipping budget.  The result is nonnegative; raises
+    :class:`SimulationUnstable` on NaN.
     """
-    out_right = np.maximum(J, 0.0)        # leaves cell i through face i+1/2
-    out_left = np.maximum(-_roll1(J, 1), 0.0)  # leaves cell i through face i-1/2
-    outflow = (dt / h) * (out_right + out_left)
-    # min(1, headroom * u / outflow) where mass leaves the cell, 1 elsewhere
-    factor = np.ones_like(u)
-    np.divide(POSITIVITY_HEADROOM * u, outflow, out=factor, where=outflow > 0.0)
-    np.minimum(1.0, factor, out=factor)
-    # the donor of face i+1/2 is cell i when J>0, cell i+1 when J<0
-    J = J * np.where(J > 0.0, factor, _roll1(factor, -1))
+    r = dt / h
+    outflow = _shifted(J, ws.b1, 1)
+    np.negative(outflow, out=outflow)
+    np.maximum(outflow, 0.0, out=outflow)       # leaves cell i through face i-1/2
+    outflow += np.maximum(J, 0.0, out=ws.b2)    # leaves cell i through face i+1/2
+    outflow *= r
+    room = np.multiply(u, POSITIVITY_HEADROOM, out=ws.b2)
+    # The factor min(1, room / outflow) where outflow > 0 (1 elsewhere) is
+    # below 1 exactly where room < outflow: for 0 <= x < y the rounded x/y
+    # is at most the double below 1.  Without such a cell every factor is
+    # 1.0 and J * 1.0 is J, so the pass is skipped.
+    limited = bool(np.less(room, outflow, out=ws.mask).any())
+    if limited:
+        factor = ws.b3
+        factor.fill(1.0)
+        np.divide(room, outflow, out=factor, where=np.greater(outflow, 0.0, out=ws.mask))
+        np.minimum(1.0, factor, out=factor)
+        # the donor of face i+1/2 is cell i when J>0, cell i+1 when J<0
+        donor = _shifted(factor, ws.b1, -1)
+        np.copyto(donor, factor, where=np.greater(J, 0.0, out=ws.mask))
+        J *= donor
 
-    u_new = u - (dt / h) * (J - _roll1(J, 1))
+    div = np.subtract(J, _shifted(J, ws.b1, 1), out=ws.b1)
+    div *= r
+    u_new = np.subtract(u, div, out=ws.next_state(u))
     clipped = 0.0
-    if np.any(u_new < 0.0):
-        clipped = float(-h * u_new[u_new < 0.0].sum())
-        u_new = np.maximum(u_new, 0.0)
+    negative = np.less(u_new, 0.0, out=ws.mask)
+    if negative.any():
+        clipped = float(-h * u_new[negative].sum())
+        np.maximum(u_new, 0.0, out=u_new)
     if p.delta > 0.0:
         # applied to the post-flux field: (I + dt*delta*Lap_h) preserves
         # nonnegativity on its own under the delta CFL bound, so the two
         # substeps cannot jointly overdraw a cell
-        visc = (_roll1(u_new, -1) - 2.0 * u_new + _roll1(u_new, 1)) / h**2
-        u_new = u_new + dt * p.delta * visc
-        if np.any(u_new < 0.0):
-            clipped += float(-h * u_new[u_new < 0.0].sum())
-            u_new = np.maximum(u_new, 0.0)
-    if not np.all(np.isfinite(u_new)):
+        visc = _shifted(u_new, ws.b1, -1)
+        visc -= np.multiply(u_new, 2.0, out=ws.b2)
+        visc += _shifted(u_new, ws.b2, 1)
+        visc /= h**2
+        visc *= dt * p.delta
+        u_new += visc
+        negative = np.less(u_new, 0.0, out=ws.mask)
+        if negative.any():
+            clipped += float(-h * u_new[negative].sum())
+            np.maximum(u_new, 0.0, out=u_new)
+    if not np.isfinite(u_new, out=ws.mask).all():
         raise SimulationUnstable(0.0)
-    return u_new, clipped
+    return u_new, clipped, limited
 
 
 def step_density(
@@ -313,8 +384,9 @@ def step_density(
         raise ValueError("step_density requires a nonnegative field")
     if w is None:
         w = pressure_gradient(u, p)
-    J, _ = _face_flux(u.values, w.values, p)
-    u_new, clipped = _apply_flux(u.values, J, dt, u.grid.spacing, p)
+    ws = _Workspace(u.grid.n)
+    J, _ = _face_flux(u.values, w.values, p, ws)
+    u_new, clipped, _ = _apply_flux(u.values, J, dt, u.grid.spacing, p, ws)
     return u.with_values(u_new), clipped
 
 
@@ -376,8 +448,8 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     accumulated over the whole run and the run aborts if it ever exceeds
     1e-6 of the initial mass, after the step that overspent it.  Each step
     is bitwise the one :func:`cfl_dt` and :func:`step_density` would take;
-    the trajectory also records the dt range and the limit behind each
-    step.
+    the trajectory also records the dt range, the limit behind each step
+    and how many steps the positivity limiter cut an outflow in.
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
@@ -388,33 +460,38 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     stored_times, snapshots, diags = [], [], []
     limits = dict.fromkeys(STEP_LIMITS, 0)
     dt_min, dt_max = math.inf, -math.inf
-    steps = 0
+    steps = limiter_steps = 0
 
     def trajectory() -> Trajectory:
         span = (dt_min, dt_max) if steps else (math.nan, math.nan)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                          clipped_mass, steps, *span, limits)
+                          clipped_mass, steps, *span, limits, limiter_steps)
 
-    # Steps work on plain arrays.  Each new state leaves _apply_flux
+    # Steps work on plain arrays in one workspace, the states alternating
+    # between its two state buffers; _march's frames are fresh arrays, so
+    # no snapshot aliases them.  Each new state leaves _apply_flux
     # nonnegative and finite, so it is neither re-checked nor wrapped in a
     # new Field: `state` is the Field handed to the pressure operator, its
     # values rebound to each state.
-    state = u0.copy()
+    ws = _Workspace(grid.n)
+    np.copyto(ws.states[0], u0.values)
+    state = u0.with_values(ws.states[0])
 
     def step(u, t, cap):
-        nonlocal clipped_mass, steps, dt_min, dt_max
+        nonlocal clipped_mass, steps, limiter_steps, dt_min, dt_max
         state.values = u
         w = pressure_gradient(state, p).values  # shared by the bound and the update
-        J, a = _face_flux(u, w, p)
+        J, a = _face_flux(u, w, p, ws)
         dt, limit = _stable_dt(J, a, grid, p, cap)
         if dt <= 0.0 or not math.isfinite(dt):
             dt, limit = cap, "cap"
         try:
-            u_next, clipped = _apply_flux(u, J, dt, h, p)
+            u_next, clipped, limited = _apply_flux(u, J, dt, h, p, ws)
         except SimulationUnstable:
             raise SimulationUnstable(t, trajectory()) from None
         clipped_mass += clipped
         steps += 1
+        limiter_steps += limited
         limits[limit] += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         return u_next, dt

@@ -75,10 +75,13 @@ def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
     )
     files.append("diagnostics.csv")
 
-    # step telemetry; steps_<limit> counts the steps that limit bound
+    # step telemetry; steps_<limit> counts the steps that limit bound, so
+    # those columns sum to steps, and limiter_steps the steps in which the
+    # positivity limiter cut an outflow
     stats = {"steps": traj.steps, "clipped_mass": traj.clipped_mass,
              "dt_min": traj.dt_min, "dt_max": traj.dt_max}
     stats.update((f"steps_{name}", count) for name, count in traj.limits.items())
+    stats["limiter_steps"] = traj.limiter_steps
     write_csv(os.path.join(outdir, "solver_stats.csv"), list(stats),
               [[value] for value in stats.values()])
     files.append("solver_stats.csv")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import CFL_SAFETY, _march, _roll1
+from .evolve import CFL_SAFETY, SimulationUnstable, _march, _roll1
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
     _frac_laplacian_rows,
@@ -197,7 +197,8 @@ def _step_rows(X: np.ndarray, slopes, M: np.ndarray, grid: Grid1D, m: float,
                stats: RepairStats | None = None) -> np.ndarray:
     """One explicit step of every row of a (B, n) stack; row b has mass M[b]
     and step dt[b], and `slopes` is the stack's :func:`_one_sided_slopes`.
-    Returns the new stack, not yet validated."""
+    Returns the new stack, not yet validated; raises
+    :class:`SimulationUnstable` if the update is not finite."""
     if m <= 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
     h = grid.spacing
@@ -207,7 +208,7 @@ def _step_rows(X: np.ndarray, slopes, M: np.ndarray, grid: Grid1D, m: float,
     slope = _godunov_slope(slopes, A) ** (m - 1.0)
     new = X - dt[:, None] * slope * A
     if not np.all(np.isfinite(new)):
-        raise RuntimeError("integrated step produced NaN (step too large)")
+        raise SimulationUnstable(0.0)
 
     new = np.clip(new, _roll1(X, 1), _roll1(X, -1))
     new[:, 0], new[:, -1] = X[:, 0], X[:, -1]
@@ -283,6 +284,8 @@ def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
     linearly between the bracketing steps.  Every step is bitwise
     :func:`integrated_cfl_dt` followed by :func:`step_integrated`, every
     new primitive is validated, and `stats` sums the repairs of all steps.
+    A step that is not finite raises :class:`SimulationUnstable` carrying
+    the time reached before it.
     """
     grid, h = v0.grid, v0.grid.spacing
     M = np.array([v0.total_mass], dtype=float)
@@ -291,7 +294,10 @@ def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
     def step(X, t, cap):
         slopes = _one_sided_slopes(X, h)  # shared by bound and step
         dt = _cfl_rows(slopes, h, m, alpha, cap)
-        X = _step_rows(X, slopes, M, grid, m, alpha, dt, stats)
+        try:
+            X = _step_rows(X, slopes, M, grid, m, alpha, dt, stats)
+        except SimulationUnstable:
+            raise SimulationUnstable(t) from None
         _check_rows(X, M)
         return X, float(dt[0])
 

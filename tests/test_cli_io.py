@@ -1,6 +1,7 @@
 """Config parsing, CSV round trips, SVG and manifest output, CLI contract."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,14 +255,14 @@ def test_manifest_atomic_and_deterministic(tmp_path):
     (tmp_path / "x.csv").write_text("t\n0\n")
     man.add_file(tmp_path, "x.csv")
     man.wall_clock = 1.0
-    p = write_manifest(man, tmp_path)
-    text1 = open(p).read()
+    p = Path(write_manifest(man, tmp_path))
+    text1 = p.read_text()
     assert "all_passed = false" in text1
     assert "check alpha = PASS" in text1
     assert "sha256:" in text1
     man.wall_clock = 2.0  # timestamp-like line changes, core must not
     write_manifest(man, tmp_path)
-    text2 = open(p).read()
+    text2 = p.read_text()
     assert text1 != text2
     assert manifest_core(text1) == manifest_core(text2)
     assert not any(f.startswith(".manifest-") for f in os.listdir(tmp_path))
@@ -296,7 +297,7 @@ def test_cli_writes_solver_stats(tmp_path):
     stats = dict(zip(header, (float(c[0]) for c in cols)))
     assert list(stats) == ["steps", "clipped_mass", "dt_min", "dt_max",
                            "steps_advective", "steps_stiffness",
-                           "steps_viscosity", "steps_cap"]
+                           "steps_viscosity", "steps_cap", "limiter_steps"]
     assert stats["steps"] > 0
     assert sum(v for k, v in stats.items() if k.startswith("steps_")) == stats["steps"]
     assert 0.0 < stats["dt_min"] <= stats["dt_max"]
@@ -458,6 +459,35 @@ def test_cli_integrated_writes_repair_stats(tmp_path):
     text = (tmp_path / "o" / "manifest.txt").read_text()
     assert "file repair_stats.csv = sha256:" in text
     assert f"check monotonicity_repair = PASS value={cols[0][0]:.9g}" in text
+
+
+def test_cli_integrated_nan_exit_one(tmp_path, capsys, monkeypatch):
+    """A primitive step that produces NaN ends in a manifest with a failed
+    `completed` check at the time reached, and exit 1, not a traceback."""
+    import nlpme.integrated as integrated
+
+    real = integrated._frac_laplacian_rows
+    calls = []
+
+    def poisoned(W, grid, alpha):
+        calls.append(None)
+        A = real(W, grid, alpha)
+        if len(calls) == 3:  # the third step of the primitive run
+            A[:, grid.n // 2] = np.nan
+        return A
+
+    monkeypatch.setattr(integrated, "_frac_laplacian_rows", poisoned)
+    cfg = MINIMAL.replace("kind = simulate", "kind = integrated", 1)
+    # at n = 64 a primitive step is ~0.32, so the run to t = 2 takes several
+    cfg = cfg.replace("n = 256", "n = 64").replace("t_end = 0.5", "t_end = 2.0")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["integrated", "--config", _write(tmp_path, cfg)]) == 1
+    assert "[FAIL] completed" in capsys.readouterr().out
+    assert len(calls) == 3
+    text = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "check completed = FAIL" in text
+    t_last = float(text.split("check completed = FAIL value=")[1].split()[0])
+    assert 0.0 < t_last < 2.0  # the two steps before the poisoned one
 
 
 def test_run_twice_byte_identical_csv(tmp_path):

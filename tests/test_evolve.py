@@ -32,6 +32,7 @@ from nlpme.operators import (
     frac_laplacian,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
+    mollified_symbol,
 )
 from nlpme.initial_data import compact_bump, gaussian_bump, mollified_dirac
 
@@ -456,12 +457,12 @@ def test_abort_carries_exact_partial_trajectory(monkeypatch, abort):
     real = evolve._apply_flux
     calls = []
 
-    def apply_flux(u, J, dt, h, p):
+    def apply_flux(u, J, dt, h, p, ws):
         calls.append(dt)
         if len(calls) == k and abort == "nan":
             raise SimulationUnstable(0.0)
-        u_new, clipped = real(u, J, dt, h, p)
-        return u_new, (1.0 if len(calls) == k else clipped)
+        u_new, clipped, limited = real(u, J, dt, h, p, ws)
+        return u_new, (1.0 if len(calls) == k else clipped), limited
 
     monkeypatch.setattr(evolve, "_apply_flux", apply_flux)
     with pytest.raises(SimulationUnstable) as info:
@@ -549,3 +550,173 @@ def test_fpme_relaxation_equals_reference_loop(n, q, sigma, tau_end):
     u0 = gaussian_bump(g, 2.0, width=1.0)
     got = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
     assert np.array_equal(got.values, _reference_fpme_relaxation(u0, q, sigma, tau_end))
+
+
+# --- workspace step ------------------------------------------------------
+
+
+def _roll_face_flux(u, w, p):
+    """_face_flux as written with fresh arrays and np.roll shifts."""
+    a = (u + p.mu) ** (p.m - 1.0)
+    w_face = 0.5 * (w + np.roll(w, -1))
+    a_up = np.where(w_face < 0.0, a, np.roll(a, -1))
+    return -a_up * w_face, a
+
+
+def _roll_stable_dt(J, a, grid, p, cap):
+    """_stable_dt as written with np.abs: the three limits in order."""
+    h = grid.spacing
+    dt, limit = math.inf, "cap"
+    vmax = float(np.max(np.abs(J)))
+    if vmax > 0.0:
+        dt, limit = h / vmax, "advective"
+    amax = float(np.max(a))
+    if amax > 0.0:
+        lam = (float(np.max(mollified_symbol(grid, p.s, p.eps))) if p.eps > 0.0
+               else (math.pi / h) ** (2.0 * (1.0 - p.s)))
+        stiff = 2.0 / (amax * lam)
+        if stiff < dt:
+            dt, limit = stiff, "stiffness"
+    if p.delta > 0.0:
+        visc = h * h / (2.0 * p.delta)
+        if visc < dt:
+            dt, limit = visc, "viscosity"
+    dt = CFL_SAFETY * dt
+    if cap < dt:
+        return float(cap), "cap"
+    return float(dt), limit
+
+
+def _roll_apply_flux(u, J, dt, h, p):
+    """_apply_flux as written with fresh arrays, np.roll shifts and the
+    limiter pass always run; also returns whether any factor is below 1."""
+    out_right = np.maximum(J, 0.0)
+    out_left = np.maximum(-np.roll(J, 1), 0.0)
+    outflow = (dt / h) * (out_right + out_left)
+    factor = np.ones_like(u)
+    np.divide(POSITIVITY_HEADROOM * u, outflow, out=factor, where=outflow > 0.0)
+    np.minimum(1.0, factor, out=factor)
+    J = J * np.where(J > 0.0, factor, np.roll(factor, -1))
+    u_new = u - (dt / h) * (J - np.roll(J, 1))
+    clipped = 0.0
+    if np.any(u_new < 0.0):
+        clipped = float(-h * u_new[u_new < 0.0].sum())
+        u_new = np.maximum(u_new, 0.0)
+    if p.delta > 0.0:
+        visc = (np.roll(u_new, -1) - 2.0 * u_new + np.roll(u_new, 1)) / h**2
+        u_new = u_new + dt * p.delta * visc
+        if np.any(u_new < 0.0):
+            clipped += float(-h * u_new[u_new < 0.0].sum())
+            u_new = np.maximum(u_new, 0.0)
+    return u_new, clipped, J, bool(np.any(factor < 1.0))
+
+
+def _bits(a):
+    """The raw bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.floats(1.01, 3.5), s=st.floats(0.05, 0.9), eps=_regularization,
+       delta=_regularization, mu=_regularization,
+       n=st.sampled_from([32, 64, 128]),
+       data=st.sampled_from(["gaussian", "compact", "random"]),
+       seed=st.integers(0, 2**32 - 1), factor=st.sampled_from([1.0, 30.0, 200.0]))
+@example(m=1.01, s=0.05, eps=0.0, delta=0.0, mu=0.0, n=128, data="compact",
+         seed=0, factor=200.0)
+@example(m=3.5, s=0.05, eps=0.2, delta=0.2, mu=0.2, n=32, data="random",
+         seed=1, factor=30.0)
+@example(m=1.5, s=0.9, eps=0.0, delta=0.0, mu=0.0, n=64, data="gaussian",
+         seed=2, factor=1.0)
+def test_workspace_step_equals_roll_pieces(m, s, eps, delta, mu, n, data, seed, factor):
+    """The workspace pieces give the np.roll pieces' J, a, dt, limit, new
+    state and clipped mass bit for bit, signs of zero included, from 1 to
+    200 times the CFL step.  `limited` is exactly "some factor < 1", the
+    predicate of the skipped limiter pass, and J is limited in place."""
+    import nlpme.evolve as evolve
+
+    p = ModelParams(m, s, eps=eps, delta=delta, mu=mu)
+    g = make_grid(8.0, n)
+    if data == "gaussian":
+        u = gaussian_bump(g, 1.0, width=0.5)
+    elif data == "compact":
+        u = compact_bump(g, 1.0, radius=1.5)
+    else:
+        rng = np.random.default_rng(seed)
+        vals = rng.random(n) * (rng.random(n) < 0.7)  # some empty cells
+        u = Field(g, vals)
+    w = pressure_gradient(u, p).values
+
+    ws = evolve._Workspace(n)
+    J, a = evolve._face_flux(u.values, w, p, ws)
+    J_ref, a_ref = _roll_face_flux(u.values, w, p)
+    assert np.array_equal(_bits(J), _bits(J_ref))
+    assert np.array_equal(_bits(a), _bits(a_ref))
+
+    cap = 10.0
+    dt, limit = evolve._stable_dt(J, a, g, p, cap)
+    assert (dt, limit) == _roll_stable_dt(J_ref, a_ref, g, p, cap)
+    assert limit in STEP_LIMITS
+
+    dt = factor * dt
+    with np.errstate(over="ignore"):  # past the bound the update may overflow
+        new_ref, clipped_ref, J_lim_ref, limited_ref = _roll_apply_flux(
+            u.values, J_ref, dt, g.spacing, p)
+        if not np.all(np.isfinite(new_ref)):
+            with pytest.raises(SimulationUnstable):
+                evolve._apply_flux(u.values, J, dt, g.spacing, p, ws)
+            return
+        new, clipped, limited = evolve._apply_flux(u.values, J, dt, g.spacing, p, ws)
+    assert np.array_equal(_bits(new), _bits(new_ref))
+    assert clipped == clipped_ref
+    assert math.copysign(1.0, clipped) == math.copysign(1.0, clipped_ref)
+    assert limited == limited_ref
+    assert np.array_equal(_bits(J), _bits(J_lim_ref))
+    assert any(new is buf for buf in ws.states)
+
+
+def test_snapshots_share_no_memory(monkeypatch):
+    """No stored snapshot aliases another snapshot or any workspace buffer,
+    so the alternating state buffers cannot overwrite a stored frame."""
+    import nlpme.evolve as evolve
+
+    made = []
+
+    class RecordingWorkspace(evolve._Workspace):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(evolve, "_Workspace", RecordingWorkspace)
+    g = make_grid(8.0, 128)
+    u0 = compact_bump(g, 1.0, radius=1.5)
+    # repeated times, two frames inside one step, frames steps apart
+    snap_times = [0.0, 0.0, 0.01, 0.02, 0.02, 0.25, 0.5]
+    traj = simulate_density(u0, ModelParams(2.0, 0.5, delta=0.01), 0.5, snap_times)
+    assert len(made) == 1 and traj.steps > 5
+    ws = made[0]
+    buffers = [ws.a, ws.J, ws.b1, ws.b2, ws.b3, *ws.states]
+    snaps = [snap.values for snap in traj.snapshots]
+    assert len(snaps) == len(snap_times)
+    for i, snap in enumerate(snaps):
+        assert not np.shares_memory(snap, u0.values)
+        for other in snaps[i + 1:]:
+            assert not np.shares_memory(snap, other)
+        for buf in buffers:
+            assert not np.shares_memory(snap, buf)
+    # the stored frames are still the run's: the first is u0, bit for bit
+    assert np.array_equal(snaps[0], u0.values)
+    assert np.array_equal(snaps[1], u0.values)
+
+
+def test_limiter_steps_telemetry():
+    """limiter_steps counts the steps whose limiter cut an outflow: none in
+    a CFL run from a Gaussian, every step when mu > 0 leaves the empty
+    cells around a compact bump mobile."""
+    g = make_grid(8.0, 128)
+    quiet = simulate_density(gaussian_bump(g, 1.0, width=1.0), ModelParams(2.0, 0.5),
+                             0.1, [0.0, 0.1])
+    assert quiet.steps > 1 and quiet.limiter_steps == 0
+    busy = simulate_density(compact_bump(g, 1.0, radius=1.5),
+                            ModelParams(1.2, 0.6, mu=0.05), 0.1, [0.0, 0.1])
+    assert busy.steps > 1 and busy.limiter_steps == busy.steps
