@@ -14,11 +14,12 @@ viscosity term are clipped and the clipped mass is tracked.
 
 A step is three array pieces: `_face_flux` (the advective factor, face
 average and upwind choice), `_stable_dt` (the step bound, which also
-names the limit that set it) and `_apply_flux` (limiter, update,
-viscosity, clipping, NaN check).  `simulate_density` runs them on plain
-arrays after one pressure evaluation per step and keeps step telemetry;
-the public `cfl_dt` and `step_density` are the same pieces behind Field
-checks.  The pieces write every intermediate into a `_Workspace` of
+names the limit that set it; `cfl_dt` explains its three limits, each
+read off the operator actually stepped) and `_apply_flux` (limiter,
+update, viscosity, clipping, NaN check).  `simulate_density` runs them
+on plain arrays after one pressure evaluation per step and keeps step
+telemetry; the public `cfl_dt` and `step_density` are the same pieces
+behind Field checks.  The pieces write every intermediate into a `_Workspace` of
 preallocated length-n buffers (one per run, or one per public call),
 read neighbours by slices plus the wrap element, and write each new state
 into whichever of the workspace's two state buffers does not hold the
@@ -34,12 +35,14 @@ crosses and the step-count guard; a solver supplies only its step.
 
 from __future__ import annotations
 
+import array
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, FracOrder, Grid1D
+from .grid import Field, FracOrder, Grid1D, make_grid
 from .operators import (
     _frac_laplacian_rows,
     mollified_riesz_gradient,
@@ -113,9 +116,10 @@ class Trajectory:
     """Time-stamped snapshots of a run plus per-snapshot diagnostics.
 
     The step telemetry covers every completed step: its count, the
-    smallest and largest dt (NaN before the first step), `limits`, how
-    many steps each bound of STEP_LIMITS set, and `limiter_steps`, in how
-    many steps the positivity limiter cut at least one cell's outflow.
+    smallest, largest and median dt (NaN before the first step),
+    `limits`, how many steps each bound of STEP_LIMITS set, and
+    `limiter_steps`, in how many steps the positivity limiter cut at least
+    one cell's outflow.
     """
 
     params: ModelParams
@@ -126,6 +130,7 @@ class Trajectory:
     steps: int = 0
     dt_min: float = math.nan
     dt_max: float = math.nan
+    dt_median: float = math.nan
     limits: dict = field(default_factory=lambda: dict.fromkeys(STEP_LIMITS, 0))
     limiter_steps: int = 0
 
@@ -196,14 +201,16 @@ class _Workspace:
     """Preallocated length-n buffers of the density step.
 
     A run builds one and hands it to every step; :func:`cfl_dt` and
-    :func:`step_density` build one per call.  `a` and `J` hold the outputs
-    of :func:`_face_flux`, `b1`..`b3` and `mask` are scratch, and each new
-    state is written to the one of the two `states` buffers that does not
-    hold the current state, so a step allocates no length-n array.
+    :func:`step_density` build one per call.  `a`, `J` and `w_face` hold
+    the outputs of :func:`_face_flux`, `b1`..`b3` and `mask` are scratch,
+    and each new state is written to the one of the two `states` buffers
+    that does not hold the current state, so a step allocates no length-n
+    array.
     """
 
     def __init__(self, n: int):
-        self.a, self.J, self.b1, self.b2, self.b3 = (np.empty(n) for _ in range(5))
+        self.a, self.J, self.w_face, self.b1, self.b2, self.b3 = (
+            np.empty(n) for _ in range(6))
         self.mask = np.empty(n, dtype=bool)
         self.states = (np.empty(n), np.empty(n))
 
@@ -224,50 +231,72 @@ def _shifted(a: np.ndarray, out: np.ndarray, shift: int) -> np.ndarray:
 
 
 def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams, ws: _Workspace):
-    """Face fluxes J and advective factor a = (u + mu)^(m-1) of one state.
+    """Face fluxes J, advective factor a = (u + mu)^(m-1) and face-averaged
+    pressure gradient w_face of one state.
 
     Face i+1/2 sits between nodes i and i+1 (periodic wrap).  J[i] is the
-    mass flux through it, J = -a_up * w_face with w_face the face-averaged
-    pressure gradient; mass moves rightward when w_face < 0, so the
-    advective factor is taken from the left node for w_face < 0 and from
-    the right node otherwise.  Both the step bound and the update read
-    these two arrays, which are the workspace's `J` and `a`.
+    mass flux through it, J = -a_up * w_face; mass moves rightward when
+    w_face < 0, so the advective factor is taken from the left node for
+    w_face < 0 and from the right node otherwise.  The step bound reads
+    all three arrays and the update reads J; they are the workspace's `J`,
+    `a` and `w_face`.
     """
     a = np.add(u, p.mu, out=ws.a)
     a **= p.m - 1.0  # in place, through the same scalar-power fast paths as `**`
-    w_face = _shifted(w, ws.b1, -1)
+    w_face = _shifted(w, ws.w_face, -1)
     w_face += w
     w_face *= 0.5
     J = _shifted(a, ws.J, -1)
     np.copyto(J, a, where=np.less(w_face, 0.0, out=ws.mask))  # upwind a
     np.negative(J, out=J)
     J *= w_face
-    return J, a
+    return J, a, w_face
 
 
-def _max_symbol(grid: Grid1D, p: ModelParams) -> float:
-    """Largest eigenvalue of the order-(1-s) operator actually in use."""
-    if p.eps > 0.0:
-        return float(np.max(mollified_symbol(grid, p.s, p.eps)))
-    return float((math.pi / grid.spacing) ** (2.0 * (1.0 - p.s)))
+@functools.lru_cache(maxsize=16)
+def _max_symbol(half_length: float, n: int, s: float, eps: float) -> float:
+    """Largest eigenvalue of the linear operator the update steps.
+
+    Linearized at a constant advective factor, the flux update applies
+    v -> D_-(avg(pressure_gradient(v))): the backward difference of the
+    face average of the spectral pressure gradient.  The difference and
+    the average multiply the gradient's symbol i*k*Lambda(k)/k^2 by
+    i*sin(k h)/h, so the operator is circulant with the real eigenvalues
+    -Lambda(k_j) sin(k_j h)/(k_j h) <= 0, j = 0..n/2 (the zero and Nyquist
+    modes give 0).  Lambda is |k|^(2-2s), or the mollified symbol when
+    eps > 0.  The factor sin(kh)/(kh) falls to 0 at Nyquist, so the
+    maximum sits well inside the spectrum, below Lambda(pi/h).
+    """
+    h = 2.0 * half_length / n
+    kh = 2.0 * np.pi * np.arange(1, n // 2) / n  # k_j h, j = 1..n/2-1
+    if eps > 0.0:
+        lam = mollified_symbol(make_grid(half_length, n), s, eps)[1:n // 2]
+    else:
+        lam = (kh / h) ** (2.0 - 2.0 * s)
+    return float(np.max(lam * (np.sin(kh) / kh)))
 
 
-def _stable_dt(J: np.ndarray, a: np.ndarray, grid: Grid1D, p: ModelParams,
-               cap: float):
+def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
+               p: ModelParams, cap: float):
     """Stable step from the face fluxes; returns (dt, binding limit).
 
-    The limit is the name in STEP_LIMITS of the bound that set dt; a tie
-    goes to the earlier one, and "cap" also covers a state with no limit
-    at all.
+    The limits are those of :func:`cfl_dt`.  The m >= 2 characteristic
+    speed takes (max u + mu)^(m-2) as max(a)^((m-2)/(m-1)), so its one
+    extra reduction is over w_face.  The limit is the name in STEP_LIMITS
+    of the bound that set dt; a tie goes to the earlier one, and "cap"
+    also covers a state with no limit at all.
     """
     h = grid.spacing
     dt, limit = math.inf, "cap"
     vmax = max(float(J.max()), -float(J.min()))  # max|J|; NaN if J has one
+    amax = float(np.max(a))
+    if p.m >= 2.0 and amax > 0.0:
+        wmax = max(float(w_face.max()), -float(w_face.min()))
+        vmax = max(vmax, (p.m - 1.0) * amax ** ((p.m - 2.0) / (p.m - 1.0)) * wmax)
     if vmax > 0.0:
         dt, limit = h / vmax, "advective"
-    amax = float(np.max(a))
     if amax > 0.0:
-        stiff = 2.0 / (amax * _max_symbol(grid, p))
+        stiff = 2.0 / (amax * _max_symbol(grid.half_length, grid.n, p.s, p.eps))
         if stiff < dt:
             dt, limit = stiff, "stiffness"
     if p.delta > 0.0:
@@ -285,23 +314,34 @@ def cfl_dt(
 ) -> float:
     """Stable explicit step for the density scheme.
 
-    Three limits are combined with the safety factor: the face-flux
-    (advective) limit h/max|vel| with vel = (u+mu)^(m-1) * pressure
-    gradient, the viscosity limit h^2/(2 delta), and the limit
-    2/(max(u+mu)^(m-1) * lambda_max) of the linearized pressure coupling
-    u_t ~ -(u+mu)^(m-1) (-Delta)^(1-s) u, where lambda_max is the largest
-    symbol value of the nonlocal operator in use.  Without the last limit
-    the high modes of the pressure term go unstable even though the flux
-    CFL is satisfied.  With zero velocity and delta = 0 the returned step
-    is just `cap` (the configured horizon).  `w` is the pressure gradient
-    of u when the caller already has it; it is computed otherwise.
+    Three limits are combined with the safety factor CFL_SAFETY:
+
+    * advective, h/speed.  speed is max|J| over the face fluxes
+      J = -a_up * w_face, a = (u+mu)^(m-1); for m >= 2 it is at least the
+      characteristic speed (m-1) (max u + mu)^(m-2) max|w_face| of the
+      upwinded flux f(u) = (u+mu)^(m-1) w, the speed an upwind CFL bound
+      is about.  For m < 2, f' is unbounded as u -> 0 and the positivity
+      limiter keeps emptying cells nonnegative instead.
+    * stiffness, 2/(max a * lambda).  Frozen at a constant advective
+      factor, the update is explicit Euler on u_t = a * D_-(avg(w(u))),
+      whose eigenvalues are -a * Lambda(k) sin(kh)/(kh), with
+      Lambda = |k|^(2-2s) or the mollified symbol for eps > 0 (see
+      `_max_symbol`).  lambda is the largest of their moduli, so the
+      limit is the exact Euler stability bound of that operator; above
+      it the high modes grow even when the advective limit holds.
+    * viscosity, h^2/(2 delta), which keeps the three-point diffusion
+      step a positive map.
+
+    With zero velocity and delta = 0 the returned step is just `cap` (the
+    configured horizon).  `w` is the pressure gradient of u when the
+    caller already has it; it is computed otherwise.
     """
     if np.any(u.values < 0):
         raise ValueError("cfl_dt requires a nonnegative field")
     if w is None:
         w = pressure_gradient(u, p)
-    J, a = _face_flux(u.values, w.values, p, _Workspace(u.grid.n))
-    return _stable_dt(J, a, u.grid, p, cap)[0]
+    J, a, w_face = _face_flux(u.values, w.values, p, _Workspace(u.grid.n))
+    return _stable_dt(J, a, w_face, u.grid, p, cap)[0]
 
 
 def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParams,
@@ -385,7 +425,7 @@ def step_density(
     if w is None:
         w = pressure_gradient(u, p)
     ws = _Workspace(u.grid.n)
-    J, _ = _face_flux(u.values, w.values, p, ws)
+    J, _, _ = _face_flux(u.values, w.values, p, ws)
     u_new, clipped, _ = _apply_flux(u.values, J, dt, u.grid.spacing, p, ws)
     return u.with_values(u_new), clipped
 
@@ -448,8 +488,8 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     accumulated over the whole run and the run aborts if it ever exceeds
     1e-6 of the initial mass, after the step that overspent it.  Each step
     is bitwise the one :func:`cfl_dt` and :func:`step_density` would take;
-    the trajectory also records the dt range, the limit behind each step
-    and how many steps the positivity limiter cut an outflow in.
+    the trajectory also records the dt range and median, the limit behind
+    each step and how many steps the positivity limiter cut an outflow in.
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
@@ -459,13 +499,14 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     clipped_mass = 0.0
     stored_times, snapshots, diags = [], [], []
     limits = dict.fromkeys(STEP_LIMITS, 0)
-    dt_min, dt_max = math.inf, -math.inf
-    steps = limiter_steps = 0
+    dts = array.array("d")  # every step's dt, 8 bytes a step
+    limiter_steps = 0
 
     def trajectory() -> Trajectory:
-        span = (dt_min, dt_max) if steps else (math.nan, math.nan)
+        span = ((min(dts), max(dts), float(np.median(dts))) if dts
+                else (math.nan,) * 3)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                          clipped_mass, steps, *span, limits, limiter_steps)
+                          clipped_mass, len(dts), *span, limits, limiter_steps)
 
     # Steps work on plain arrays in one workspace, the states alternating
     # between its two state buffers; _march's frames are fresh arrays, so
@@ -478,11 +519,11 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     state = u0.with_values(ws.states[0])
 
     def step(u, t, cap):
-        nonlocal clipped_mass, steps, limiter_steps, dt_min, dt_max
+        nonlocal clipped_mass, limiter_steps
         state.values = u
         w = pressure_gradient(state, p).values  # shared by the bound and the update
-        J, a = _face_flux(u, w, p, ws)
-        dt, limit = _stable_dt(J, a, grid, p, cap)
+        J, a, w_face = _face_flux(u, w, p, ws)
+        dt, limit = _stable_dt(J, a, w_face, grid, p, cap)
         if dt <= 0.0 or not math.isfinite(dt):
             dt, limit = cap, "cap"
         try:
@@ -490,10 +531,9 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
         except SimulationUnstable:
             raise SimulationUnstable(t, trajectory()) from None
         clipped_mass += clipped
-        steps += 1
         limiter_steps += limited
         limits[limit] += 1
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        dts.append(dt)
         return u_next, dt
 
     for t, frames in _march(state.values, t_end, snap_times, step):

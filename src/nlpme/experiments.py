@@ -79,7 +79,8 @@ def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
     # those columns sum to steps, and limiter_steps the steps in which the
     # positivity limiter cut an outflow
     stats = {"steps": traj.steps, "clipped_mass": traj.clipped_mass,
-             "dt_min": traj.dt_min, "dt_max": traj.dt_max}
+             "dt_min": traj.dt_min, "dt_max": traj.dt_max,
+             "dt_median": traj.dt_median}
     stats.update((f"steps_{name}", count) for name, count in traj.limits.items())
     stats["limiter_steps"] = traj.limiter_steps
     write_csv(os.path.join(outdir, "solver_stats.csv"), list(stats),

@@ -19,11 +19,13 @@ where the truncation of the y-weighted terms is immaterial.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma
 
-from .grid import Field, FracOrder
+from .grid import Field, FracOrder, Grid1D
 from .operators import frac_laplacian, riesz_gradient, spectral_derivative
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "profile_residual",
     "residual_report",
     "extract_profile",
+    "barenblatt_m2",
 ]
 
 
@@ -359,3 +362,28 @@ def extract_profile(traj, ex: ExponentSet, t: float) -> Field:
     if mass_prof > 0.0 and mass_snap > 0.0:
         vals = vals * (mass_snap / mass_prof)
     return snap.with_values(vals)
+
+
+def barenblatt_m2(grid: Grid1D, mass: float, t: float, s: float) -> Field:
+    """Exact source-type solution of the m = 2, N = 1 flow, sampled at time t.
+
+    U(x, t) = t^(-beta) A (R^2 - (x t^(-beta))^2)_+^sigma with
+    beta = 1/(3 - 2s) and sigma = 1 - s (Biler, Imbert & Karch).  Since
+    (-Delta)^sigma (1 - y^2)_+^sigma = c_sigma on |y| < 1, with
+    c_sigma = 2^(2 sigma) Gamma(1 + sigma) Gamma(1/2 + sigma) / Gamma(1/2)
+    (Dyda), the choice A c_sigma = beta makes the pressure gradient equal
+    -beta y on the support, which is the profile equation.  R is fixed by
+    the mass, int A (R^2 - y^2)_+^sigma dy = A R^(2 sigma + 1) B(1/2, 1 + sigma),
+    and the support radius at time t is exactly R t^beta.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if not (mass > 0.0 and t > 0.0):
+        raise ValueError(f"mass and t must be positive, got mass={mass}, t={t}")
+    beta, sigma = 1.0 / (3.0 - 2.0 * s), 1.0 - s
+    c_sigma = 4.0**sigma * gamma(1.0 + sigma) * gamma(0.5 + sigma) / math.sqrt(math.pi)
+    A = beta / c_sigma
+    shape_mass = math.sqrt(math.pi) * gamma(1.0 + sigma) / gamma(1.5 + sigma)
+    R = (mass / (A * shape_mass)) ** (1.0 / (2.0 * sigma + 1.0))
+    y = grid.nodes * t**-beta
+    return Field(grid, t**-beta * A * np.maximum(R * R - y * y, 0.0) ** sigma)

@@ -2,8 +2,10 @@
 
 Oracles: stationarity of constants, exact flux telescoping for mass,
 re-evaluation of the stepped field for the sup-norm bound, hand loops of
-the public step functions for the driver, and the scaling algebra of the
-flow for the rescaling-commutation test.
+the public step functions for the driver, the scaling algebra of the
+flow for the rescaling-commutation test, the dense matrix of the stepped
+operator for the stiffness limit, and the exact m = 2 Barenblatt solution
+for the scheme's error.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nlpme.diagnostics import standard_checks
 from nlpme.evolve import (
     CFL_SAFETY,
     POSITIVITY_HEADROOM,
@@ -35,6 +38,7 @@ from nlpme.operators import (
     mollified_symbol,
 )
 from nlpme.initial_data import compact_bump, gaussian_bump, mollified_dirac
+from nlpme.similarity import barenblatt_m2
 
 
 def test_model_params_validation():
@@ -263,7 +267,7 @@ def test_simulate_density_equals_hand_loop_bitwise(p):
     """
     g = make_grid(8.0, 256)
     u0 = gaussian_bump(g, 1.0, width=0.7)
-    t_end = 0.5
+    t_end = 1.0
     snap_times = [0.0, 0.13, 0.31, t_end]
     traj = simulate_density(u0, p, t_end, snap_times=snap_times)
 
@@ -294,10 +298,10 @@ def _public_loop(u0, p, t_end, snap_times):
     """simulate_density's schedule written with the public cfl_dt and
     step_density, each computing its own pressure gradient.
 
-    Returns (frames, steps, clipped mass).
+    Returns (frames, the step sizes, clipped mass).
     """
-    u, t, steps, clipped = u0, 0.0, 0, 0.0
-    frames = [u0.values]
+    u, t, clipped = u0, 0.0, 0.0
+    frames, dts = [u0.values], []
     pending = list(snap_times[1:])
     while t < t_end - 1e-14:
         dt = cfl_dt(u, p, cap=t_end - t)
@@ -308,8 +312,9 @@ def _public_loop(u0, p, t_end, snap_times):
         while pending and pending[0] <= t + dt + 1e-14:
             theta = min(max((pending.pop(0) - t) / dt, 0.0), 1.0)
             frames.append((1 - theta) * u.values + theta * u_next.values)
-        u, t, steps = u_next, t + dt, steps + 1
-    return frames, steps, clipped
+        u, t = u_next, t + dt
+        dts.append(dt)
+    return frames, dts, clipped
 
 
 _regularization = st.one_of(st.just(0.0), st.floats(1e-3, 0.2))
@@ -336,8 +341,10 @@ def test_fused_density_loop_equals_public_steps(m, s, eps, delta, mu, n, compact
     snap_times = [0.0, 0.1, t_end]
     traj = simulate_density(u0, p, t_end, snap_times=snap_times)
 
-    frames, steps, clipped = _public_loop(u0, p, t_end, snap_times)
-    assert traj.steps == steps
+    frames, dts, clipped = _public_loop(u0, p, t_end, snap_times)
+    assert traj.steps == len(dts)
+    assert (traj.dt_min, traj.dt_max, traj.dt_median) == (min(dts), max(dts),
+                                                          np.median(dts))
     assert traj.clipped_mass == clipped
     assert len(traj.snapshots) == len(frames)
     for snap, frame in zip(traj.snapshots, frames):
@@ -347,6 +354,27 @@ def test_fused_density_loop_equals_public_steps(m, s, eps, delta, mu, n, compact
         assert abs(d.mass - mass0) <= 1e-12 * mass0
         assert snap.values.min() >= 0.0
     assert sum(traj.limits.values()) == traj.steps
+
+
+def _stepped_max_eigenvalue(g, p):
+    """Largest eigenvalue of v -> D_-(avg(pressure_gradient(v))): the
+    pressure symbol Lambda(k) times sin(kh)/(kh), over k_j, j = 1..n/2-1."""
+    n, h = g.n, g.spacing
+    kh = 2.0 * np.pi * np.arange(1, n // 2) / n
+    lam = (mollified_symbol(g, p.s, p.eps)[1:n // 2] if p.eps > 0.0
+           else (kh / h) ** (2.0 - 2.0 * p.s))
+    return float(np.max(lam * (np.sin(kh) / kh)))
+
+
+def _advective_speed(J, a, w_face, p):
+    """max|J|, and for m >= 2 at least (m-1) (max u + mu)^(m-2) max|w_face|,
+    with (max u + mu)^(m-2) taken as max(a)^((m-2)/(m-1))."""
+    speed = float(np.max(np.abs(J)))
+    amax = float(np.max(a))
+    if p.m >= 2.0 and amax > 0.0:
+        wmax = float(np.max(np.abs(w_face)))
+        speed = max(speed, (p.m - 1.0) * amax ** ((p.m - 2.0) / (p.m - 1.0)) * wmax)
+    return speed
 
 
 def _reference_step(u, p, dt, w):
@@ -401,8 +429,8 @@ def test_step_equals_reference_scheme(p, factor):
     a = (u.values + p.mu) ** (p.m - 1.0)
     w_face = 0.5 * (w.values + np.roll(w.values, -1))
     vel = np.where(w_face < 0.0, a, np.roll(a, -1)) * w_face
-    bound = min(g.spacing / np.max(np.abs(vel)),
-                2.0 / (np.max(a) * (math.pi / g.spacing) ** (2.0 * (1.0 - p.s))))
+    bound = min(g.spacing / _advective_speed(vel, a, w_face, p),
+                2.0 / (np.max(a) * _stepped_max_eigenvalue(g, p)))
     if p.delta > 0.0:
         bound = min(bound, g.spacing**2 / (2.0 * p.delta))
     assert dt == CFL_SAFETY * bound
@@ -439,7 +467,7 @@ def test_abort_carries_exact_partial_trajectory(monkeypatch, abort):
     g = make_grid(8.0, 128)
     u0 = gaussian_bump(g, 1.0, width=0.7)
     p = ModelParams(2.0, 0.5)
-    t_end, k = 0.5, 5
+    t_end, k = 2.0, 5
     ts, us, dts = [0.0], [u0.values], []
     u = u0
     for _ in range(k + 1):
@@ -499,7 +527,7 @@ def test_step_telemetry(p, bound):
     assert sum(traj.limits.values()) == traj.steps > 1
     assert traj.limits[bound] == traj.steps - 1
     assert traj.limits["cap"] == 1
-    assert 0.0 < traj.dt_min <= traj.dt_max
+    assert 0.0 < traj.dt_min <= traj.dt_median <= traj.dt_max
 
 
 def test_step_telemetry_without_steps():
@@ -508,6 +536,7 @@ def test_step_telemetry_without_steps():
                             snap_times=[0.0])
     assert traj.steps == 0 and sum(traj.limits.values()) == 0
     assert math.isnan(traj.dt_min) and math.isnan(traj.dt_max)
+    assert math.isnan(traj.dt_median)
 
 
 def _reference_fpme_relaxation(u0, q, sigma, tau_end):
@@ -560,21 +589,19 @@ def _roll_face_flux(u, w, p):
     a = (u + p.mu) ** (p.m - 1.0)
     w_face = 0.5 * (w + np.roll(w, -1))
     a_up = np.where(w_face < 0.0, a, np.roll(a, -1))
-    return -a_up * w_face, a
+    return -a_up * w_face, a, w_face
 
 
-def _roll_stable_dt(J, a, grid, p, cap):
+def _roll_stable_dt(J, a, w_face, grid, p, cap):
     """_stable_dt as written with np.abs: the three limits in order."""
     h = grid.spacing
     dt, limit = math.inf, "cap"
-    vmax = float(np.max(np.abs(J)))
+    vmax = _advective_speed(J, a, w_face, p)
     if vmax > 0.0:
         dt, limit = h / vmax, "advective"
     amax = float(np.max(a))
     if amax > 0.0:
-        lam = (float(np.max(mollified_symbol(grid, p.s, p.eps))) if p.eps > 0.0
-               else (math.pi / h) ** (2.0 * (1.0 - p.s)))
-        stiff = 2.0 / (amax * lam)
+        stiff = 2.0 / (amax * _stepped_max_eigenvalue(grid, p))
         if stiff < dt:
             dt, limit = stiff, "stiffness"
     if p.delta > 0.0:
@@ -648,14 +675,15 @@ def test_workspace_step_equals_roll_pieces(m, s, eps, delta, mu, n, data, seed, 
     w = pressure_gradient(u, p).values
 
     ws = evolve._Workspace(n)
-    J, a = evolve._face_flux(u.values, w, p, ws)
-    J_ref, a_ref = _roll_face_flux(u.values, w, p)
+    J, a, w_face = evolve._face_flux(u.values, w, p, ws)
+    J_ref, a_ref, w_face_ref = _roll_face_flux(u.values, w, p)
     assert np.array_equal(_bits(J), _bits(J_ref))
     assert np.array_equal(_bits(a), _bits(a_ref))
+    assert np.array_equal(_bits(w_face), _bits(w_face_ref))
 
     cap = 10.0
-    dt, limit = evolve._stable_dt(J, a, g, p, cap)
-    assert (dt, limit) == _roll_stable_dt(J_ref, a_ref, g, p, cap)
+    dt, limit = evolve._stable_dt(J, a, w_face, g, p, cap)
+    assert (dt, limit) == _roll_stable_dt(J_ref, a_ref, w_face_ref, g, p, cap)
     assert limit in STEP_LIMITS
 
     dt = factor * dt
@@ -691,11 +719,11 @@ def test_snapshots_share_no_memory(monkeypatch):
     g = make_grid(8.0, 128)
     u0 = compact_bump(g, 1.0, radius=1.5)
     # repeated times, two frames inside one step, frames steps apart
-    snap_times = [0.0, 0.0, 0.01, 0.02, 0.02, 0.25, 0.5]
-    traj = simulate_density(u0, ModelParams(2.0, 0.5, delta=0.01), 0.5, snap_times)
+    snap_times = [0.0, 0.0, 0.01, 0.02, 0.02, 0.25, 0.5, 1.0]
+    traj = simulate_density(u0, ModelParams(2.0, 0.5, delta=0.01), 1.0, snap_times)
     assert len(made) == 1 and traj.steps > 5
     ws = made[0]
-    buffers = [ws.a, ws.J, ws.b1, ws.b2, ws.b3, *ws.states]
+    buffers = [ws.a, ws.J, ws.w_face, ws.b1, ws.b2, ws.b3, *ws.states]
     snaps = [snap.values for snap in traj.snapshots]
     assert len(snaps) == len(snap_times)
     for i, snap in enumerate(snaps):
@@ -715,8 +743,96 @@ def test_limiter_steps_telemetry():
     cells around a compact bump mobile."""
     g = make_grid(8.0, 128)
     quiet = simulate_density(gaussian_bump(g, 1.0, width=1.0), ModelParams(2.0, 0.5),
-                             0.1, [0.0, 0.1])
+                             1.0, [0.0, 1.0])
     assert quiet.steps > 1 and quiet.limiter_steps == 0
     busy = simulate_density(compact_bump(g, 1.0, radius=1.5),
-                            ModelParams(1.2, 0.6, mu=0.05), 0.1, [0.0, 0.1])
+                            ModelParams(1.2, 0.6, mu=0.05), 1.0, [0.0, 1.0])
     assert busy.steps > 1 and busy.limiter_steps == busy.steps
+
+
+# --- step bounds ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_max_symbol_is_the_stepped_operator_spectrum(n, s, eps):
+    """The stiffness limit's eigenvalue is that of the operator the update
+    steps.  Oracle: the dense matrix of v -> D_-(avg(pressure_gradient(v))),
+    built column by column from unit vectors; its eigenvalues are real and
+    nonpositive, and the largest modulus is _max_symbol."""
+    import nlpme.evolve as evolve
+
+    g = make_grid(10.0, n)
+    p = ModelParams(2.0, s, eps=eps)
+    matrix = np.empty((n, n))
+    for j in range(n):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        w = pressure_gradient(Field(g, unit), p).values
+        w_face = 0.5 * (w + np.roll(w, -1))
+        matrix[:, j] = (w_face - np.roll(w_face, 1)) / g.spacing
+    eig = np.linalg.eigvals(matrix)
+    largest = np.max(np.abs(eig))
+    assert np.max(np.abs(eig.imag)) <= 1e-12 * largest
+    assert np.max(eig.real) <= 1e-12 * largest
+    got = evolve._max_symbol(g.half_length, n, s, eps)
+    assert got == pytest.approx(largest, rel=1e-12, abs=0.0)
+    # the continuum symbol at Nyquist overstates it
+    assert got < (math.pi / g.spacing) ** (2.0 - 2.0 * s)
+
+
+def _failed_checks(traj):
+    """The checks of standard_checks(tol=1e-8) that fail, with their values."""
+    failed = {}
+    for name, check in standard_checks(traj, tol=1e-8).items():
+        value, ok = check if isinstance(check, tuple) else (check.max_violation,
+                                                           check.passed)
+        if not ok:
+            failed[name] = float(value)
+    return failed
+
+
+@pytest.mark.parametrize("s", [0.7, 0.9])
+@pytest.mark.parametrize("m", [2.0, 3.0, 4.0])
+def test_m_ge_2_runs_keep_norms_monotone(m, s):
+    """For m >= 2 the advective limit bounds the flux's characteristic
+    speed, so the sup, L2 and L4 norms and the second energy decrease and
+    mass is conserved on every kind of initial data.  With max|J| alone
+    as the speed, the sup norm rose by 1.5e-2 (m = 3, s = 0.7, compact),
+    3.6e-2 (m = 3, s = 0.9, mollified Dirac) and 4.0e-2 (m = 4, s = 0.9,
+    compact)."""
+    g = make_grid(20.0, 512)
+    p = ModelParams(m, s)
+    snap_times = np.linspace(0.0, 2.0, 201)
+    for u0 in (gaussian_bump(g, 1.0), compact_bump(g, 1.0), mollified_dirac(g, 1.0)):
+        traj = simulate_density(u0, p, 2.0, snap_times)
+        assert _failed_checks(traj) == {}
+
+
+# L1 errors at t = 2 of the m = 2 Barenblatt solution started at t = 1
+# (L = 15, mass 1) under the former step bound, which used max|J| as the
+# speed and the continuum symbol at Nyquist; n = 1024, 2048, 4096
+_FORMER_BOUND_L1_ERRORS = {0.5: (1.36e-2, 7.68e-3, 4.07e-3),
+                           0.3: (8.51e-3, 4.61e-3, 2.38e-3)}
+
+
+@pytest.mark.parametrize("s", [0.5, 0.3])
+def test_barenblatt_m2_error_and_order(s):
+    """The exact m = 2 solution gauges the scheme: its L1 error does not
+    exceed the former bound's at any n, and it falls at order >= 0.8.
+    Oracle: similarity.barenblatt_m2 sampled at t = 1 (rescaled to
+    discrete mass 1), evolved for one time unit and compared at t = 2."""
+    ns = (1024, 2048, 4096)
+    errors = []
+    for n in ns:
+        g = make_grid(15.0, n)
+        u0 = barenblatt_m2(g, 1.0, 1.0, s).values
+        u0 = Field(g, u0 / (g.spacing * u0.sum()))
+        u1 = simulate_density(u0, ModelParams(2.0, s), 1.0, [0.0, 1.0]).snapshots[-1]
+        exact = barenblatt_m2(g, 1.0, 2.0, s).values
+        errors.append(g.spacing * np.abs(u1.values - exact).sum())
+    for err, former in zip(errors, _FORMER_BOUND_L1_ERRORS[s]):
+        assert err <= former
+    order = -np.polyfit(np.log(ns), np.log(errors), 1)[0]
+    assert order >= 0.8

@@ -8,6 +8,7 @@ itself for the eps -> 0 limit of the mollified quadrature operator.
 import numpy as np
 import pytest
 
+from nlpme.evolve import _max_symbol
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.operators import (
     frac_constant,
@@ -446,7 +447,8 @@ def test_symbol_caches_stay_bounded_and_read_only():
         frac_laplacian(f, FracOrder(float(s)))
         riesz_gradient(f, float(s))
         mollified_riesz_gradient(f, float(s), 0.1)
-    for cached in (_even_symbol, _odd_symbol, _folded_symbol):
+        _max_symbol(4.0, 16, float(s), 0.0)
+    for cached in (_even_symbol, _odd_symbol, _folded_symbol, _max_symbol):
         info = cached.cache_info()
         assert info.misses > info.maxsize and info.currsize <= info.maxsize
     for sym in (_even_symbol(4.0, 16, 0.5), _odd_symbol(4.0, 16, -1.0),

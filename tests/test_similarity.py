@@ -18,6 +18,7 @@ from nlpme.initial_data import gaussian_bump, two_bump
 from nlpme.operators import riesz_gradient, spectral_derivative
 from nlpme.similarity import (
     ProfileFamily,
+    barenblatt_m2,
     ProfileKind,
     extract_profile,
     fpme_parameter_map,
@@ -307,3 +308,27 @@ def test_profile_kind_validation():
         ProfileKind(ProfileFamily.FPME, 0.0)
     with pytest.raises(ValueError):
         mass_conserving_kind(0.4, 0.9, 1)  # below the threshold (N-2+2s)/N
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5])
+def test_barenblatt_m2_solves_its_profile_equation(s):
+    """The m = 2 closed form carries the mass, spreads like t^beta and has
+    the pressure gradient -beta x / t on its support, the self-similar
+    velocity.  Oracle: the spectral Riesz gradient of the sampled profile,
+    which reproduces the identity (-Delta)^(1-s) (1 - y^2)_+^(1-s) = const
+    only up to the box and grid errors (a few 1e-3 here)."""
+    g = make_grid(15.0, 4096)
+    beta = 1.0 / (3.0 - 2.0 * s)
+    radius = {}
+    for t in (1.0, 2.0):
+        u = barenblatt_m2(g, 1.0, t, s)
+        assert u.values.min() >= 0.0
+        assert abs(g.spacing * u.values.sum() - 1.0) < 1e-4
+        radius[t] = np.max(np.abs(g.nodes[u.values > 0.0]))
+        inner = np.abs(g.nodes) < 0.8 * radius[t]
+        want = -beta * g.nodes[inner] / t
+        got = riesz_gradient(u, s).values[inner]
+        assert np.max(np.abs(got - want)) < 5e-3 * np.max(np.abs(want))
+    assert abs(radius[2.0] - 2.0**beta * radius[1.0]) <= 2.0 * g.spacing
+    with pytest.raises(ValueError):
+        barenblatt_m2(g, 1.0, 0.0, s)
