@@ -42,11 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, FracOrder, Grid1D, make_grid
+from .grid import Field, FracOrder, Grid1D
 from .operators import (
+    _CACHE_SIZE,
+    _even_symbol,
     _frac_laplacian_rows,
+    _symbol,
     mollified_riesz_gradient,
-    mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,
 )
@@ -253,7 +255,7 @@ def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams, ws: _Workspace):
     return J, a, w_face
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _max_symbol(half_length: float, n: int, s: float, eps: float) -> float:
     """Largest eigenvalue of the linear operator the update steps.
 
@@ -267,12 +269,9 @@ def _max_symbol(half_length: float, n: int, s: float, eps: float) -> float:
     eps > 0.  The factor sin(kh)/(kh) falls to 0 at Nyquist, so the
     maximum sits well inside the spectrum, below Lambda(pi/h).
     """
-    h = 2.0 * half_length / n
+    lam = (_symbol(half_length, n, s, eps, 3) if eps > 0.0  # pressure_gradient's images
+           else _even_symbol(half_length, n, 2.0 - 2.0 * s))[1:n // 2]
     kh = 2.0 * np.pi * np.arange(1, n // 2) / n  # k_j h, j = 1..n/2-1
-    if eps > 0.0:
-        lam = mollified_symbol(make_grid(half_length, n), s, eps)[1:n // 2]
-    else:
-        lam = (kh / h) ** (2.0 - 2.0 * s)
     return float(np.max(lam * (np.sin(kh) / kh)))
 
 
@@ -280,9 +279,9 @@ def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
                p: ModelParams, cap: float):
     """Stable step from the face fluxes; returns (dt, binding limit).
 
-    The limits are those of :func:`cfl_dt`.  The m >= 2 characteristic
-    speed takes (max u + mu)^(m-2) as max(a)^((m-2)/(m-1)), so its one
-    extra reduction is over w_face.  The limit is the name in STEP_LIMITS
+    The limits are those of :func:`cfl_dt`.  The characteristic speed
+    takes (max u + mu)^(m-2) as max(a)^((m-2)/(m-1)), so its one extra
+    reduction is over w_face.  The limit is the name in STEP_LIMITS
     of the bound that set dt; a tie goes to the earlier one, and "cap"
     also covers a state with no limit at all.
     """
@@ -290,7 +289,7 @@ def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
     dt, limit = math.inf, "cap"
     vmax = max(float(J.max()), -float(J.min()))  # max|J|; NaN if J has one
     amax = float(np.max(a))
-    if p.m >= 2.0 and amax > 0.0:
+    if amax > 0.0:
         wmax = max(float(w_face.max()), -float(w_face.min()))
         vmax = max(vmax, (p.m - 1.0) * amax ** ((p.m - 2.0) / (p.m - 1.0)) * wmax)
     if vmax > 0.0:
@@ -317,11 +316,13 @@ def cfl_dt(
     Three limits are combined with the safety factor CFL_SAFETY:
 
     * advective, h/speed.  speed is max|J| over the face fluxes
-      J = -a_up * w_face, a = (u+mu)^(m-1); for m >= 2 it is at least the
-      characteristic speed (m-1) (max u + mu)^(m-2) max|w_face| of the
-      upwinded flux f(u) = (u+mu)^(m-1) w, the speed an upwind CFL bound
-      is about.  For m < 2, f' is unbounded as u -> 0 and the positivity
-      limiter keeps emptying cells nonnegative instead.
+      J = -a_up * w_face, a = (u+mu)^(m-1), or the characteristic speed
+      (m-1) (max u + mu)^(m-2) max|w_face| of the upwinded flux
+      f(u) = (u+mu)^(m-1) w at the largest density, whichever is larger:
+      the speed an upwind CFL bound is about.  For m >= 2 that is the
+      largest f' over the state.  For m < 2, f' is unbounded as u -> 0,
+      so the bulk's speed is taken and the positivity limiter keeps
+      emptying cells nonnegative.
     * stiffness, 2/(max a * lambda).  Frozen at a constant advective
       factor, the update is explicit Euler on u_t = a * D_-(avg(w(u))),
       whose eigenvalues are -a * Lambda(k) sin(kh)/(kh), with

@@ -359,19 +359,20 @@ def test_fused_density_loop_equals_public_steps(m, s, eps, delta, mu, n, compact
 def _stepped_max_eigenvalue(g, p):
     """Largest eigenvalue of v -> D_-(avg(pressure_gradient(v))): the
     pressure symbol Lambda(k) times sin(kh)/(kh), over k_j, j = 1..n/2-1."""
-    n, h = g.n, g.spacing
-    kh = 2.0 * np.pi * np.arange(1, n // 2) / n
+    n = g.n
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.spacing)[1:n // 2]
     lam = (mollified_symbol(g, p.s, p.eps)[1:n // 2] if p.eps > 0.0
-           else (kh / h) ** (2.0 - 2.0 * p.s))
+           else k ** (2.0 - 2.0 * p.s))
+    kh = 2.0 * np.pi * np.arange(1, n // 2) / n
     return float(np.max(lam * (np.sin(kh) / kh)))
 
 
 def _advective_speed(J, a, w_face, p):
-    """max|J|, and for m >= 2 at least (m-1) (max u + mu)^(m-2) max|w_face|,
-    with (max u + mu)^(m-2) taken as max(a)^((m-2)/(m-1))."""
+    """max|J|, and at least (m-1) (max u + mu)^(m-2) max|w_face|, with
+    (max u + mu)^(m-2) taken as max(a)^((m-2)/(m-1))."""
     speed = float(np.max(np.abs(J)))
     amax = float(np.max(a))
-    if p.m >= 2.0 and amax > 0.0:
+    if amax > 0.0:
         wmax = float(np.max(np.abs(w_face)))
         speed = max(speed, (p.m - 1.0) * amax ** ((p.m - 2.0) / (p.m - 1.0)) * wmax)
     return speed
@@ -794,14 +795,16 @@ def _failed_checks(traj):
 
 
 @pytest.mark.parametrize("s", [0.7, 0.9])
-@pytest.mark.parametrize("m", [2.0, 3.0, 4.0])
-def test_m_ge_2_runs_keep_norms_monotone(m, s):
-    """For m >= 2 the advective limit bounds the flux's characteristic
-    speed, so the sup, L2 and L4 norms and the second energy decrease and
-    mass is conserved on every kind of initial data.  With max|J| alone
-    as the speed, the sup norm rose by 1.5e-2 (m = 3, s = 0.7, compact),
-    3.6e-2 (m = 3, s = 0.9, mollified Dirac) and 4.0e-2 (m = 4, s = 0.9,
-    compact)."""
+@pytest.mark.parametrize("m", [1.5, 1.8, 2.0, 3.0, 4.0])
+def test_strong_pressure_runs_keep_norms_monotone(m, s):
+    """The advective limit bounds the flux's characteristic speed at the
+    largest density, so the sup, L2 and L4 norms and the second energy
+    decrease and mass is conserved on every kind of initial data.  With
+    max|J| alone as the speed, the sup norm rose by 1.5e-2 (m = 3,
+    s = 0.7, compact), 3.6e-2 (m = 3, s = 0.9, mollified Dirac),
+    4.0e-2 (m = 4, s = 0.9, compact) and 1.4e-2 (m = 1.5, s = 0.7,
+    compact), and by 9.4e-3 (m = 1.8, s = 0.7, compact) once the
+    stiffness limit no longer bound those steps."""
     g = make_grid(20.0, 512)
     p = ModelParams(m, s)
     snap_times = np.linspace(0.0, 2.0, 201)
