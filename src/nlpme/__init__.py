@@ -45,7 +45,6 @@ from .integrated import (
 from .operators import (
     frac_constant,
     frac_laplacian,
-    half_order_energy,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
     mollified_symbol,
@@ -60,7 +59,6 @@ from .similarity import (
     extract_profile,
     fpme_parameter_map,
     fpme_rate,
-    profile_residual,
     residual_report,
     scaling_exponents,
     transform_fpme_profile,
@@ -68,7 +66,6 @@ from .similarity import (
 )
 from .diagnostics import (
     asymptotic_convergence,
-    energy_monotonicity,
     finite_propagation_report,
     infinite_propagation_report,
     lp_norm,
@@ -78,7 +75,6 @@ from .diagnostics import (
     standard_checks,
     support_radius,
     tail_mass,
-    weak_form_residual,
 )
 
 __version__ = "0.1.0"

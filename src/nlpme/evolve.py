@@ -187,16 +187,23 @@ def pressure_gradient(u: Field, p: ModelParams) -> Field:
     return riesz_gradient(u, p.s)
 
 
-def _roll1(a: np.ndarray, shift: int) -> np.ndarray:
-    """np.roll(a, shift, axis=-1) for shift = +1 or -1.
+def _roll1(a: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.roll(a, shift, axis=-1) for shift = +1 or -1, written by slices.
 
     Bitwise the same result, for one field or a (B, n) stack of them,
     without np.roll's generic-axis overhead, which costs more than the copy
-    on the grids used here.
+    on the grids used here.  The result goes into `out` when given, into a
+    new array otherwise.
     """
+    if out is None:
+        out = np.empty_like(a, order="C")
     if shift == 1:
-        return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
-    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+        out[..., 1:] = a[..., :-1]
+        out[..., 0] = a[..., -1]
+    else:
+        out[..., :-1] = a[..., 1:]
+        out[..., -1] = a[..., 0]
+    return out
 
 
 class _Workspace:
@@ -221,17 +228,6 @@ class _Workspace:
         return self.states[1] if u is self.states[0] else self.states[0]
 
 
-def _shifted(a: np.ndarray, out: np.ndarray, shift: int) -> np.ndarray:
-    """np.roll(a, shift) for shift = +1 or -1, written into `out` by slices."""
-    if shift == 1:
-        out[1:] = a[:-1]
-        out[0] = a[-1]
-    else:
-        out[:-1] = a[1:]
-        out[-1] = a[0]
-    return out
-
-
 def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams, ws: _Workspace):
     """Face fluxes J, advective factor a = (u + mu)^(m-1) and face-averaged
     pressure gradient w_face of one state.
@@ -245,10 +241,10 @@ def _face_flux(u: np.ndarray, w: np.ndarray, p: ModelParams, ws: _Workspace):
     """
     a = np.add(u, p.mu, out=ws.a)
     a **= p.m - 1.0  # in place, through the same scalar-power fast paths as `**`
-    w_face = _shifted(w, ws.w_face, -1)
+    w_face = _roll1(w, -1, ws.w_face)
     w_face += w
     w_face *= 0.5
-    J = _shifted(a, ws.J, -1)
+    J = _roll1(a, -1, ws.J)
     np.copyto(J, a, where=np.less(w_face, 0.0, out=ws.mask))  # upwind a
     np.negative(J, out=J)
     J *= w_face
@@ -269,7 +265,7 @@ def _max_symbol(half_length: float, n: int, s: float, eps: float) -> float:
     eps > 0.  The factor sin(kh)/(kh) falls to 0 at Nyquist, so the
     maximum sits well inside the spectrum, below Lambda(pi/h).
     """
-    lam = (_symbol(half_length, n, s, eps, 3) if eps > 0.0  # pressure_gradient's images
+    lam = (_symbol(half_length, n, s, eps) if eps > 0.0
            else _even_symbol(half_length, n, 2.0 - 2.0 * s))[1:n // 2]
     kh = 2.0 * np.pi * np.arange(1, n // 2) / n  # k_j h, j = 1..n/2-1
     return float(np.max(lam * (np.sin(kh) / kh)))
@@ -362,7 +358,7 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
     :class:`SimulationUnstable` on NaN.
     """
     r = dt / h
-    outflow = _shifted(J, ws.b1, 1)
+    outflow = _roll1(J, 1, ws.b1)
     np.negative(outflow, out=outflow)
     np.maximum(outflow, 0.0, out=outflow)       # leaves cell i through face i-1/2
     outflow += np.maximum(J, 0.0, out=ws.b2)    # leaves cell i through face i+1/2
@@ -379,11 +375,11 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
         np.divide(room, outflow, out=factor, where=np.greater(outflow, 0.0, out=ws.mask))
         np.minimum(1.0, factor, out=factor)
         # the donor of face i+1/2 is cell i when J>0, cell i+1 when J<0
-        donor = _shifted(factor, ws.b1, -1)
+        donor = _roll1(factor, -1, ws.b1)
         np.copyto(donor, factor, where=np.greater(J, 0.0, out=ws.mask))
         J *= donor
 
-    div = np.subtract(J, _shifted(J, ws.b1, 1), out=ws.b1)
+    div = np.subtract(J, _roll1(J, 1, ws.b1), out=ws.b1)
     div *= r
     u_new = np.subtract(u, div, out=ws.next_state(u))
     clipped = 0.0
@@ -395,9 +391,9 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
         # applied to the post-flux field: (I + dt*delta*Lap_h) preserves
         # nonnegativity on its own under the delta CFL bound, so the two
         # substeps cannot jointly overdraw a cell
-        visc = _shifted(u_new, ws.b1, -1)
+        visc = _roll1(u_new, -1, ws.b1)
         visc -= np.multiply(u_new, 2.0, out=ws.b2)
-        visc += _shifted(u_new, ws.b2, 1)
+        visc += _roll1(u_new, 1, ws.b2)
         visc /= h**2
         visc *= dt * p.delta
         u_new += visc
@@ -626,8 +622,12 @@ def fpme_profile_by_rescaling(
     e^tau_end while continuously rescaling, which avoids resampling the
     slowly decaying tails through the box boundary.  The outward drift is
     discretized as an upwind face flux (a spectral derivative of the drift
-    is neutrally stable and blows up under explicit stepping); its box
-    truncation does not telescope, so mass is renormalized each step.
+    is neutrally stable and blows up under explicit stepping) with zero
+    flux through the wrap face, so its periodic difference telescopes and
+    conserves mass to roundoff; the renormalization each step only
+    restores mass removed by the positivity clip.  Raises
+    :class:`SimulationUnstable` at the rescaled time reached when phi^q
+    is not finite.
     """
     grid = u0.grid
     beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)  # N = 1
@@ -642,18 +642,24 @@ def fpme_profile_by_rescaling(
     # each face is its outward neighbor
     outward = y_face > 0.0
     tau = 0.0
-    while tau < tau_end:
-        umax = float(u.max())
-        dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
-        dt_drift = h / (beta1 * grid.half_length)
-        dt = CFL_SAFETY * min(dt_diff, dt_drift, (tau_end - tau) / CFL_SAFETY)
-        diff = _frac_laplacian_rows(u**q, grid, order)
-        flux = y_face * np.where(outward, _roll1(u, -1), u)
-        div_drift = (flux - _roll1(flux, 1)) / h
-        u = u - dt * diff + dt * beta1 * div_drift
-        u = np.maximum(u, 0.0)
-        total = h * u.sum()
-        if total > 0.0:
-            u *= mass / total
-        tau += dt
+    # an overflowing u**q is caught by the operator's finiteness check, before
+    # max(u)^(q-1) could overflow in the step bound
+    with np.errstate(over="ignore"):
+        while tau < tau_end:
+            try:
+                diff = _frac_laplacian_rows(u**q, grid, order)
+            except ValueError:
+                raise SimulationUnstable(tau) from None
+            umax = float(u.max())
+            dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
+            dt_drift = h / (beta1 * grid.half_length)
+            dt = CFL_SAFETY * min(dt_diff, dt_drift, (tau_end - tau) / CFL_SAFETY)
+            flux = y_face * np.where(outward, _roll1(u, -1), u)
+            div_drift = (flux - _roll1(flux, 1)) / h
+            u = u - dt * diff + dt * beta1 * div_drift
+            u = np.maximum(u, 0.0)
+            total = h * u.sum()
+            if total > 0.0:
+                u *= mass / total
+            tau += dt
     return u0.with_values(u)

@@ -11,6 +11,7 @@ atomically; the process exit status is 0 only if every check passed.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -37,6 +38,7 @@ from .evolve import (
 from .grid import Field, FracOrder, make_grid
 from .initial_data import gaussian_bump
 from .integrated import (
+    _bump_support,
     comparison_sweep,
     differentiate_primitive,
     infinite_speed_witness,
@@ -57,7 +59,7 @@ from .svgfig import LineFigure, Series, write_svg
 __all__ = ["run_experiment"]
 
 
-def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
+def _snapshot_outputs(traj, outdir, files, max_curves: int = 8):
     grid = traj.grid
     write_npy_columns(os.path.join(outdir, "snapshots.npy"),
                       [grid.nodes] + [s.values for s in traj.snapshots])
@@ -97,6 +99,21 @@ def _snapshot_outputs(cfg, traj, outdir, files, max_curves: int = 8):
     files.append("density_evolution.svg")
 
 
+def _barrier_knobs(cfg: ExperimentConfig, section: str) -> tuple:
+    """x0 and t_probe of the barrier witness, checked before anything runs."""
+    if not 1.0 < cfg.model.m < 2.0:
+        raise ConfigError(f"model.m: the barrier needs 1 < m < 2, got {cfg.model.m:g}")
+    x0 = knob(cfg, f"{section}.x0", float, -1.0)
+    center, radius = _bump_support(x0)
+    if not (x0 < 0.0 and center + radius < cfg.grid.half_length):
+        raise ConfigError(f"{section}.x0: need x0 < 0 and the barrier bump on "
+                          f"[-x0+1, -x0+3] inside the grid, got {x0:g}")
+    t_probe = knob(cfg, f"{section}.t_probe", float, 0.1)
+    if not 0.0 < t_probe < math.inf:
+        raise ConfigError(f"{section}.t_probe: must be positive, got {t_probe:g}")
+    return x0, t_probe
+
+
 def _standard_check_results(checks: dict) -> list:
     out = []
     for name, val in checks.items():
@@ -119,7 +136,7 @@ def _exp_simulate(cfg: ExperimentConfig, outdir: str):
                               total == 0.0 or tail < 0.01 * total, tail,
                               "mass within 10% of the box edge at final time"))
     files: list = []
-    _snapshot_outputs(cfg, traj, outdir, files)
+    _snapshot_outputs(traj, outdir, files)
     return checks, files
 
 
@@ -128,6 +145,9 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
     tol_rel = knob(cfg, "integrated.duality_tol", float, 0.05)
     n_pairs = knob(cfg, "integrated.pairs", int, 50)
     n_steps = knob(cfg, "integrated.steps", int, 100)
+    for key, value in (("integrated.pairs", n_pairs), ("integrated.steps", n_steps)):
+        if value < 1:
+            raise ConfigError(f"{key}: must be at least 1, got {value}")
     alpha = FracOrder(1.0 - p.s)
 
     u0 = cfg.initial_field()
@@ -203,6 +223,9 @@ def _exp_continuation(cfg: ExperimentConfig, outdir: str):
                 "continuation.schedule: each entry needs three values (eps delta mu)")
         schedule.append(tuple(vals))
     checkpoint = knob(cfg, "continuation.checkpoint", float, cfg.t_end)
+    if not 0.0 <= checkpoint <= cfg.t_end:
+        raise ConfigError(f"continuation.checkpoint: must lie in [0, time.t_end], "
+                          f"got {checkpoint:g}")
 
     u0 = cfg.initial_field()
     final, report = continuation_limit(u0, cfg.model, schedule,
@@ -226,7 +249,7 @@ def _exp_continuation(cfg: ExperimentConfig, outdir: str):
                   ["pair", "l2_distance"],
                   [np.arange(1, len(report.distances) + 1), report.distances])
         files.append("cauchy_distances.csv")
-    _snapshot_outputs(cfg, final, outdir, files)
+    _snapshot_outputs(final, outdir, files)
     return checks, files
 
 
@@ -241,6 +264,10 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
             raise ConfigError(
                 f"propagation.window: holds {inside} of the snapshot times; "
                 "the affine support fit needs at least 3")
+    elif mode == "infinite":
+        x0, t_probe = _barrier_knobs(cfg, "propagation")
+    else:
+        raise ConfigError(f"propagation.mode: unknown mode {mode!r}")
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     files: list = []
@@ -259,11 +286,9 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
                    (rep.fit[0] + rep.fit[1] * rep.times).tolist(), "affine fit"),
         ]), os.path.join(outdir, "support_radius.svg"))
         files.append("support_radius.svg")
-    elif mode == "infinite":
+    else:
         thr = 1e-12 * float(np.max(u0.values))
         r0 = float(np.max(np.abs(cfg.grid.nodes[u0.values > thr])))
-        x0 = knob(cfg, "propagation.x0", float, -1.0)
-        t_probe = knob(cfg, "propagation.t_probe", float, 0.1)
         witness = infinite_speed_witness(
             integrate_density(u0), cfg.model.m, cfg.model.s, x0, t_probe=t_probe)
         rep = infinite_propagation_report(traj, r0, witness.passed)
@@ -280,9 +305,7 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
                   ["t", "tail_mass", "support_radius"],
                   [rep.times, rep.tail_masses, rep.support_radii])
         files.append("tail_mass.csv")
-    else:
-        raise ConfigError(f"propagation.mode: unknown mode {mode!r}")
-    _snapshot_outputs(cfg, traj, outdir, files)
+    _snapshot_outputs(traj, outdir, files)
     return checks, files
 
 
@@ -318,7 +341,7 @@ def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
         Series(fit.times.tolist(), theory.tolist(), "theory slope"),
     ], logx=True, logy=True), os.path.join(outdir, "decay_loglog.svg"))
     files.append("decay_loglog.svg")
-    _snapshot_outputs(cfg, traj, outdir, files)
+    _snapshot_outputs(traj, outdir, files)
     return checks, files
 
 
@@ -363,6 +386,12 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
     q = knob(cfg, "transform.q", float, 2.0)
     sigma = knob(cfg, "transform.sigma", float, 0.5)
     tau_end = knob(cfg, "transform.tau_end", float, 14.0)
+    if not 1.0 < q < math.inf:  # the image exponent m = (2q-1)/q must exceed 1
+        raise ConfigError(f"transform.q: must be finite and exceed 1, got {q:g}")
+    if not 0.0 < sigma < 1.0:
+        raise ConfigError(f"transform.sigma: must lie in (0, 1), got {sigma:g}")
+    if not 0.0 < tau_end < math.inf:
+        raise ConfigError(f"transform.tau_end: must be positive, got {tau_end:g}")
     ratio_tol = knob(cfg, "transform.ratio_tol", float, 3.0)
     grid = cfg.grid
     coarse = make_grid(grid.half_length, grid.n // 2)
@@ -409,8 +438,7 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
 
 def _exp_barrier_check(cfg: ExperimentConfig, outdir: str):
     p = cfg.model
-    x0 = knob(cfg, "barrier.x0", float, -1.0)
-    t_probe = knob(cfg, "barrier.t_probe", float, 0.1)
+    x0, t_probe = _barrier_knobs(cfg, "barrier")
     u0 = cfg.initial_field()
     witness = infinite_speed_witness(
         integrate_density(u0), p.m, p.s, x0, t_probe=t_probe)

@@ -376,11 +376,16 @@ class BarrierBump:
         return out
 
 
-def make_barrier_bump(grid: Grid1D, x0: float, s: float, height: float = 1.0,
-                      offset: float = 1.0, width: float = 2.0) -> BarrierBump:
+def _bump_support(x0: float) -> tuple[float, float]:
+    """Centre and radius of the barrier bump for x0: support [-x0+1, -x0+3]."""
+    return -x0 + 1.0 + 1.0, 1.0
+
+
+def make_barrier_bump(grid: Grid1D, x0: float, s: float,
+                      height: float = 1.0) -> BarrierBump:
     """Place a smooth bump right of -x0 and verify its left fractional tail.
 
-    The bump exp(1 - 1/(1-y^2)) is supported on [-x0+offset, -x0+offset+width].
+    The bump exp(1 - 1/(1-y^2)) is supported on [-x0+1, -x0+3].
     The construction is accepted only if the whole-line (-Delta)^s of the
     bump is strictly negative at every grid node left of x0, in which case
     the measured decay constant tail_coef = min |x|^(1+2s) |(-Delta)^s G| is
@@ -390,8 +395,7 @@ def make_barrier_bump(grid: Grid1D, x0: float, s: float, height: float = 1.0,
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if not -grid.half_length < x0 < 0.0:
         raise ValueError(f"x0 must be negative and inside the grid, got {x0}")
-    center = -x0 + offset + 0.5 * width
-    radius = 0.5 * width
+    center, radius = _bump_support(x0)
     if center + radius >= grid.half_length:
         raise ValueError("bump support leaves the grid")
     bump = BarrierBump(
@@ -434,18 +438,19 @@ def barrier_subsolution(bp: BarrierParams, G: Field, t: float) -> Field:
 
 def subsolution_inequality_check(
     bp: BarrierParams, bump: BarrierBump, m: float, alpha: float,
-    times=(0.0, 0.05, 0.1), probe_limit: int = 40,
+    times=(0.0, 0.05, 0.1),
 ) -> dict:
     """Numerically check Phi_t + |Phi_x|^(m-1) (-Delta)^alpha Phi <= 0 left of x0.
 
     The time derivative and slope are analytic; the nonlocal term is the
-    whole-line quadrature of the power part plus the measured bump values.
-    Returns the worst value found and per-time maxima.
+    whole-line quadrature of the power part plus the measured bump values,
+    at up to 40 evenly spread grid nodes left of x0.  Returns the worst
+    value found and per-time maxima.
     """
     grid = bump.field.grid
     probes = grid.nodes[grid.nodes < bp.x0]
-    if len(probes) > probe_limit:
-        idx = np.linspace(0, len(probes) - 1, probe_limit).astype(int)
+    if len(probes) > 40:
+        idx = np.linspace(0, len(probes) - 1, 40).astype(int)
         probes = probes[idx]
 
     def power_part(y):
@@ -521,17 +526,17 @@ class WitnessReport:
 
 def infinite_speed_witness(
     v0: PrimitiveField, m: float, s: float, x0: float,
-    t_probe: float = 0.1, probe_x: float | None = None,
-    eps_b: float | None = None, tau: float = 1.0,
-    bump_height: float | None = None,
+    t_probe: float = 0.1,
 ) -> WitnessReport:
     """Run the integrated flow and verify the barrier witness chain.
 
     Checks, in order: the bump verification, the subsolution inequality on
     the probe region, domination of the barrier by v at t = 0 and on the
     right region over [0, t_probe], and finally positivity of both v and
-    the barrier at a probe strictly left of the initial support.  eps_b is
-    auto-calibrated to sit below the measured v at the probe when not given.
+    the barrier at a probe strictly left of the initial support.  The
+    barrier's time shift is tau = 1; the probe, the bump height and eps_b
+    are calibrated from the run, eps_b to sit below the measured v at the
+    probe.
     """
     alpha = 1.0 - s
     gamma, b = barrier_exponents(m, alpha)
@@ -544,15 +549,14 @@ def infinite_speed_witness(
 
     tol0 = 1e-12 * max(v0.total_mass, 1.0)
     left_edge = float(grid.nodes[np.argmax(v0.values > tol0)])
-    if probe_x is None:
-        # pick a node strictly left of the initial support but well inside
-        # the region the scheme has already invaded, so v there is sizable
-        invaded = np.argmax(v_end.values > 0.0)
-        x_inv = float(grid.nodes[invaded])
-        if x_inv < left_edge - grid.spacing:
-            probe_x = left_edge - 0.25 * (left_edge - x_inv)
-        else:
-            probe_x = left_edge - grid.spacing
+    # pick a node strictly left of the initial support but well inside the
+    # region the scheme has already invaded, so v there is sizable
+    invaded = np.argmax(v_end.values > 0.0)
+    x_inv = float(grid.nodes[invaded])
+    if x_inv < left_edge - grid.spacing:
+        probe_x = left_edge - 0.25 * (left_edge - x_inv)
+    else:
+        probe_x = left_edge - grid.spacing
     probe_i = int(np.argmin(np.abs(grid.nodes - probe_x)))
     probe_x = float(grid.nodes[probe_i])
     v_probe = float(v_end.values[probe_i])
@@ -560,25 +564,23 @@ def infinite_speed_witness(
     # right-region floor of v over the run, used to size the bump height
     right = grid.nodes >= x0
     k1 = min(float(st.values[right].min()) for st in states)
-    if bump_height is None:
-        bump_height = 0.5 * k1 if k1 > 0 else 0.5
-    bump = make_barrier_bump(grid, x0, s, height=bump_height)
+    bump = make_barrier_bump(grid, x0, s, height=0.5 * k1 if k1 > 0 else 0.5)
 
     def build(eb: float) -> BarrierParams:
         xi = (x0 + eb ** (-1.0 / gamma)) * 1.0001
-        return BarrierParams(x0=x0, xi=xi, eps_b=eb, tau=tau, cap=bump.cap,
+        return BarrierParams(x0=x0, xi=xi, eps_b=eb, tau=1.0, cap=bump.cap,
                              tail_coef=bump.tail_coef, gamma=gamma, b=b)
 
-    if eps_b is None:
-        # shrink eps_b geometrically until the barrier is positive at the
-        # probe yet still below the measured v there
-        eps_b = max(v_probe * 1e-3, 1e-60)
-        for _ in range(60):
-            bp_try = build(eps_b)
-            val = float(barrier_subsolution(bp_try, bump.field, t_probe).values[probe_i])
-            if 0.0 < val <= max(v_probe, 0.0):
-                break
-            eps_b *= 0.1
+    # shrink eps_b geometrically until the barrier is positive at the probe
+    # yet still below the measured v there, from below |x0|^(-gamma), under
+    # which xi is positive
+    eps_b = min(max(v_probe * 1e-3, 1e-60), 0.5 * (-x0) ** -gamma)
+    for _ in range(60):
+        bp_try = build(eps_b)
+        val = float(barrier_subsolution(bp_try, bump.field, t_probe).values[probe_i])
+        if 0.0 < val <= max(v_probe, 0.0):
+            break
+        eps_b *= 0.1
     bp = build(eps_b)
 
     ineq = subsolution_inequality_check(bp, bump, m, alpha,

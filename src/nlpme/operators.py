@@ -45,7 +45,6 @@ __all__ = [
     "frac_laplacian",
     "riesz_gradient",
     "inv_laplacian_gradient",
-    "half_order_energy",
     "neg_half_order_norm",
     "frac_constant",
     "mollified_frac_laplacian",
@@ -168,11 +167,6 @@ def inv_laplacian_gradient(f: Field) -> Field:
     return _apply_multiplier(f, _odd_symbol(f.grid.half_length, f.grid.n, -2.0))
 
 
-def half_order_energy(f: Field, order: FracOrder) -> float:
-    """Squared seminorm int |(-Delta)^(alpha/2) f|^2 dx via Parseval."""
-    return _parseval(f, _even_symbol(f.grid.half_length, f.grid.n, 2.0 * order.alpha))
-
-
 def neg_half_order_norm(f: Field, s: float) -> float:
     """Squared seminorm int |(-Delta)^(-s/2) f|^2 dx, zero mode excluded.
 
@@ -201,15 +195,17 @@ def frac_constant(alpha: float) -> float:
 
 # --- mollified operator -------------------------------------------------
 
+# box images summed explicitly in the periodized kernel; the analytic tail
+# completes the rest
+_IMAGES = 3
+
 
 @_cached_readonly
-def _periodized_weights(
-    half_length: float, n: int, s: float, eps: float, images: int
-) -> np.ndarray:
+def _periodized_weights(half_length: float, n: int, s: float, eps: float) -> np.ndarray:
     """Quadrature weights w_d = h * C * sum_j K_eps(d*h + 2*L*j), read-only.
 
     The kernel K_eps(z) = (z^2 + eps^2)^(-(3-2s)/2) is summed explicitly
-    over |j| <= images; the remaining tail decays like |z|^(-(3-2s)) and is
+    over |j| <= _IMAGES; the remaining tail decays like |z|^(-(3-2s)) and is
     completed analytically with Hurwitz zeta values (the eps^2 shift is
     negligible that far out).  Without the tail the operator misses a slow
     |z|^(2s-3) contribution that the spectral comparison tests can see.
@@ -219,10 +215,10 @@ def _periodized_weights(
     h = L2 / n
     z = h * np.arange(n)
     ksum = np.zeros(n)
-    for j in range(-images, images + 1):
+    for j in range(-_IMAGES, _IMAGES + 1):
         ksum += ((z + L2 * j) ** 2 + eps**2) ** (-p / 2.0)
     frac = z / L2
-    tail = L2 ** (-p) * (zeta(p, images + 1 + frac) + zeta(p, images + 1 - frac))
+    tail = L2 ** (-p) * (zeta(p, _IMAGES + 1 + frac) + zeta(p, _IMAGES + 1 - frac))
     weights = frac_constant(1.0 - s) * h * (ksum + tail)
     # the periodized kernel is even in the offset; symmetrizing removes the
     # tiny eps^2 asymmetry the analytic tail introduces at the window edge
@@ -230,17 +226,15 @@ def _periodized_weights(
 
 
 @_cached_readonly
-def _symbol(half_length: float, n: int, s: float, eps: float, images: int) -> np.ndarray:
-    w = _periodized_weights(half_length, n, s, eps, images)
+def _symbol(half_length: float, n: int, s: float, eps: float) -> np.ndarray:
+    w = _periodized_weights(half_length, n, s, eps)
     return np.maximum(w.sum() - np.fft.rfft(w).real, 0.0)  # clip roundoff at k=0
 
 
 @_cached_readonly
-def _folded_symbol(
-    half_length: float, n: int, s: float, eps: float, images: int
-) -> np.ndarray:
+def _folded_symbol(half_length: float, n: int, s: float, eps: float) -> np.ndarray:
     """i*lambda(k)/k, the symbol of d/dx (-Delta)^(-1) L_eps."""
-    return _odd_symbol(half_length, n, -2.0) * _symbol(half_length, n, s, eps, images)
+    return _odd_symbol(half_length, n, -2.0) * _symbol(half_length, n, s, eps)
 
 
 def _check_mollified(f: Field, s: float, eps: float):
@@ -251,9 +245,7 @@ def _check_mollified(f: Field, s: float, eps: float):
     _check_finite(f.values)
 
 
-def mollified_frac_laplacian(
-    f: Field, s: float, eps: float, images: int = 3
-) -> Field:
+def mollified_frac_laplacian(f: Field, s: float, eps: float) -> Field:
     """Mollified fractional Laplacian of order 1-s.
 
     Computes C(1-s) * sum_y (f(x) - f(y)) / (|x-y|^2 + eps^2)^((3-2s)/2) * h
@@ -262,12 +254,10 @@ def mollified_frac_laplacian(
     constants map to zero for any eps.
     """
     _check_mollified(f, s, eps)
-    return _apply_multiplier(f, mollified_symbol(f.grid, s, eps, images))
+    return _apply_multiplier(f, mollified_symbol(f.grid, s, eps))
 
 
-def mollified_riesz_gradient(
-    f: Field, s: float, eps: float, images: int = 3
-) -> Field:
+def mollified_riesz_gradient(f: Field, s: float, eps: float) -> Field:
     """Mollified pressure gradient d/dx (-Delta)^(-1) L_eps.
 
     The composition of :func:`inv_laplacian_gradient` with
@@ -275,11 +265,11 @@ def mollified_riesz_gradient(
     i*lambda(k)/k; it tends to :func:`riesz_gradient` as eps -> 0.
     """
     _check_mollified(f, s, eps)
-    sym = _folded_symbol(f.grid.half_length, f.grid.n, s, eps, images)
+    sym = _folded_symbol(f.grid.half_length, f.grid.n, s, eps)
     return _apply_multiplier(f, sym)
 
 
-def mollified_symbol(grid, s: float, eps: float, images: int = 3) -> np.ndarray:
+def mollified_symbol(grid, s: float, eps: float) -> np.ndarray:
     """Fourier eigenvalues of the mollified operator on the half spectrum.
 
     The discrete operator is a circulant difference operator, hence
@@ -290,22 +280,20 @@ def mollified_symbol(grid, s: float, eps: float, images: int = 3) -> np.ndarray:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return _symbol(grid.half_length, grid.n, s, eps, images)
+    return _symbol(grid.half_length, grid.n, s, eps)
 
 
 # --- whole-line quadrature (barrier verification) -----------------------
 
 
-def line_frac_laplacian(
-    fn, x: np.ndarray, alpha: float, split: float = 1.0
-) -> np.ndarray:
+def line_frac_laplacian(fn, x: np.ndarray, alpha: float) -> np.ndarray:
     """(-Delta)^alpha of a callable on the whole real line, pointwise.
 
     Uses the symmetric second-difference form
 
         C(alpha) * int_0^inf (2 f(x) - f(x+z) - f(x-z)) z^(-1-2*alpha) dz
 
-    with adaptive quadrature on (0, split) and (split, inf).  Intended for
+    with adaptive quadrature on (0, 1) and (1, inf).  Intended for
     smooth barrier profiles evaluated at a moderate number of points; not a
     grid operator.
     """
@@ -319,8 +307,8 @@ def line_frac_laplacian(
         def integrand(z, xi=xi, fxi=fxi):
             return (2.0 * fxi - fn(xi + z) - fn(xi - z)) * z ** (-1.0 - 2.0 * alpha)
 
-        near, _ = quad(integrand, 0.0, split, limit=200)
-        far, _ = quad(integrand, split, np.inf, limit=200)
+        near, _ = quad(integrand, 0.0, 1.0, limit=200)
+        far, _ = quad(integrand, 1.0, np.inf, limit=200)
         out[i] = C * (near + far)
     return out
 

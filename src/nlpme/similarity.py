@@ -39,7 +39,6 @@ __all__ = [
     "transform_fpme_profile",
     "HighMTransformResult",
     "transform_profile_high_m",
-    "profile_residual",
     "residual_report",
     "extract_profile",
     "barenblatt_m2",
@@ -135,16 +134,6 @@ def mass_conserving_kind(m: float, s: float, N: int = 1) -> ProfileKind:
     return ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s, N).beta2)
 
 
-def extinction_kind(m: float, s: float, N: int = 1) -> ProfileKind:
-    """Finite-time-extinction kind; requires m < (N-2+2s)/N for a positive rate."""
-    if m >= (N - 2.0 + 2.0 * s) / N:
-        raise ValueError(
-            f"extinction self-similarity needs m < {(N - 2.0 + 2.0 * s) / N}"
-        )
-    rate = 1.0 / (N * (1.0 - m) + 2.0 * s - 2.0)
-    return ProfileKind(ProfileFamily.EXTINCTION, rate)
-
-
 def fpme_parameter_map(q: float, sigma: float, N: int = 1):
     """Raw parameter correspondence (q, sigma) -> (m, s, family).
 
@@ -179,42 +168,30 @@ class FpmeTransformResult:
 
 
 def transform_fpme_profile(
-    phi1: Field, q: float, sigma: float, N: int = 1, c: float = 1.0
+    phi1: Field, q: float, sigma: float, N: int = 1
 ) -> FpmeTransformResult:
     """Map an FPME Barenblatt profile to a nonlocal-pressure profile.
 
-    The image profile is (beta1/rate)^(q/(1-q)) * phi1^q with
-    m = (2q-1)/q and s = 1 - sigma.  q = 1 makes the prefactor exponent
-    degenerate, and any q <= 1 lands at m <= 1, outside the range of the
-    pressure model; both are rejected (a documented exclusion: on the
-    borderline q = N/(N+2 sigma) the image m = (N-2+2s)/N never exceeds 1).
-    For the eternal borderline the free rate c is used with prefactor
-    (beta1/c)^(N/(2 sigma)) and power N/(N+2 sigma).
+    The image profile is (beta1/beta2)^(q/(1-q)) * phi1^q with
+    m = (2q-1)/q, s = 1 - sigma and beta2 the mass-conserving rate of
+    (m, s).  Any q <= 1 lands at m <= 1, outside the range of the pressure
+    model (q = 1 also degenerates the prefactor exponent), and is
+    rejected.  Every q > 1 lies above N/(N+2 sigma), so the image is
+    always mass-conserving: the extinction and eternal families of
+    :func:`fpme_parameter_map` have no image in the model.
     """
     if np.any(phi1.values < 0):
         raise ValueError("transform_fpme_profile requires a nonnegative profile")
-    if q == 1.0:
-        raise ValueError("q = 1 degenerates the prefactor exponent q/(1-q)")
-    beta1 = fpme_rate(q, sigma, N)
-    m, s, fam = fpme_parameter_map(q, sigma, N)
-    if m <= 1.0:
+    if not q > 1.0:
         raise ValueError(
-            f"image exponent m={m:.6g} <= 1 is outside the pressure model's range "
-            f"(q={q}); only q > 1 produces admissible profiles"
+            f"q={q} gives the image exponent m=(2q-1)/q <= 1, outside the "
+            "pressure model's range; only q > 1 produces admissible profiles"
         )
-    if fam is ProfileFamily.MASS_CONSERVING:
-        kind = mass_conserving_kind(m, s, N)
-        pref = (beta1 / kind.rate) ** (q / (1.0 - q))
-        power = q
-    elif fam is ProfileFamily.EXTINCTION:
-        kind = extinction_kind(m, s, N)
-        pref = (beta1 / kind.rate) ** (q / (1.0 - q))
-        power = q
-    else:
-        kind = ProfileKind(ProfileFamily.ETERNAL, c)
-        pref = (beta1 / c) ** (N / (2.0 * sigma))
-        power = N / (N + 2.0 * sigma)
-    profile = phi1.with_values(pref * phi1.values**power)
+    beta1 = fpme_rate(q, sigma, N)
+    m, s, _ = fpme_parameter_map(q, sigma, N)
+    kind = mass_conserving_kind(m, s, N)
+    pref = (beta1 / kind.rate) ** (q / (1.0 - q))
+    profile = phi1.with_values(pref * phi1.values**q)
     return FpmeTransformResult(profile=profile, m=m, s=s, kind=kind, prefactor=pref)
 
 
@@ -281,23 +258,20 @@ def _profile_terms(
     return nonlinear, _drift_term(phi, kind, N)
 
 
-def _masked_residual(
-    phi: Field, kind: ProfileKind, nonlinear: np.ndarray, drift: np.ndarray,
-    interior: float,
-) -> Field:
-    if kind.family in (ProfileFamily.MASS_CONSERVING, ProfileFamily.ETERNAL):
-        res = nonlinear + drift
-    else:
-        res = nonlinear - drift
-    mask = phi.grid.interior_mask(interior)
-    return phi.with_values(np.where(mask, res, 0.0))
+@dataclass
+class ResidualReport:
+    residual: Field
+    term_scale: float      # max magnitude of the individual equation terms
+    interior_max: float    # max |residual| on the interior window
+    relative: float        # interior_max / term_scale
 
 
-def profile_residual(
+def residual_report(
     phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float,
     N: int = 1, interior: float = 0.6,
-) -> Field:
-    """Pointwise residual of the selected stationary profile equation.
+) -> ResidualReport:
+    """Pointwise residual of the selected stationary profile equation,
+    plus a normalization by the size of the equation's terms.
 
     Residuals (zero for an exact profile):
 
@@ -311,25 +285,12 @@ def profile_residual(
     zero: the y-weighted drift is meaningless near the truncation boundary.
     """
     nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
-    return _masked_residual(phi, kind, nonlinear, drift, interior)
-
-
-@dataclass
-class ResidualReport:
-    residual: Field
-    term_scale: float      # max magnitude of the individual equation terms
-    interior_max: float    # max |residual| on the interior window
-    relative: float        # interior_max / term_scale
-
-
-def residual_report(
-    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float,
-    N: int = 1, interior: float = 0.6,
-) -> ResidualReport:
-    """Residual plus a normalization by the size of the equation's terms."""
-    nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
-    res = _masked_residual(phi, kind, nonlinear, drift, interior)
+    if kind.family in (ProfileFamily.MASS_CONSERVING, ProfileFamily.ETERNAL):
+        res = nonlinear + drift
+    else:
+        res = nonlinear - drift
     mask = phi.grid.interior_mask(interior)
+    res = phi.with_values(np.where(mask, res, 0.0))
     scale = max(
         float(np.max(np.abs(nonlinear[mask]))), float(np.max(np.abs(drift[mask])))
     )

@@ -373,6 +373,48 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("kind, m, section, key", [
+    ("transform-check", 2.0, "[transform]\nq = 0.5", "transform.q"),
+    ("transform-check", 2.0, "[transform]\nq = 0.8", "transform.q"),
+    ("transform-check", 2.0, "[transform]\nq = 1.0", "transform.q"),
+    ("transform-check", 2.0, "[transform]\nq = -1", "transform.q"),
+    ("transform-check", 2.0, "[transform]\nsigma = 1.5", "transform.sigma"),
+    ("transform-check", 2.0, "[transform]\ntau_end = 0", "transform.tau_end"),
+    ("transform-check", 2.0, "[transform]\ntau_end = -1", "transform.tau_end"),
+    ("barrier-check", 2.5, "", "model.m"),
+    ("propagation", 2.5, "[propagation]\nmode = infinite", "model.m"),
+    ("barrier-check", 1.5, "[barrier]\nx0 = 1", "barrier.x0"),
+    ("barrier-check", 1.5, "[barrier]\nx0 = -13", "barrier.x0"),
+    ("propagation", 1.5, "[propagation]\nx0 = 1", "propagation.x0"),
+    ("barrier-check", 1.5, "[barrier]\nt_probe = 0", "barrier.t_probe"),
+    ("barrier-check", 1.5, "[barrier]\nt_probe = -0.1", "barrier.t_probe"),
+    ("continuation", 2.0, "[continuation]\ncheckpoint = -1", "continuation.checkpoint"),
+    ("continuation", 2.0, "[continuation]\ncheckpoint = 5", "continuation.checkpoint"),
+    ("integrated", 1.5, "[integrated]\npairs = 0", "integrated.pairs"),
+    ("integrated", 1.5, "[integrated]\nsteps = -3", "integrated.steps"),
+])
+def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, key):
+    """A knob outside the range its pipeline can run ends in exit 2 naming
+    the key, before any manifest is written."""
+    cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
+    cfg = cfg.replace("m = 2.0", f"m = {m}")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
+    assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
+def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
+    """An FPME relaxation whose phi^q overflows ends in a manifest with a
+    failed `completed` check and exit 1, not a traceback."""
+    cfg = MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+    cfg = cfg.replace("mass = 1.0", "mass = 1e200")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["transform-check", "--config", _write(tmp_path, cfg)]) == 1
+    assert "[FAIL] completed" in capsys.readouterr().out
+    assert "check completed = FAIL" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
 def test_cli_missing_config_exit_two(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -1,8 +1,7 @@
-"""Diagnostics: norms, fits, propagation reports, weak form, families.
+"""Diagnostics: norms, fits, propagation reports, families.
 
 Oracles: synthetic exactly self-similar trajectories for the decay fit,
-hand-built monotone/reversed sequences for the monotonicity checks, the
-cancellation identity of the weak form for constant states, and exact
+a real run and its time reversal for the monotonicity checks, and exact
 grid-shift equivariance for the family-distance invariance.
 """
 
@@ -10,9 +9,7 @@ import numpy as np
 import pytest
 
 from nlpme.diagnostics import (
-    SeparableTestFunction,
     asymptotic_convergence,
-    energy_monotonicity,
     finite_propagation_report,
     infinite_propagation_report,
     lp_norm,
@@ -22,7 +19,6 @@ from nlpme.diagnostics import (
     standard_checks,
     support_radius,
     tail_mass,
-    weak_form_residual,
 )
 from nlpme.evolve import (
     ModelParams,
@@ -125,19 +121,6 @@ def test_smoothing_fit_rejects_short_span():
         smoothing_fit(traj, ex, window=(1.0, 3.0))
 
 
-def test_energy_monotonicity_synthetic():
-    g = make_grid(30.0, 256)
-    times = np.geomspace(1.0, 20.0, 8)
-    decaying = _synthetic_trajectory(g, 0.5, 0.5, times)
-    rep = energy_monotonicity(decaying, p=2.0)
-    assert rep["lp"].passed
-    reversed_traj = Trajectory(decaying.params, decaying.times,
-                               decaying.snapshots[::-1],
-                               decaying.diagnostics[::-1])
-    rep = energy_monotonicity(reversed_traj, p=2.0)
-    assert not rep["lp"].passed
-
-
 def test_standard_checks_on_real_run():
     g = make_grid(15.0, 512)
     u0 = gaussian_bump(g, 1.0, width=0.8)
@@ -148,49 +131,12 @@ def test_standard_checks_on_real_run():
     for key in ("sup_monotone", "l2_monotone", "l4_monotone",
                 "second_energy_monotone"):
         assert checks[key].passed
-
-
-def test_weak_form_zero_and_constant_states():
-    g = make_grid(10.0, 256)
-    p = ModelParams(2.0, 0.5)
-    times = np.linspace(0.0, 1.0, 9)
-
-    def traj_of(vals):
-        snaps = [Field(g, vals.copy()) for _ in times]
-        diags = [SnapshotDiagnostics(0, 0, 0, 0, 0, 0) for _ in times]
-        return Trajectory(p, times, snaps, diags)
-
-    tf = SeparableTestFunction(-4.0, 4.0, t_end=1.0)
-    assert weak_form_residual(traj_of(np.zeros(g.n)), tf) == 0.0
-    # constant state: the time-derivative integral cancels the initial term
-    # exactly (the chosen T(t) has a linear derivative, which the trapezoid
-    # rule integrates exactly) and the flux term vanishes identically
-    r = weak_form_residual(traj_of(np.full(g.n, 0.7)), tf)
-    assert abs(r) < 1e-12
-
-
-def test_weak_form_rejects_boundary_touching_testfn():
-    g = make_grid(5.0, 128)
-    p = ModelParams(2.0, 0.5)
-    times = np.linspace(0.0, 1.0, 5)
-    snaps = [Field(g, np.zeros(g.n)) for _ in times]
-    diags = [SnapshotDiagnostics(0, 0, 0, 0, 0, 0) for _ in times]
-    traj = Trajectory(p, times, snaps, diags)
-    with pytest.raises(ValueError):
-        weak_form_residual(traj, SeparableTestFunction(-6.0, 6.0, t_end=1.0))
-
-
-def test_weak_form_decreases_twofold_under_refinement():
-    """First-order scheme: halving h at least halves the residual."""
-    residuals = {}
-    for n in (512, 1024):
-        g = make_grid(10.0, n)
-        u0 = gaussian_bump(g, 1.0, width=0.8)
-        traj = simulate_density(u0, ModelParams(2.0, 0.5), 1.0,
-                                snap_times=np.linspace(0.0, 1.0, 81))
-        tf = SeparableTestFunction(-4.0, 4.0, t_end=1.0)
-        residuals[n] = abs(weak_form_residual(traj, tf))
-    assert residuals[512] >= 2.0 * residuals[1024]
+    # the same frames in reverse order grow in every norm
+    reversed_traj = Trajectory(p, traj.times, traj.snapshots[::-1],
+                               traj.diagnostics[::-1])
+    checks = standard_checks(reversed_traj)
+    for key in ("sup_monotone", "l2_monotone", "l4_monotone"):
+        assert not checks[key].passed and checks[key].max_violation > 0.0
 
 
 def test_family_smoothing_envelope_uniform_in_lambda():

@@ -288,10 +288,14 @@ def test_simulate_density_equals_hand_loop_bitwise(p):
 
 
 def test_roll1_is_np_roll():
+    """Bitwise np.roll along the last axis, allocated or written into `out`."""
     rng = np.random.default_rng(5)
     for a in (rng.standard_normal(37), rng.standard_normal((3, 37))):
         for shift in (1, -1):
-            assert np.array_equal(_roll1(a, shift), np.roll(a, shift, axis=-1))
+            want = np.roll(a, shift, axis=-1)
+            assert np.array_equal(_roll1(a, shift), want)
+            out = np.empty_like(a)
+            assert _roll1(a, shift, out) is out and np.array_equal(out, want)
 
 
 def _public_loop(u0, p, t_end, snap_times):

@@ -13,7 +13,6 @@ from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.operators import (
     frac_constant,
     frac_laplacian,
-    half_order_energy,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
     mollified_riesz_gradient,
@@ -198,28 +197,6 @@ def test_operators_are_linear():
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * max(np.max(np.abs(rhs)), 1.0)
 
 
-def test_half_order_energy_two_mode_parseval():
-    """Oracle: direct Parseval sum over the two modes of cos(k x)."""
-    g = make_grid(5.0, 256)
-    alpha = 0.4
-    k = 3 * np.pi / g.half_length
-    f = Field(g, np.cos(k * g.nodes))
-    # int |(-Delta)^(alpha/2) cos(kx)|^2 = |k|^(2 alpha) * L
-    expected = k ** (2 * alpha) * g.half_length
-    assert np.isclose(half_order_energy(f, FracOrder(alpha)), expected, rtol=1e-12)
-
-
-def test_half_order_energy_zero_and_translation():
-    g = make_grid(5.0, 128)
-    assert half_order_energy(Field(g, np.zeros(g.n)), FracOrder(0.5)) == 0.0
-    f = Field(g, np.exp(-g.nodes**2))
-    shifted = Field(g, np.roll(f.values, 17))
-    e1 = half_order_energy(f, FracOrder(0.5))
-    e2 = half_order_energy(shifted, FracOrder(0.5))
-    assert np.isclose(e1, e2, rtol=1e-12)
-    assert e1 >= 0.0
-
-
 def test_neg_half_order_norm_two_mode_parseval():
     g = make_grid(5.0, 256)
     s = 0.3
@@ -241,19 +218,19 @@ def test_neg_half_order_norm_ignores_constants():
 
 @pytest.mark.parametrize("n", [16, 256])
 def test_energies_match_complex_fft_parseval_oracle(n):
-    """Both energies equal the full-spectrum sum (2L/n^2) sum_k w(k) |f^(k)|^2.
+    """The energy equals the full-spectrum sum (2L/n^2) sum_k w(k) |f^(k)|^2.
 
-    Oracle: the complex FFT over all n bins, weight |k|^(2 alpha) or
-    |k|^(-2s) with the zero mode dropped from the negative power.  The
-    inputs put all their energy in the zero mode (both energies are then
-    exactly zero), in the Nyquist mode, or across every bin.
+    Oracle: the complex FFT over all n bins, weight |k|^(-2s) with the
+    zero mode dropped.  The inputs put all their energy in the zero mode
+    (the energy is then exactly zero), in the Nyquist mode, or across
+    every bin.
     """
     g = make_grid(3.0, n)
     absk = np.abs(_fft_wavenumbers(g))
     inv_absk = np.zeros(n)
     inv_absk[1:] = 1.0 / absk[1:]
     scale = 2.0 * g.half_length / n**2
-    alpha, s = 0.7, 0.4
+    s = 0.4
     rng = np.random.default_rng(11)
     inputs = {
         "constant": np.full(n, 1.3),
@@ -263,12 +240,9 @@ def test_energies_match_complex_fft_parseval_oracle(n):
     for name, vals in inputs.items():
         f = Field(g, vals)
         power = np.abs(np.fft.fft(vals)) ** 2
-        want_pos = scale * np.sum(absk ** (2.0 * alpha) * power)
-        want_neg = scale * np.sum(inv_absk ** (2.0 * s) * power)
-        got_pos = half_order_energy(f, FracOrder(alpha))
-        got_neg = neg_half_order_norm(f, s)
-        assert np.isclose(got_pos, want_pos, rtol=1e-13, atol=0.0), name
-        assert np.isclose(got_neg, want_neg, rtol=1e-13, atol=0.0), name
+        want = scale * np.sum(inv_absk ** (2.0 * s) * power)
+        got = neg_half_order_norm(f, s)
+        assert np.isclose(got, want, rtol=1e-13, atol=0.0), name
 
 
 def test_frac_constant_half_is_one_over_pi():
@@ -318,7 +292,7 @@ def test_mollified_symbol_matches_direct_apply():
     g = make_grid(4.0, 128)
     rng = np.random.default_rng(4)
     f = Field(g, rng.standard_normal(g.n))
-    w = _periodized_weights(g.half_length, g.n, 0.6, 0.2, 3)
+    w = _periodized_weights(g.half_length, g.n, 0.6, 0.2)
     d = np.arange(g.n)
     u = f.values
     direct = np.array([np.sum(w * (u[i] - u[(i - d) % g.n])) for i in range(g.n)])
@@ -407,7 +381,7 @@ def test_rfft_operators_match_complex_fft_oracle(n, s):
     inv_absk = np.zeros(n)
     inv_absk[1:] = 1.0 / absk[1:]
     eps = 0.2
-    w = _periodized_weights(g.half_length, g.n, s, eps, 3)
+    w = _periodized_weights(g.half_length, g.n, s, eps)
     lam = np.maximum(w.sum() - np.fft.fft(w).real, 0.0)
     oracles = {
         "spectral_derivative": (lambda f: spectral_derivative(f), 1j * k, True),
@@ -452,6 +426,6 @@ def test_symbol_caches_stay_bounded_and_read_only():
         info = cached.cache_info()
         assert info.misses > info.maxsize and info.currsize <= info.maxsize
     for sym in (_even_symbol(4.0, 16, 0.5), _odd_symbol(4.0, 16, -1.0),
-                _folded_symbol(4.0, 16, 0.5, 0.1, 3)):
+                _folded_symbol(4.0, 16, 0.5, 0.1)):
         with pytest.raises(ValueError):
             sym[0] = 1.0

@@ -566,3 +566,14 @@ def test_infinite_speed_witness_full_chain():
     # probe strictly left of the initial support
     left_edge = g.nodes[np.argmax(u0.values > 0)]
     assert rep.probe_x < left_edge
+
+
+@pytest.mark.parametrize("mass, x0", [(2.0, -11.9), (1e6, -1.0)])
+def test_witness_calibration_keeps_xi_positive(mass, x0):
+    """eps_b starts below |x0|^(-gamma), so xi > 0 for every x0 whose bump
+    fits and however large v is at the probe."""
+    g = make_grid(15.0, 256)
+    u0 = compact_bump(g, mass=mass, radius=1.25, center=-2.25)
+    rep = infinite_speed_witness(integrate_density(u0), 1.5, 0.5, x0)
+    assert rep.params.xi > 0.0
+    assert rep.params.eps_b < abs(x0) ** -rep.params.gamma

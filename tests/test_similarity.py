@@ -24,7 +24,6 @@ from nlpme.similarity import (
     fpme_parameter_map,
     fpme_rate,
     mass_conserving_kind,
-    profile_residual,
     residual_report,
     scaling_exponents,
     transform_fpme_profile,
@@ -157,7 +156,7 @@ def test_profile_residual_zero_field():
         (ProfileKind(ProfileFamily.ETERNAL, 1.0), (1.5, 0.5)),
         (ProfileKind(ProfileFamily.FPME, 0.5), (2.0, 0.5)),
     ):
-        res = profile_residual(zero, kind, *args)
+        res = residual_report(zero, kind, *args).residual
         assert np.all(res.values == 0.0)
 
 
@@ -168,7 +167,8 @@ def test_fpme_residual_of_constant_profile():
     c = 0.37
     phi = Field(g, np.full(g.n, c))
     beta1 = fpme_rate(2.0, 0.5, 1)
-    res = profile_residual(phi, ProfileKind(ProfileFamily.FPME, beta1), 2.0, 0.5)
+    res = residual_report(phi, ProfileKind(ProfileFamily.FPME, beta1), 2.0,
+                          0.5).residual
     interior = g.interior_mask(0.6)
     assert np.max(np.abs(res.values[interior] - (-beta1 * c))) < 1e-8
     assert np.all(res.values[~interior] == 0.0)  # boundary masked
@@ -193,7 +193,7 @@ def test_residual_scaling_covariance():
 
     T1, D = terms(phi)
     for a in (0.5, 2.0):
-        res = profile_residual(Field(g, a * phi.values), kind, m, s)
+        res = residual_report(Field(g, a * phi.values), kind, m, s).residual
         expected = a**m * T1 + kind.rate * a * D
         diff = np.abs(res.values[interior] - expected[interior])
         assert np.max(diff) < 1e-10 * max(np.max(np.abs(expected)), 1.0)
@@ -209,10 +209,10 @@ def test_companion_residual_formula():
     s, mhat, b = 0.5, 1.0, 1.0 / 3.0
     kind = ProfileKind(ProfileFamily.COMPANION, b)
     zero = Field(g, np.zeros(g.n))
-    assert np.all(profile_residual(zero, kind, mhat, s).values == 0.0)
+    assert np.all(residual_report(zero, kind, mhat, s).residual.values == 0.0)
 
     phi = Field(g, 0.1 + np.exp(-0.5 * g.nodes**2))
-    res = profile_residual(phi, kind, mhat, s)
+    res = residual_report(phi, kind, mhat, s).residual
     lap = frac_laplacian(Field(g, phi.values**mhat), FracOrder(1.0 - s)).values
     dphi = spectral_derivative(phi).values
     expected = phi.values**2 * lap - b * (phi.values - g.nodes * dphi)
@@ -238,7 +238,6 @@ def test_companion_term_scale_uses_its_own_drift():
                    np.max(np.abs(drift[interior])))
     assert np.isclose(rep.term_scale, expected, rtol=1e-12)
     assert np.isclose(rep.term_scale, 0.1379, atol=5e-5)
-    assert np.array_equal(res, profile_residual(phi, kind, mhat, s).values)
 
 
 def test_residual_operator_on_exact_linear_profile():
