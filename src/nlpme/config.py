@@ -35,6 +35,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -62,6 +63,10 @@ INITIAL_KINDS = ("gaussian", "bump", "two-bump", "heaviside-primitive", "file")
 
 # pipelines that normalize by the initial mass or its support
 NEEDS_MASS = ("continuation", "propagation", "asymptotics")
+# the key that sets how far each initial kind spreads over the grid
+EXTENT_KEYS = {"gaussian": "initial.width", "bump": "initial.radius",
+               "two-bump": "initial.widths", "heaviside-primitive": "initial.radius",
+               "file": "initial.path"}
 
 
 class ConfigError(ValueError):
@@ -122,7 +127,34 @@ class ExperimentConfig:
     raw_text: str = ""
 
     def initial_field(self) -> Field:
-        return self.initial.build(self.grid)
+        """The initial data on the grid.
+
+        Raises ConfigError, naming the key, when the data are not finite or
+        not nonnegative on the nodes, when no node samples them, when a
+        pipeline of NEEDS_MASS gets zero mass, or when the data are so large
+        that sup^max(4, m), the scale of the L4 diagnostic and of the flux,
+        passes 1e200 and the run would overflow.
+        """
+        kind = self.initial.kind
+        try:
+            u0 = self.initial.build(self.grid)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{EXTENT_KEYS[kind]}: the {kind} data cannot be "
+                              f"sampled at spacing {self.grid.spacing:g} ({exc})") from None
+        if np.any(u0.values < 0.0):
+            raise ConfigError(f"{EXTENT_KEYS[kind]}: the {kind} data must be nonnegative")
+        if self.experiment in NEEDS_MASS and not np.any(u0.values > 0.0):
+            raise ConfigError(f"{EXTENT_KEYS[kind]}: {self.experiment} needs positive "
+                              f"mass, but the {kind} data are zero on every node")
+        top = float(np.max(u0.values))
+        power = max(4.0, self.model.m)
+        if top > 0.0 and power * math.log10(top) > 200.0:
+            key = "initial.path" if kind == "file" else "initial.mass"
+            raise ConfigError(f"{key}: sup {top:.3g} of the {kind} data to the "
+                              f"power max(4, m) = {power:g} passes 1e200")
+        return u0
 
 
 def _get(parser, section, key, cast, default=None, required=False):
@@ -138,8 +170,16 @@ def _get(parser, section, key, cast, default=None, required=False):
         raise ConfigError(f"{dotted}: cannot parse {raw!r} ({exc})") from None
 
 
+def _finite(raw: str) -> float:
+    """float(raw), rejecting nan and inf, which parse but no run can use."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _floats(raw: str):
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -176,7 +216,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
     if not parser.has_section("grid"):
         raise ConfigError("grid: required section is missing")
-    half_length = _get(parser, "grid", "half_length", float, required=True)
+    half_length = _get(parser, "grid", "half_length", _finite, required=True)
     n = _get(parser, "grid", "n", int, required=True)
     try:
         grid = make_grid(half_length, n)
@@ -186,12 +226,12 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     model = None
     if parser.has_section("model"):
         kwargs = dict(
-            m=_get(parser, "model", "m", float, required=True),
-            s=_get(parser, "model", "s", float, required=True),
+            m=_get(parser, "model", "m", _finite, required=True),
+            s=_get(parser, "model", "s", _finite, required=True),
             N=_get(parser, "model", "n", int, default=1),
-            eps=_get(parser, "model", "eps", float, default=0.0),
-            delta=_get(parser, "model", "delta", float, default=0.0),
-            mu=_get(parser, "model", "mu", float, default=0.0),
+            eps=_get(parser, "model", "eps", _finite, default=0.0),
+            delta=_get(parser, "model", "delta", _finite, default=0.0),
+            mu=_get(parser, "model", "mu", _finite, default=0.0),
         )
         if kwargs["N"] != 1:
             raise ConfigError(
@@ -209,7 +249,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     t_end = 1.0
     snap_times = np.linspace(0.0, 1.0, 11)
     if parser.has_section("time"):
-        t_end = _get(parser, "time", "t_end", float, default=1.0)
+        t_end = _get(parser, "time", "t_end", _finite, default=1.0)
         if t_end <= 0:
             raise ConfigError(f"time.t_end: must be positive, got {t_end}")
         listed = _get(parser, "time", "snap_times", _floats)
@@ -234,21 +274,25 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             )
         initial = InitialSpec(
             kind=ikind,
-            mass=_get(parser, "initial", "mass", float, default=1.0),
-            width=_get(parser, "initial", "width", float, default=1.0),
-            radius=_get(parser, "initial", "radius", float, default=1.0),
-            center=_get(parser, "initial", "center", float, default=0.0),
+            mass=_get(parser, "initial", "mass", _finite, default=1.0),
+            width=_get(parser, "initial", "width", _finite, default=1.0),
+            radius=_get(parser, "initial", "radius", _finite, default=1.0),
+            center=_get(parser, "initial", "center", _finite, default=0.0),
             centers=_get(parser, "initial", "centers", _floats,
                          default=(-2.0, 1.5)),
             widths=_get(parser, "initial", "widths", _floats,
                         default=(0.9, 0.5)),
             weights=_get(parser, "initial", "weights", _floats,
                          default=(0.65, 0.35)),
-            x0=_get(parser, "initial", "x0", float, default=-1.0),
+            x0=_get(parser, "initial", "x0", _finite, default=-1.0),
             path=_get(parser, "initial", "path", str, default=""),
         )
         if initial.mass < 0:
             raise ConfigError(f"initial.mass: must be nonnegative, got {initial.mass}")
+        if initial.kind in ("bump", "heaviside-primitive") and not initial.radius > 0:
+            raise ConfigError(f"initial.radius: must be positive, got {initial.radius}")
+        if initial.kind == "two-bump" and not all(w > 0 for w in initial.widths):
+            raise ConfigError(f"initial.widths: must be positive, got {initial.widths}")
         if initial.mass == 0 and kind in NEEDS_MASS:
             raise ConfigError(f"initial.mass: {kind} needs positive mass, got 0")
         if initial.kind == "file":
@@ -288,12 +332,12 @@ def load_config(path, experiment: str | None = None) -> ExperimentConfig:
 
 
 def knob(cfg: ExperimentConfig, dotted: str, cast, default):
-    """Typed access to an experiment-specific knob."""
+    """Typed access to an experiment-specific knob; a float must be finite."""
     raw = cfg.knobs.get(dotted)
     if raw is None:
         return default
     try:
-        return cast(raw)
+        return (_finite if cast is float else cast)(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{dotted}: cannot parse {raw!r} ({exc})") from None
 

@@ -38,6 +38,8 @@ __all__ = [
     "infinite_propagation_report",
 ]
 
+PROBE_FACTOR = 1.5  # tail-mass probe radius over the initial support radius
+
 
 def mass(u: Field) -> float:
     """Box integral of the samples (periodic trapezoid = rectangle sum)."""
@@ -330,11 +332,11 @@ def infinite_propagation_report(traj: Trajectory, initial_radius: float,
                                 witness_passed: bool) -> PropagationReport:
     """Tail-mass witness of infinite propagation speed.
 
-    Verdict: the mass beyond 1.5 times the initial support radius at the
-    final time exceeds 1e3 times the solver's clipping floor, and the
-    integrated-model barrier witness passed.
+    Verdict: the mass beyond PROBE_FACTOR times the initial support radius
+    at the final time exceeds 1e3 times the solver's clipping floor, and
+    the integrated-model barrier witness passed.
     """
-    probe = 1.5 * initial_radius
+    probe = PROBE_FACTOR * initial_radius
     tails = np.array([tail_mass(s, probe) for s in traj.snapshots])
     radii = np.array([
         support_radius(s, 1e-8 * max(float(np.max(s.values)), 1e-300))

@@ -28,9 +28,9 @@ evaluation.  The limiter's factor pass runs only when some cell has
 POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
 (see `_apply_flux`) and skipping the multiply changes no bit.
 
-`_march` is the one time loop of this solver and the integrated scheme:
-snapshot schedule, horizon cap, interpolation of the frames a step
-crosses and the step-count guard; a solver supplies only its step.
+`_march` is the one time loop of this solver, the integrated scheme and
+the FPME relaxation: snapshot schedule, horizon cap, interpolation of the
+frames a step crosses and the step-count guard; each supplies its step.
 """
 
 from __future__ import annotations
@@ -621,11 +621,12 @@ def fpme_profile_by_rescaling(
     rescaled equation equates to evolving the original flow to time
     e^tau_end while continuously rescaling, which avoids resampling the
     slowly decaying tails through the box boundary.  The outward drift is
-    discretized as an upwind face flux (a spectral derivative of the drift
-    is neutrally stable and blows up under explicit stepping) with zero
-    flux through the wrap face, so its periodic difference telescopes and
-    conserves mass to roundoff; the renormalization each step only
-    restores mass removed by the positivity clip.  Raises
+    an upwind face flux (a spectral derivative of the drift is neutrally
+    stable and blows up under explicit stepping) with zero flux through
+    the wrap face, so its periodic difference telescopes and conserves
+    mass to roundoff; the renormalization each step only restores mass
+    removed by the positivity clip.  The steps run through `_march`:
+    raises :class:`RunAborted` past MAX_STEPS steps, and
     :class:`SimulationUnstable` at the rescaled time reached when phi^q
     is not finite.
     """
@@ -641,25 +642,27 @@ def fpme_profile_by_rescaling(
     # transport velocity of the drift is -beta*y (inward): the donor of
     # each face is its outward neighbor
     outward = y_face > 0.0
-    tau = 0.0
+
+    def step(u, tau, cap):
+        try:
+            diff = _frac_laplacian_rows(u**q, grid, order)
+        except ValueError:
+            raise SimulationUnstable(tau) from None
+        umax = float(u.max())
+        dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
+        dt_drift = h / (beta1 * grid.half_length)
+        dt = CFL_SAFETY * min(dt_diff, dt_drift, cap / CFL_SAFETY)
+        flux = y_face * np.where(outward, _roll1(u, -1), u)
+        div_drift = (flux - _roll1(flux, 1)) / h
+        u = u - dt * diff + dt * beta1 * div_drift
+        u = np.maximum(u, 0.0)
+        total = h * u.sum()
+        if total > 0.0:
+            u *= mass / total
+        return u, dt
+
     # an overflowing u**q is caught by the operator's finiteness check, before
     # max(u)^(q-1) could overflow in the step bound
     with np.errstate(over="ignore"):
-        while tau < tau_end:
-            try:
-                diff = _frac_laplacian_rows(u**q, grid, order)
-            except ValueError:
-                raise SimulationUnstable(tau) from None
-            umax = float(u.max())
-            dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
-            dt_drift = h / (beta1 * grid.half_length)
-            dt = CFL_SAFETY * min(dt_diff, dt_drift, (tau_end - tau) / CFL_SAFETY)
-            flux = y_face * np.where(outward, _roll1(u, -1), u)
-            div_drift = (flux - _roll1(flux, 1)) / h
-            u = u - dt * diff + dt * beta1 * div_drift
-            u = np.maximum(u, 0.0)
-            total = h * u.sum()
-            if total > 0.0:
-                u *= mass / total
-            tau += dt
-    return u0.with_values(u)
+        (_, phi), = (f for _, fs in _march(u, tau_end, [tau_end], step) for f in fs)
+    return u0.with_values(phi)

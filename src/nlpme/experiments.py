@@ -20,6 +20,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _floats, knob, window_knob
 from .csvio import write_csv, write_npy_columns
 from .diagnostics import (
+    PROBE_FACTOR,
     asymptotic_convergence,
     decay_fit_span,
     finite_propagation_report,
@@ -114,6 +115,17 @@ def _barrier_knobs(cfg: ExperimentConfig, section: str) -> tuple:
     return x0, t_probe
 
 
+def _fitting_primitive(u: Field, what: str):
+    """Primitive of u, checked before any run: ConfigError naming
+    grid.half_length when u reaches the box edge, where its primitive
+    cannot match the boundary values 0 and M."""
+    try:
+        return integrate_density(u)
+    except ValueError as exc:
+        raise ConfigError(f"grid.half_length: {what} reach the box edge "
+                          f"+-{u.grid.half_length:g} ({exc})") from None
+
+
 def _standard_check_results(checks: dict) -> list:
     out = []
     for name, val in checks.items():
@@ -150,9 +162,34 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
             raise ConfigError(f"{key}: must be at least 1, got {value}")
     alpha = FracOrder(1.0 - p.s)
 
+    # ordered pairs of the comparison sweep (mass-matched shifts: the box
+    # surrogate of whole-line comparison needs equal far-field offsets).
+    # Every pair is drawn before any run, so a box too small for them ends
+    # the experiment before it starts; stepping draws no random numbers, so
+    # the rng call order, and with it the seeded data, is that of drawing
+    # and stepping one pair at a time.
+    rng = np.random.default_rng(cfg.seed)
+    grid = cfg.grid
+    what = "the comparison pairs (Gaussians centred within 0.4 L)"
+    pairs = []
+    for _ in range(n_pairs):
+        u = np.zeros(grid.n)
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.uniform(-0.4 * grid.half_length, 0.4 * grid.half_length)
+            w = rng.uniform(0.4, 1.2)
+            a = rng.uniform(0.2, 1.0)
+            u += a * np.exp(-0.5 * ((grid.nodes - c) / w) ** 2)
+        shift = rng.uniform(0.2, 1.5)
+        ush = np.interp(grid.nodes + shift, grid.nodes, u, left=0.0, right=0.0)
+        ush *= u.sum() / ush.sum()
+        v = _fitting_primitive(Field(grid, u), what)
+        V = _fitting_primitive(Field(grid, ush), what)
+        V.values = np.maximum(V.values, v.values)
+        pairs.append((v, V))
+
     u0 = cfg.initial_field()
+    v0 = _fitting_primitive(u0, "the initial data")
     traj = simulate_density(u0, p, cfg.t_end, snap_times=[0.0, cfg.t_end])
-    v0 = integrate_density(u0)
     times, states, stats = simulate_integrated(
         v0, p.m, alpha, cfg.t_end, snap_times=[0.0, cfg.t_end])
     du = differentiate_primitive(states[-1])
@@ -166,29 +203,6 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
                     stats.monotonicity_mass < 1e-6 * v0.total_mass,
                     stats.monotonicity_mass),
     ]
-
-    # ordered-pair comparison sweep (mass-matched shifts: the box surrogate
-    # of whole-line comparison needs equal far-field offsets).  Every pair
-    # is drawn before any is stepped; stepping draws no random numbers, so
-    # the rng call order, and with it the seeded data, is that of drawing
-    # and stepping one pair at a time.
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid
-    pairs = []
-    for _ in range(n_pairs):
-        u = np.zeros(grid.n)
-        for _ in range(int(rng.integers(1, 4))):
-            c = rng.uniform(-0.4 * grid.half_length, 0.4 * grid.half_length)
-            w = rng.uniform(0.4, 1.2)
-            a = rng.uniform(0.2, 1.0)
-            u += a * np.exp(-0.5 * ((grid.nodes - c) / w) ** 2)
-        shift = rng.uniform(0.2, 1.5)
-        ush = np.interp(grid.nodes + shift, grid.nodes, u, left=0.0, right=0.0)
-        ush *= u.sum() / ush.sum()
-        v = integrate_density(Field(grid, u))
-        V = integrate_density(Field(grid, ush))
-        V.values = np.maximum(V.values, v.values)
-        pairs.append((v, V))
     worst, _ = comparison_sweep(pairs, p.m, alpha, n_steps)
     checks.append(CheckResult(
         "comparison_violation", worst < 1e-8, worst,
@@ -269,6 +283,15 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
     else:
         raise ConfigError(f"propagation.mode: unknown mode {mode!r}")
     u0 = cfg.initial_field()
+    if mode == "infinite":
+        v0 = _fitting_primitive(u0, "the initial data")
+        thr = 1e-12 * float(np.max(u0.values))
+        r0 = float(np.max(np.abs(cfg.grid.nodes[u0.values > thr])))
+        if PROBE_FACTOR * r0 >= cfg.grid.half_length:
+            raise ConfigError(
+                f"grid.half_length: the tail-mass probe at {PROBE_FACTOR:g} times "
+                f"the initial support radius {r0:g} reaches past the box "
+                f"half-length {cfg.grid.half_length:g}")
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     files: list = []
     checks: list = []
@@ -287,10 +310,8 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
         ]), os.path.join(outdir, "support_radius.svg"))
         files.append("support_radius.svg")
     else:
-        thr = 1e-12 * float(np.max(u0.values))
-        r0 = float(np.max(np.abs(cfg.grid.nodes[u0.values > thr])))
-        witness = infinite_speed_witness(
-            integrate_density(u0), cfg.model.m, cfg.model.s, x0, t_probe=t_probe)
+        witness = infinite_speed_witness(v0, cfg.model.m, cfg.model.s, x0,
+                                         t_probe=t_probe)
         rep = infinite_propagation_report(traj, r0, witness.passed)
         checks.append(CheckResult(
             "tail_mass_beyond_support",
@@ -394,6 +415,9 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
         raise ConfigError(f"transform.tau_end: must be positive, got {tau_end:g}")
     ratio_tol = knob(cfg, "transform.ratio_tol", float, 3.0)
     grid = cfg.grid
+    if grid.n < 32:  # make_grid needs n >= 16
+        raise ConfigError(f"grid.n: transform-check refines from a grid of n/2 "
+                          f"nodes, so n must be at least 32, got {grid.n}")
     coarse = make_grid(grid.half_length, grid.n // 2)
     kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
 
@@ -439,9 +463,8 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
 def _exp_barrier_check(cfg: ExperimentConfig, outdir: str):
     p = cfg.model
     x0, t_probe = _barrier_knobs(cfg, "barrier")
-    u0 = cfg.initial_field()
-    witness = infinite_speed_witness(
-        integrate_density(u0), p.m, p.s, x0, t_probe=t_probe)
+    v0 = _fitting_primitive(cfg.initial_field(), "the initial data")
+    witness = infinite_speed_witness(v0, p.m, p.s, x0, t_probe=t_probe)
     ineq = witness.inequality
     checks = [
         CheckResult("bump_tail_coefficient", witness.params.tail_coef > 0,

@@ -1,13 +1,16 @@
 """Config parsing, CSV round trips, SVG and manifest output, CLI contract."""
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlpme.cli import main
-from nlpme.config import ConfigError, parse_config
+from nlpme.config import EXPERIMENTS, INITIAL_KINDS, ConfigError, parse_config
 from nlpme.csvio import read_csv, write_csv, write_npy_columns
 from nlpme.grid import make_grid
 from nlpme.manifest import CheckResult, RunManifest, manifest_core, write_manifest
@@ -81,6 +84,23 @@ def test_parse_rejects_bad_grid_and_times():
         parse_config(MINIMAL.replace("t_end = 0.5", "t_end = -1.0"))
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace("snapshots = 3", "snap_times = 0.1 0.9"))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("t_end = 0.5", "t_end = nan", "time.t_end"),
+    ("t_end = 0.5", "t_end = inf", "time.t_end"),
+    ("snapshots = 3", "snap_times = 0 nan", "time.snap_times"),
+    ("m = 2.0", "m = inf", "model.m"),
+    ("s = 0.5", "s = 0.5\neps = nan", "model.eps"),
+    ("half_length = 15.0", "half_length = inf", "grid.half_length"),
+    ("mass = 1.0", "mass = inf", "initial.mass"),
+    ("width = 1.0", "width = 1.0\ncenter = nan", "initial.center"),
+])
+def test_parse_rejects_non_finite_values(old, new, key):
+    """nan and inf parse as floats but no run can use them."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace(old, new))
+    assert key in str(err.value)
 
 
 def test_parse_cli_override_conflict():
@@ -392,6 +412,8 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     ("continuation", 2.0, "[continuation]\ncheckpoint = 5", "continuation.checkpoint"),
     ("integrated", 1.5, "[integrated]\npairs = 0", "integrated.pairs"),
     ("integrated", 1.5, "[integrated]\nsteps = -3", "integrated.steps"),
+    ("integrated", 1.5, "[integrated]\nduality_tol = nan", "integrated.duality_tol"),
+    ("asymptotics", 2.0, "[asymptotics]\nt_probe = inf", "asymptotics.t_probe"),
 ])
 def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, key):
     """A knob outside the range its pipeline can run ends in exit 2 naming
@@ -402,6 +424,115 @@ def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, ke
     assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("kind, edits, section, key", [
+    # no node of h = 15/128 lies within 0.01 of x = 0.05
+    ("simulate", {"kind = gaussian": "kind = bump", "width = 1.0": "radius = 0.01\n"
+                  "center = 0.05"}, "", "initial.radius"),
+    ("simulate", {"kind = gaussian": "kind = bump", "width = 1.0": "radius = 0"}, "",
+     "initial.radius"),
+    ("simulate", {"kind = gaussian": "kind = two-bump", "width = 1.0": "widths = 0 1"},
+     "", "initial.widths"),
+    ("simulate", {"mass = 1.0": "mass = 1e200"}, "", "initial.mass"),
+    # the initial data and the comparison pairs reach the box edge
+    ("barrier-check", {"m = 2.0": "m = 1.5", "width = 1.0": "width = 6"}, "",
+     "grid.half_length"),
+    ("integrated", {"m = 2.0": "m = 1.5", "half_length = 15.0": "half_length = 4.0",
+                    "width = 1.0": "width = 0.5"}, "", "grid.half_length"),
+    # the coarse grid would have n = 8
+    ("transform-check", {"n = 256": "n = 16"}, "", "grid.n"),
+    # the tail-mass probe at 1.5 times the support radius ~10.4 lies outside
+    ("propagation", {"m = 2.0": "m = 1.5", "kind = gaussian": "kind = bump",
+                     "width = 1.0": "radius = 10.5"}, "[propagation]\nmode = infinite",
+     "grid.half_length"),
+], ids=["bump-between-nodes", "zero-radius", "zero-width", "huge-mass",
+        "initial-data-at-edge", "pairs-at-edge", "coarse-grid-too-small",
+        "probe-past-edge"])
+def test_cli_data_or_grid_the_box_cannot_hold_exit_two(tmp_path, capsys, monkeypatch,
+                                                       kind, edits, section, key):
+    """Initial data that no node samples, that are too large to measure or
+    that reach the box edge where a pipeline needs their primitive, and
+    grids too small for a pipeline, end in exit 2 naming the key before any
+    run starts."""
+    import nlpme.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the input checks")
+
+    for name in ("simulate_density", "fpme_profile_by_rescaling",
+                 "infinite_speed_witness"):
+        monkeypatch.setattr(experiments, name, no_run)
+    cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
+    for old, new in edits.items():
+        cfg = cfg.replace(old, new)
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
+    assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
+_SIZES = st.sampled_from([0.0, 1e-3, 0.01, 0.5, 1.0, 5.0, 10.5, 50.0])
+_MASSES = st.sampled_from([0.0, 1e-300, 1.0, 1e200])
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """(experiment, sections, file scale) of a config that parses or fails
+    to parse: every pipeline, small grids and boxes, stiff corners of m and
+    s, tiny horizons, every initial kind at extreme sizes and masses."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    model = {"m": draw(st.sampled_from([1.01, 1.2, 1.5, 1.99, 2.0, 3.0, 5.0])),
+             "s": draw(st.sampled_from([0.01, 0.1, 0.5, 0.9, 0.99]))}
+    for key in ("eps", "delta", "mu"):
+        value = draw(st.none() | st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+        if value is not None:
+            model[key] = value
+    kind = draw(st.sampled_from(INITIAL_KINDS))
+    size = draw(_SIZES)
+    initial = {"kind": kind, "mass": draw(_MASSES), "width": size, "radius": size,
+               "widths": f"{size} {draw(_SIZES)}",
+               "center": draw(st.sampled_from([0.0, 0.05, -3.0]))}
+    sections = {
+        "experiment": {"kind": experiment, "seed": draw(st.integers(0, 3))},
+        "model": model,
+        "grid": {"half_length": draw(st.sampled_from([1.0, 4.0, 15.0])),
+                 "n": draw(st.sampled_from([16, 32, 64]))},
+        "time": {"t_end": draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5])),
+                 "snapshots": draw(st.sampled_from([2, 3, 5]))},
+        "initial": initial,
+    }
+    if experiment == "transform-check" and draw(st.booleans()):
+        sections["transform"] = {
+            "q": draw(st.sampled_from([1.01, 1.5, 2.0, 4.0])),
+            "sigma": draw(st.sampled_from([0.01, 0.3, 0.5, 0.99])),
+            "tau_end": draw(st.sampled_from([1e-6, 0.1, 1.0, 3.0]))}
+    return experiment, sections, draw(st.sampled_from([0.0, 1.0, 1e200]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fuzz_configs())
+def test_cli_any_config_ends_in_an_exit_code(case):
+    """No config ends in a traceback or a hang: the CLI returns 0, 1 or 2,
+    and leaves a manifest on 0 and 1.  MAX_STEPS is lowered so that a run
+    that cannot finish ends in its RunAborted manifest within the test."""
+    import nlpme.evolve as evolve
+
+    experiment, sections, file_scale = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "MAX_STEPS", 2000)
+        if sections["initial"]["kind"] == "file":
+            n = sections["grid"]["n"]
+            values = file_scale * np.abs(np.random.default_rng(n).standard_normal(n))
+            write_csv(os.path.join(tmp, "u0.csv"), ["x", "u"], [np.arange(n), values])
+            sections["initial"]["path"] = os.path.join(tmp, "u0.csv")
+        sections["output"] = {"dir": os.path.join(tmp, "o")}
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for name, keys in sections.items())
+        code = main([experiment, "--config", _write(Path(tmp), text)])
+        assert code in (0, 1, 2)
+        if code != 2:
+            assert os.path.exists(os.path.join(tmp, "o", "manifest.txt"))
 
 
 def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
@@ -475,16 +606,23 @@ def test_cli_box_too_small_for_lambda_exit_one(tmp_path, capsys):
 
 
 def test_cli_step_limit_exit_one(tmp_path, capsys, monkeypatch):
-    """A run past evolve.MAX_STEPS ends in a manifest, not a traceback."""
+    """A run past evolve.MAX_STEPS ends in a manifest, not a traceback: a
+    density run, and an FPME relaxation at mass 1e200 and q = 1.5, where
+    phi^q stays finite and the step bound is ~1e-150, so that without the
+    guard the relaxation to tau_end = 14 never ends."""
     import nlpme.evolve as evolve
 
     monkeypatch.setattr(evolve, "MAX_STEPS", 3)
-    cfg = MINIMAL.replace("dir = out", f"dir = {tmp_path}/o")
-    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 1
-    assert "[FAIL] completed" in capsys.readouterr().out
-    text = (tmp_path / "o" / "manifest.txt").read_text()
-    assert "check completed = FAIL" in text
-    assert "exceeded 3 steps" in text
+    relaxation = MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+    relaxation = relaxation.replace("mass = 1.0", "mass = 1e200")
+    relaxation += "\n[transform]\nq = 1.5\n"
+    for kind, cfg in (("simulate", MINIMAL), ("transform-check", relaxation)):
+        cfg = cfg.replace("dir = out", f"dir = {tmp_path}/{kind}")
+        assert main([kind, "--config", _write(tmp_path, cfg)]) == 1
+        assert "[FAIL] completed" in capsys.readouterr().out
+        text = (tmp_path / kind / "manifest.txt").read_text()
+        assert "check completed = FAIL" in text
+        assert "exceeded 3 steps" in text
 
 
 def test_cli_integrated_writes_repair_stats(tmp_path):
