@@ -11,7 +11,6 @@ atomically; the process exit status is 0 only if every check passed.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 
@@ -110,7 +109,7 @@ def _barrier_knobs(cfg: ExperimentConfig, section: str) -> tuple:
         raise ConfigError(f"{section}.x0: need x0 < 0 and the barrier bump on "
                           f"[-x0+1, -x0+3] inside the grid, got {x0:g}")
     t_probe = knob(cfg, f"{section}.t_probe", float, 0.1)
-    if not 0.0 < t_probe < math.inf:
+    if not t_probe > 0.0:
         raise ConfigError(f"{section}.t_probe: must be positive, got {t_probe:g}")
     return x0, t_probe
 
@@ -407,11 +406,11 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
     q = knob(cfg, "transform.q", float, 2.0)
     sigma = knob(cfg, "transform.sigma", float, 0.5)
     tau_end = knob(cfg, "transform.tau_end", float, 14.0)
-    if not 1.0 < q < math.inf:  # the image exponent m = (2q-1)/q must exceed 1
-        raise ConfigError(f"transform.q: must be finite and exceed 1, got {q:g}")
+    if not q > 1.0:  # the image exponent m = (2q-1)/q must exceed 1
+        raise ConfigError(f"transform.q: must exceed 1, got {q:g}")
     if not 0.0 < sigma < 1.0:
         raise ConfigError(f"transform.sigma: must lie in (0, 1), got {sigma:g}")
-    if not 0.0 < tau_end < math.inf:
+    if not tau_end > 0.0:
         raise ConfigError(f"transform.tau_end: must be positive, got {tau_end:g}")
     ratio_tol = knob(cfg, "transform.ratio_tol", float, 3.0)
     grid = cfg.grid
