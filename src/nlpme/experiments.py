@@ -31,8 +31,8 @@ from .diagnostics import (
 from .evolve import (
     RunAborted,
     SimulationUnstable,
+    _relax_fpme,
     continuation_limit,
-    fpme_profile_by_rescaling,
     simulate_density,
 )
 from .grid import Field, FracOrder, make_grid
@@ -421,15 +421,16 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
     kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
 
     def residuals(g):
-        phi1 = fpme_profile_by_rescaling(
-            gaussian_bump(g, cfg.initial.mass, width=1.0), q, sigma, tau_end)
+        u0 = gaussian_bump(g, cfg.initial.mass, width=1.0)
+        values, stats = _relax_fpme(u0, q, sigma, tau_end)
+        phi1 = u0.with_values(values)
         rep1 = residual_report(phi1, kind1, q, sigma)
         mapped = transform_fpme_profile(phi1, q, sigma)
         rep2 = residual_report(mapped.profile, mapped.kind, mapped.m, mapped.s)
-        return phi1, mapped, rep1, rep2
+        return phi1, mapped, rep1, rep2, {"n": g.n, **stats}
 
-    phi1_c, mapped_c, rep1_c, rep2_c = residuals(coarse)
-    phi1_f, mapped_f, rep1_f, rep2_f = residuals(grid)
+    *_, rep2_c, stats_c = residuals(coarse)
+    phi1_f, mapped_f, rep1_f, rep2_f, stats_f = residuals(grid)
     ratio = rep2_f.relative / max(rep1_f.relative, 1e-300)
     checks = [
         CheckResult("residual_closure", ratio < ratio_tol, ratio,
@@ -446,6 +447,11 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
               [grid.nodes, phi1_f.values, mapped_f.profile.values,
                rep1_f.residual.values, rep2_f.residual.values])
     files.append("profiles.csv")
+    # relaxation telemetry, one row per grid, coarse first; clip_steps
+    # counts the steps in which the positivity clip removed mass
+    write_csv(os.path.join(outdir, "relaxation_stats.csv"), list(stats_f),
+              [[stats_c[key], stats_f[key]] for key in stats_f])
+    files.append("relaxation_stats.csv")
     write_svg(LineFigure("profile transformation", "y", "value", [
         Series(grid.nodes.tolist(), phi1_f.values.tolist(), "source"),
         Series(grid.nodes.tolist(), mapped_f.profile.values.tolist(), "mapped"),
@@ -509,16 +515,23 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> RunM
 
     A numerical abort (instability, too many steps, a box too small for
     the data) still produces a partial manifest with a failed `completed`
-    check that names the cause.  Returns the manifest; the caller decides
-    the exit status from `manifest.all_passed`.
+    check that names the cause.  A knob the pipeline rejects raises
+    ConfigError, and leaves no output directory behind that this call
+    made.  Returns the manifest; the caller decides the exit status from
+    `manifest.all_passed`.
     """
     outdir = output_dir or cfg.output_dir
+    created = not os.path.isdir(outdir)
     os.makedirs(outdir, exist_ok=True)
     man = RunManifest(experiment=cfg.experiment, config_text=cfg.raw_text)
     start = time.monotonic()
     try:
         checks, files = _DISPATCH[cfg.experiment](cfg, outdir)
         man.checks.extend(checks)
+    except ConfigError:  # raised before the pipeline writes anything
+        if created and not os.listdir(outdir):
+            os.rmdir(outdir)
+        raise
     except SimulationUnstable as exc:
         man.checks.append(CheckResult(
             "completed", False, exc.t_last,

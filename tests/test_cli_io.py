@@ -356,7 +356,7 @@ def test_cli_bad_knob_exit_two(tmp_path, capsys):
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + "\n[integrated]\npairs = x\n"
     assert main(["integrated", "--config", _write(tmp_path, cfg)]) == 2
     assert "integrated.pairs" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("lambdas", ["0.5 1 2", "abc", "1", "1 2 2", "2 1", "nan 2"])
@@ -367,7 +367,7 @@ def test_cli_bad_lambdas_exit_two(tmp_path, capsys, lambdas):
     cfg += f"\n[asymptotics]\nlambdas = {lambdas}\n"
     assert main(["asymptotics", "--config", _write(tmp_path, cfg)]) == 2
     assert "asymptotics.lambdas" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind, t_end, window", [
@@ -390,7 +390,7 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
         cfg += f"\n[{kind}]\nwindow = {window}\n"
     assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
     assert f"{kind}.window" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind, m, section, key", [
@@ -417,13 +417,13 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
 ])
 def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, key):
     """A knob outside the range its pipeline can run ends in exit 2 naming
-    the key, before any manifest is written."""
+    the key, and the output directory made for the run is removed again."""
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     cfg = cfg.replace("m = 2.0", f"m = {m}")
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
     assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind, edits, section, key", [
@@ -454,14 +454,13 @@ def test_cli_data_or_grid_the_box_cannot_hold_exit_two(tmp_path, capsys, monkeyp
     """Initial data that no node samples, that are too large to measure or
     that reach the box edge where a pipeline needs their primitive, and
     grids too small for a pipeline, end in exit 2 naming the key before any
-    run starts."""
+    run starts, and leave no output directory."""
     import nlpme.experiments as experiments
 
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the input checks")
 
-    for name in ("simulate_density", "fpme_profile_by_rescaling",
-                 "infinite_speed_witness"):
+    for name in ("simulate_density", "_relax_fpme", "infinite_speed_witness"):
         monkeypatch.setattr(experiments, name, no_run)
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     for old, new in edits.items():
@@ -469,7 +468,7 @@ def test_cli_data_or_grid_the_box_cannot_hold_exit_two(tmp_path, capsys, monkeyp
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
     assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 _SIZES = st.sampled_from([0.0, 1e-3, 0.01, 0.5, 1.0, 5.0, 10.5, 50.0])
@@ -504,7 +503,7 @@ def _fuzz_configs(draw):
     }
     if experiment == "transform-check" and draw(st.booleans()):
         sections["transform"] = {
-            "q": draw(st.sampled_from([1.01, 1.5, 2.0, 4.0])),
+            "q": draw(st.sampled_from([1.01, 1.5, 2.0, 4.0, 30.0])),
             "sigma": draw(st.sampled_from([0.01, 0.3, 0.5, 0.99])),
             "tau_end": draw(st.sampled_from([1e-6, 0.1, 1.0, 3.0]))}
     return experiment, sections, draw(st.sampled_from([0.0, 1.0, 1e200]))
@@ -514,8 +513,9 @@ def _fuzz_configs(draw):
 @given(case=_fuzz_configs())
 def test_cli_any_config_ends_in_an_exit_code(case):
     """No config ends in a traceback or a hang: the CLI returns 0, 1 or 2,
-    and leaves a manifest on 0 and 1.  MAX_STEPS is lowered so that a run
-    that cannot finish ends in its RunAborted manifest within the test."""
+    and leaves a manifest on 0 and 1 and no output directory on 2.
+    MAX_STEPS is lowered so that a run that cannot finish ends in its
+    RunAborted manifest within the test."""
     import nlpme.evolve as evolve
 
     experiment, sections, file_scale = case
@@ -533,6 +533,8 @@ def test_cli_any_config_ends_in_an_exit_code(case):
         assert code in (0, 1, 2)
         if code != 2:
             assert os.path.exists(os.path.join(tmp, "o", "manifest.txt"))
+        else:
+            assert not os.path.exists(os.path.join(tmp, "o"))
 
 
 def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
@@ -544,6 +546,27 @@ def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
     assert main(["transform-check", "--config", _write(tmp_path, cfg)]) == 1
     assert "[FAIL] completed" in capsys.readouterr().out
     assert "check completed = FAIL" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
+def test_cli_transform_check_writes_relaxation_stats(tmp_path):
+    """relaxation_stats.csv holds each grid's relaxation telemetry and is in
+    the manifest.  At the benchmark's transform-check config the clip never
+    fires, so both profiles are fixed points of the scheme, and the two
+    relaxations take at most 3500 steps (13,440 with an explicit drift)."""
+    cfg = MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+    cfg = cfg.replace("n = 256", "n = 1024").replace("mass = 1.0", "mass = 2.0")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    cfg += "\n[transform]\nq = 2.0\nsigma = 0.5\ntau_end = 14.0\n"
+    assert main(["transform-check", "--config", _write(tmp_path, cfg)]) == 0
+    header, cols = read_csv(tmp_path / "o" / "relaxation_stats.csv")
+    stats = dict(zip(header, cols))
+    assert header == ["n", "steps", "dt_min", "dt_median", "dt_max", "clip_steps"]
+    assert list(stats["n"]) == [512, 1024] and list(stats["clip_steps"]) == [0, 0]
+    assert stats["steps"][1] <= 2500 and stats["steps"].sum() <= 3500
+    assert np.all((0.0 < stats["dt_min"]) & (stats["dt_min"] <= stats["dt_median"])
+                  & (stats["dt_median"] <= stats["dt_max"]))
+    text = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "file relaxation_stats.csv = sha256:" in text
 
 
 def test_cli_missing_config_exit_two(tmp_path):
