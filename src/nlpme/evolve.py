@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # np.median's NaN check loads it on first use; set-up pays here
 
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
@@ -634,7 +635,7 @@ def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
     count, the dt minimum, median and maximum, and `clip_steps`, the
     number of steps in which the positivity clip removed mass.
     """
-    from scipy.linalg.lapack import dgtsv  # scipy.linalg costs ~60 ms to import
+    from scipy.linalg.lapack import dgtsv  # a cold scipy.linalg import costs ~0.2 s
 
     grid = u0.grid
     beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)  # N = 1

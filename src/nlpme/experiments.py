@@ -15,6 +15,7 @@ import os
 import time
 
 import numpy as np
+import numpy.random  # numpy loads it on first use (default_rng); here set-up pays
 
 from .config import ConfigError, ExperimentConfig, _floats, knob, window_knob
 from .csvio import write_csv, write_npy_columns
@@ -39,6 +40,7 @@ from .grid import Field, FracOrder, make_grid
 from .initial_data import gaussian_bump
 from .integrated import (
     _bump_support,
+    _check_barrier_range,
     comparison_sweep,
     differentiate_primitive,
     infinite_speed_witness,
@@ -111,6 +113,10 @@ def _barrier_knobs(cfg: ExperimentConfig, section: str) -> tuple:
     t_probe = knob(cfg, f"{section}.t_probe", float, 0.1)
     if not t_probe > 0.0:
         raise ConfigError(f"{section}.t_probe: must be positive, got {t_probe:g}")
+    try:
+        _check_barrier_range(cfg.model.m, cfg.model.s, x0, t_probe)
+    except ValueError as err:
+        raise ConfigError(f"model.m: {err}") from None
     return x0, t_probe
 
 

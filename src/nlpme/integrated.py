@@ -24,13 +24,15 @@ The barrier side implements the comparison machinery used to witness
 infinite propagation speed for m < 2: a decaying power profile plus a
 compactly supported bump whose fractional Laplacian has a strictly
 negative power tail on the far left.  The subsolution inequality for the
-combined barrier is checked numerically by whole-line quadrature rather
-than assumed.
+combined barrier is checked numerically rather than assumed, with fixed
+Gauss rules on the whole real line (:func:`line_frac_laplacian` and
+:func:`line_frac_laplacian_outside`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,11 +366,6 @@ class BarrierBump:
     probe_values: np.ndarray  # (-Delta)^s G at the probes
 
     def __call__(self, x):
-        if isinstance(x, float):  # quad's integrand: same operations, no arrays
-            y = (x - self.center) / self.radius
-            if abs(y) < 1.0:
-                return self.height * np.exp(1.0 - 1.0 / (1.0 - y * y))
-            return 0.0
         y = (np.asarray(x, dtype=float) - self.center) / self.radius
         out = np.zeros_like(y)
         inside = np.abs(y) < 1.0
@@ -442,10 +439,11 @@ def subsolution_inequality_check(
 ) -> dict:
     """Numerically check Phi_t + |Phi_x|^(m-1) (-Delta)^alpha Phi <= 0 left of x0.
 
-    The time derivative and slope are analytic; the nonlocal term is the
-    whole-line quadrature of the power part plus the measured bump values,
-    at up to 40 evenly spread grid nodes left of x0.  Returns the worst
-    value found and per-time maxima.
+    The time derivative and slope are analytic; the nonlocal term adds the
+    whole-line fractional Laplacians of the power part
+    (:func:`line_frac_laplacian`) and of the bump, which vanishes there
+    (:func:`line_frac_laplacian_outside`), at up to 40 evenly spread grid
+    nodes left of x0.  Returns the worst value found and per-time maxima.
     """
     grid = bump.field.grid
     probes = grid.nodes[grid.nodes < bp.x0]
@@ -524,6 +522,25 @@ class WitnessReport:
     passed: bool
 
 
+def _check_barrier_range(m: float, s: float, x0: float, t_probe: float) -> None:
+    """Raise ValueError when the witness's barrier would pass every float.
+
+    The witness's eps_b never exceeds |x0|^(-gamma)/2, so
+    xi = 1.0001 (x0 + eps_b^(-1/gamma)) is at least
+    1.0001 |x0| (2^(1/gamma) - 1).  The barrier peaks at the origin at
+    t_probe, at most at (t_probe + 1)^(b gamma) xi^(-gamma) (tau = 1).  gamma grows without
+    bound as m -> 2, so this peak, checked in logarithms with a margin of
+    1e8 for the products formed with it, bounds how close to 2 m can be.
+    """
+    gamma, b = barrier_exponents(m, 1.0 - s)
+    xi = 1.0001 * -x0 * math.expm1(math.log(2.0) / gamma)
+    log_peak = b * gamma * math.log1p(t_probe) - gamma * math.log(xi)
+    if not log_peak < math.log(sys.float_info.max / 1e8):
+        raise ValueError(f"the barrier peaks at 10^{log_peak / math.log(10.0):.0f} "
+                         f"(gamma = {gamma:.3g}), past the float range; take m "
+                         f"farther from 2 or |x0| larger")
+
+
 def infinite_speed_witness(
     v0: PrimitiveField, m: float, s: float, x0: float,
     t_probe: float = 0.1,
@@ -536,8 +553,10 @@ def infinite_speed_witness(
     the barrier at a probe strictly left of the initial support.  The
     barrier's time shift is tau = 1; the probe, the bump height and eps_b
     are calibrated from the run, eps_b to sit below the measured v at the
-    probe.
+    probe.  Raises ValueError before the run when the barrier could pass
+    the float range (:func:`_check_barrier_range`).
     """
+    _check_barrier_range(m, s, x0, t_probe)
     alpha = 1.0 - s
     gamma, b = barrier_exponents(m, alpha)
     grid = v0.grid

@@ -1,7 +1,8 @@
 """Run manifests: check verdicts, file checksums, config echo.
 
 The manifest is written atomically (temp file + rename) after all other
-outputs exist.  Timestamp-like lines are `#`-prefixed so determinism
+outputs exist.  Timestamp-like and provenance lines (the wall clock, the
+python, numpy and scipy versions) are `#`-prefixed so determinism
 comparisons can strip them: two runs of the same config must agree on
 every non-comment line.
 """
@@ -10,8 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
+
+import numpy
+# Only the top-level package (~10 ms), for its version: no scipy subpackage
+# loads at import.  bench/child.py also reads sys.modules["scipy"], so a
+# run that never imported scipy would fail there with a KeyError.
+import scipy
 
 __all__ = ["CheckResult", "RunManifest", "write_manifest", "manifest_core"]
 
@@ -47,7 +55,9 @@ class RunManifest:
 
 
 def _render(man: RunManifest) -> str:
-    lines = ["# nlpme run manifest", f"# wall_clock_seconds: {man.wall_clock:.3f}"]
+    lines = ["# nlpme run manifest", f"# wall_clock_seconds: {man.wall_clock:.3f}",
+             f"# versions: python {sys.version.split()[0]}, "
+             f"numpy {numpy.__version__}, scipy {scipy.__version__}"]
     lines.append(f"experiment = {man.experiment}")
     lines.append(f"version = {man.version}")
     lines.append(f"all_passed = {str(man.all_passed).lower()}")

@@ -1,6 +1,6 @@
 """Discrete nonlocal operators on periodic grids.
 
-Two families of operators live here:
+Three families of operators live here:
 
 * Spectral Fourier-multiplier operators: the fractional Laplacian
   (-Delta)^alpha with symbol |k|^(2*alpha), the Riesz-potential gradient
@@ -12,11 +12,16 @@ Two families of operators live here:
       L_eps u(x) = C(1-s) * int (u(x) - u(y)) / (|x-y|^2 + eps^2)^((3-2s)/2) dy
 
   discretized by quadrature with the kernel periodized over the box
-  images.  The discrete operator is circulant, so it is applied as the
-  Fourier multiplier lambda(k) of its quadrature weights.  As eps -> 0 it
+  images and its far tail completed with Hurwitz zeta values.  The
+  discrete operator is circulant, so it is applied as the Fourier
+  multiplier lambda(k) of its quadrature weights.  As eps -> 0 it
   converges to the spectral (-Delta)^(1-s), which is what the convergence
   tests check.  Its pressure gradient d/dx (-Delta)^(-1) L_eps is folded
   into the single multiplier i*lambda(k)/k.
+
+* Whole-line fractional Laplacians of a callable at given points, for
+  the barrier verification: fixed Gauss rules applied to all points at
+  once.
 
 Every multiplier acts on real fields through the real FFT: its symbol is
 sampled on the half spectrum k_j = pi*j/L, j = 0..n/2, memoised per
@@ -36,7 +41,9 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gamma, zeta
+# numpy loads these on first use; imported here, set-up pays for them, not a run
+import numpy.fft
+import numpy.polynomial
 
 from .grid import Field, FracOrder, Grid1D
 
@@ -188,9 +195,8 @@ def frac_constant(alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(
-        4.0**alpha * gamma(0.5 + alpha) / (math.sqrt(math.pi) * abs(gamma(-alpha)))
-    )
+    return (4.0**alpha * math.gamma(0.5 + alpha)
+            / (math.sqrt(math.pi) * abs(math.gamma(-alpha))))
 
 
 # --- mollified operator -------------------------------------------------
@@ -198,6 +204,31 @@ def frac_constant(alpha: float) -> float:
 # box images summed explicitly in the periodized kernel; the analytic tail
 # completes the rest
 _IMAGES = 3
+
+# Euler-Maclaurin for the Hurwitz zeta: direct terms, then the Bernoulli
+# numbers B_2, B_4, ..., B_16 of the remainder's corrections
+_ZETA_DIRECT = 10
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _hurwitz_zeta(p: float, a: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta sum_(k>=0) (a + k)^(-p), p > 1, elementwise in a.
+
+    Sums _ZETA_DIRECT terms, then adds the Euler-Maclaurin remainder at
+    x = a + _ZETA_DIRECT: x^(1-p)/(p-1) + x^(-p)/2 and the corrections
+    B_2j/(2j)! * p(p+1)...(p+2j-2) * x^(-p-2j+1) for j = 1..8.  For the
+    p in (1, 3) and a in (3, 5) of the periodized kernel the first omitted
+    correction is below 1e-18 relative.
+    """
+    a = np.asarray(a, dtype=float)
+    total = ((a[..., None] + np.arange(_ZETA_DIRECT)) ** -p).sum(axis=-1)
+    x = a + _ZETA_DIRECT
+    total += x ** (1.0 - p) / (p - 1.0) + 0.5 * x**-p
+    term = 0.5 * p * x ** (-p - 1.0)
+    for j, bernoulli in enumerate(_BERNOULLI, start=1):
+        total += bernoulli * term
+        term = term * (p + 2 * j - 1) * (p + 2 * j) / ((2 * j + 1) * (2 * j + 2) * x * x)
+    return total
 
 
 @_cached_readonly
@@ -218,7 +249,8 @@ def _periodized_weights(half_length: float, n: int, s: float, eps: float) -> np.
     for j in range(-_IMAGES, _IMAGES + 1):
         ksum += ((z + L2 * j) ** 2 + eps**2) ** (-p / 2.0)
     frac = z / L2
-    tail = L2 ** (-p) * (zeta(p, _IMAGES + 1 + frac) + zeta(p, _IMAGES + 1 - frac))
+    tail = L2 ** (-p) * (_hurwitz_zeta(p, _IMAGES + 1 + frac)
+                         + _hurwitz_zeta(p, _IMAGES + 1 - frac))
     weights = frac_constant(1.0 - s) * h * (ksum + tail)
     # the periodized kernel is even in the offset; symmetrizing removes the
     # tiny eps^2 asymmetry the analytic tail introduces at the window edge
@@ -285,6 +317,40 @@ def mollified_symbol(grid, s: float, eps: float) -> np.ndarray:
 
 # --- whole-line quadrature (barrier verification) -----------------------
 
+# Node counts of the fixed rules.  The near rule stays small: its nodes
+# closest to z = 0 carry the second difference's cancellation error.
+_OUTSIDE_NODES = 128
+_NEAR_NODES = 16
+_MID_NODES = 64
+_FAR_NODES = 96
+
+
+@_cached_readonly
+def _gauss_legendre(n: int) -> np.ndarray:
+    """Rows (nodes, weights) of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return np.stack([0.5 * (x + 1.0), 0.5 * w])
+
+
+@_cached_readonly
+def _gauss_jacobi(n: int, power: float) -> np.ndarray:
+    """Rows (nodes, weights) of the n-point rule for int_0^1 g(t) t^power dt.
+
+    Golub-Welsch, power > -1: with t = (1 + x)/2 the weight is the Jacobi
+    weight (1 + x)^power on [-1, 1], whose three-term recurrence gives a
+    symmetric tridiagonal matrix; its eigenvalues are the nodes and the
+    squared first components of its eigenvectors, times the weight's mass
+    1/(power + 1) on [0, 1], are the weights.
+    """
+    b = power
+    k = np.arange(1, n, dtype=float)
+    diag = np.empty(n)
+    diag[0] = b / (b + 2.0)
+    diag[1:] = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
+    off = 2.0 * k * (k + b) / ((2.0 * k + b) * np.sqrt((2.0 * k + b) ** 2 - 1.0))
+    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return np.stack([0.5 * (x + 1.0), vectors[0] ** 2 / (b + 1.0)])
+
 
 def line_frac_laplacian(fn, x: np.ndarray, alpha: float) -> np.ndarray:
     """(-Delta)^alpha of a callable on the whole real line, pointwise.
@@ -293,24 +359,43 @@ def line_frac_laplacian(fn, x: np.ndarray, alpha: float) -> np.ndarray:
 
         C(alpha) * int_0^inf (2 f(x) - f(x+z) - f(x-z)) z^(-1-2*alpha) dz
 
-    with adaptive quadrature on (0, 1) and (1, inf).  Intended for
-    smooth barrier profiles evaluated at a moderate number of points; not a
-    grid operator.
+    with fixed Gauss rules, each applied to all points at once: fn takes
+    arrays and is called once per rule.  fn must be smooth on each side of
+    the origin, so the integrand may kink only at z = |x|, and x must be
+    nonzero.  With c = min(1, |x|) the integral splits into
+
+    * [0, c]: Gauss-Jacobi for the weight z^(1-2*alpha), applied to the
+      second difference over z^2, which is smooth;
+    * [c, |x|]: Gauss-Legendre;
+    * [|x|, inf): z = |x| t^(-2) and Gauss-Jacobi for the weight
+      t^(4*alpha-1); a power tail |y|^(-gamma) of fn becomes t^(2*gamma),
+      smooth enough for a fixed rule also when gamma is not an integer.
+
+    Intended for smooth barrier profiles at a moderate number of points;
+    not a grid operator.
     """
-    from scipy.integrate import quad
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.0):
+        raise ValueError("x = 0 lies on the kink of the second difference")
+    ax = np.abs(x)[:, None]
+    c = np.minimum(ax, 1.0)
+    twice_fx = 2.0 * fn(x)[:, None]
 
-    C = frac_constant(alpha)
-    out = np.empty(len(x))
-    for i, xi in enumerate(np.asarray(x, dtype=float)):
-        fxi = fn(xi)
+    def second_difference(z):
+        return twice_fx - fn(x[:, None] + z) - fn(x[:, None] - z)
 
-        def integrand(z, xi=xi, fxi=fxi):
-            return (2.0 * fxi - fn(xi + z) - fn(xi - z)) * z ** (-1.0 - 2.0 * alpha)
-
-        near, _ = quad(integrand, 0.0, 1.0, limit=200)
-        far, _ = quad(integrand, 1.0, np.inf, limit=200)
-        out[i] = C * (near + far)
-    return out
+    t, w = _gauss_jacobi(_NEAR_NODES, 1.0 - 2.0 * alpha)
+    z = c * t
+    near = (second_difference(z) / z**2) @ w
+    t, w = _gauss_legendre(_MID_NODES)
+    z = c + (ax - c) * t
+    mid = (second_difference(z) * z ** (-1.0 - 2.0 * alpha)) @ w
+    t, w = _gauss_jacobi(_FAR_NODES, 4.0 * alpha - 1.0)
+    far = second_difference(ax / t**2) @ w
+    ax, c = ax[:, 0], c[:, 0]
+    total = (c ** (2.0 - 2.0 * alpha) * near + (ax - c) * mid
+             + 2.0 * ax ** (-2.0 * alpha) * far)
+    return frac_constant(alpha) * total
 
 
 def line_frac_laplacian_outside(
@@ -320,18 +405,18 @@ def line_frac_laplacian_outside(
 
     There the singular integral reduces to the smooth convolution
     -C(alpha) * int fn(y) |x-y|^(-1-2*alpha) dy over the support, which is
-    both cheap and strictly negative for nonnegative fn.
+    both cheap and strictly negative for nonnegative fn.  One fixed
+    Gauss-Legendre rule over the support takes it: fn is evaluated once on
+    its nodes and every point is one row of a kernel matvec.  The rule
+    resolves the kernel at points whose distance to the support is not
+    small against the support's width.
     """
-    from scipy.integrate import quad
-
     a, b = support
-    C = frac_constant(alpha)
-    out = np.empty(len(x))
-    for i, xi in enumerate(np.asarray(x, dtype=float)):
-        if a <= xi <= b:
-            raise ValueError(f"point {xi} lies inside the support [{a}, {b}]")
-        val, _ = quad(
-            lambda y: fn(y) * abs(xi - y) ** (-1.0 - 2.0 * alpha), a, b, limit=200
-        )
-        out[i] = -C * val
-    return out
+    x = np.asarray(x, dtype=float)
+    inside = (a <= x) & (x <= b)
+    if np.any(inside):
+        raise ValueError(f"point {x[inside][0]} lies inside the support [{a}, {b}]")
+    t, w = _gauss_legendre(_OUTSIDE_NODES)
+    y = a + (b - a) * t
+    kernel = np.abs(x[:, None] - y) ** (-1.0 - 2.0 * alpha)
+    return -frac_constant(alpha) * (b - a) * (kernel @ (w * fn(y)))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .grid import Field, FracOrder, Grid1D
 from .operators import frac_laplacian, riesz_gradient, spectral_derivative
@@ -342,9 +341,10 @@ def barenblatt_m2(grid: Grid1D, mass: float, t: float, s: float) -> Field:
     if not (mass > 0.0 and t > 0.0):
         raise ValueError(f"mass and t must be positive, got mass={mass}, t={t}")
     beta, sigma = 1.0 / (3.0 - 2.0 * s), 1.0 - s
-    c_sigma = 4.0**sigma * gamma(1.0 + sigma) * gamma(0.5 + sigma) / math.sqrt(math.pi)
+    c_sigma = (4.0**sigma * math.gamma(1.0 + sigma) * math.gamma(0.5 + sigma)
+               / math.sqrt(math.pi))
     A = beta / c_sigma
-    shape_mass = math.sqrt(math.pi) * gamma(1.0 + sigma) / gamma(1.5 + sigma)
+    shape_mass = math.sqrt(math.pi) * math.gamma(1.0 + sigma) / math.gamma(1.5 + sigma)
     R = (mass / (A * shape_mass)) ** (1.0 / (2.0 * sigma + 1.0))
     y = grid.nodes * t**-beta
     return Field(grid, t**-beta * A * np.maximum(R * R - y * y, 0.0) ** sigma)

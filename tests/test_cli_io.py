@@ -1,6 +1,8 @@
 """Config parsing, CSV round trips, SVG and manifest output, CLI contract."""
 
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -403,6 +405,9 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     ("transform-check", 2.0, "[transform]\ntau_end = -1", "transform.tau_end"),
     ("barrier-check", 2.5, "", "model.m"),
     ("propagation", 2.5, "[propagation]\nmode = infinite", "model.m"),
+    # gamma = 397: the barrier would peak past the float range
+    ("barrier-check", 1.99, "", "model.m"),
+    ("propagation", 1.99, "[propagation]\nmode = infinite", "model.m"),
     ("barrier-check", 1.5, "[barrier]\nx0 = 1", "barrier.x0"),
     ("barrier-check", 1.5, "[barrier]\nx0 = -13", "barrier.x0"),
     ("propagation", 1.5, "[propagation]\nx0 = 1", "propagation.x0"),
@@ -708,3 +713,51 @@ def test_run_twice_byte_identical_csv(tmp_path):
     core0 = manifest_core((outs[0] / "manifest.txt").read_text())
     core1 = manifest_core((outs[1] / "manifest.txt").read_text())
     assert core0 == core1
+
+
+def test_manifest_records_versions_on_a_comment_line(tmp_path):
+    import scipy
+
+    man = RunManifest(experiment="simulate", config_text="[x]\n")
+    text = Path(write_manifest(man, str(tmp_path))).read_text()
+    line = (f"# versions: python {sys.version.split()[0]}, "
+            f"numpy {np.__version__}, scipy {scipy.__version__}")
+    assert line in text.splitlines()
+    assert "versions" not in manifest_core(text)
+
+
+def _scipy_modules_after(code: str) -> set:
+    """The scipy modules a fresh interpreter holds after running `code`."""
+    import nlpme
+
+    src = str(Path(nlpme.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.strip().splitlines()[-1].split())
+
+
+def test_import_and_runs_keep_scipy_subpackages_cold(tmp_path):
+    """Only the top-level scipy loads at import; simulate and barrier-check
+    load neither scipy.special nor scipy.integrate."""
+    loaded = _scipy_modules_after("import nlpme.cli, nlpme.experiments")
+    assert "scipy" in loaded
+    assert not loaded & {"scipy.special", "scipy.integrate", "scipy.linalg"}
+
+    small = MINIMAL.replace("n = 256", "n = 64").replace("t_end = 0.5", "t_end = 0.05")
+    barrier = (MINIMAL.replace("kind = simulate", "kind = barrier-check", 1)
+               .replace("m = 2.0", "m = 1.5").replace("t_end = 0.5", "t_end = 0.1")
+               .replace("kind = gaussian", "kind = bump\nradius = 1.25\ncenter = -2.25")
+               .replace("width = 1.0", "") + "[barrier]\nx0 = -1.0\nt_probe = 0.1\n")
+    runs = []
+    for kind, text in (("simulate", small), ("barrier-check", barrier)):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(text.replace("dir = out", f"dir = {tmp_path}/{kind}"))
+        runs.append(f"assert main([{kind!r}, '--config', {str(cfg)!r}]) == 0")
+    loaded = _scipy_modules_after("from nlpme.cli import main\n" + "\n".join(runs))
+    assert "scipy" in loaded
+    assert not loaded & {"scipy.special", "scipy.integrate"}

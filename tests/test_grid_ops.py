@@ -1,8 +1,10 @@
 """Grid construction and nonlocal-operator checks.
 
 Oracles: Fourier eigenfunctions for the spectral operators, two-mode and
-full complex-FFT Parseval sums for the energies, and the spectral operator
-itself for the eps -> 0 limit of the mollified quadrature operator.
+full complex-FFT Parseval sums for the energies, the spectral operator
+itself for the eps -> 0 limit of the mollified quadrature operator, and
+scipy.special for the package's own gamma-function constants and Hurwitz
+zeta.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from nlpme.operators import (
     _even_symbol,
     _folded_symbol,
     _half_wavenumbers,
+    _hurwitz_zeta,
     _odd_symbol,
     _periodized_weights,
     _symbol,
@@ -248,6 +251,23 @@ def test_energies_match_complex_fft_parseval_oracle(n):
 def test_frac_constant_half_is_one_over_pi():
     # the classical 1D Cauchy-kernel normalization
     assert np.isclose(frac_constant(0.5), 1.0 / np.pi, rtol=1e-12)
+
+
+def test_frac_constant_matches_scipy_gamma():
+    from scipy.special import gamma
+
+    for alpha in np.linspace(0.01, 0.99, 99):
+        want = 4.0**alpha * gamma(0.5 + alpha) / (np.sqrt(np.pi) * abs(gamma(-alpha)))
+        assert frac_constant(alpha) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_hurwitz_zeta_matches_scipy():
+    """Over the periodized tail's range: p = 3 - 2s in (1, 3), a in [3, 5]."""
+    from scipy.special import zeta
+
+    a = np.linspace(3.0, 5.0, 401)
+    for p in np.linspace(1.001, 2.999, 41):
+        np.testing.assert_allclose(_hurwitz_zeta(p, a), zeta(p, a), rtol=1e-14, atol=0.0)
 
 
 def test_mollified_constant_maps_to_zero():

@@ -1,7 +1,8 @@
 """Integrated-model scheme, primitives, and barrier machinery.
 
-Oracles: np.gradient for the differentiation round trip, adaptive
-quadrature of the smooth convolution for the bump's fractional tail, the
+Oracles: np.gradient for the differentiation round trip, tight adaptive
+quadrature for the fixed-rule whole-line fractional Laplacians (the bump's
+smooth convolution and the power profile's split second difference), the
 density solver for the duality check, and direct formula substitution for
 the barrier exponents and parabola values.
 """
@@ -14,12 +15,14 @@ from nlpme import integrated
 from nlpme.evolve import ModelParams, simulate_density
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.initial_data import compact_bump, gaussian_bump
-from nlpme.operators import frac_laplacian
+from nlpme.operators import frac_constant, frac_laplacian, line_frac_laplacian
+from nlpme.operators import line_frac_laplacian_outside
 from nlpme.integrated import (
     BarrierBump,
     BarrierParams,
     PrimitiveField,
     RepairStats,
+    _check_barrier_range,
     _check_rows,
     _one_sided_slopes,
     _step_rows,
@@ -457,14 +460,85 @@ def test_make_barrier_bump_against_quadrature_oracle():
     bump = make_barrier_bump(g, x0, s)
     assert bump.cap == pytest.approx(1.0, abs=1e-6)
     assert bump.tail_coef > 0.0
-    from nlpme.operators import frac_constant
-
     C = frac_constant(s)
     a, b = bump.center - bump.radius, bump.center + bump.radius
     for xi, li in zip(bump.probe_nodes[::50], bump.probe_values[::50]):
         oracle, _ = quad(lambda y: bump(y) * abs(xi - y) ** (-1 - 2 * s), a, b)
         assert np.isclose(li, -C * oracle, rtol=1e-8)
         assert li < 0.0
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_line_frac_laplacian_outside_against_tight_quadrature(s):
+    """The 128-node rule matches quad at epsrel 1e-13 on the bench bump."""
+    g = make_grid(15.0, 1024)
+    bump = make_barrier_bump(g, -1.0, s)
+    a, b = bump.center - bump.radius, bump.center + bump.radius
+    probes = bump.probe_nodes[::25]
+    got = line_frac_laplacian_outside(bump, (a, b), probes, s)
+    for x, value in zip(probes, got):
+        oracle, _ = quad(lambda y: bump(y) * abs(x - y) ** (-1 - 2 * s), a, b,
+                         epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(-frac_constant(s) * oracle, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError, match="inside the support"):
+        line_frac_laplacian_outside(bump, (a, b), np.array([-5.0, a + 0.5]), s)
+
+
+def _power_profile_oracle(x, xi, gam, alpha):
+    """Tight quad of (-Delta)^alpha (|y| + xi)^(-gam) at x < 0.
+
+    Split at c = min(1, |x|) and at the kink z = |x|.  On [0, c] the second
+    difference over z^2 is summed from its Taylor series in u = z/(|x| + xi),
+    free of the cancellation that the direct difference suffers near z = 0,
+    and quad's algebraic weight supplies z^(1-2 alpha); on [|x|, inf) only
+    the decaying terms f(x +- z) go through quad.
+    """
+    f = lambda y: (abs(y) + xi) ** (-gam)
+    a, big_a = abs(x), abs(x) + xi
+    c = min(1.0, a)
+
+    def over_z2(z):
+        u2, k = (z / big_a) ** 2, 1
+        term, total = gam * (gam + 1.0) / 2.0, 0.0
+        while abs(term) > 1e-18 * abs(total) or total == 0.0:
+            total += term
+            term *= (gam + 2 * k) * (gam + 2 * k + 1) / ((2 * k + 1) * (2 * k + 2)) * u2
+            k += 1
+        return -2.0 * big_a ** (-gam - 2.0) * total
+
+    def direct(z):
+        return (2.0 * f(x) - f(x + z) - f(x - z)) * z ** (-1.0 - 2.0 * alpha)
+
+    tight = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    total = quad(over_z2, 0.0, c, weight="alg", wvar=(1.0 - 2.0 * alpha, 0.0), **tight)[0]
+    if a > c:
+        total += quad(direct, c, a, **tight)[0]
+    # beyond the kink the constant 2 f(x) integrates in closed form
+    total += 2.0 * f(x) * a ** (-2.0 * alpha) / (2.0 * alpha)
+    total -= quad(lambda z: (f(x + z) + f(x - z)) * z ** (-1.0 - 2.0 * alpha),
+                  a, np.inf, **tight)[0]
+    return frac_constant(alpha) * total
+
+
+# (alpha, gamma, xi): the barrier exponent gamma of m = 1.2, 1.5, 1.8 at each
+# alpha with a moderate xi, then the bench barrier-check's own parameters
+LINE_CASES = [(alpha, barrier_exponents(m, alpha)[0], 3.0)
+              for alpha in (0.1, 0.5, 0.9) for m in (1.2, 1.5, 1.8)]
+LINE_CASES.append((0.5, 5.0, 41.674348743254228))
+
+
+@pytest.mark.parametrize("alpha, gam, xi", LINE_CASES)
+def test_line_frac_laplacian_against_split_quadrature(alpha, gam, xi):
+    """Fixed rules match the tight split quad to 1e-7 of the largest value."""
+    probes = np.array([-14.9, -9.0, -3.57, -1.5, -1.0, -0.4])
+    got = line_frac_laplacian(lambda y: (np.abs(y) + xi) ** (-gam), probes, alpha)
+    want = np.array([_power_profile_oracle(x, xi, gam, alpha) for x in probes])
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def test_line_frac_laplacian_rejects_the_kink_point():
+    with pytest.raises(ValueError, match="kink"):
+        line_frac_laplacian(np.abs, np.array([-1.0, 0.0]), 0.5)
 
 
 def test_zero_bump_fails_verification():
@@ -577,3 +651,24 @@ def test_witness_calibration_keeps_xi_positive(mass, x0):
     rep = infinite_speed_witness(integrate_density(u0), 1.5, 0.5, x0)
     assert rep.params.xi > 0.0
     assert rep.params.eps_b < abs(x0) ** -rep.params.gamma
+
+
+@pytest.mark.parametrize("s, x0", [(0.5, -1.0), (0.01, -0.05), (0.99, -11.9)])
+def test_witness_runs_in_floats_up_to_the_range_check(s, x0):
+    """gamma grows without bound as m -> 2.  At the largest m that
+    _check_barrier_range admits the witness forms no overflow (warnings
+    are errors here); just above it the witness refuses to start."""
+    lo, hi = 1.5, 2.0 - 1e-9
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            _check_barrier_range(mid, s, x0, 0.1)
+            lo = mid
+        except ValueError:
+            hi = mid
+    g = make_grid(15.0, 256)
+    v0 = integrate_density(compact_bump(g, mass=2.0, radius=1.25, center=-2.25))
+    rep = infinite_speed_witness(v0, lo, s, x0, t_probe=0.1)
+    assert np.isfinite(rep.inequality["max_lhs"]) and np.isfinite(rep.barrier_at_probe)
+    with pytest.raises(ValueError, match="float range"):
+        infinite_speed_witness(v0, hi, s, x0, t_probe=0.1)
