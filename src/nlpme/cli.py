@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     output = args.output or os.environ.get("NLPME_OUTPUT") or cfg.output_dir
     try:
         man = run_experiment(cfg, output_dir=output)
-    except ConfigError as exc:  # an experiment knob, read when the run needs it
+    except ConfigError as exc:  # initial data or a box the pipeline cannot use
         print(f"nlpme: config error: {exc}", file=sys.stderr)
         return 2
     for c in man.checks:

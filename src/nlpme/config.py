@@ -1,9 +1,18 @@
-"""Experiment configuration: INI-style text with validated semantics.
+"""Experiment configuration: INI-style text checked against one schema.
 
-A config is sections of `key = value` lines; dotted section headers nest
-experiment-specific knobs.  Every violated precondition is reported with
-the dotted key that caused it and, for syntax errors, the line number from
-the parser.
+A config is sections of `key = value` lines.  SCHEMA declares every
+section and key a config may hold, each with a cast that parses and
+range-checks its value and a default; a section or key it does not
+declare is an error.  [experiment], [model], [grid], [time], [initial]
+and [output] are the core sections.  Every other section holds the knobs
+of one experiment (`[transform]` for transform-check, `[barrier]` for
+barrier-check, else the experiment's own name); only the selected
+experiment's section is read, into the typed values of
+`ExperimentConfig.knobs`, so one file may carry the knobs of several
+experiments.  A default may depend on `t_end` or `m`.  Every check that
+needs only the config runs here, so a bad value ends before a run
+starts; each is reported with the dotted key that caused it and, for
+syntax errors, the line number from the parser.
 
 Example::
 
@@ -41,12 +50,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import ModelParams
+from .diagnostics import decay_fit_span
+from .evolve import ModelParams, _checked_schedule
 from .grid import Field, Grid1D, make_grid
+from .integrated import _bump_support, _check_barrier_range
 from . import initial_data as _init
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config",
-           "EXPERIMENTS"]
+           "EXPERIMENTS", "SCHEMA"]
 
 EXPERIMENTS = (
     "simulate",
@@ -61,8 +72,8 @@ EXPERIMENTS = (
 
 INITIAL_KINDS = ("gaussian", "bump", "two-bump", "heaviside-primitive", "file")
 
-# pipelines that normalize by the initial mass or its support
-NEEDS_MASS = ("continuation", "propagation", "asymptotics")
+# pipelines that normalize by the initial mass or its support, or fit its decay
+NEEDS_MASS = ("continuation", "propagation", "smoothing", "asymptotics")
 # the key that sets how far each initial kind spreads over the grid
 EXTENT_KEYS = {"gaussian": "initial.width", "bump": "initial.radius",
                "two-bump": "initial.widths", "heaviside-primitive": "initial.radius",
@@ -73,18 +84,114 @@ class ConfigError(ValueError):
     """Raised for syntax or semantic problems; message names the key."""
 
 
+def _finite(raw: str) -> float:
+    """float(raw), rejecting nan and inf, which parse but no run can use."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _floats(raw: str):
+    return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
+
+
+def _where(cast, test, need: str):
+    """`cast`, raising ValueError("need ...") unless test(value) holds."""
+    def checked(raw: str):
+        value = cast(raw)
+        if not test(value):
+            raise ValueError(f"need {need}")
+        return value
+    return checked
+
+
+def _one_of(*names):
+    return _where(str, lambda v: v in names, "one of " + ", ".join(names))
+
+
+def _schedule(raw: str) -> list:
+    triples = [_floats(part) for part in raw.split(";")]
+    if any(len(tri) != 3 for tri in triples):
+        raise ValueError("each entry needs three values (eps delta mu)")
+    return _checked_schedule(triples)
+
+
+_POSITIVE = _where(_finite, lambda v: v > 0.0, "a positive value")
+_NONNEGATIVE = _where(_finite, lambda v: v >= 0.0, "a nonnegative value")
+_COUNT = _where(int, lambda v: v >= 1, "an integer >= 1")
+_WINDOW = _where(_floats, lambda w: len(w) == 2 and 0.0 < w[0] < w[1],
+                 "two times 0 < lo < hi")
+_PAIR = _where(_floats, lambda v: len(v) == 2, "two values")
+_BARRIER = {"x0": (_where(_finite, lambda v: v < 0.0, "x0 < 0"), -1.0),
+            "t_probe": (_POSITIVE, 0.1)}
+REQUIRED = object()  # the default of a key its section must set
+
+# section -> key -> (cast, default); a callable default takes the
+# ExperimentConfig, and a default is used as it stands, uncast
+SCHEMA = {
+    "experiment": {"kind": (str, None),
+                   "seed": (_where(int, lambda v: v >= 0, "an integer >= 0"), 0)},
+    "model": {"m": (_where(_finite, lambda v: v > 1.0, "m > 1"), REQUIRED),
+              "s": (_where(_finite, lambda v: 0.0 < v < 1.0, "0 < s < 1"), REQUIRED),
+              "n": (_where(int, lambda v: v == 1,
+                           "n = 1: the solvers are one-dimensional"), 1),
+              "eps": (_NONNEGATIVE, 0.0), "delta": (_NONNEGATIVE, 0.0),
+              "mu": (_NONNEGATIVE, 0.0)},
+    "grid": {"half_length": (_POSITIVE, REQUIRED),
+             "n": (_where(int, lambda v: v >= 16 and v & (v - 1) == 0,
+                          "a power of two >= 16"), REQUIRED)},
+    "time": {"t_end": (_POSITIVE, 1.0),
+             "snap_times": (_where(_floats, lambda v: len(set(v)) >= 2,
+                                   "at least 2 distinct times"), None),
+             "snapshots": (_where(int, lambda v: v >= 2, "an integer >= 2"), 11)},
+    "initial": {"kind": (_one_of(*INITIAL_KINDS), "gaussian"),
+                "mass": (_NONNEGATIVE, 1.0), "width": (_finite, 1.0),
+                "radius": (_finite, 1.0), "center": (_finite, 0.0),
+                "centers": (_PAIR, (-2.0, 1.5)), "widths": (_PAIR, (0.9, 0.5)),
+                "weights": (_PAIR, (0.65, 0.35)), "x0": (_finite, -1.0),
+                "path": (str, "")},
+    "output": {"dir": (str, "out")},
+    "integrated": {"duality_tol": (_POSITIVE, 0.05), "pairs": (_COUNT, 50),
+                   "steps": (_COUNT, 100)},
+    "continuation": {"schedule": (_schedule, ((0.1, 0.01, 0.01), (0.05, 0.005, 0.005),
+                                              (0.025, 0.0025, 0.0025))),
+                     "checkpoint": (_NONNEGATIVE, lambda cfg: cfg.t_end)},
+    "propagation": {"mode": (_one_of("finite", "infinite"),
+                             lambda cfg: "finite" if cfg.model.m >= 2.0 else "infinite"),
+                    "window": (_WINDOW, lambda cfg: (0.1, min(1.0, cfg.t_end))),
+                    **_BARRIER},
+    "smoothing": {"window": (_WINDOW, (1.0, 20.0)), "gap_tol": (_POSITIVE, 0.10)},
+    "asymptotics": {
+        "lambdas": (_where(_floats, lambda v: len(v) >= 2 and v[0] >= 1.0
+                           and all(b > a for a, b in zip(v, v[1:])),
+                           ">= 2 strictly increasing values, the first >= 1"),
+                    (1.0, 2.0, 4.0, 8.0)),
+        "t_probe": (_POSITIVE, lambda cfg: cfg.t_end),
+        "lp": (_where(_finite, lambda v: v >= 1.0, "lp >= 1"), 2.0)},
+    # the image exponent m = (2q-1)/q of the FPME map must exceed 1
+    "transform": {"q": (_where(_finite, lambda v: v > 1.0, "q > 1"), 2.0),
+                  "sigma": (_where(_finite, lambda v: 0.0 < v < 1.0, "0 < sigma < 1"),
+                            0.5),
+                  "tau_end": (_POSITIVE, 14.0)},
+    "barrier": dict(_BARRIER),
+}
+# the knob section of an experiment whose section is not named after it
+KNOB_SECTION = {"transform-check": "transform", "barrier-check": "barrier"}
+
+
 @dataclass
 class InitialSpec:
     kind: str
-    mass: float = 1.0
-    width: float = 1.0
-    radius: float = 1.0
-    center: float = 0.0
-    centers: tuple = (-2.0, 1.5)
-    widths: tuple = (0.9, 0.5)
-    weights: tuple = (0.65, 0.35)
-    x0: float = -1.0
-    path: str = ""
+    mass: float
+    width: float
+    radius: float
+    center: float
+    centers: tuple
+    widths: tuple
+    weights: tuple
+    x0: float
+    path: str
 
     def build(self, grid: Grid1D) -> Field:
         if self.kind == "gaussian":
@@ -101,16 +208,14 @@ class InitialSpec:
             # bump of the requested mass just left of x0
             return _init.compact_bump(grid, self.mass, self.radius,
                                       self.x0 - 1.05 * self.radius)
-        if self.kind == "file":
-            from .csvio import read_csv
+        from .csvio import read_csv
 
-            header, cols = read_csv(self.path)
-            if len(cols) < 2 or len(cols[1]) != grid.n:
-                raise ConfigError(
-                    f"initial.path: file {self.path!r} does not hold {grid.n} samples"
-                )
-            return Field(grid, cols[1])
-        raise ConfigError(f"initial.kind: unknown kind {self.kind!r}")
+        header, cols = read_csv(self.path)
+        if len(cols) < 2 or len(cols[1]) != grid.n:
+            raise ConfigError(
+                f"initial.path: file {self.path!r} does not hold {grid.n} samples"
+            )
+        return Field(grid, cols[1])
 
 
 @dataclass
@@ -123,7 +228,7 @@ class ExperimentConfig:
     snap_times: np.ndarray
     initial: InitialSpec
     output_dir: str
-    knobs: dict = field(default_factory=dict)
+    knobs: dict = field(default_factory=dict)  # the experiment's section, typed
     raw_text: str = ""
 
     def initial_field(self) -> Field:
@@ -157,29 +262,85 @@ class ExperimentConfig:
         return u0
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    dotted = f"{section}.{key}"
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"{dotted}: required key is missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{dotted}: cannot parse {raw!r} ({exc})") from None
+def _section(parser, section: str) -> dict:
+    """The declared keys of `section`, cast; defaults for the keys it omits."""
+    values = {}
+    for key, (cast, default) in SCHEMA[section].items():
+        dotted = f"{section}.{key}"
+        if not parser.has_option(section, key):
+            if default is REQUIRED:
+                raise ConfigError(f"{dotted}: required key is missing")
+            values[key] = default
+            continue
+        raw = parser.get(section, key)
+        try:
+            values[key] = cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{dotted}: cannot use {raw!r} ({exc})") from None
+    return values
 
 
-def _finite(raw: str) -> float:
-    """float(raw), rejecting nan and inf, which parse but no run can use."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
+def _check_undeclared(parser) -> None:
+    for section in parser.sections():
+        keys = parser.options(section)
+        if section not in SCHEMA:
+            where = f"{section}.{keys[0]}" if keys else section
+            raise ConfigError(f"{where}: unknown section [{section}]; valid "
+                              "sections: " + ", ".join(SCHEMA))
+        for key in keys:
+            if key not in SCHEMA[section]:
+                raise ConfigError(f"{section}.{key}: unknown key; [{section}] "
+                                  "takes " + ", ".join(SCHEMA[section]))
 
 
-def _floats(raw: str):
-    return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
+def _smoothing_times(lo: float, t_end: float) -> np.ndarray:
+    """Smoothing's snapshot times, which replace [time]'s: 0, then 33 times
+    geometric from max(lo/4, 1e-3) to t_end, for a window starting at lo."""
+    first = max(lo / 4, 1e-3)
+    if first > t_end:
+        raise ConfigError(
+            f"smoothing.window: snapshots start at max(lo/4, 1e-3) = {first:g}, "
+            f"after time.t_end = {t_end:g}")
+    return np.concatenate([[0.0], np.geomspace(first, t_end, 33)])
+
+
+def _check_knobs(cfg: ExperimentConfig, section: str) -> None:
+    """The checks of the selected experiment's knobs that need other keys."""
+    kind, knobs = cfg.experiment, cfg.knobs
+    if kind == "continuation" and not knobs["checkpoint"] <= cfg.t_end:
+        raise ConfigError(f"continuation.checkpoint: must lie in [0, time.t_end], "
+                          f"got {knobs['checkpoint']:g}")
+    if kind == "transform-check" and cfg.grid.n < 32:  # make_grid needs n >= 16
+        raise ConfigError(f"grid.n: transform-check refines from a grid of n/2 "
+                          f"nodes, so n must be at least 32, got {cfg.grid.n}")
+    if kind == "smoothing":
+        lo, hi = knobs["window"]
+        inside = cfg.snap_times[(cfg.snap_times >= lo) & (cfg.snap_times <= hi)]
+        if not decay_fit_span(inside):
+            raise ConfigError(
+                f"smoothing.window: holds {len(inside)} of the snapshot times "
+                f"(geometric from {cfg.snap_times[1]:g} to time.t_end = {cfg.t_end:g}); "
+                "the decay fit needs >= 5 spanning at least a decade")
+    mode = knobs["mode"] if kind == "propagation" else None
+    if mode == "finite":
+        lo, hi = knobs["window"]
+        inside = np.count_nonzero((cfg.snap_times >= lo) & (cfg.snap_times <= hi))
+        if inside < 3:
+            raise ConfigError(
+                f"propagation.window: holds {inside} of the snapshot times; "
+                "the affine support fit needs at least 3")
+    if kind == "barrier-check" or mode == "infinite":
+        m, x0 = cfg.model.m, knobs["x0"]
+        if not m < 2.0:
+            raise ConfigError(f"model.m: the barrier needs 1 < m < 2, got {m:g}")
+        center, radius = _bump_support(x0)
+        if not center + radius < cfg.grid.half_length:
+            raise ConfigError(f"{section}.x0: need the barrier bump on "
+                              f"[-x0+1, -x0+3] inside the grid, got {x0:g}")
+        try:
+            _check_barrier_range(m, cfg.model.s, x0, knobs["t_probe"])
+        except ValueError as err:
+            raise ConfigError(f"model.m: {err}") from None
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -193,10 +354,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    _check_undeclared(parser)
 
-    kind = None
-    if parser.has_section("experiment"):
-        kind = _get(parser, "experiment", "kind", str)
+    head = _section(parser, "experiment")
+    kind = head["kind"]
     if experiment is not None:
         if kind is not None and kind != experiment:
             raise ConfigError(
@@ -211,143 +372,59 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             f"experiment.kind: unknown experiment {kind!r}; valid names: "
             + ", ".join(EXPERIMENTS)
         )
-    seed = _get(parser, "experiment", "seed", int, default=0) \
-        if parser.has_section("experiment") else 0
 
-    if not parser.has_section("grid"):
-        raise ConfigError("grid: required section is missing")
-    half_length = _get(parser, "grid", "half_length", _finite, required=True)
-    n = _get(parser, "grid", "n", int, required=True)
-    try:
-        grid = make_grid(half_length, n)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+    grid = make_grid(**_section(parser, "grid"))
 
     model = None
     if parser.has_section("model"):
-        kwargs = dict(
-            m=_get(parser, "model", "m", _finite, required=True),
-            s=_get(parser, "model", "s", _finite, required=True),
-            N=_get(parser, "model", "n", int, default=1),
-            eps=_get(parser, "model", "eps", _finite, default=0.0),
-            delta=_get(parser, "model", "delta", _finite, default=0.0),
-            mu=_get(parser, "model", "mu", _finite, default=0.0),
-        )
-        if kwargs["N"] != 1:
-            raise ConfigError(
-                f"model.n: the solvers are one-dimensional, got n = {kwargs['N']}")
-        try:
-            model = ModelParams(**kwargs)
-        except ValueError as exc:
-            msg = str(exc)
-            key = "model.m" if msg.startswith("m ") else (
-                "model.s" if msg.startswith("s ") else "model")
-            raise ConfigError(f"{key}: {msg}") from None
-    elif kind not in ("transform-check",):
+        values = _section(parser, "model")
+        model = ModelParams(N=values.pop("n"), **values)
+    elif kind != "transform-check":
         raise ConfigError("model: required section is missing")
 
-    t_end = 1.0
-    snap_times = np.linspace(0.0, 1.0, 11)
-    if parser.has_section("time"):
-        t_end = _get(parser, "time", "t_end", _finite, default=1.0)
-        if t_end <= 0:
-            raise ConfigError(f"time.t_end: must be positive, got {t_end}")
-        listed = _get(parser, "time", "snap_times", _floats)
-        if listed is not None:
-            snap_times = np.asarray(listed, dtype=float)
-            if np.any(snap_times < 0) or np.any(snap_times > t_end):
-                raise ConfigError("time.snap_times: values must lie in [0, t_end]")
-            snap_times = np.sort(snap_times)
-        else:
-            count = _get(parser, "time", "snapshots", int, default=11)
-            if count < 2:
-                raise ConfigError(f"time.snapshots: need at least 2, got {count}")
-            snap_times = np.linspace(0.0, t_end, count)
+    times = _section(parser, "time")
+    t_end = times["t_end"]
+    if times["snap_times"] is not None:
+        snap_times = np.unique(np.asarray(times["snap_times"], dtype=float))
+        if snap_times[0] < 0 or snap_times[-1] > t_end:
+            raise ConfigError("time.snap_times: values must lie in [0, t_end]")
+    else:
+        snap_times = np.linspace(0.0, t_end, times["snapshots"])
 
-    initial = InitialSpec(kind="gaussian")
-    if parser.has_section("initial"):
-        ikind = _get(parser, "initial", "kind", str, default="gaussian")
-        if ikind not in INITIAL_KINDS:
-            raise ConfigError(
-                f"initial.kind: unknown kind {ikind!r}; valid kinds: "
-                + ", ".join(INITIAL_KINDS)
-            )
-        initial = InitialSpec(
-            kind=ikind,
-            mass=_get(parser, "initial", "mass", _finite, default=1.0),
-            width=_get(parser, "initial", "width", _finite, default=1.0),
-            radius=_get(parser, "initial", "radius", _finite, default=1.0),
-            center=_get(parser, "initial", "center", _finite, default=0.0),
-            centers=_get(parser, "initial", "centers", _floats,
-                         default=(-2.0, 1.5)),
-            widths=_get(parser, "initial", "widths", _floats,
-                        default=(0.9, 0.5)),
-            weights=_get(parser, "initial", "weights", _floats,
-                         default=(0.65, 0.35)),
-            x0=_get(parser, "initial", "x0", _finite, default=-1.0),
-            path=_get(parser, "initial", "path", str, default=""),
-        )
-        if initial.mass < 0:
-            raise ConfigError(f"initial.mass: must be nonnegative, got {initial.mass}")
-        if initial.kind in ("bump", "heaviside-primitive") and not initial.radius > 0:
-            raise ConfigError(f"initial.radius: must be positive, got {initial.radius}")
-        if initial.kind == "two-bump" and not all(w > 0 for w in initial.widths):
-            raise ConfigError(f"initial.widths: must be positive, got {initial.widths}")
-        if initial.mass == 0 and kind in NEEDS_MASS:
-            raise ConfigError(f"initial.mass: {kind} needs positive mass, got 0")
-        if initial.kind == "file":
-            if not initial.path:
-                raise ConfigError("initial.path: required for kind = file")
-            if not os.path.exists(initial.path):
-                raise ConfigError(f"initial.path: no such file {initial.path!r}")
+    initial = InitialSpec(**_section(parser, "initial"))
+    if initial.kind in ("bump", "heaviside-primitive") and not initial.radius > 0:
+        raise ConfigError(f"initial.radius: must be positive, got {initial.radius}")
+    if initial.kind == "two-bump" and not all(w > 0 for w in initial.widths):
+        raise ConfigError(f"initial.widths: must be positive, got {initial.widths}")
+    if initial.mass == 0 and kind in NEEDS_MASS:
+        raise ConfigError(f"initial.mass: {kind} needs positive mass, got 0")
+    if initial.kind == "file":
+        if not initial.path:
+            raise ConfigError("initial.path: required for kind = file")
+        if not os.path.exists(initial.path):
+            raise ConfigError(f"initial.path: no such file {initial.path!r}")
 
-    output_dir = "out"
-    if parser.has_section("output"):
-        output_dir = _get(parser, "output", "dir", str, default="out")
-
-    knobs: dict = {}
-    for section in parser.sections():
-        if section in ("experiment", "model", "grid", "time", "initial", "output"):
-            continue
-        for key, raw in parser.items(section):
-            knobs[f"{section}.{key}"] = raw
-
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=kind,
-        seed=seed,
+        seed=head["seed"],
         model=model,
         grid=grid,
-        t_end=float(t_end),
+        t_end=t_end,
         snap_times=snap_times,
         initial=initial,
-        output_dir=output_dir,
-        knobs=knobs,
+        output_dir=_section(parser, "output")["dir"],
         raw_text=text,
     )
+    section = KNOB_SECTION.get(kind, kind)
+    if section in SCHEMA:
+        cfg.knobs = {key: value(cfg) if callable(value) else value
+                     for key, value in _section(parser, section).items()}
+        if kind == "smoothing":
+            cfg.snap_times = _smoothing_times(cfg.knobs["window"][0], t_end)
+        _check_knobs(cfg, section)
+    return cfg
 
 
 def load_config(path, experiment: str | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config(f.read(), experiment)
-
-
-def knob(cfg: ExperimentConfig, dotted: str, cast, default):
-    """Typed access to an experiment-specific knob; a float must be finite."""
-    raw = cfg.knobs.get(dotted)
-    if raw is None:
-        return default
-    try:
-        return (_finite if cast is float else cast)(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{dotted}: cannot parse {raw!r} ({exc})") from None
-
-
-def window_knob(cfg: ExperimentConfig, dotted: str, default: tuple) -> tuple:
-    """Time-window knob `lo hi`: two floats with 0 < lo < hi.
-
-    The default is validated too, since some defaults depend on t_end.
-    """
-    window = knob(cfg, dotted, _floats, default)
-    if len(window) != 2 or not 0.0 < window[0] < window[1]:
-        raise ConfigError(f"{dotted}: need two times 0 < lo < hi, got {window}")
-    return window

@@ -315,7 +315,8 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     radii = np.asarray(radii)
     coeffs = np.polyfit(times, radii, 1)
     fitvals = np.polyval(coeffs, times)
-    resid = float(np.sqrt(np.mean((radii - fitvals) ** 2)) / np.mean(radii))
+    scale = np.mean(radii)  # 0 when the support never leaves the centre node
+    resid = float(np.sqrt(np.mean((radii - fitvals) ** 2)) / scale) if scale > 0 else math.inf
     return PropagationReport(
         kind="finite",
         times=times,

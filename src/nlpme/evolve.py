@@ -556,6 +556,22 @@ class ContinuationReport:
     decreasing: bool
 
 
+def _checked_schedule(schedule) -> list:
+    """The schedule as float triples; ValueError unless it is nonempty, >= 0
+    and each coordinate falls strictly from one triple to the next or stays 0."""
+    schedule = [tuple(float(x) for x in tri) for tri in schedule]
+    if not schedule:
+        raise ValueError("schedule must contain at least one (eps, delta, mu) triple")
+    if any(x < 0 for tri in schedule for x in tri):
+        raise ValueError(f"schedule entries must be nonnegative, got {schedule}")
+    for prev, nxt in zip(schedule, schedule[1:]):
+        for a, b in zip(prev, nxt):
+            if not (b < a or (a == 0.0 and b == 0.0)):
+                raise ValueError("schedule must decrease strictly to zero in each "
+                                 f"coordinate: {prev} -> {nxt}")
+    return schedule
+
+
 def continuation_limit(
     u0: Field,
     p: ModelParams,
@@ -565,25 +581,13 @@ def continuation_limit(
 ):
     """Run the solver along a vanishing (eps, delta, mu) schedule.
 
-    Each triple must be componentwise <= its predecessor and strictly
-    smaller in at least every nonzero coordinate.  Returns the final run's
+    The schedule must pass `_checked_schedule`.  Returns the final run's
     trajectory (frames at five even times over [0, t_end] and at the
     checkpoint) plus a report with the L2 distances at the checkpoint time
     between consecutive runs, which should decrease as the regularization
     vanishes.
     """
-    schedule = [tuple(float(x) for x in tri) for tri in schedule]
-    if not schedule:
-        raise ValueError("schedule must contain at least one (eps, delta, mu) triple")
-    for tri in schedule:
-        if any(x < 0 for x in tri):
-            raise ValueError(f"schedule entries must be nonnegative, got {tri}")
-    for prev, nxt in zip(schedule, schedule[1:]):
-        for a, b in zip(prev, nxt):
-            if not (b < a or (a == 0.0 and b == 0.0)):
-                raise ValueError(
-                    f"schedule must decrease strictly to zero in each coordinate: {prev} -> {nxt}"
-                )
+    schedule = _checked_schedule(schedule)
     if checkpoint is None:
         checkpoint = t_end
     snap_times = sorted(set(np.linspace(0.0, t_end, 5)) | {float(checkpoint)})

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlpme.cli import main
-from nlpme.config import EXPERIMENTS, INITIAL_KINDS, ConfigError, parse_config
+from nlpme.config import (EXPERIMENTS, INITIAL_KINDS, KNOB_SECTION, SCHEMA, ConfigError,
+                          parse_config)
 from nlpme.csvio import read_csv, write_csv, write_npy_columns
 from nlpme.grid import make_grid
 from nlpme.manifest import CheckResult, RunManifest, manifest_core, write_manifest
@@ -86,6 +87,12 @@ def test_parse_rejects_bad_grid_and_times():
         parse_config(MINIMAL.replace("t_end = 0.5", "t_end = -1.0"))
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace("snapshots = 3", "snap_times = 0.1 0.9"))
+    # an empty list, and one time (or one repeated), which leaves every
+    # monotonicity check vacuous
+    for times in ("", "0.25", "0.25 0.25"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("snapshots = 3", f"snap_times = {times}"))
+        assert "time.snap_times" in str(err.value)
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -105,6 +112,16 @@ def test_parse_rejects_non_finite_values(old, new, key):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [("widths", "1"), ("centers", "1 2 3"),
+                                        ("weights", "")])
+def test_parse_two_bump_lists_need_two_values(key, value):
+    """A list of another length would run as one bump, or as none."""
+    text = MINIMAL.replace("kind = gaussian", f"kind = two-bump\n{key} = {value}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"initial.{key}" in str(err.value)
+
+
 def test_parse_cli_override_conflict():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL, experiment="smoothing")
@@ -115,6 +132,19 @@ def test_parse_cli_override_conflict():
 def test_parse_syntax_error_mentions_line():
     with pytest.raises(ConfigError):
         parse_config("[model\nm = 2.0\n")
+
+
+def test_readme_lists_the_schema_keys_and_its_config_parses():
+    """The README's key table names exactly the keys of SCHEMA, and its
+    example config parses."""
+    import re
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.findall(r"^\| `([a-z_]+\.[a-z_0-9]+)` \|", text, flags=re.M)
+    assert sorted(listed) == sorted(f"{name}.{key}" for name, keys in SCHEMA.items()
+                                    for key in keys)
+    (example,) = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+    assert parse_config(example).grid.n == 1024
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -336,7 +366,8 @@ def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys):
     assert snaps.shape[1] > 1 and np.all(snaps[:, 1:] == 0.0)
 
 
-@pytest.mark.parametrize("kind", ["propagation", "asymptotics", "continuation"])
+@pytest.mark.parametrize("kind", ["propagation", "asymptotics", "continuation",
+                                  "smoothing"])
 def test_cli_zero_mass_exit_two(tmp_path, capsys, kind):
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     cfg = cfg.replace("mass = 1.0", "mass = 0.0")
@@ -419,13 +450,52 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     ("integrated", 1.5, "[integrated]\nsteps = -3", "integrated.steps"),
     ("integrated", 1.5, "[integrated]\nduality_tol = nan", "integrated.duality_tol"),
     ("asymptotics", 2.0, "[asymptotics]\nt_probe = inf", "asymptotics.t_probe"),
+    ("asymptotics", 2.0, "[asymptotics]\nt_probe = -1", "asymptotics.t_probe"),
+    ("asymptotics", 2.0, "[asymptotics]\nt_probe = 0", "asymptotics.t_probe"),
+    ("asymptotics", 2.0, "[asymptotics]\nlp = 0", "asymptotics.lp"),
+    ("asymptotics", 2.0, "[asymptotics]\nlp = 0.5", "asymptotics.lp"),
+    ("continuation", 2.0, "[continuation]\nschedule = 0.1 0.01 0.01; 0.2 0.01 0.01",
+     "continuation.schedule"),
+    ("continuation", 2.0, "[continuation]\nschedule = -0.1 0.01 0.01",
+     "continuation.schedule"),
+    ("continuation", 2.0, "[continuation]\nschedule = nan 0.01 0.01",
+     "continuation.schedule"),
+    # a tolerance no value can meet
+    ("smoothing", 1.5, "[smoothing]\nwindow = 0.01 0.5\ngap_tol = 0", "smoothing.gap_tol"),
+    ("integrated", 1.5, "[integrated]\nduality_tol = 0", "integrated.duality_tol"),
 ])
 def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, key):
     """A knob outside the range its pipeline can run ends in exit 2 naming
-    the key, and the output directory made for the run is removed again."""
+    the key, and leaves no output directory."""
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     cfg = cfg.replace("m = 2.0", f"m = {m}")
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
+    assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_exit_two(tmp_path, capsys):
+    """numpy's generator takes no negative seed: exit 2 naming the key."""
+    cfg = MINIMAL.replace("seed = 3", "seed = -1").replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
+    assert "experiment.seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, old, new, key", [
+    ("transform-check", "[output]", "[transfrom]\nq = 3\n\n[output]", "transfrom.q"),
+    ("simulate", "t_end = 0.5", "t_ned = 5", "time.t_ned"),
+    ("simulate", "s = 0.5", "s = 0.5\nmu_ = 0.3", "model.mu_"),
+    ("propagation", "[output]", "[propagaton]\nmode = infinite\n\n[output]",
+     "propagaton.mode"),
+])
+def test_cli_unknown_key_exit_two(tmp_path, capsys, kind, old, new, key):
+    """A misspelt section or key is rejected, naming it, before any output
+    exists; otherwise the run would go on silently on the default."""
+    cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
+    cfg = cfg.replace("n = 256", "n = 64").replace("snapshots = 3", "snapshots = 11")
+    cfg = cfg.replace(old, new).replace("dir = out", f"dir = {tmp_path}/o")
     assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -478,14 +548,40 @@ def test_cli_data_or_grid_the_box_cannot_hold_exit_two(tmp_path, capsys, monkeyp
 
 _SIZES = st.sampled_from([0.0, 1e-3, 0.01, 0.5, 1.0, 5.0, 10.5, 50.0])
 _MASSES = st.sampled_from([0.0, 1e-300, 1.0, 1e200])
+# values of each experiment knob, in range or at an edge, then out of range
+# or malformed; the fuzz looks up every key of the knob sections of SCHEMA
+_KNOB_VALUES = {
+    "duality_tol": (["0.05", "1e-300", "10"], ["0", "-1", "x"]),
+    "pairs": (["1", "3"], ["0", "1.5"]),
+    "steps": (["1", "5"], ["0", "-3"]),
+    "schedule": (["0.1 0.01 0.01; 0.05 0.005 0.005", "0 0 0", "0.1 0 0; 0.05 0 0"],
+                 ["0.1 0.01 0.01; 0.2 0.01 0.01", "-0.1 0.01 0.01", "0.1 0.01",
+                  "0.1 0.01 0.01;", "nan 0 0"]),
+    "checkpoint": (["0", "1e-6"], ["-1", "5"]),
+    "mode": (["finite", "infinite"], ["infinit"]),
+    "window": (["0.01 0.5", "1e-6 1e-3"], ["0.3 0.1", "0 1", "0.2"]),
+    "x0": (["-1", "-0.01", "-13"], ["0", "1", "nan"]),
+    "t_probe": (["0.1", "1e-6", "2"], ["0", "-1"]),
+    "gap_tol": (["0.1", "1e-12"], ["0", "inf"]),
+    "lambdas": (["1 2", "1 2 4 8", "1 1.01"], ["0.5 1", "2 1", "3"]),
+    "lp": (["1", "2", "7.5"], ["0.5", "0", "inf"]),
+    "q": (["1.01", "1.5", "2.0", "4.0", "30.0"], ["1", "0.5"]),
+    "sigma": (["0.01", "0.3", "0.5", "0.99"], ["0", "1"]),
+    "tau_end": (["1e-6", "0.1", "1.0", "3.0"], ["0", "-1"]),
+}
 
 
 @st.composite
 def _fuzz_configs(draw):
-    """(experiment, sections, file scale) of a config that parses or fails
-    to parse: every pipeline, small grids and boxes, stiff corners of m and
-    s, tiny horizons, every initial kind at extreme sizes and masses."""
+    """(experiment, sections, broken, file scale) of a config that parses or
+    fails to parse: every pipeline, small grids and boxes, stiff corners of
+    m and s, tiny horizons, every initial kind at extreme sizes and masses,
+    and the pipeline's knobs drawn from the schema.  `broken` is None or a
+    copy of `sections` with one defect no run can use: an out-of-range or
+    malformed knob, a snapshot list that is empty, single, repeated or past
+    t_end, or a misspelt section or key."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
+    section = KNOB_SECTION.get(experiment, experiment)
     model = {"m": draw(st.sampled_from([1.01, 1.2, 1.5, 1.99, 2.0, 3.0, 5.0])),
              "s": draw(st.sampled_from([0.01, 0.1, 0.5, 0.9, 0.99]))}
     for key in ("eps", "delta", "mu"):
@@ -497,49 +593,78 @@ def _fuzz_configs(draw):
     initial = {"kind": kind, "mass": draw(_MASSES), "width": size, "radius": size,
                "widths": f"{size} {draw(_SIZES)}",
                "center": draw(st.sampled_from([0.0, 0.05, -3.0]))}
+    t_end = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
+    time = {"t_end": t_end}
+    if draw(st.booleans()):
+        time["snapshots"] = draw(st.sampled_from([2, 3, 5]))
+    else:  # unsorted, or sorted
+        time["snap_times"] = draw(st.sampled_from(
+            [f"{t_end} 0 {t_end / 2}", f"0 {t_end / 4} {t_end / 2} {t_end}"]))
     sections = {
         "experiment": {"kind": experiment, "seed": draw(st.integers(0, 3))},
         "model": model,
         "grid": {"half_length": draw(st.sampled_from([1.0, 4.0, 15.0])),
                  "n": draw(st.sampled_from([16, 32, 64]))},
-        "time": {"t_end": draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5])),
-                 "snapshots": draw(st.sampled_from([2, 3, 5]))},
+        "time": time,
         "initial": initial,
     }
-    if experiment == "transform-check" and draw(st.booleans()):
-        sections["transform"] = {
-            "q": draw(st.sampled_from([1.01, 1.5, 2.0, 4.0, 30.0])),
-            "sigma": draw(st.sampled_from([0.01, 0.3, 0.5, 0.99])),
-            "tau_end": draw(st.sampled_from([1e-6, 0.1, 1.0, 3.0]))}
-    return experiment, sections, draw(st.sampled_from([0.0, 1.0, 1e200]))
+    if section in SCHEMA:
+        sections[section] = {key: draw(st.sampled_from(_KNOB_VALUES[key][0]))
+                             for key in SCHEMA[section] if draw(st.booleans())}
+    defect = draw(st.sampled_from([None, "snap_times", "section", "key"]
+                                  + ["knob"] * (section in SCHEMA)))
+    broken = None if defect is None else {k: dict(v) for k, v in sections.items()}
+    if defect == "snap_times":
+        broken["time"]["snap_times"] = draw(st.sampled_from(
+            ["", f"{t_end / 2}", f"{t_end} {t_end}", f"0 {2 * t_end}"]))
+    elif defect == "knob":
+        key = draw(st.sampled_from(list(SCHEMA[section])))
+        broken[section][key] = draw(st.sampled_from(_KNOB_VALUES[key][1]))
+    elif defect is not None:
+        name = draw(st.sampled_from(sorted(broken)))
+        if defect == "section":
+            broken[name + "x"] = broken.pop(name)
+        else:
+            broken[name][draw(st.sampled_from(["t_ned", "mu_", "windows", "q0"]))] = 1
+    return experiment, sections, broken, draw(st.sampled_from([0.0, 1.0, 1e200]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=_fuzz_configs())
 def test_cli_any_config_ends_in_an_exit_code(case):
     """No config ends in a traceback or a hang: the CLI returns 0, 1 or 2,
-    and leaves a manifest on 0 and 1 and no output directory on 2.
-    MAX_STEPS is lowered so that a run that cannot finish ends in its
-    RunAborted manifest within the test."""
+    and leaves a manifest on 0 and 1 and no output directory on 2; the
+    copy with a planted defect, when drawn, always ends in 2.  MAX_STEPS is
+    lowered so that a run that cannot finish ends in its RunAborted
+    manifest within the test."""
     import nlpme.evolve as evolve
 
-    experiment, sections, file_scale = case
+    experiment, sections, broken, file_scale = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "MAX_STEPS", 2000)
-        if sections["initial"]["kind"] == "file":
-            n = sections["grid"]["n"]
-            values = file_scale * np.abs(np.random.default_rng(n).standard_normal(n))
-            write_csv(os.path.join(tmp, "u0.csv"), ["x", "u"], [np.arange(n), values])
-            sections["initial"]["path"] = os.path.join(tmp, "u0.csv")
-        sections["output"] = {"dir": os.path.join(tmp, "o")}
-        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                       for name, keys in sections.items())
-        code = main([experiment, "--config", _write(Path(tmp), text)])
+        path = os.path.join(tmp, "u0.csv")
+        n = sections["grid"]["n"]
+        write_csv(path, ["x", "u"],
+                  [np.arange(n), file_scale * np.abs(np.random.default_rng(n).standard_normal(n))])
+
+        def run(sections, out):
+            sections = dict(sections, output={"dir": os.path.join(tmp, out)})
+            for keys in sections.values():
+                if keys.get("kind") == "file":
+                    keys["path"] = path
+            text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items())
+            return main([experiment, "--config", _write(Path(tmp), text)])
+
+        code = run(sections, "o")
         assert code in (0, 1, 2)
         if code != 2:
             assert os.path.exists(os.path.join(tmp, "o", "manifest.txt"))
         else:
             assert not os.path.exists(os.path.join(tmp, "o"))
+        if broken is not None:
+            assert run(broken, "b") == 2
+            assert not os.path.exists(os.path.join(tmp, "b"))
 
 
 def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):

@@ -246,6 +246,17 @@ def test_finite_propagation_affine_support():
     assert rep.fit[1] > 0.0  # the support does grow
 
 
+def test_finite_propagation_fails_a_support_stuck_at_one_node():
+    """A run whose support never leaves the centre node (here a 1e-300 mass
+    that does not move in the window) fails the fit, without a 0/0."""
+    u0 = gaussian_bump(make_grid(1.0, 16), mass=1e-300, width=0.001)
+    traj = simulate_density(u0, ModelParams(2.0, 0.01), 0.5,
+                            snap_times=[0.0, 0.125, 0.25, 0.5])
+    rep = finite_propagation_report(traj, window=(0.1, 0.5))
+    assert np.all(rep.support_radii == 0.0)
+    assert rep.fit[2] == np.inf and not rep.verdict
+
+
 def test_infinite_propagation_tail_witness():
     g = make_grid(15.0, 1024)
     u0 = compact_bump(g, mass=2.0, radius=0.5)
