@@ -11,6 +11,7 @@ atomically; the process exit status is 0 only if every check passed.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -182,7 +183,7 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
                     stats.monotonicity_mass < 1e-6 * v0.total_mass,
                     stats.monotonicity_mass),
     ]
-    worst, _ = comparison_sweep(pairs, p.m, alpha, n_steps)
+    worst, _, sweep = comparison_sweep(pairs, p.m, alpha, n_steps)
     checks.append(CheckResult(
         "comparison_violation", worst < 1e-8, worst,
         f"{n_pairs} ordered pairs, {n_steps} steps each"))
@@ -196,6 +197,12 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
               ["monotonicity_mass", "clamp_mass"],
               [[stats.monotonicity_mass], [stats.clamp_mass]])
     files.append("repair_stats.csv")
+    # sweep telemetry: steps, the pair steps' dt range and median, and the
+    # steps in which the cumulative max or clamp ran
+    sweep_stats = dataclasses.asdict(sweep)
+    write_csv(os.path.join(outdir, "sweep_stats.csv"), list(sweep_stats),
+              [[value] for value in sweep_stats.values()])
+    files.append("sweep_stats.csv")
     write_svg(LineFigure("integrated model", "x", "v", [
         Series(grid.nodes.tolist(), v0.values.tolist(), "t=0"),
         Series(grid.nodes.tolist(), states[-1].values.tolist(),

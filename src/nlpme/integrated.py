@@ -20,6 +20,20 @@ what stepping each pair alone gives.  An adaptive run of one primitive,
 :func:`simulate_integrated`, steps a B = 1 stack through the density
 solver's time-loop driver, which also fills its snapshot frames.
 
+Every step runs in one :class:`_RowWorkspace`, built once per sweep or run
+(once per call in the B = 1 wrappers): the ramp is formed once, the
+slopes come from one difference pass whose shifts give the backward and
+forward slopes, neighbours are read as shifts of the flattened stack, and
+each new stack goes to one of two state buffers, so a step allocates only
+the FFT's own arrays.  The difference of the new stack is formed once; it
+validates the stack and becomes the next step's slopes.  The cumulative
+max and [0, M] clamp that repair a step are skipped when they cannot
+change a bit: every difference, and the first value, has a clear sign
+bit and the last value is <= M, so each row is nondecreasing from +0.0
+with no -0.0 in it and both passes would return it unchanged
+(:func:`_step_rows` gives the argument, signed zeros included).  At CFL
+steps the repair is skipped on nearly every step.
+
 The barrier side implements the comparison machinery used to witness
 infinite propagation speed for m < 2: a decaying power profile plus a
 compactly supported bump whose fractional Laplacian has a strictly
@@ -37,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import CFL_SAFETY, SimulationUnstable, _march, _roll1
+from .evolve import CFL_SAFETY, SimulationUnstable, _march
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
     _frac_laplacian_rows,
@@ -72,15 +86,19 @@ BOUNDARY_TOL = 1e-6
 FROZEN_FRACTION = 0.96  # cells with |x| > this fraction of L never move
 
 
-def _check_rows(X: np.ndarray, M: np.ndarray) -> None:
+def _check_rows(X: np.ndarray, M: np.ndarray, D: np.ndarray | None = None) -> None:
     """Validate a (B, n) stack of primitives, row b running from 0 to M[b].
 
     Every row must be nondecreasing within MONOTONE_TOL, stay inside
     [0, M] and match the boundary values 0 and M, each up to a tolerance
-    relative to max(M, 1).
+    relative to max(M, 1).  `D`, when given, holds the stack's differences
+    X[:, 1:] - X[:, :-1], already formed by the step, each row's last one
+    possibly repeated.
     """
     scale = np.maximum(M, 1.0)
-    if np.any(np.min(np.diff(X, axis=-1), axis=-1) < -MONOTONE_TOL * scale):
+    if D is None:
+        D = np.diff(X, axis=-1)
+    if np.any(np.min(D, axis=-1) < -MONOTONE_TOL * scale):
         raise ValueError("primitive is not monotone within tolerance")
     band = BOUNDARY_TOL * scale
     if np.any(X.min(axis=-1) < -band) or np.any(X.max(axis=-1) > M + band):
@@ -135,43 +153,82 @@ def heaviside_primitive(grid: Grid1D, mass: float, x0: float) -> PrimitiveField:
     return PrimitiveField(grid, vals, float(mass))
 
 
-def _one_sided_slopes(X: np.ndarray, h: float):
-    """Backward and forward difference quotients of monotone primitive rows.
+class _RowWorkspace:
+    """Preallocated buffers of the primitive step for one (B, n) stack.
 
-    The wrap faces see the 0 -> M jump of the primitive; they are replaced
-    by the interior one-sided values (those cells sit inside the frozen
-    boundary band anyway).
+    A sweep or run builds one from its starting stack X and row masses M
+    and hands it to every step; :func:`integrated_cfl_dt` and
+    :func:`step_integrated` build one per call.  `F` holds the differences
+    of the current stack, F[b, j] = X[b, j + 1] - X[b, j], its last column
+    a copy of the one before, so that it validates that stack and
+    :meth:`face_slopes` then turns it in place into the forward slopes of
+    the next step.  `ramp` is the affine primitive of each row's boundary
+    values, `G` and `mask` are scratch, and each new stack is written to
+    the one of the two `states` buffers that does not hold the current
+    one, so a step allocates no (B, n) array of its own.  Every pass over
+    a whole stack runs on contiguous memory: neighbours are read as shifts
+    of the flattened stack, and what a shift carries across a row boundary
+    lands in an end cell, which is then overwritten.
     """
-    dminus = np.maximum((X - _roll1(X, 1)) / h, 0.0)
-    dplus = np.maximum((_roll1(X, -1) - X) / h, 0.0)
-    dminus[:, 0] = dplus[:, 0] = np.maximum(X[:, 1] - X[:, 0], 0.0) / h
-    dminus[:, -1] = dplus[:, -1] = np.maximum(X[:, -1] - X[:, -2], 0.0) / h
-    return dminus, dplus
+
+    def __init__(self, X: np.ndarray, M: np.ndarray, grid: Grid1D):
+        B, n = X.shape
+        L = grid.half_length
+        self.grid, self.M = grid, M
+        self.ramp = M[:, None] * (grid.nodes + L)
+        self.ramp /= 2.0 * L
+        self.F = np.empty((B, n))
+        self.differences(X)
+        self.G = np.empty((B, n))
+        self.mask = np.empty((B, n), dtype=bool)
+        self.states = (np.empty((B, n)), np.empty((B, n)))
+        # |x| grows away from the centre node x = 0, so the cells that move
+        # are one run [lo, hi); the end cells never move either
+        moving = np.flatnonzero(np.abs(grid.nodes) <= FROZEN_FRACTION * L)
+        self.lo, self.hi = max(int(moving[0]), 1), min(int(moving[-1]) + 1, n - 1)
+        # a clamp to M = -0.0 would turn a final +0.0 into -0.0
+        self.signed_mass = bool(np.any(np.signbit(M)))
+
+    def next_state(self, X: np.ndarray) -> np.ndarray:
+        """The state buffer that does not hold X."""
+        return self.states[1] if X is self.states[0] else self.states[0]
+
+    def differences(self, X: np.ndarray) -> None:
+        """Store the differences of the stack X in F."""
+        flat = X.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=self.F.reshape(-1)[:-1])
+        self.F[:, -1] = self.F[:, -2]  # in place of the step across rows
+
+    def face_slopes(self) -> np.ndarray:
+        """Turn the stored differences into forward slopes; return F.
+
+        F / h and then max 0, in place.  F[b, i] is then cell i's forward
+        difference quotient and F[b, i - 1] its backward one; the two end
+        cells, whose wrap faces see the 0 -> M jump of the primitive, take
+        their interior one-sided value for both (they are frozen anyway).
+        """
+        F = self.F
+        F /= self.grid.spacing
+        np.maximum(F, 0.0, out=F)
+        return F
+
+    def monotone(self, new: np.ndarray) -> bool:
+        """Whether the repair of :func:`_step_rows` would leave `new` as it
+        is, read from its differences in F."""
+        return not (self.signed_mass
+                    or np.signbit(self.F, out=self.mask).any()
+                    or np.signbit(new[:, 0]).any()
+                    or not np.all(new[:, -1] <= self.M))
 
 
-def _godunov_slope(slopes, A: np.ndarray) -> np.ndarray:
-    """Upwinded slope magnitude for the factor |v_x|^(m-1).
-
-    Where the nonlocal term pushes v down (A > 0) the backward difference
-    is used, where it pushes v up the forward difference: the motion of a
-    cell then stalls as it approaches the neighbor it would cross, which is
-    what makes the scheme order-preserving, while degenerate feet keep the
-    forward slope and stay mobile (the infinite-propagation creep).
-    `slopes` is the pair returned by :func:`_one_sided_slopes`.
-    """
-    dminus, dplus = slopes
-    return np.where(A > 0.0, dminus, dplus)
-
-
-def _cfl_rows(slopes, h: float, m: float, alpha: FracOrder,
+def _cfl_rows(F: np.ndarray, h: float, m: float, alpha: FracOrder,
               cap: float = math.inf) -> np.ndarray:
     """Stable step of each row of a (B, n) stack of primitives, from the
-    stack's :func:`_one_sided_slopes`."""
-    dminus, dplus = slopes
+    forward slopes F of :meth:`_RowWorkspace.face_slopes`."""
     base = CFL_SAFETY * h ** (2.0 * alpha.alpha)
     damp = min(1.0, 2.0 / math.pi ** (2.0 * alpha.alpha))
-    dts = np.empty(len(dminus))
-    for b, smax in enumerate(np.max(np.maximum(dminus, dplus), axis=-1)):
+    dts = np.empty(len(F))
+    for b, smax in enumerate(F.max(axis=-1)):
         # one scalar pow per row: numpy's array power (a sqrt fast path for
         # 0.5, a vectorized loop otherwise) can differ from it in the last bit
         gmax = float(smax ** (m - 1.0))
@@ -183,9 +240,8 @@ def integrated_cfl_dt(v: PrimitiveField, m: float, alpha: FracOrder,
                       cap: float = math.inf) -> float:
     """Stable step: safety * h^(2 alpha) / max|v_x|^(m-1), with the spectral
     stability factor min(1, 2/pi^(2 alpha)) folded in."""
-    h = v.grid.spacing
-    slopes = _one_sided_slopes(v.values[None, :], h)
-    return float(_cfl_rows(slopes, h, m, alpha, cap)[0])
+    ws = _RowWorkspace(v.values[None, :], np.array([v.total_mass]), v.grid)
+    return float(_cfl_rows(ws.face_slopes(), v.grid.spacing, m, alpha, cap)[0])
 
 
 @dataclass
@@ -194,38 +250,83 @@ class RepairStats:
     clamp_mass: float = 0.0
 
 
-def _step_rows(X: np.ndarray, slopes, M: np.ndarray, grid: Grid1D, m: float,
-               alpha: FracOrder, dt: np.ndarray,
-               stats: RepairStats | None = None) -> np.ndarray:
-    """One explicit step of every row of a (B, n) stack; row b has mass M[b]
-    and step dt[b], and `slopes` is the stack's :func:`_one_sided_slopes`.
-    Returns the new stack, not yet validated; raises
-    :class:`SimulationUnstable` if the update is not finite."""
+def _step_rows(X: np.ndarray, ws: _RowWorkspace, m: float, alpha: FracOrder,
+               dt: np.ndarray, stats: RepairStats | None = None):
+    """One explicit step of every row of the stack X that `ws` holds; row b
+    has mass ws.M[b] and step dt[b], and ws.F holds the forward slopes of
+    X (:meth:`_RowWorkspace.face_slopes`).
+
+    Returns (new stack, whether the repair ran), not yet validated, and
+    leaves the new stack's differences in ws.F.  Raises
+    :class:`SimulationUnstable` if the update is not finite.
+
+    Where the nonlocal term A pushes v down (A > 0) the slope factor takes
+    the backward difference, where it pushes v up the forward one (Godunov
+    upwinding): the motion of a cell then stalls as it approaches the
+    neighbour it would cross, which is what makes the scheme
+    order-preserving, while degenerate feet keep the forward slope and stay
+    mobile (the infinite-propagation creep).  Each interior cell is then
+    bracketed by its neighbours' previous values with np.maximum and
+    np.minimum, which give np.clip's bits for array bounds, and the frozen
+    band, end cells included, is restored from X.
+
+    The cumulative max and the [0, M] clamp are skipped when they cannot
+    change a bit: no difference has its sign bit set, the first column has
+    it clear and the last column is <= M (with no M = -0.0).  A finite
+    difference x[j+1] - x[j] has its sign bit clear exactly when
+    x[j+1] > x[j], or the two are equal and not x[j] = +0.0, x[j+1] = -0.0;
+    so such a row is nondecreasing from x[0] >= +0.0 and, by induction,
+    holds no -0.0.  Equal entries of it then have equal bits, and whichever
+    operand np.maximum returns on a tie (maximum.accumulate([0.0, -0.0])
+    may keep the -0.0), the cumulative max returns the row itself; so does
+    the clamp, as +0.0 <= x <= M.  A skipped step adds 0.0 to `stats`, as
+    the B zero repairs would.
+    """
     if m <= 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
-    h = grid.spacing
-    L = grid.half_length
-    W = X - M[:, None] * (grid.nodes + L) / (2.0 * L)  # ramp removed
-    A = _frac_laplacian_rows(W, grid, alpha)
-    slope = _godunov_slope(slopes, A) ** (m - 1.0)
-    new = X - dt[:, None] * slope * A
-    if not np.all(np.isfinite(new)):
+    G, mask, F = ws.G, ws.mask, ws.F
+    A = _frac_laplacian_rows(np.subtract(X, ws.ramp, out=G), ws.grid, alpha)
+    np.copyto(G, F)
+    backward = np.greater(A, 0.0, out=mask).reshape(-1)[1:]
+    np.copyto(G.reshape(-1)[1:], F.reshape(-1)[:-1], where=backward)
+    G[:, 0] = F[:, 0]  # in place of the row above's last slope
+    G **= m - 1.0
+    G *= dt[:, None]
+    G *= A
+    new = np.subtract(X, G, out=ws.next_state(X))
+    if not np.isfinite(new, out=mask).all():
         raise SimulationUnstable(0.0)
 
-    new = np.clip(new, _roll1(X, 1), _roll1(X, -1))
-    new[:, 0], new[:, -1] = X[:, 0], X[:, -1]
-    frozen = np.abs(grid.nodes) > FROZEN_FRACTION * L
-    new[:, frozen] = X[:, frozen]
+    flat, old = new.reshape(-1)[1:-1], X.reshape(-1)
+    np.maximum(flat, old[:-2], out=flat)
+    np.minimum(flat, old[2:], out=flat)
+    lo, hi = ws.lo, ws.hi
+    new[:, :lo] = X[:, :lo]  # the frozen band
+    new[:, hi:] = X[:, hi:]
+    ws.differences(new)
+    if ws.monotone(new):
+        if stats is not None:
+            stats.monotonicity_mass += 0.0
+            stats.clamp_mass += 0.0
+        return new, False
 
-    mono = np.maximum.accumulate(new, axis=-1)
-    clamped = np.clip(mono, 0.0, M[:, None])
+    mono = np.maximum.accumulate(new, axis=-1, out=G)
+    h = ws.grid.spacing
     if stats is not None:
-        repair = h * np.sum(np.abs(mono - new), axis=-1)
-        clamp = h * np.sum(np.abs(clamped - mono), axis=-1)
+        repair = np.subtract(mono, new, out=new)
+        repair = h * np.sum(np.abs(repair, out=repair), axis=-1)
+    for b in range(len(X)):
+        # scalar bounds, as for a row stepped alone: on a tie np.clip's
+        # scalar-bound loop keeps a -0.0 that its array-bound loop does not
+        np.clip(mono[b], 0.0, ws.M[b], out=new[b])
+    if stats is not None:
+        clamp = np.subtract(new, mono, out=mono)
+        clamp = h * np.sum(np.abs(clamp, out=clamp), axis=-1)
         for b in range(len(X)):  # row order, as B separate 1-D steps add up
             stats.monotonicity_mass += float(repair[b])
             stats.clamp_mass += float(clamp[b])
-    return clamped
+    ws.differences(new)
+    return new, True
 
 
 def step_integrated(v: PrimitiveField, m: float, alpha: FracOrder, dt: float,
@@ -234,31 +335,45 @@ def step_integrated(v: PrimitiveField, m: float, alpha: FracOrder, dt: float,
 
     The ramp matching the boundary values is subtracted before the spectral
     operator (its own whole-line fractional Laplacian is zero), the slope
-    factor is the upwinded one-sided difference of :func:`_godunov_slope`,
-    each cell's update is bracketed by its neighbors' previous values so
-    cells cannot cross, boundary cells stay frozen, and the result is
-    re-monotonized by a cumulative max and clamped to [0, M] with any
-    repaired mass recorded.
+    factor is the upwinded one-sided difference, each cell's update is
+    bracketed by its neighbors' previous values so cells cannot cross,
+    boundary cells stay frozen, and the result is re-monotonized by a
+    cumulative max and clamped to [0, M] with any repaired mass recorded
+    (see :func:`_step_rows`).
     """
-    M = np.array([v.total_mass], dtype=float)
     X = v.values[None, :]
-    new = _step_rows(X, _one_sided_slopes(X, v.grid.spacing), M, v.grid, m,
-                     alpha, np.array([dt], dtype=float), stats)
+    ws = _RowWorkspace(X, np.array([v.total_mass], dtype=float), v.grid)
+    ws.face_slopes()
+    new, _ = _step_rows(X, ws, m, alpha, np.array([dt], dtype=float), stats)
     return PrimitiveField(v.grid, new[0], v.total_mass)
 
 
-def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
-    """Step P ordered pairs (v, V) together; return (worst, final stack).
+@dataclass(frozen=True)
+class SweepStats:
+    """Telemetry of :func:`comparison_sweep`: the steps taken, the range
+    and median of the P * steps pair steps dt, and the number of steps in
+    which the cumulative max or clamp ran."""
 
-    The 2P primitives run as one (2P, n) stack, lower members first.  Each
-    pair steps with its own dt = min(cfl(v), cfl(V)), every row is
-    validated after every step, and `worst` is the largest max(v - V) seen
-    over all pairs and steps (0 if the order always held).  Each row is
-    bitwise what stepping its pair alone with :func:`step_integrated`
-    gives.
+    steps: int
+    dt_min: float
+    dt_median: float
+    dt_max: float
+    repair_steps: int
+
+
+def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
+    """Step P ordered pairs (v, V) together; return (worst, final stack,
+    :class:`SweepStats`).
+
+    The 2P primitives run as one (2P, n) stack, lower members first, over
+    one :class:`_RowWorkspace`.  Each pair steps with its own
+    dt = min(cfl(v), cfl(V)), every row is validated after every step, and
+    `worst` is the largest max(v - V) seen over all pairs and steps (0 if
+    the order always held).  Each row is bitwise what stepping its pair
+    alone with :func:`step_integrated` gives.
     """
     if not pairs:
-        return 0.0, np.empty((0, 0))
+        return 0.0, np.empty((0, 0)), SweepStats(0, math.nan, math.nan, math.nan, 0)
     grid = pairs[0][0].grid
     if any(v.grid != grid or V.grid != grid for v, V in pairs):
         raise ValueError("comparison_sweep requires every primitive on one grid")
@@ -266,16 +381,22 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
     X = np.stack([v.values for v, _ in pairs] + [V.values for _, V in pairs])
     M = np.array([v.total_mass for v, _ in pairs]
                  + [V.total_mass for _, V in pairs], dtype=float)
-    _check_rows(X, M)
+    ws = _RowWorkspace(X, M, grid)
+    _check_rows(X, M, ws.F)
     worst = 0.0
-    for _ in range(n_steps):
-        slopes = _one_sided_slopes(X, grid.spacing)  # shared by bound and step
-        dts = _cfl_rows(slopes, grid.spacing, m, alpha)
-        dt = np.minimum(dts[:P], dts[P:])
-        X = _step_rows(X, slopes, M, grid, m, alpha, np.concatenate((dt, dt)))
-        _check_rows(X, M)
-        worst = max(worst, float(np.max(X[:P] - X[P:])))
-    return worst, X
+    dts = np.empty((n_steps, P))
+    repair_steps = 0
+    for k in range(n_steps):
+        row_dts = _cfl_rows(ws.face_slopes(), grid.spacing, m, alpha)
+        dt = np.minimum(row_dts[:P], row_dts[P:], out=dts[k])
+        X, repaired = _step_rows(X, ws, m, alpha, np.concatenate((dt, dt)))
+        repair_steps += repaired
+        _check_rows(X, M, ws.F)
+        gap = np.subtract(X[:P], X[P:], out=ws.G[:P])
+        worst = max(worst, float(gap.max()))
+    span = ((float(dts.min()), float(np.median(dts)), float(dts.max())) if n_steps
+            else (math.nan,) * 3)
+    return worst, X, SweepStats(n_steps, *span, repair_steps)
 
 
 def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
@@ -292,19 +413,22 @@ def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
     grid, h = v0.grid, v0.grid.spacing
     M = np.array([v0.total_mass], dtype=float)
     stats = RepairStats()
+    # the states alternate between the workspace's two buffers; _march's
+    # frames are fresh arrays, so no stored state aliases them
+    X0 = v0.values[None, :]
+    ws = _RowWorkspace(X0, M, grid)
 
     def step(X, t, cap):
-        slopes = _one_sided_slopes(X, h)  # shared by bound and step
-        dt = _cfl_rows(slopes, h, m, alpha, cap)
+        dt = _cfl_rows(ws.face_slopes(), h, m, alpha, cap)
         try:
-            X = _step_rows(X, slopes, M, grid, m, alpha, dt, stats)
+            X, _ = _step_rows(X, ws, m, alpha, dt, stats)
         except SimulationUnstable:
             raise SimulationUnstable(t) from None
-        _check_rows(X, M)
+        _check_rows(X, M, ws.F)
         return X, float(dt[0])
 
     times, states = [], []
-    for _, frames in _march(v0.values[None, :], t_end, snap_times, step):
+    for _, frames in _march(X0, t_end, snap_times, step):
         for ts, X in frames:
             times.append(ts)
             states.append(PrimitiveField(grid, X[0], v0.total_mass))

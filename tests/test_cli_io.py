@@ -794,6 +794,35 @@ def test_cli_integrated_writes_repair_stats(tmp_path):
     assert f"check monotonicity_repair = PASS value={cols[0][0]:.9g}" in text
 
 
+def test_cli_integrated_writes_sweep_stats(tmp_path, monkeypatch):
+    """sweep_stats.csv holds the comparison sweep's telemetry bit for bit
+    and is in the manifest."""
+    import nlpme.experiments as exps
+
+    sweeps = []
+    sweep = exps.comparison_sweep
+
+    def keep(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        sweeps.append(result[2])
+        return result
+
+    monkeypatch.setattr(exps, "comparison_sweep", keep)
+    cfg = MINIMAL.replace("kind = simulate", "kind = integrated", 1)
+    cfg = cfg.replace("n = 256", "n = 64").replace("t_end = 0.5", "t_end = 0.05")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    cfg += "\n[integrated]\npairs = 4\nsteps = 10\n"
+    main(["integrated", "--config", _write(tmp_path, cfg)])
+    (stats,) = sweeps
+    header, cols = read_csv(tmp_path / "o" / "sweep_stats.csv")
+    assert header == ["steps", "dt_min", "dt_median", "dt_max", "repair_steps"]
+    assert [c[0] for c in cols] == [10, stats.dt_min, stats.dt_median,
+                                    stats.dt_max, stats.repair_steps]
+    assert 0.0 < stats.dt_min <= stats.dt_median <= stats.dt_max
+    assert 0 <= stats.repair_steps <= 10
+    assert "file sweep_stats.csv = sha256:" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
 def test_cli_integrated_nan_exit_one(tmp_path, capsys, monkeypatch):
     """A primitive step that produces NaN ends in a manifest with a failed
     `completed` check at the time reached, and exit 1, not a traceback."""

@@ -7,8 +7,13 @@ density solver for the duality check, and direct formula substitution for
 the barrier exponents and parabola values.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlpme import integrated
@@ -22,9 +27,10 @@ from nlpme.integrated import (
     BarrierParams,
     PrimitiveField,
     RepairStats,
+    _RowWorkspace,
+    _cfl_rows,
     _check_barrier_range,
     _check_rows,
-    _one_sided_slopes,
     _step_rows,
     barrier_exponents,
     barrier_subsolution,
@@ -223,16 +229,31 @@ def _reference_step(v, m, al, dt, stats):
 
 
 def _reference_sweep(pairs, m, al, n_steps):
-    worst, lower, upper = 0.0, [], []
+    """Each pair stepped alone by the references; returns (worst, final
+    stack, every pair step's dt)."""
+    worst, lower, upper, dts = 0.0, [], [], []
     for v, V in pairs:
         for _ in range(n_steps):
             dt = min(_reference_cfl(v, m, al), _reference_cfl(V, m, al))
             v = _reference_step(v, m, al, dt, RepairStats())
             V = _reference_step(V, m, al, dt, RepairStats())
             worst = max(worst, float(np.max(v.values - V.values)))
+            dts.append(dt)
         lower.append(v.values)
         upper.append(V.values)
-    return worst, np.stack(lower + upper)
+    return worst, np.stack(lower + upper), dts
+
+
+def _bits(a):
+    """The raw bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_sweep_stats(stats, n_steps, dts):
+    assert stats.steps == n_steps
+    assert _bits(stats.dt_min) == _bits(min(dts))
+    assert _bits(stats.dt_median) == _bits(np.median(dts))
+    assert _bits(stats.dt_max) == _bits(max(dts))
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -245,7 +266,7 @@ def test_comparison_sweep_equals_hand_loop_bitwise(n, m, s):
     al = FracOrder(1.0 - s)
     for seed in (1, 2, 3):
         pairs = _ordered_pairs(g, np.random.default_rng(seed), 4)
-        worst, final = comparison_sweep(pairs, m, al, 25)
+        worst, final, stats = comparison_sweep(pairs, m, al, 25)
 
         ref_worst, lower, upper = 0.0, [], []
         for v, V in pairs:
@@ -256,11 +277,13 @@ def test_comparison_sweep_equals_hand_loop_bitwise(n, m, s):
                 ref_worst = max(ref_worst, float(np.max(v.values - V.values)))
             lower.append(v.values)
             upper.append(V.values)
-        assert worst == ref_worst
-        assert np.array_equal(final, np.stack(lower + upper))
-        ref_worst, ref_final = _reference_sweep(pairs, m, al, 25)
-        assert worst == ref_worst
-        assert np.array_equal(final, ref_final)
+        assert _bits(worst) == _bits(ref_worst)
+        assert np.array_equal(_bits(final), _bits(np.stack(lower + upper)))
+        ref_worst, ref_final, ref_dts = _reference_sweep(pairs, m, al, 25)
+        assert _bits(worst) == _bits(ref_worst)
+        assert np.array_equal(_bits(final), _bits(ref_final))
+        _assert_sweep_stats(stats, 25, ref_dts)
+        assert 0 <= stats.repair_steps <= 25
 
 
 def test_comparison_sweep_matches_reference_at_pipeline_size():
@@ -269,15 +292,30 @@ def test_comparison_sweep_matches_reference_at_pipeline_size():
     g = make_grid(15.0, 1024)
     al = FracOrder(0.5)
     pairs = _ordered_pairs(g, np.random.default_rng(1), 50)
-    worst, final = comparison_sweep(pairs, 1.5, al, 3)
-    ref_worst, ref_final = _reference_sweep(pairs, 1.5, al, 3)
-    assert worst == ref_worst
-    assert np.array_equal(final, ref_final)
+    worst, final, stats = comparison_sweep(pairs, 1.5, al, 3)
+    ref_worst, ref_final, ref_dts = _reference_sweep(pairs, 1.5, al, 3)
+    assert _bits(worst) == _bits(ref_worst)
+    assert np.array_equal(_bits(final), _bits(ref_final))
+    _assert_sweep_stats(stats, 3, ref_dts)
 
 
 def test_comparison_sweep_without_pairs():
-    worst, final = comparison_sweep([], 1.5, FracOrder(0.5), 10)
+    worst, final, stats = comparison_sweep([], 1.5, FracOrder(0.5), 10)
     assert worst == 0.0 and final.size == 0
+    assert stats.steps == 0 and stats.repair_steps == 0
+    assert math.isnan(stats.dt_min) and math.isnan(stats.dt_max)
+
+
+def _stack_step(rows, m, al, dts, stats):
+    """One kernel step of the stacked rows; also checks that the
+    workspace is left holding the new stack's differences."""
+    X = np.stack([v.values for v in rows])
+    ws = _RowWorkspace(X, np.array([v.total_mass for v in rows]), rows[0].grid)
+    ws.face_slopes()
+    out, repaired = _step_rows(X, ws, m, al, dts, stats)
+    assert np.array_equal(_bits(ws.F[:, :-1]), _bits(np.diff(out, axis=-1)))
+    assert np.array_equal(_bits(ws.F[:, -1]), _bits(ws.F[:, -2]))
+    return out, repaired
 
 
 def test_stack_step_equals_separate_steps_bitwise():
@@ -290,21 +328,149 @@ def test_stack_step_equals_separate_steps_bitwise():
             for v in pair]
     rows += [heaviside_primitive(g, 1.3, -1.0), PrimitiveField(g, np.zeros(g.n), 0.0)]
     dts = np.array([integrated_cfl_dt(v, m, al) for v in rows[:-1]] + [1e-3])
-    X = np.stack([v.values for v in rows])
-    M = np.array([v.total_mass for v in rows])
     stack_stats, row_stats, ref_stats = RepairStats(), RepairStats(), RepairStats()
     for factor in (40.0, 400.0, 1.0):
-        out = _step_rows(X, _one_sided_slopes(X, g.spacing), M, g, m, al,
-                         factor * dts, stack_stats)
+        out, repaired = _stack_step(rows, m, al, factor * dts, stack_stats)
+        assert repaired == (factor > 1.0)
         for b, (v, dt) in enumerate(zip(rows, dts)):
             one = step_integrated(v, m, al, factor * dt, row_stats)
             ref = _reference_step(v, m, al, factor * dt, ref_stats)
-            assert np.array_equal(out[b], one.values)
-            assert np.array_equal(out[b], ref.values)
+            assert np.array_equal(_bits(out[b]), _bits(one.values))
+            assert np.array_equal(_bits(out[b]), _bits(ref.values))
         for stats in (row_stats, ref_stats):
-            assert stack_stats.monotonicity_mass == stats.monotonicity_mass
-            assert stack_stats.clamp_mass == stats.clamp_mass
+            assert _bits(stack_stats.monotonicity_mass) == _bits(stats.monotonicity_mass)
+            assert _bits(stack_stats.clamp_mass) == _bits(stats.clamp_mass)
     assert stack_stats.monotonicity_mass > 0.0  # the large step did repair
+
+
+ROW_KINDS = ("gaussian", "compact", "heaviside", "random")
+
+
+def _row(g, kind, rng, signed_zeros, edge):
+    """A primitive of one kind with random mass and shape.  With
+    `signed_zeros` each of its zero entries gets a random sign; an `edge`
+    of "low" puts its left value, "high" its right value, just outside
+    [0, M], inside the validation band, so that the clamp engages."""
+    mass = rng.uniform(0.1, 3.0)
+    center = rng.uniform(-0.3, 0.3) * g.half_length
+    if kind == "heaviside":
+        vals = heaviside_primitive(g, mass, center).values
+    else:
+        if kind == "gaussian":
+            u = gaussian_bump(g, mass, rng.uniform(0.2, 1.5), center).values
+        elif kind == "compact":
+            u = compact_bump(g, mass, rng.uniform(0.3, 2.0), center).values
+        else:  # flat runs between random rises
+            u = rng.random(g.n) * (rng.random(g.n) < 0.5)
+        # the cumulative trapezoid, its last value the row's mass
+        vals = np.concatenate([[0.0], np.cumsum(u[1:] + u[:-1])])
+        vals *= mass / max(vals[-1], 1e-300)
+    if signed_zeros:
+        zeros = vals == 0.0
+        vals[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    if edge == "low":
+        vals[0] = -1e-9
+    mass = float(vals[-1]) * (1.0 - 1e-9 if edge == "high" else 1.0)
+    return PrimitiveField(g, vals, mass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(1.05, 3.5), s=st.floats(0.05, 0.95),
+       n=st.sampled_from([32, 64, 128]),
+       kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+       signed_zeros=st.booleans(), edge=st.sampled_from(["exact", "low", "high"]),
+       seed=st.integers(0, 2**32 - 1), factor=st.sampled_from([1.0, 40.0, 400.0]))
+@example(m=2.0, s=0.5, n=64, kinds=["heaviside", "random", "compact"],
+         signed_zeros=True, edge="exact", seed=0, factor=400.0)
+@example(m=1.5, s=0.05, n=128, kinds=list(ROW_KINDS), signed_zeros=True,
+         edge="exact", seed=1, factor=40.0)
+@example(m=3.0, s=0.95, n=32, kinds=["random", "random"], signed_zeros=False,
+         edge="exact", seed=2, factor=1.0)
+@example(m=1.5, s=0.5, n=64, kinds=["gaussian", "compact"], signed_zeros=False,
+         edge="low", seed=3, factor=1.0)
+@example(m=2.5, s=0.3, n=64, kinds=["compact", "heaviside"], signed_zeros=True,
+         edge="high", seed=4, factor=1.0)
+def test_row_kernel_equals_roll_references(m, s, n, kinds, signed_zeros, edge, seed,
+                                           factor):
+    """The workspace kernel against the np.roll references, bit for bit:
+    each row's CFL step, the rows and repair totals of one step at 1, 40
+    and 400 times it (where the cumulative max and clamp engage), and the
+    worst gap, final stack and dt range of a short sweep over the rows
+    paired up.  Zero entries may carry either sign, and boundary values may
+    sit just outside [0, M]."""
+    g = make_grid(8.0, n)
+    al = FracOrder(1.0 - s)
+    rng = np.random.default_rng(seed)
+    rows = [_row(g, kind, rng, signed_zeros, edge) for kind in kinds]
+
+    X = np.stack([v.values for v in rows])
+    ws = _RowWorkspace(X, np.array([v.total_mass for v in rows]), g)
+    dts = _cfl_rows(ws.face_slopes(), g.spacing, m, al)
+    for v, dt in zip(rows, dts):
+        assert _bits(dt) == _bits(_reference_cfl(v, m, al))
+
+    stats, ref_stats = RepairStats(), RepairStats()
+    out, _ = _stack_step(rows, m, al, factor * dts, stats)
+    for v, dt, row in zip(rows, dts, out):
+        ref = _reference_step(v, m, al, factor * dt, ref_stats)
+        assert np.array_equal(_bits(row), _bits(ref.values))
+    assert _bits(stats.monotonicity_mass) == _bits(ref_stats.monotonicity_mass)
+    assert _bits(stats.clamp_mass) == _bits(ref_stats.clamp_mass)
+
+    P = len(rows) // 2
+    if P:
+        pairs = list(zip(rows[:P], rows[P:2 * P]))
+        worst, final, sweep = comparison_sweep(pairs, m, al, 3)
+        ref_worst, ref_final, ref_dts = _reference_sweep(pairs, m, al, 3)
+        assert _bits(worst) == _bits(ref_worst)
+        assert np.array_equal(_bits(final), _bits(ref_final))
+        _assert_sweep_stats(sweep, 3, ref_dts)
+
+
+def test_sweep_step_allocates_only_the_fft_result(monkeypatch):
+    """After a warm-up step, one step of the sweep at the pipeline's
+    (100, 1024) stack allocates nothing but the spectral operator's arrays
+    and a margin of one numpy iterator buffer of doubles (64 KB, which the
+    broadcast of dt over the rows takes) plus 32 KB: outside the operator
+    call the traced peak stays within its (B, n) result plus that margin,
+    so a reintroduced full-stack temporary (800 KB) or boolean mask
+    (100 KB) fails.  The window runs from the second step's CFL bound to
+    the third's: one whole step, its validation and its gap included."""
+    g = make_grid(15.0, 1024)
+    pairs = _ordered_pairs(g, np.random.default_rng(1), 50)
+    cfl_rows, frac_laplacian_rows = integrated._cfl_rows, integrated._frac_laplacian_rows
+    calls, peaks, results = [], [], []
+
+    def cfl_spy(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            tracemalloc.start()
+            peaks.append(tracemalloc.get_traced_memory()[0])
+        elif len(calls) == 3:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return cfl_rows(*args, **kwargs)
+
+    def operator_spy(*args, **kwargs):
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        A = frac_laplacian_rows(*args, **kwargs)
+        if tracemalloc.is_tracing():
+            results.append(A.nbytes)
+            tracemalloc.reset_peak()  # the operator's own arrays are its cost
+        return A
+
+    monkeypatch.setattr(integrated, "_cfl_rows", cfl_spy)
+    monkeypatch.setattr(integrated, "_frac_laplacian_rows", operator_spy)
+    try:
+        comparison_sweep(pairs, 1.5, FracOrder(0.5), 3)
+    finally:
+        tracemalloc.stop()
+    base, before, after = peaks
+    margin = 8 * np.getbufsize() + 32 * 1024
+    assert results == [100 * 1024 * 8]
+    assert before - base < margin
+    assert after - base < results[0] + margin
 
 
 def test_scalar_bump_path_equals_array_path():
@@ -410,12 +576,13 @@ def test_simulate_integrated_equals_hand_loop_bitwise(monkeypatch, n, m, safety)
     ref_times, frames, ref_stats, thetas = _integrated_hand_loop(
         v0, m, al, t_end, snap_times)
     assert all(0.0 < theta < 1.0 for theta in thetas[:-1])
-    assert np.array_equal(times, ref_times)
+    assert np.array_equal(_bits(times), _bits(ref_times))
     assert len(states) == len(frames)
     for state, frame in zip(states, frames):
         assert state.total_mass == v0.total_mass
-        assert np.array_equal(state.values, frame)
-    assert stats == ref_stats
+        assert np.array_equal(_bits(state.values), _bits(frame))
+    assert _bits(stats.monotonicity_mass) == _bits(ref_stats.monotonicity_mass)
+    assert _bits(stats.clamp_mass) == _bits(ref_stats.clamp_mass)
     assert (stats.monotonicity_mass > 0.0) == (safety is not None)
 
 
