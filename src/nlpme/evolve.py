@@ -615,21 +615,17 @@ def continuation_limit(
     return runs[-1], report
 
 
-def _drift_diagonals(grid: Grid1D):
-    """(lower, main, upper) diagonals of h times the upwind drift operator D.
+def _dilate(primitive: np.ndarray, faces: np.ndarray, stretch: float) -> np.ndarray:
+    """Cell masses after the dilation Phi(y) -> Phi(stretch * y), stretch >= 1.
 
-    (D u)_i = (F_i - F_(i-1)) / h with the face flux F_i = y_i * donor_i
-    at y_i = node_i + h/2, the donor being the outward neighbour (the
-    transport velocity -beta1*y is inward), and no flux through the wrap
-    face, so D is tridiagonal with zero column sums: I - c*h*D is an
-    M-matrix with unit column sums for every c >= 0.
+    `primitive` is the cumulative mass Phi at the increasing cell `faces`;
+    the new Phi is its linear interpolant at the stretched faces.  That
+    interpolant is monotone, so the masses are nonnegative, and faces
+    stretched past the box edge clamp to Phi's end values, so their sum
+    is the old total to roundoff.  This is the exact flow of
+    phi_tau = beta * d/dy (y phi) over tau = ln(stretch) / beta.
     """
-    h = grid.spacing
-    y_face = grid.nodes + 0.5 * h
-    y_face[-1] = 0.0  # no transport through the wrap face
-    right = np.maximum(y_face, 0.0)  # F_i = y_i u_(i+1): cell i+1 feeds cell i
-    left = np.maximum(-y_face, 0.0)  # F_i = y_i u_i: cell i feeds cell i+1
-    return left[:-1], -(left + np.roll(right, 1)), right[:-1]
+    return np.diff(np.interp(stretch * faces, faces, primitive))
 
 
 def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
@@ -637,10 +633,9 @@ def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
 
     Returns (phi, stats): the profile's values and a dict of the step
     count, the dt minimum, median and maximum, and `clip_steps`, the
-    number of steps in which the positivity clip removed mass.
+    number of steps in which the positivity clip after the diffusion
+    substep removed mass.
     """
-    from scipy.linalg.lapack import dgtsv  # a cold scipy.linalg import costs ~0.2 s
-
     grid = u0.grid
     beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)  # N = 1
     h = grid.spacing
@@ -648,8 +643,8 @@ def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
     u = np.maximum(u0.values.copy(), 0.0)
     kmax_pow = (math.pi / h) ** (2.0 * sigma)
     order = FracOrder(sigma)
-    lower, main, upper = _drift_diagonals(grid)
-    dl, d, du = np.empty_like(lower), np.empty_like(main), np.empty_like(upper)
+    faces = grid.nodes[0] - 0.5 * h + h * np.arange(grid.n + 1)
+    primitive = np.zeros(grid.n + 1)  # Phi at the faces; Phi = 0 at the left edge
     dts = array.array("d")
     clip_steps = 0
 
@@ -663,19 +658,16 @@ def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
         rate = kmax_pow * q * max(umax, 1e-12) ** (q - 1.0)  # 0.0 if it underflows
         dt_diff = 2.0 / rate if rate > 0.0 else math.inf
         dt = CFL_SAFETY * min(dt_diff, cap / CFL_SAFETY)
-        # (I - c h D) u_next = u - dt (-Delta)^sigma u^q, c = dt beta1 / h;
-        # gtsv overwrites its four arrays, so the diagonals are refilled
-        c = dt * beta1 / h
-        if not math.isfinite(c):  # a step near the largest float, tau_end ~ 1e308
+        stretch = np.exp(beta1 * dt)  # inf, not a warning, under the march's errstate
+        if not (math.isfinite(dt) and math.isfinite(stretch)):  # tau_end ~ 1e308
             raise SimulationUnstable(tau)
-        np.multiply(lower, -c, out=dl)
-        np.add(np.multiply(main, -c, out=d), 1.0, out=d)
-        np.multiply(upper, -c, out=du)
         rhs *= -dt
         rhs += u
-        u = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)[3]
-        clip_steps += bool(u.min() < 0.0)
-        np.maximum(u, 0.0, out=u)
+        clip_steps += bool(rhs.min() < 0.0)
+        np.maximum(rhs, 0.0, out=rhs)
+        np.cumsum(rhs, out=primitive[1:])
+        primitive[1:] *= h
+        u = _dilate(primitive, faces, stretch) / h
         total = h * u.sum()
         if total > 0.0:
             u *= mass / total
@@ -703,18 +695,17 @@ def fpme_profile_by_rescaling(
     rescaled equation equates to evolving the original flow to time
     e^tau_end while continuously rescaling, which avoids resampling the
     slowly decaying tails through the box boundary.  Each step is
-    linearly implicit: the fractional diffusion is explicit and the drift
-    is backward Euler on an upwind face flux, one tridiagonal solve (a
-    spectral derivative of the drift is neutrally stable and blows up
-    under explicit stepping).  The drift matrix I - dt*beta1*D is an
-    M-matrix with unit column sums (zero flux through the wrap face), so
-    the drift keeps phi >= 0 and conserves mass to roundoff at any dt,
-    and the step bound is the diffusion's alone.  The steady state solves
-    the same discrete equation as an explicit drift's would; the
-    renormalization each step only restores mass removed by the
-    positivity clip.  The steps run through `_march`: raises
-    :class:`RunAborted` past MAX_STEPS steps, and
-    :class:`SimulationUnstable` at the rescaled time reached when phi^q
-    or the drift matrix is not finite.
+    split: explicit fractional diffusion, the positivity clip, then the
+    drift, which is a pure dilation and is stepped exactly on the
+    primitive Phi (the cumulative mass at the cell faces): Phi(y) becomes
+    Phi(e^(beta1 dt) y), linearly interpolated, and the new cell values
+    are its differences.  The remapped Phi stays monotone and its ends
+    stay 0 and M, so the drift keeps phi >= 0 and conserves mass to
+    roundoff at any dt, needs no linear solve, and the step bound is the
+    diffusion's alone.  The renormalization each step restores mass
+    removed by the positivity clip.  The steps run through `_march`:
+    raises :class:`RunAborted` past MAX_STEPS steps, and
+    :class:`SimulationUnstable` at the rescaled time reached when phi^q,
+    the step or its dilation factor is not finite.
     """
     return u0.with_values(_relax_fpme(u0, q, sigma, tau_end)[0])

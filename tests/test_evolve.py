@@ -22,7 +22,7 @@ from nlpme.evolve import (
     STEP_LIMITS,
     ModelParams,
     SimulationUnstable,
-    _drift_diagonals,
+    _dilate,
     _relax_fpme,
     _roll1,
     cfl_dt,
@@ -40,7 +40,13 @@ from nlpme.operators import (
     mollified_symbol,
 )
 from nlpme.initial_data import compact_bump, gaussian_bump, mollified_dirac
-from nlpme.similarity import barenblatt_m2
+from nlpme.similarity import (
+    ProfileFamily,
+    ProfileKind,
+    barenblatt_m2,
+    fpme_rate,
+    residual_report,
+)
 
 
 def test_model_params_validation():
@@ -549,8 +555,8 @@ def test_step_telemetry_without_steps():
 def _explicit_fpme_relaxation(u0, q, sigma, tau_end):
     """The FPME relaxation with an explicit upwind drift and its CFL bound
     h/(beta1 L): np.roll shifts and a Field plus frac_laplacian call per
-    step.  Its fixed point solves the same discrete equation as the
-    backward-Euler drift's, so it is an oracle for the steady state."""
+    step.  Its fixed point is a different O(h) approximation of the same
+    profile, so it is an oracle for the steady state."""
     grid = u0.grid
     beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)
     h = grid.spacing
@@ -578,41 +584,26 @@ def _explicit_fpme_relaxation(u0, q, sigma, tau_end):
     return u
 
 
-def _drift_banded(grid, c):
-    """solve_banded's (1, 1) layout of I - c*h*D, D the upwind drift
-    operator: face i carries y_i times its outward neighbour's value, and
-    nothing crosses the wrap face."""
-    y_face = grid.nodes + 0.5 * grid.spacing
-    y_face[-1] = 0.0
-    right = np.where(y_face > 0.0, y_face, 0.0)  # cell i+1 feeds cell i
-    left = np.where(y_face > 0.0, 0.0, -y_face)  # cell i feeds cell i+1
-    ab = np.zeros((3, grid.n))
-    ab[0, 1:] = -c * right[:-1]
-    ab[1] = 1.0 - c * -(left + np.roll(right, 1))
-    ab[2, :-1] = -c * left[:-1]
-    return ab
-
-
 def _reference_fpme_relaxation(u0, q, sigma, tau_end):
     """fpme_profile_by_rescaling as a plain loop: explicit fractional
-    diffusion through a Field and frac_laplacian, then the backward-Euler
-    drift solved by scipy's solve_banded, which calls LAPACK's gtsv."""
-    from scipy.linalg import solve_banded
-
+    diffusion through a Field and frac_laplacian, the positivity clip, then
+    the drift as the dilation of the primitive at the cell faces."""
     grid = u0.grid
     beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)
     h = grid.spacing
     mass = float(h * u0.values.sum())
     u = np.maximum(u0.values.copy(), 0.0)
     kmax_pow = (math.pi / h) ** (2.0 * sigma)
+    faces = grid.nodes[0] - 0.5 * h + h * np.arange(grid.n + 1)
     tau = 0.0
     while tau < tau_end:
         umax = float(u.max())
         dt_diff = 2.0 / (kmax_pow * q * max(umax, 1e-12) ** (q - 1.0))
         dt = CFL_SAFETY * min(dt_diff, (tau_end - tau) / CFL_SAFETY)
         diff = frac_laplacian(Field(grid, u**q), FracOrder(sigma)).values
-        u = solve_banded((1, 1), _drift_banded(grid, dt * beta1 / h), u - dt * diff)
-        u = np.maximum(u, 0.0)
+        u = np.maximum(u - dt * diff, 0.0)
+        primitive = np.r_[0.0, h * np.cumsum(u)]
+        u = np.diff(np.interp(np.exp(beta1 * dt) * faces, faces, primitive)) / h
         total = h * u.sum()
         if total > 0.0:
             u *= mass / total
@@ -632,31 +623,38 @@ def test_fpme_relaxation_equals_reference_loop(n, q, sigma, tau_end):
     assert np.array_equal(got.values, _reference_fpme_relaxation(u0, q, sigma, tau_end))
 
 
-@pytest.mark.parametrize("q, sigma, tau_end, bound", [
-    (2.0, 0.5, 14.0, 5e-7),  # measured 2.3e-7
-    (3.0, 0.7, 12.0, 1e-5),  # measured 4.4e-6
-])
-def test_fpme_relaxation_reaches_the_explicit_fixed_point(q, sigma, tau_end, bound):
-    """Only the transient differs from the explicit drift's: both relax to
-    the steady state of the same discrete equation, so the profiles agree
-    in L1 to about twice the distance measured when the scheme changed."""
-    g = make_grid(15.0, 512)
-    u0 = gaussian_bump(g, 2.0, width=1.0)
-    phi, stats = _relax_fpme(u0, q, sigma, tau_end)
-    explicit = _explicit_fpme_relaxation(u0, q, sigma, tau_end)
-    assert g.spacing * np.abs(phi - explicit).sum() < bound
-    assert list(stats) == ["steps", "dt_min", "dt_median", "dt_max", "clip_steps"]
-    assert stats["clip_steps"] == 0  # so the profile is the scheme's fixed point
-    assert np.all(phi >= 0.0)
-    assert abs(g.spacing * phi.sum() - 2.0) < 1e-14
+@pytest.mark.parametrize("q, sigma, tau_end", [(2.0, 0.5, 14.0), (3.0, 0.7, 12.0)])
+def test_fpme_relaxation_beats_and_approaches_the_explicit_oracle(q, sigma, tau_end):
+    """The dilation drift and the explicit upwind drift relax to different
+    O(h) approximations of the same profile.  The dilation's profile has
+    the smaller stationary residual at each n, and the L1 distance between
+    the two falls at first order in h: to 0.51 of itself at q = 2 and 0.39
+    at q = 3 when h halves, checked against 0.55 (measured when the scheme
+    changed: residuals 3.6e-2 vs 4.7e-2 and 1.9e-2 vs 2.5e-2 at q = 2,
+    0.154 vs 0.159 and 8.9e-2 vs 9.2e-2 at q = 3)."""
+    kind = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
+    distances = []
+    for n in (256, 512):
+        g = make_grid(15.0, n)
+        u0 = gaussian_bump(g, 2.0, width=1.0)
+        phi, stats = _relax_fpme(u0, q, sigma, tau_end)
+        explicit = _explicit_fpme_relaxation(u0, q, sigma, tau_end)
+        assert (residual_report(Field(g, phi), kind, q, sigma).relative
+                < residual_report(Field(g, explicit), kind, q, sigma).relative)
+        distances.append(g.spacing * np.abs(phi - explicit).sum())
+        assert list(stats) == ["steps", "dt_min", "dt_median", "dt_max", "clip_steps"]
+        assert stats["clip_steps"] == 0
+        assert np.all(phi >= 0.0)
+        assert abs(g.spacing * phi.sum() - 2.0) < 1e-14
+    assert distances[1] <= 0.55 * distances[0]
 
 
 def test_fpme_relaxation_with_an_underflowing_diffusion_bound():
     """At q = 30 and mass 1e-20, max(u)^(q-1) underflows to 0, so the
-    diffusion sets no bound (it divided by zero before); the implicit drift
+    diffusion sets no bound (it divided by zero before); the dilation drift
     needs none, and the relaxation takes one step to tau_end.  A step so
-    long that dt*beta1/h overflows is unstable at tau = 0, not a NaN
-    profile."""
+    long that dt or exp(beta1*dt) overflows is unstable at tau = 0, not a
+    NaN profile."""
     g = make_grid(15.0, 64)
     u0 = gaussian_bump(g, 1e-20, width=1.0)
     phi, stats = _relax_fpme(u0, 30.0, 0.5, 1.0)
@@ -668,26 +666,25 @@ def test_fpme_relaxation_with_an_underflowing_diffusion_bound():
     assert err.value.t_last == 0.0
 
 
-@pytest.mark.parametrize("c", [0.0, 1e-3, 1.0, 1e3])
-def test_drift_matrix_is_a_column_stochastic_m_matrix(c):
-    """I - c*h*D has unit column sums and nonpositive off-diagonals, so a
-    solve keeps a nonnegative right-hand side nonnegative and its sum
-    unchanged to roundoff, at any step size."""
-    from scipy.linalg import solve_banded
-
-    g = make_grid(15.0, 256)
-    lower, main, upper = _drift_diagonals(g)
-    assert np.array_equal(_drift_banded(g, c),
-                          [np.r_[0.0, -c * upper], 1.0 - c * main, np.r_[-c * lower, 0.0]])
-    A = np.eye(g.n) - c * (np.diag(lower, -1) + np.diag(main) + np.diag(upper, 1))
-    roundoff = 2.0 * np.finfo(float).eps * np.abs(A).max()
-    assert np.all(np.abs(A.sum(axis=0) - 1.0) <= roundoff)
-    assert np.all(A - np.diag(np.diag(A)) <= 0.0)
-    b = np.random.default_rng(0).random(g.n)
-    b[::3] = 0.0
-    x = solve_banded((1, 1), _drift_banded(g, c), b)
-    assert np.all(x >= 0.0)
-    assert abs(x.sum() - b.sum()) <= 1e-13 * b.sum()
+@pytest.mark.parametrize("stretch", [1.0, 1.001, 31.6, 1e3])
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([16, 64, 256]), seed=st.integers(0, 2**32 - 1))
+@example(n=256, seed=0)
+def test_dilation_keeps_mass_and_sign(stretch, n, seed):
+    """Nonnegative cell masses with runs of zeros stay nonnegative and keep
+    their total to roundoff under any stretch; stretch 1 changes no bit."""
+    rng = np.random.default_rng(seed)
+    masses = rng.random(n) * (rng.random(n) < 0.6)  # isolated zeros
+    start = rng.integers(n)
+    masses[start:start + n // 4] = 0.0  # and a long zero run
+    g = make_grid(15.0, n)
+    faces = g.nodes[0] - 0.5 * g.spacing + g.spacing * np.arange(n + 1)
+    primitive = np.r_[0.0, np.cumsum(masses)]
+    out = _dilate(primitive, faces, stretch)
+    assert np.all(out >= 0.0)
+    assert abs(out.sum() - masses.sum()) <= 1e-13 * masses.sum()
+    if stretch == 1.0:
+        assert np.array_equal(out, np.diff(primitive))
 
 
 # --- workspace step ------------------------------------------------------
