@@ -15,6 +15,7 @@ import sys
 
 from .config import EXPERIMENTS, ConfigError, load_config
 from .experiments import run_experiment
+from .manifest import MANIFEST_NAME
 
 __all__ = ["main"]
 
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name} = {c.value:.6g}" +
               (f"  ({c.detail})" if c.detail else ""))
-    print(f"manifest: {os.path.join(output, 'manifest.txt')}")
+    print(f"manifest: {os.path.join(output, MANIFEST_NAME)}")
     return 0 if man.all_passed else 1
 
 

@@ -2,11 +2,14 @@
 
 Each experiment takes a validated configuration, runs the relevant
 solvers, writes CSV tables and SVG figures into the output directory, and
-returns named pass/fail checks.  A density run's snapshot matrix is
-written as `snapshots.npy` (column 0 is x, column j the snapshot at row
-j-1 of `diagnostics.csv`), streamed column by column.  The manifest
-(check verdicts plus file checksums plus a config echo) is written last,
-atomically; the process exit status is 0 only if every check passed.
+returns named pass/fail checks.  Every file is written through one
+`_Outputs` writer, which checksums it, streaming, into the manifest as
+soon as it is written, so no output can miss the inventory.  A density
+run's snapshot matrix is written as `snapshots.npy` (column 0 is x,
+column j the snapshot at row j-1 of `diagnostics.csv`), streamed column
+by column.  The manifest (check verdicts plus file checksums plus a
+config echo) is written last, atomically; the process exit status is 0
+only if every check passed.
 """
 
 from __future__ import annotations
@@ -58,16 +61,40 @@ from .svgfig import LineFigure, Series, write_svg
 
 __all__ = ["run_experiment"]
 
+MAX_CURVES = 8  # snapshots drawn in density_evolution.svg, at most
 
-def _snapshot_outputs(traj, outdir, files, max_curves: int = 8):
+
+class _Outputs:
+    """Writer of a run's output files: each method writes one file into
+    `outdir`, then enters its checksum in the manifest `man`."""
+
+    def __init__(self, outdir: str, man: RunManifest):
+        self.outdir, self.man = outdir, man
+
+    def csv(self, name: str, header, columns) -> None:
+        write_csv(os.path.join(self.outdir, name), header, columns)
+        self.man.add_file(self.outdir, name)
+
+    def svg(self, name: str, fig: LineFigure) -> None:
+        write_svg(fig, os.path.join(self.outdir, name))
+        self.man.add_file(self.outdir, name)
+
+    def npy(self, name: str, columns) -> None:
+        write_npy_columns(os.path.join(self.outdir, name), columns)
+        self.man.add_file(self.outdir, name)
+
+    def stats(self, name: str, stats: dict) -> None:
+        """A one-row table, one column per key."""
+        self.csv(name, list(stats), [[value] for value in stats.values()])
+
+
+def _snapshot_outputs(traj, out: _Outputs):
     grid = traj.grid
-    write_npy_columns(os.path.join(outdir, "snapshots.npy"),
-                      [grid.nodes] + [s.values for s in traj.snapshots])
-    files.append("snapshots.npy")
+    out.npy("snapshots.npy", [grid.nodes] + [s.values for s in traj.snapshots])
 
     d = traj.diagnostics
-    write_csv(
-        os.path.join(outdir, "diagnostics.csv"),
+    out.csv(
+        "diagnostics.csv",
         ["t", "mass", "sup_norm", "l2_norm", "l4_norm", "second_energy",
          "boundary_tail"],
         [traj.times,
@@ -75,7 +102,6 @@ def _snapshot_outputs(traj, outdir, files, max_curves: int = 8):
          [x.l4_norm for x in d], [x.second_energy for x in d],
          [x.boundary_tail for x in d]],
     )
-    files.append("diagnostics.csv")
 
     # step telemetry; steps_<limit> counts the steps that limit bound, so
     # those columns sum to steps, and limiter_steps the steps in which the
@@ -85,18 +111,15 @@ def _snapshot_outputs(traj, outdir, files, max_curves: int = 8):
              "dt_median": traj.dt_median}
     stats.update((f"steps_{name}", count) for name, count in traj.limits.items())
     stats["limiter_steps"] = traj.limiter_steps
-    write_csv(os.path.join(outdir, "solver_stats.csv"), list(stats),
-              [[value] for value in stats.values()])
-    files.append("solver_stats.csv")
+    out.stats("solver_stats.csv", stats)
 
-    stride = max(1, len(traj.times) // max_curves)
+    stride = max(1, len(traj.times) // MAX_CURVES)
     series = [
         Series(grid.nodes, traj.snapshots[i].values, f"t={traj.times[i]:.3g}")
         for i in range(0, len(traj.times), stride)
     ]
-    write_svg(LineFigure("density evolution", "x", "u", series),
-              os.path.join(outdir, "density_evolution.svg"))
-    files.append("density_evolution.svg")
+    out.svg("density_evolution.svg",
+            LineFigure("density evolution", "x", "u", series))
 
 
 def _fitting_primitive(u: Field, what: str):
@@ -121,7 +144,7 @@ def _standard_check_results(checks: dict) -> list:
     return out
 
 
-def _exp_simulate(cfg: ExperimentConfig, outdir: str):
+def _exp_simulate(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
@@ -131,12 +154,11 @@ def _exp_simulate(cfg: ExperimentConfig, outdir: str):
     checks.append(CheckResult("boundary_tail_watchdog",
                               total == 0.0 or tail < 0.01 * total, tail,
                               "mass within 10% of the box edge at final time"))
-    files: list = []
-    _snapshot_outputs(traj, outdir, files)
-    return checks, files
+    _snapshot_outputs(traj, out)
+    return checks
 
 
-def _exp_integrated(cfg: ExperimentConfig, outdir: str):
+def _exp_integrated(cfg: ExperimentConfig, out: _Outputs):
     p = cfg.model
     tol_rel, n_pairs, n_steps = (cfg.knobs[key] for key in
                                  ("duality_tol", "pairs", "steps"))
@@ -188,31 +210,21 @@ def _exp_integrated(cfg: ExperimentConfig, outdir: str):
         "comparison_violation", worst < 1e-8, worst,
         f"{n_pairs} ordered pairs, {n_steps} steps each"))
 
-    files: list = []
-    write_csv(os.path.join(outdir, "primitive.csv"),
-              ["x", "v_initial", "v_final", "density_final"],
-              [grid.nodes, v0.values, states[-1].values, du.values])
-    files.append("primitive.csv")
-    write_csv(os.path.join(outdir, "repair_stats.csv"),
-              ["monotonicity_mass", "clamp_mass"],
-              [[stats.monotonicity_mass], [stats.clamp_mass]])
-    files.append("repair_stats.csv")
+    out.csv("primitive.csv", ["x", "v_initial", "v_final", "density_final"],
+            [grid.nodes, v0.values, states[-1].values, du.values])
+    out.stats("repair_stats.csv", dataclasses.asdict(stats))
     # sweep telemetry: steps, the pair steps' dt range and median, and the
     # steps in which the cumulative max or clamp ran
-    sweep_stats = dataclasses.asdict(sweep)
-    write_csv(os.path.join(outdir, "sweep_stats.csv"), list(sweep_stats),
-              [[value] for value in sweep_stats.values()])
-    files.append("sweep_stats.csv")
-    write_svg(LineFigure("integrated model", "x", "v", [
+    out.stats("sweep_stats.csv", dataclasses.asdict(sweep))
+    out.svg("primitive_evolution.svg", LineFigure("integrated model", "x", "v", [
         Series(grid.nodes.tolist(), v0.values.tolist(), "t=0"),
         Series(grid.nodes.tolist(), states[-1].values.tolist(),
                f"t={cfg.t_end:g}"),
-    ]), os.path.join(outdir, "primitive_evolution.svg"))
-    files.append("primitive_evolution.svg")
-    return checks, files
+    ]))
+    return checks
 
 
-def _exp_continuation(cfg: ExperimentConfig, outdir: str):
+def _exp_continuation(cfg: ExperimentConfig, out: _Outputs):
     schedule = cfg.knobs["schedule"]
     u0 = cfg.initial_field()
     final, report = continuation_limit(u0, cfg.model, schedule, t_end=cfg.t_end,
@@ -225,22 +237,17 @@ def _exp_continuation(cfg: ExperimentConfig, outdir: str):
                     "L2 distances at the checkpoint between consecutive runs"),
         CheckResult("mass_conservation", mass_drift < 1e-8, mass_drift),
     ]
-    files: list = []
-    write_csv(os.path.join(outdir, "continuation.csv"),
-              ["eps", "delta", "mu", "final_mass"],
-              [[s[0] for s in schedule], [s[1] for s in schedule],
-               [s[2] for s in schedule], report.masses])
-    files.append("continuation.csv")
+    out.csv("continuation.csv", ["eps", "delta", "mu", "final_mass"],
+            [[s[0] for s in schedule], [s[1] for s in schedule],
+             [s[2] for s in schedule], report.masses])
     if report.distances:
-        write_csv(os.path.join(outdir, "cauchy_distances.csv"),
-                  ["pair", "l2_distance"],
-                  [np.arange(1, len(report.distances) + 1), report.distances])
-        files.append("cauchy_distances.csv")
-    _snapshot_outputs(final, outdir, files)
-    return checks, files
+        out.csv("cauchy_distances.csv", ["pair", "l2_distance"],
+                [np.arange(1, len(report.distances) + 1), report.distances])
+    _snapshot_outputs(final, out)
+    return checks
 
 
-def _exp_propagation(cfg: ExperimentConfig, outdir: str):
+def _exp_propagation(cfg: ExperimentConfig, out: _Outputs):
     mode = cfg.knobs["mode"]
     u0 = cfg.initial_field()
     if mode == "infinite":
@@ -253,22 +260,19 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
                 f"the initial support radius {r0:g} reaches past the box "
                 f"half-length {cfg.grid.half_length:g}")
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
-    files: list = []
     checks: list = []
     if mode == "finite":
         rep = finite_propagation_report(traj, window=cfg.knobs["window"])
         checks.append(CheckResult("support_affine_fit", rep.verdict, rep.fit[2],
                                   f"slope {rep.fit[1]:.4g}"))
-        write_csv(os.path.join(outdir, "support_radius.csv"),
-                  ["t", "radius", "boundary_tail"],
-                  [rep.times, rep.support_radii, rep.tail_masses])
-        files.append("support_radius.csv")
-        write_svg(LineFigure("support radius growth", "t", "radius", [
+        out.csv("support_radius.csv", ["t", "radius", "boundary_tail"],
+                [rep.times, rep.support_radii, rep.tail_masses])
+        out.svg("support_radius.svg", LineFigure("support radius growth", "t",
+                                                 "radius", [
             Series(rep.times.tolist(), rep.support_radii.tolist(), "measured"),
             Series(rep.times.tolist(),
                    (rep.fit[0] + rep.fit[1] * rep.times).tolist(), "affine fit"),
-        ]), os.path.join(outdir, "support_radius.svg"))
-        files.append("support_radius.svg")
+        ]))
     else:
         witness = infinite_speed_witness(v0, cfg.model.m, cfg.model.s,
                                          cfg.knobs["x0"], t_probe=cfg.knobs["t_probe"])
@@ -282,15 +286,13 @@ def _exp_propagation(cfg: ExperimentConfig, outdir: str):
         checks.append(CheckResult("barrier_witness", witness.passed,
                                   witness.v_at_probe,
                                   f"probe x={witness.probe_x:.3g}"))
-        write_csv(os.path.join(outdir, "tail_mass.csv"),
-                  ["t", "tail_mass", "support_radius"],
-                  [rep.times, rep.tail_masses, rep.support_radii])
-        files.append("tail_mass.csv")
-    _snapshot_outputs(traj, outdir, files)
-    return checks, files
+        out.csv("tail_mass.csv", ["t", "tail_mass", "support_radius"],
+                [rep.times, rep.tail_masses, rep.support_radii])
+    _snapshot_outputs(traj, out)
+    return checks
 
 
-def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
+def _exp_smoothing(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
@@ -298,21 +300,17 @@ def _exp_smoothing(cfg: ExperimentConfig, outdir: str):
     checks = [CheckResult(
         "smoothing_gap", fit.relative_gap < cfg.knobs["gap_tol"], fit.relative_gap,
         f"fitted {fit.fitted_exponent:.4f} vs theory {fit.theory_exponent:.4f}")]
-    files: list = []
-    write_csv(os.path.join(outdir, "decay.csv"), ["t", "sup_norm"],
-              [fit.times, fit.values])
-    files.append("decay.csv")
+    out.csv("decay.csv", ["t", "sup_norm"], [fit.times, fit.values])
     theory = fit.values[0] * (fit.times / fit.times[0]) ** fit.theory_exponent
-    write_svg(LineFigure("sup-norm decay", "t", "sup u", [
+    out.svg("decay_loglog.svg", LineFigure("sup-norm decay", "t", "sup u", [
         Series(fit.times.tolist(), fit.values.tolist(), "measured"),
         Series(fit.times.tolist(), theory.tolist(), "theory slope"),
-    ], logx=True, logy=True), os.path.join(outdir, "decay_loglog.svg"))
-    files.append("decay_loglog.svg")
-    _snapshot_outputs(traj, outdir, files)
-    return checks, files
+    ], logx=True, logy=True))
+    _snapshot_outputs(traj, out)
+    return checks
 
 
-def _exp_asymptotics(cfg: ExperimentConfig, outdir: str):
+def _exp_asymptotics(cfg: ExperimentConfig, out: _Outputs):
     lambdas, t_probe, lp = (cfg.knobs[key] for key in ("lambdas", "t_probe", "lp"))
     u0 = cfg.initial_field()
     report = asymptotic_convergence(u0, cfg.model, lambdas, t_probe, lp=lp)
@@ -327,22 +325,18 @@ def _exp_asymptotics(cfg: ExperimentConfig, outdir: str):
                     report.weighted_profile_distances[-1]
                     if report.weighted_profile_distances else 0.0),
     ]
-    files: list = []
-    write_csv(os.path.join(outdir, "family_distances.csv"),
-              ["pair", "distance"],
-              [np.arange(1, len(report.pairwise_distances) + 1),
-               report.pairwise_distances])
-    files.append("family_distances.csv")
-    write_svg(LineFigure("rescaled-family Cauchy distances", "pair",
-                         f"L{lp:g} distance", [
-        Series(list(range(1, len(report.pairwise_distances) + 1)),
-               report.pairwise_distances, "consecutive")],
-        logy=True), os.path.join(outdir, "family_distances.svg"))
-    files.append("family_distances.svg")
-    return checks, files
+    out.csv("family_distances.csv", ["pair", "distance"],
+            [np.arange(1, len(report.pairwise_distances) + 1),
+             report.pairwise_distances])
+    out.svg("family_distances.svg", LineFigure(
+        "rescaled-family Cauchy distances", "pair", f"L{lp:g} distance", [
+            Series(list(range(1, len(report.pairwise_distances) + 1)),
+                   report.pairwise_distances, "consecutive")],
+        logy=True))
+    return checks
 
 
-def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
+def _exp_transform_check(cfg: ExperimentConfig, out: _Outputs):
     q, sigma, tau_end = (cfg.knobs[key] for key in ("q", "sigma", "tau_end"))
     grid = cfg.grid
     coarse = make_grid(grid.half_length, grid.n // 2)
@@ -368,32 +362,27 @@ def _exp_transform_check(cfg: ExperimentConfig, outdir: str):
                     f"n={coarse.n}: {rep2_c.relative:.3e} -> n={grid.n}: "
                     f"{rep2_f.relative:.3e}"),
     ]
-    files: list = []
-    write_csv(os.path.join(outdir, "profiles.csv"),
-              ["y", "fpme_profile", "mapped_profile", "fpme_residual",
-               "mapped_residual"],
-              [grid.nodes, phi1_f.values, mapped_f.profile.values,
-               rep1_f.residual.values, rep2_f.residual.values])
-    files.append("profiles.csv")
+    out.csv("profiles.csv",
+            ["y", "fpme_profile", "mapped_profile", "fpme_residual",
+             "mapped_residual"],
+            [grid.nodes, phi1_f.values, mapped_f.profile.values,
+             rep1_f.residual.values, rep2_f.residual.values])
     # relaxation telemetry, one row per grid, coarse first; clip_steps
     # counts the steps in which the positivity clip removed mass
-    write_csv(os.path.join(outdir, "relaxation_stats.csv"), list(stats_f),
-              [[stats_c[key], stats_f[key]] for key in stats_f])
-    files.append("relaxation_stats.csv")
-    write_svg(LineFigure("profile transformation", "y", "value", [
+    out.csv("relaxation_stats.csv", list(stats_f),
+            [[stats_c[key], stats_f[key]] for key in stats_f])
+    out.svg("profiles.svg", LineFigure("profile transformation", "y", "value", [
         Series(grid.nodes.tolist(), phi1_f.values.tolist(), "source"),
         Series(grid.nodes.tolist(), mapped_f.profile.values.tolist(), "mapped"),
-    ]), os.path.join(outdir, "profiles.svg"))
-    files.append("profiles.svg")
-    write_svg(LineFigure("profile residual map", "y", "residual", [
+    ]))
+    out.svg("residual_map.svg", LineFigure("profile residual map", "y", "residual", [
         Series(grid.nodes.tolist(), rep2_f.residual.values.tolist(), "mapped"),
         Series(grid.nodes.tolist(), rep1_f.residual.values.tolist(), "source"),
-    ]), os.path.join(outdir, "residual_map.svg"))
-    files.append("residual_map.svg")
-    return checks, files
+    ]))
+    return checks
 
 
-def _exp_barrier_check(cfg: ExperimentConfig, outdir: str):
+def _exp_barrier_check(cfg: ExperimentConfig, out: _Outputs):
     p = cfg.model
     v0 = _fitting_primitive(cfg.initial_field(), "the initial data")
     witness = infinite_speed_witness(v0, p.m, p.s, cfg.knobs["x0"],
@@ -414,16 +403,14 @@ def _exp_barrier_check(cfg: ExperimentConfig, outdir: str):
                     f"barrier {witness.barrier_at_probe:.3e} at "
                     f"x={witness.probe_x:.3g}"),
     ]
-    files: list = []
     bp = witness.params
-    write_csv(os.path.join(outdir, "barrier.csv"),
-              ["x0", "xi", "eps_b", "tau", "cap", "tail_coef", "gamma", "b",
-               "probe_x", "v_at_probe", "barrier_at_probe"],
-              [[bp.x0], [bp.xi], [bp.eps_b], [bp.tau], [bp.cap],
-               [bp.tail_coef], [bp.gamma], [bp.b], [witness.probe_x],
-               [witness.v_at_probe], [witness.barrier_at_probe]])
-    files.append("barrier.csv")
-    return checks, files
+    out.csv("barrier.csv",
+            ["x0", "xi", "eps_b", "tau", "cap", "tail_coef", "gamma", "b",
+             "probe_x", "v_at_probe", "barrier_at_probe"],
+            [[bp.x0], [bp.xi], [bp.eps_b], [bp.tau], [bp.cap],
+             [bp.tail_coef], [bp.gamma], [bp.b], [witness.probe_x],
+             [witness.v_at_probe], [witness.barrier_at_probe]])
+    return checks
 
 
 _DISPATCH = {
@@ -455,8 +442,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> RunM
     man = RunManifest(experiment=cfg.experiment, config_text=cfg.raw_text)
     start = time.monotonic()
     try:
-        checks, files = _DISPATCH[cfg.experiment](cfg, outdir)
-        man.checks.extend(checks)
+        man.checks.extend(_DISPATCH[cfg.experiment](cfg, _Outputs(outdir, man)))
     except ConfigError:  # raised before the pipeline writes anything
         if created and not os.listdir(outdir):
             os.rmdir(outdir)
@@ -465,12 +451,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> RunM
         man.checks.append(CheckResult(
             "completed", False, exc.t_last,
             f"simulation unstable at t={exc.t_last:.6g}"))
-        files = []
     except RunAborted as exc:
         man.checks.append(CheckResult("completed", False, exc.t_last, str(exc)))
-        files = []
     man.wall_clock = time.monotonic() - start
-    for rel in files:
-        man.add_file(outdir, rel)
     write_manifest(man, outdir)
     return man

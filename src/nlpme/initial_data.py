@@ -6,6 +6,8 @@ returns the requested mass exactly (to roundoff).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import Field, Grid1D
@@ -19,7 +21,11 @@ def _normalized(grid: Grid1D, values: np.ndarray, mass: float) -> Field:
     total = grid.spacing * values.sum()
     if total <= 0.0:
         raise ValueError("initial profile has no mass")
-    return Field(grid, values * (mass / total))
+    # Python floats: an overflow gives inf here, not a numpy warning
+    scale = mass / float(total)
+    if not math.isfinite(scale * float(values.max())):
+        raise ValueError(f"mass {mass:g} over profile mass {total:g} overflows")
+    return Field(grid, values * scale)
 
 
 def gaussian_bump(grid: Grid1D, mass: float = 1.0, width: float = 1.0,

@@ -1,10 +1,12 @@
 """Run manifests: check verdicts, file checksums, config echo.
 
-The manifest is written atomically (temp file + rename) after all other
-outputs exist.  Timestamp-like and provenance lines (the wall clock, the
-python, numpy and scipy versions) are `#`-prefixed so determinism
-comparisons can strip them: two runs of the same config must agree on
-every non-comment line.
+Each output file is checksummed as it is written, read back in 1 MiB
+chunks, so no file is held in memory whole.  The manifest is written
+atomically (temp file + rename) after all other outputs exist.
+Timestamp-like and provenance lines (the wall clock, the python, numpy
+and scipy versions) are `#`-prefixed so determinism comparisons can
+strip them: two runs of the same config must agree on every non-comment
+line.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import scipy
 __all__ = ["CheckResult", "RunManifest", "write_manifest", "manifest_core"]
 
 VERSION = "0.1.0"
+MANIFEST_NAME = "manifest.txt"
+CHUNK = 1 << 20  # bytes read per sha256 update
 
 
 @dataclass
@@ -50,7 +54,8 @@ class RunManifest:
     def add_file(self, outdir, relpath) -> None:
         digest = hashlib.sha256()
         with open(os.path.join(outdir, relpath), "rb") as f:
-            digest.update(f.read())
+            while chunk := f.read(CHUNK):
+                digest.update(chunk)
         self.files[relpath] = digest.hexdigest()
 
 
@@ -73,9 +78,9 @@ def _render(man: RunManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_manifest(man: RunManifest, outdir, name: str = "manifest.txt") -> str:
+def write_manifest(man: RunManifest, outdir) -> str:
     """Atomic write: the manifest only appears once fully written."""
-    path = os.path.join(outdir, name)
+    path = os.path.join(outdir, MANIFEST_NAME)
     fd, tmp = tempfile.mkstemp(dir=outdir, prefix=".manifest-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:

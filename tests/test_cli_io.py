@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlpme.cli import main
@@ -318,6 +318,27 @@ def test_manifest_atomic_and_deterministic(tmp_path):
     assert text1 != text2
     assert manifest_core(text1) == manifest_core(text2)
     assert not any(f.startswith(".manifest-") for f in os.listdir(tmp_path))
+
+
+def test_manifest_hashes_a_large_file_in_chunks(tmp_path):
+    """add_file streams: hashing a 16 MB file allocates under 4 MB, and
+    gives the file's sha256."""
+    import hashlib
+    import tracemalloc
+
+    data = np.random.default_rng(0).bytes(1 << 20)
+    with open(tmp_path / "big.bin", "wb") as f:
+        for _ in range(16):
+            f.write(data)
+    man = RunManifest(experiment="simulate", config_text="")
+    tracemalloc.start()
+    try:
+        man.add_file(tmp_path, "big.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert man.files["big.bin"] == hashlib.sha256(data * 16).hexdigest()
 
 
 def _write(tmp_path, text):
@@ -631,6 +652,17 @@ def _fuzz_configs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_fuzz_configs())
+# two bumps so narrow that n = 16 nodes sample 2.8e-306 of their mass: the
+# scale to mass 1e200 overflows, and the run must end in exit 2
+@example(case=("simulate",
+               {"experiment": {"kind": "simulate", "seed": 0},
+                "model": {"m": 1.01, "s": 0.01},
+                "grid": {"half_length": 15.0, "n": 16},
+                "time": {"t_end": 1e-06, "snap_times": "1e-06 0 5e-07"},
+                "initial": {"kind": "two-bump", "mass": 1e200, "width": 0.001,
+                            "radius": 0.001, "widths": "0.001 0.01",
+                            "center": 0.0}},
+               None, 0.0))
 def test_cli_any_config_ends_in_an_exit_code(case):
     """No config ends in a traceback or a hang: the CLI returns 0, 1 or 2,
     and leaves a manifest on 0 and 1 and no output directory on 2; the
@@ -850,6 +882,74 @@ def test_cli_integrated_nan_exit_one(tmp_path, capsys, monkeypatch):
     assert "check completed = FAIL" in text
     t_last = float(text.split("check completed = FAIL value=")[1].split()[0])
     assert 0.0 < t_last < 2.0  # the two steps before the poisoned one
+
+
+_INVENTORY_BASE = """
+[experiment]
+kind = {kind}
+seed = 5
+[model]
+m = 1.5
+s = 0.5
+[grid]
+half_length = 15.0
+n = 64
+[time]
+t_end = 0.1
+snapshots = 5
+[initial]
+kind = {init}
+mass = {mass}
+width = 1.0
+radius = 1.25
+center = {center}
+[integrated]
+pairs = 2
+steps = 5
+[continuation]
+schedule = 0.1 0.01 0.01; 0.05 0.005 0.005
+[smoothing]
+window = 0.004 0.1
+[asymptotics]
+lambdas = 1 2
+t_probe = 0.1
+[propagation]
+mode = {mode}
+window = 0.01 0.1
+x0 = -1.0
+[barrier]
+x0 = -1.0
+[transform]
+tau_end = 0.5
+"""
+
+
+@pytest.mark.parametrize("kind, init, mass, mode", [
+    (kind, "bump" if kind == "barrier-check" else "gaussian", 1.0, "finite")
+    for kind in EXPERIMENTS] + [
+    ("propagation", "bump", 1.0, "infinite"),
+    ("transform-check", "gaussian", 1e200, "finite"),  # SimulationUnstable
+])
+def test_manifest_inventories_every_output(tmp_path, kind, init, mass, mode):
+    """Every pipeline, and an aborted run: the files in the output
+    directory, the manifest aside, are exactly the manifest's `file`
+    lines, and each checksum is that of the file on disk."""
+    import hashlib
+
+    from nlpme.experiments import run_experiment
+
+    center = -2.25 if init == "bump" else 0.0
+    text = _INVENTORY_BASE.format(kind=kind, init=init, mass=mass, mode=mode,
+                                  center=center)
+    man = run_experiment(parse_config(text), output_dir=str(tmp_path / "o"))
+    lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    listed = dict(ln[len("file "):].split(" = sha256:")
+                  for ln in lines if ln.startswith("file "))
+    on_disk = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+               for name in os.listdir(tmp_path / "o") if name != "manifest.txt"}
+    assert listed == on_disk == man.files
+    aborted = any(c.name == "completed" for c in man.checks)
+    assert aborted == (mass == 1e200) and bool(on_disk) != aborted
 
 
 def test_run_twice_byte_identical_csv(tmp_path):

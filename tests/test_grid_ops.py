@@ -7,11 +7,14 @@ scipy.special for the package's own gamma-function constants and Hurwitz
 zeta.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from nlpme.evolve import _max_symbol
 from nlpme.grid import Field, FracOrder, make_grid
+from nlpme.initial_data import two_bump
 from nlpme.operators import (
     frac_constant,
     frac_laplacian,
@@ -57,6 +60,18 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(-1.0, 16)
     with pytest.raises(ValueError):
         make_grid(0.0, 16)
+
+
+def test_initial_data_scale_overflow_is_a_value_error():
+    """Two bumps so narrow that 16 nodes sample 2.8e-306 of their mass:
+    scaling them to mass 1e200 would overflow, so the builder raises
+    ValueError before multiplying, with no numpy warning."""
+    g = make_grid(15.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            two_bump(g, 1e200, widths=(0.001, 0.01))
+        assert np.isfinite(two_bump(g, 1.0, widths=(0.001, 0.01)).values).all()
 
 
 def test_grid_nodes_and_wavenumbers():
