@@ -28,10 +28,10 @@ print(f"evolved a point mass to t=20 in {traj.steps} steps "
 
 ex = scaling_exponents(m, s)
 checks = standard_checks(traj, ex)
-print(f"mass drift:              {checks['mass_drift'][0]:.2e}")
+print(f"mass drift:              {checks['mass_drift'].value:.2e}")
 for key in ("sup_monotone", "l2_monotone", "l4_monotone",
             "second_energy_monotone"):
-    print(f"{key:<24} worst uptick {checks[key].max_violation:.2e}")
+    print(f"{key:<24} worst uptick {checks[key].value:.2e}")
 
 fit = smoothing_fit(traj, ex, window=(1.0, 20.0))
 print(f"\nsup-norm decay: fitted exponent {fit.fitted_exponent:.4f}, "

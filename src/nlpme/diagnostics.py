@@ -5,7 +5,8 @@ number: mass conservation, decay of the norms and energies, the
 L^1 -> L^inf smoothing exponent, support growth and tail masses for the
 finite/infinite propagation dichotomy, and the Cauchy behavior of
 rescaled solution families that stands in for convergence to the
-self-similar attractor.
+self-similar attractor.  A pass/fail verdict is a :class:`CheckResult`,
+the one check type of the per-run battery and of the run manifests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "DecayFit",
     "decay_fit_span",
     "smoothing_fit",
-    "MonotonicityReport",
+    "CheckResult",
     "standard_checks",
     "FamilyMember",
     "rescaled_family",
@@ -118,25 +119,28 @@ def smoothing_fit(traj: Trajectory, ex: ExponentSet,
 
 
 @dataclass
-class MonotonicityReport:
-    quantity: str
-    values: np.ndarray
-    max_violation: float  # largest relative uptick between snapshots
-    passed: bool
+class CheckResult:
+    """A named pass/fail verdict and the number it rests on."""
 
-    @staticmethod
-    def check(name: str, values, tol: float = 1e-8) -> "MonotonicityReport":
-        values = np.asarray(values, dtype=float)
-        worst = 0.0
-        for a, b in zip(values, values[1:]):
-            if a > 0:
-                worst = max(worst, (b - a) / a)
-        return MonotonicityReport(name, values, worst, worst < tol)
+    name: str
+    passed: bool
+    value: float
+    detail: str = ""
+
+
+def _monotone(name: str, values, tol: float) -> CheckResult:
+    """Nonincreasing check: the value is the largest relative uptick
+    between consecutive snapshots, and it passes below tol."""
+    worst = 0.0
+    for a, b in zip(values, values[1:]):
+        if a > 0:
+            worst = max(worst, (b - a) / a)
+    return CheckResult(name, bool(worst < tol), float(worst))
 
 
 def standard_checks(traj: Trajectory, ex: ExponentSet | None = None,
                     tol: float = 1e-8) -> dict:
-    """The per-run conservation and monotonicity battery.
+    """The per-run conservation and monotonicity battery, {name: CheckResult}.
 
     mass drift, sup / L2 / L4 / second-energy monotonicity, and (when the
     exponent set is given and the run spans past t=1) the smoothing
@@ -146,17 +150,11 @@ def standard_checks(traj: Trajectory, ex: ExponentSet | None = None,
     d = traj.diagnostics
     m0 = d[0].mass
     drift = max(abs(x.mass - m0) for x in d) / m0 if m0 > 0 else 0.0
-    checks = {
-        "mass_drift": (drift, drift < tol),
-        "sup_monotone": MonotonicityReport.check(
-            "sup", [x.sup_norm for x in d], tol),
-        "l2_monotone": MonotonicityReport.check(
-            "l2", [x.l2_norm for x in d], tol),
-        "l4_monotone": MonotonicityReport.check(
-            "l4", [x.l4_norm for x in d], tol),
-        "second_energy_monotone": MonotonicityReport.check(
-            "second-energy", [x.second_energy for x in d], tol),
-    }
+    checks = [CheckResult("mass_drift", bool(drift < tol), float(drift))]
+    for name, attr in (("sup_monotone", "sup_norm"), ("l2_monotone", "l2_norm"),
+                       ("l4_monotone", "l4_norm"),
+                       ("second_energy_monotone", "second_energy")):
+        checks.append(_monotone(name, [getattr(x, attr) for x in d], tol))
     if ex is not None and m0 > 0:
         times = traj.times
         sups = np.array([x.sup_norm for x in d])
@@ -166,9 +164,10 @@ def standard_checks(traj: Trajectory, ex: ExponentSet | None = None,
             gamma, delta = ex.gamma_p, ex.delta_p
             C = sups[i0] * times[i0] ** gamma / m0**delta
             bound = 2.0 * C * times[past] ** (-gamma) * m0**delta
-            ok = bool(np.all(sups[past] <= bound))
-            checks["decay_envelope"] = (float(np.max(sups[past] / bound)), ok)
-    return checks
+            checks.append(CheckResult("decay_envelope",
+                                      bool(np.all(sups[past] <= bound)),
+                                      float(np.max(sups[past] / bound))))
+    return {c.name: c for c in checks}
 
 
 @dataclass

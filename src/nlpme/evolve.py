@@ -31,6 +31,8 @@ POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
 `_march` is the one time loop of this solver, the integrated scheme and
 the FPME relaxation: snapshot schedule, horizon cap, interpolation of the
 frames a step crosses and the step-count guard; each supplies its step.
+The relaxation has one entry point, `fpme_profile_by_rescaling`, which
+returns its step telemetry beside the profile.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .operators import (
     neg_half_order_norm,
     riesz_gradient,
 )
+from .similarity import fpme_rate
 
 __all__ = [
     "ModelParams",
@@ -305,9 +308,7 @@ def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
     return float(dt), limit
 
 
-def cfl_dt(
-    u: Field, p: ModelParams, cap: float = math.inf, w: Field | None = None
-) -> float:
+def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
     """Stable explicit step for the density scheme.
 
     Three limits are combined with the safety factor CFL_SAFETY:
@@ -331,13 +332,11 @@ def cfl_dt(
       step a positive map.
 
     With zero velocity and delta = 0 the returned step is just `cap` (the
-    configured horizon).  `w` is the pressure gradient of u when the
-    caller already has it; it is computed otherwise.
+    configured horizon).
     """
     if np.any(u.values < 0):
         raise ValueError("cfl_dt requires a nonnegative field")
-    if w is None:
-        w = pressure_gradient(u, p)
+    w = pressure_gradient(u, p)
     J, a, w_face = _face_flux(u.values, w.values, p, _Workspace(u.grid.n))
     return _stable_dt(J, a, w_face, u.grid, p, cap)[0]
 
@@ -407,21 +406,17 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
     return u_new, clipped, limited
 
 
-def step_density(
-    u: Field, p: ModelParams, dt: float, w: Field | None = None
-) -> tuple[Field, float]:
+def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
     """One explicit conservative step of the density equation.
 
     Returns the stepped field and the mass clipped to keep it nonnegative.
-    Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`; `w` is
-    the pressure gradient of u if already computed (see :func:`cfl_dt`).
-    The step is the positivity-limited flux update followed by the
-    three-point viscosity term.  Raises :class:`SimulationUnstable` on NaN.
+    Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`.  The
+    step is the positivity-limited flux update followed by the three-point
+    viscosity term.  Raises :class:`SimulationUnstable` on NaN.
     """
     if np.any(u.values < 0):
         raise ValueError("step_density requires a nonnegative field")
-    if w is None:
-        w = pressure_gradient(u, p)
+    w = pressure_gradient(u, p)
     ws = _Workspace(u.grid.n)
     J, _, _ = _face_flux(u.values, w.values, p, ws)
     u_new, clipped, _ = _apply_flux(u.values, J, dt, u.grid.spacing, p, ws)
@@ -628,16 +623,36 @@ def _dilate(primitive: np.ndarray, faces: np.ndarray, stretch: float) -> np.ndar
     return np.diff(np.interp(stretch * faces, faces, primitive))
 
 
-def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
-    """The relaxation of :func:`fpme_profile_by_rescaling` and its telemetry.
+def fpme_profile_by_rescaling(
+    u0: Field, q: float, sigma: float, tau_end: float = 14.0
+) -> tuple[Field, dict]:
+    """Self-similar FPME profile by relaxation in rescaled variables.
 
-    Returns (phi, stats): the profile's values and a dict of the step
-    count, the dt minimum, median and maximum, and `clip_steps`, the
-    number of steps in which the positivity clip after the diffusion
-    substep removed mass.
+    Writing u(x, t) = t^(-N beta1) phi(x t^(-beta1), ln t) turns the flow
+    into phi_tau = -(-Delta)^sigma (phi^q) + beta1 * div(y phi), whose
+    steady state is the Barenblatt profile of the given mass.  Evolving the
+    rescaled equation equates to evolving the original flow to time
+    e^tau_end while continuously rescaling, which avoids resampling the
+    slowly decaying tails through the box boundary.  Each step is
+    split: explicit fractional diffusion, the positivity clip, then the
+    drift, which is a pure dilation and is stepped exactly on the
+    primitive Phi (the cumulative mass at the cell faces): Phi(y) becomes
+    Phi(e^(beta1 dt) y), linearly interpolated, and the new cell values
+    are its differences.  The remapped Phi stays monotone and its ends
+    stay 0 and M, so the drift keeps phi >= 0 and conserves mass to
+    roundoff at any dt, needs no linear solve, and the step bound is the
+    diffusion's alone.  The renormalization each step restores mass
+    removed by the positivity clip.
+
+    Returns (profile, stats): stats holds the step count, the dt minimum,
+    median and maximum, and `clip_steps`, the number of steps in which the
+    positivity clip removed mass.  The steps run through `_march`: raises
+    :class:`RunAborted` past MAX_STEPS steps, and
+    :class:`SimulationUnstable` at the rescaled time reached when phi^q,
+    the step or its dilation factor is not finite.
     """
     grid = u0.grid
-    beta1 = 1.0 / ((q - 1.0) + 2.0 * sigma)  # N = 1
+    beta1 = fpme_rate(q, sigma)  # N = 1
     h = grid.spacing
     mass = float(h * u0.values.sum())
     u = np.maximum(u0.values.copy(), 0.0)
@@ -680,32 +695,6 @@ def _relax_fpme(u0: Field, q: float, sigma: float, tau_end: float):
         (_, phi), = (f for _, fs in _march(u, tau_end, [tau_end], step) for f in fs)
     dt_min, dt_median, dt_max = ((min(dts), float(np.median(dts)), max(dts)) if dts
                                  else (math.nan,) * 3)
-    return phi, {"steps": len(dts), "dt_min": dt_min, "dt_median": dt_median,
-                 "dt_max": dt_max, "clip_steps": clip_steps}
-
-
-def fpme_profile_by_rescaling(
-    u0: Field, q: float, sigma: float, tau_end: float = 14.0
-) -> Field:
-    """Self-similar FPME profile by relaxation in rescaled variables.
-
-    Writing u(x, t) = t^(-N beta1) phi(x t^(-beta1), ln t) turns the flow
-    into phi_tau = -(-Delta)^sigma (phi^q) + beta1 * div(y phi), whose
-    steady state is the Barenblatt profile of the given mass.  Evolving the
-    rescaled equation equates to evolving the original flow to time
-    e^tau_end while continuously rescaling, which avoids resampling the
-    slowly decaying tails through the box boundary.  Each step is
-    split: explicit fractional diffusion, the positivity clip, then the
-    drift, which is a pure dilation and is stepped exactly on the
-    primitive Phi (the cumulative mass at the cell faces): Phi(y) becomes
-    Phi(e^(beta1 dt) y), linearly interpolated, and the new cell values
-    are its differences.  The remapped Phi stays monotone and its ends
-    stay 0 and M, so the drift keeps phi >= 0 and conserves mass to
-    roundoff at any dt, needs no linear solve, and the step bound is the
-    diffusion's alone.  The renormalization each step restores mass
-    removed by the positivity clip.  The steps run through `_march`:
-    raises :class:`RunAborted` past MAX_STEPS steps, and
-    :class:`SimulationUnstable` at the rescaled time reached when phi^q,
-    the step or its dilation factor is not finite.
-    """
-    return u0.with_values(_relax_fpme(u0, q, sigma, tau_end)[0])
+    return u0.with_values(phi), {"steps": len(dts), "dt_min": dt_min,
+                                 "dt_median": dt_median, "dt_max": dt_max,
+                                 "clip_steps": clip_steps}

@@ -2,7 +2,9 @@
 
 Each experiment takes a validated configuration, runs the relevant
 solvers, writes CSV tables and SVG figures into the output directory, and
-returns named pass/fail checks.  Every file is written through one
+returns its checks as `CheckResult`s.  It writes what the public library
+calls return, such as the check battery's results and the relaxation's
+telemetry, with no adapter in between.  Every file is written through one
 `_Outputs` writer, which checksums it, streaming, into the manifest as
 soon as it is written, so no output can miss the inventory.  A density
 run's snapshot matrix is written as `snapshots.npy` (column 0 is x,
@@ -25,6 +27,7 @@ from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv, write_npy_columns
 from .diagnostics import (
     PROBE_FACTOR,
+    CheckResult,
     asymptotic_convergence,
     finite_propagation_report,
     infinite_propagation_report,
@@ -35,8 +38,8 @@ from .diagnostics import (
 from .evolve import (
     RunAborted,
     SimulationUnstable,
-    _relax_fpme,
     continuation_limit,
+    fpme_profile_by_rescaling,
     simulate_density,
 )
 from .grid import Field, FracOrder, make_grid
@@ -48,7 +51,7 @@ from .integrated import (
     integrate_density,
     simulate_integrated,
 )
-from .manifest import CheckResult, RunManifest, write_manifest
+from .manifest import RunManifest, write_manifest
 from .similarity import (
     ProfileFamily,
     ProfileKind,
@@ -133,22 +136,11 @@ def _fitting_primitive(u: Field, what: str):
                           f"+-{u.grid.half_length:g} ({exc})") from None
 
 
-def _standard_check_results(checks: dict) -> list:
-    out = []
-    for name, val in checks.items():
-        if isinstance(val, tuple):
-            value, ok = val
-            out.append(CheckResult(name, bool(ok), float(value)))
-        else:
-            out.append(CheckResult(name, bool(val.passed), float(val.max_violation)))
-    return out
-
-
 def _exp_simulate(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
     ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
-    checks = _standard_check_results(standard_checks(traj, ex))
+    checks = list(standard_checks(traj, ex).values())
     total = traj.diagnostics[0].mass
     tail = traj.diagnostics[-1].boundary_tail
     checks.append(CheckResult("boundary_tail_watchdog",
@@ -344,8 +336,7 @@ def _exp_transform_check(cfg: ExperimentConfig, out: _Outputs):
 
     def residuals(g):
         u0 = gaussian_bump(g, cfg.initial.mass, width=1.0)
-        values, stats = _relax_fpme(u0, q, sigma, tau_end)
-        phi1 = u0.with_values(values)
+        phi1, stats = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
         rep1 = residual_report(phi1, kind1, q, sigma)
         mapped = transform_fpme_profile(phi1, q, sigma)
         rep2 = residual_report(mapped.profile, mapped.kind, mapped.m, mapped.s)

@@ -21,7 +21,7 @@ what stepping each pair alone gives.  An adaptive run of one primitive,
 solver's time-loop driver, which also fills its snapshot frames.
 
 Every step runs in one :class:`_RowWorkspace`, built once per sweep or run
-(once per call in the B = 1 wrappers): the ramp is formed once, the
+(once per call in `step_integrated`): the ramp is formed once, the
 slopes come from one difference pass whose shifts give the backward and
 forward slopes, neighbours are read as shifts of the flattened stack, and
 each new stack goes to one of two state buffers, so a step allocates only
@@ -157,13 +157,13 @@ class _RowWorkspace:
     """Preallocated buffers of the primitive step for one (B, n) stack.
 
     A sweep or run builds one from its starting stack X and row masses M
-    and hands it to every step; :func:`integrated_cfl_dt` and
-    :func:`step_integrated` build one per call.  `F` holds the differences
-    of the current stack, F[b, j] = X[b, j + 1] - X[b, j], its last column
-    a copy of the one before, so that it validates that stack and
-    :meth:`face_slopes` then turns it in place into the forward slopes of
-    the next step.  `ramp` is the affine primitive of each row's boundary
-    values, `G` and `mask` are scratch, and each new stack is written to
+    and hands it to every step; :func:`step_integrated` builds one per
+    call.  `F` holds the differences of the current stack,
+    F[b, j] = X[b, j + 1] - X[b, j], its last column a copy of the one
+    before, so that it validates that stack and :meth:`face_slopes` then
+    turns it in place into the forward slopes of the next step.  `ramp` is
+    the affine primitive of each row's boundary values, `G` and `mask`
+    are scratch, and each new stack is written to
     the one of the two `states` buffers that does not hold the current
     one, so a step allocates no (B, n) array of its own.  Every pass over
     a whole stack runs on contiguous memory: neighbours are read as shifts
@@ -223,8 +223,8 @@ class _RowWorkspace:
 
 def _cfl_rows(F: np.ndarray, h: float, m: float, alpha: FracOrder,
               cap: float = math.inf) -> np.ndarray:
-    """Stable step of each row of a (B, n) stack of primitives, from the
-    forward slopes F of :meth:`_RowWorkspace.face_slopes`."""
+    """Stable step of each row of a stack of primitives, from the row
+    maxima of its forward slopes F (:meth:`_RowWorkspace.face_slopes`)."""
     base = CFL_SAFETY * h ** (2.0 * alpha.alpha)
     damp = min(1.0, 2.0 / math.pi ** (2.0 * alpha.alpha))
     dts = np.empty(len(F))
@@ -240,8 +240,9 @@ def integrated_cfl_dt(v: PrimitiveField, m: float, alpha: FracOrder,
                       cap: float = math.inf) -> float:
     """Stable step: safety * h^(2 alpha) / max|v_x|^(m-1), with the spectral
     stability factor min(1, 2/pi^(2 alpha)) folded in."""
-    ws = _RowWorkspace(v.values[None, :], np.array([v.total_mass]), v.grid)
-    return float(_cfl_rows(ws.face_slopes(), v.grid.spacing, m, alpha, cap)[0])
+    h = v.grid.spacing
+    F = np.maximum(np.diff(v.values) / h, 0.0)[None, :]
+    return float(_cfl_rows(F, h, m, alpha, cap)[0])
 
 
 @dataclass

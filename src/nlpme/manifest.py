@@ -1,5 +1,8 @@
 """Run manifests: check verdicts, file checksums, config echo.
 
+The verdicts are :class:`diagnostics.CheckResult`s, the type the check
+battery returns, so a pipeline writes them as it gets them.
+
 Each output file is checksummed as it is written, read back in 1 MiB
 chunks, so no file is held in memory whole.  The manifest is written
 atomically (temp file + rename) after all other outputs exist.
@@ -23,19 +26,13 @@ import numpy
 # run that never imported scipy would fail there with a KeyError.
 import scipy
 
+from .diagnostics import CheckResult
+
 __all__ = ["CheckResult", "RunManifest", "write_manifest", "manifest_core"]
 
 VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.txt"
 CHUNK = 1 << 20  # bytes read per sha256 update
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    value: float
-    detail: str = ""
 
 
 @dataclass

@@ -556,7 +556,7 @@ def test_cli_data_or_grid_the_box_cannot_hold_exit_two(tmp_path, capsys, monkeyp
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the input checks")
 
-    for name in ("simulate_density", "_relax_fpme", "infinite_speed_witness"):
+    for name in ("simulate_density", "fpme_profile_by_rescaling", "infinite_speed_witness"):
         monkeypatch.setattr(experiments, name, no_run)
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     for old, new in edits.items():
@@ -992,7 +992,7 @@ def _scipy_modules_after(code: str) -> set:
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.strip().splitlines()[-1].split())
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_import_and_runs_keep_scipy_subpackages_cold(tmp_path):
@@ -1020,3 +1020,66 @@ def test_import_and_runs_keep_scipy_subpackages_cold(tmp_path):
         runs.append(f"assert main([{kind!r}, '--config', {str(cfg)!r}]) == 0")
     loaded = _scipy_modules_after("from nlpme.cli import main\n" + "\n".join(runs))
     assert loaded == bare
+
+
+def test_bare_import_loads_no_scipy():
+    """`import nlpme` loads no scipy module at all: only the manifest
+    writer, which the pipelines import, needs the top-level scipy."""
+    assert _scipy_modules_after("import nlpme") == set()
+
+
+def test_transform_check_relaxes_through_the_public_function(tmp_path, monkeypatch):
+    """transform-check relaxes each grid through the public
+    fpme_profile_by_rescaling, coarse grid first, and writes what it
+    returns: a counted run's files and manifest core equal an uncounted
+    run's."""
+    import nlpme.experiments as experiments
+    from nlpme.evolve import fpme_profile_by_rescaling
+
+    cfg = _write(tmp_path, MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+                 .replace("n = 256", "n = 64") + "\n[transform]\ntau_end = 2.0\n")
+    assert main(["transform-check", "--config", cfg,
+                 "--output", str(tmp_path / "plain")]) == 0
+    grids = []
+
+    def counted(u0, *args, **kwargs):
+        grids.append(u0.grid.n)
+        return fpme_profile_by_rescaling(u0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fpme_profile_by_rescaling", counted)
+    assert main(["transform-check", "--config", cfg,
+                 "--output", str(tmp_path / "counted")]) == 0
+    assert grids == [32, 64]
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert names == sorted(os.listdir(tmp_path / "counted"))
+    for name in names:
+        plain, counted_run = ((tmp_path / run / name).read_bytes()
+                              for run in ("plain", "counted"))
+        if name == "manifest.txt":
+            plain, counted_run = (manifest_core(text.decode())
+                                  for text in (plain, counted_run))
+        assert plain == counted_run, name
+
+
+def test_simulate_manifest_writes_the_standard_checks(tmp_path):
+    """A simulate run's manifest holds the standard battery's checks, line
+    for line as standard_checks returns them, then its own watchdog."""
+    from nlpme.diagnostics import standard_checks
+    from nlpme.evolve import simulate_density
+    from nlpme.experiments import run_experiment
+    from nlpme.similarity import scaling_exponents
+
+    cfg = parse_config(MINIMAL.replace("n = 256", "n = 64")
+                       .replace("t_end = 0.5", "t_end = 2.0"))
+    run_experiment(cfg, output_dir=str(tmp_path / "o"))
+    traj = simulate_density(cfg.initial_field(), cfg.model, cfg.t_end,
+                            snap_times=cfg.snap_times)
+    battery = standard_checks(traj, scaling_exponents(cfg.model.m, cfg.model.s,
+                                                      cfg.model.N))
+    expected = [f"check {name} = {'PASS' if c.passed else 'FAIL'} value={c.value:.9g}"
+                for name, c in battery.items()]
+    lines = [ln for ln in (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+             if ln.startswith("check ")]
+    assert "decay_envelope" in battery
+    assert lines[:-1] == expected
+    assert lines[-1].startswith("check boundary_tail_watchdog = ")

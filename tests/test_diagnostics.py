@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nlpme.diagnostics import (
+    CheckResult,
     asymptotic_convergence,
     finite_propagation_report,
     infinite_propagation_report,
@@ -127,7 +128,7 @@ def test_standard_checks_on_real_run():
     p = ModelParams(2.0, 0.5)
     traj = simulate_density(u0, p, 2.0, snap_times=np.linspace(0.0, 2.0, 9))
     checks = standard_checks(traj, scaling_exponents(2.0, 0.5))
-    assert checks["mass_drift"][1]
+    assert checks["mass_drift"].passed
     for key in ("sup_monotone", "l2_monotone", "l4_monotone",
                 "second_energy_monotone"):
         assert checks[key].passed
@@ -136,7 +137,23 @@ def test_standard_checks_on_real_run():
                                traj.diagnostics[::-1])
     checks = standard_checks(reversed_traj)
     for key in ("sup_monotone", "l2_monotone", "l4_monotone"):
-        assert not checks[key].passed and checks[key].max_violation > 0.0
+        assert not checks[key].passed and checks[key].value > 0.0
+
+
+def test_standard_checks_are_check_results_named_by_their_keys():
+    """The battery returns one check type: each value is a CheckResult
+    named by its key, with a bool verdict and a float value, the decay
+    envelope included."""
+    g = make_grid(15.0, 128)
+    traj = simulate_density(gaussian_bump(g, 1.0, width=0.8), ModelParams(2.0, 0.5),
+                            2.0, snap_times=np.linspace(0.0, 2.0, 5))
+    checks = standard_checks(traj, scaling_exponents(2.0, 0.5))
+    assert list(checks) == ["mass_drift", "sup_monotone", "l2_monotone",
+                            "l4_monotone", "second_energy_monotone",
+                            "decay_envelope"]
+    for name, check in checks.items():
+        assert type(check) is CheckResult and check.name == name
+        assert type(check.passed) is bool and type(check.value) is float
 
 
 def test_family_smoothing_envelope_uniform_in_lambda():

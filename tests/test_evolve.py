@@ -23,7 +23,6 @@ from nlpme.evolve import (
     ModelParams,
     SimulationUnstable,
     _dilate,
-    _relax_fpme,
     _roll1,
     cfl_dt,
     continuation_limit,
@@ -619,7 +618,7 @@ def _reference_fpme_relaxation(u0, q, sigma, tau_end):
 def test_fpme_relaxation_equals_reference_loop(n, q, sigma, tau_end):
     g = make_grid(15.0, n)
     u0 = gaussian_bump(g, 2.0, width=1.0)
-    got = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
+    got, _ = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
     assert np.array_equal(got.values, _reference_fpme_relaxation(u0, q, sigma, tau_end))
 
 
@@ -637,7 +636,8 @@ def test_fpme_relaxation_beats_and_approaches_the_explicit_oracle(q, sigma, tau_
     for n in (256, 512):
         g = make_grid(15.0, n)
         u0 = gaussian_bump(g, 2.0, width=1.0)
-        phi, stats = _relax_fpme(u0, q, sigma, tau_end)
+        profile, stats = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
+        phi = profile.values
         explicit = _explicit_fpme_relaxation(u0, q, sigma, tau_end)
         assert (residual_report(Field(g, phi), kind, q, sigma).relative
                 < residual_report(Field(g, explicit), kind, q, sigma).relative)
@@ -657,12 +657,13 @@ def test_fpme_relaxation_with_an_underflowing_diffusion_bound():
     NaN profile."""
     g = make_grid(15.0, 64)
     u0 = gaussian_bump(g, 1e-20, width=1.0)
-    phi, stats = _relax_fpme(u0, 30.0, 0.5, 1.0)
+    profile, stats = fpme_profile_by_rescaling(u0, 30.0, 0.5, 1.0)
+    phi = profile.values
     assert stats["steps"] == 1 and stats["dt_max"] == 1.0
     assert np.all(phi >= 0.0)
     assert abs(g.spacing * phi.sum() - 1e-20) < 1e-34
     with pytest.raises(SimulationUnstable) as err:
-        _relax_fpme(u0, 30.0, 0.5, 1e308)
+        fpme_profile_by_rescaling(u0, 30.0, 0.5, 1e308)
     assert err.value.t_last == 0.0
 
 
@@ -892,10 +893,8 @@ def _failed_checks(traj):
     """The checks of standard_checks(tol=1e-8) that fail, with their values."""
     failed = {}
     for name, check in standard_checks(traj, tol=1e-8).items():
-        value, ok = check if isinstance(check, tuple) else (check.max_violation,
-                                                           check.passed)
-        if not ok:
-            failed[name] = float(value)
+        if not check.passed:
+            failed[name] = check.value
     return failed
 
 

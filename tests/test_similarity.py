@@ -253,8 +253,8 @@ def test_manufactured_profile_transform_closure():
     """Mapped-profile residual below 3x the source's own floor."""
     g = make_grid(20.0, 512)
     q, sigma = 2.0, 0.5
-    phi1 = fpme_profile_by_rescaling(gaussian_bump(g, 1.0, width=1.0), q, sigma,
-                                     tau_end=12.0)
+    phi1, _ = fpme_profile_by_rescaling(gaussian_bump(g, 1.0, width=1.0), q, sigma,
+                                        tau_end=12.0)
     rep1 = residual_report(phi1, ProfileKind(ProfileFamily.FPME,
                                              fpme_rate(q, sigma)), q, sigma)
     mapped = transform_fpme_profile(phi1, q, sigma)
