@@ -47,7 +47,6 @@ from .operators import (
     frac_laplacian,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
-    mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,
     spectral_derivative,

@@ -72,8 +72,10 @@ EXPERIMENTS = (
 
 INITIAL_KINDS = ("gaussian", "bump", "two-bump", "heaviside-primitive", "file")
 
-# pipelines that normalize by the initial mass or its support, or fit its decay
-NEEDS_MASS = ("continuation", "propagation", "smoothing", "asymptotics")
+# pipelines that normalize by the initial mass or its support, fit its decay,
+# or relax a profile of that mass
+NEEDS_MASS = ("continuation", "propagation", "smoothing", "asymptotics",
+              "transform-check")
 # the key that sets how far each initial kind spreads over the grid
 EXTENT_KEYS = {"gaussian": "initial.width", "bump": "initial.radius",
                "two-bump": "initial.widths", "heaviside-primitive": "initial.radius",

@@ -83,7 +83,6 @@ class DecayFit:
     fitted_exponent: float
     theory_exponent: float
     relative_gap: float
-    fit_window: tuple
 
 
 def decay_fit_span(times) -> bool:
@@ -114,7 +113,6 @@ def smoothing_fit(traj: Trajectory, ex: ExponentSet,
         fitted_exponent=slope,
         theory_exponent=-gamma,
         relative_gap=abs(slope + gamma) / gamma,
-        fit_window=window,
     )
 
 
@@ -284,11 +282,9 @@ def extract_profile_inverse(profile: Field, ex: ExponentSet, t: float) -> Field:
 
 @dataclass
 class PropagationReport:
-    kind: str                 # "finite" or "infinite-witness"
     times: np.ndarray
     support_radii: np.ndarray
     tail_masses: np.ndarray
-    threshold: float
     probe_radius: float
     fit: tuple | None         # (intercept, slope, relative residual) for finite
     verdict: bool
@@ -306,10 +302,8 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     sel = (traj.times >= window[0]) & (traj.times <= window[1])
     times = traj.times[sel]
     radii, tails = [], []
-    thr_used = 0.0
     for snap in [s for s, keep in zip(traj.snapshots, sel) if keep]:
-        thr_used = threshold_rel * float(np.max(snap.values))
-        radii.append(support_radius(snap, thr_used))
+        radii.append(support_radius(snap, threshold_rel * float(np.max(snap.values))))
         tails.append(tail_mass(snap, 0.9 * traj.grid.half_length))
     radii = np.asarray(radii)
     coeffs = np.polyfit(times, radii, 1)
@@ -317,11 +311,9 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     scale = np.mean(radii)  # 0 when the support never leaves the centre node
     resid = float(np.sqrt(np.mean((radii - fitvals) ** 2)) / scale) if scale > 0 else math.inf
     return PropagationReport(
-        kind="finite",
         times=times,
         support_radii=radii,
         tail_masses=np.asarray(tails),
-        threshold=thr_used,
         probe_radius=0.0,
         fit=(float(coeffs[1]), float(coeffs[0]), resid),
         verdict=resid < max_residual,
@@ -346,11 +338,9 @@ def infinite_propagation_report(traj: Trajectory, initial_radius: float,
     floor = max(traj.clipped_mass, 1e-15 * total)
     verdict = bool(tails[-1] > 1e3 * floor) and witness_passed
     return PropagationReport(
-        kind="infinite-witness",
         times=traj.times,
         support_radii=radii,
         tail_masses=tails,
-        threshold=1e-8,
         probe_radius=probe,
         fit=None,
         verdict=verdict,

@@ -12,21 +12,25 @@ driven negative (the limiter only engages at degenerate front cells where
 the naive update would overdraw); whatever tiny negatives remain from the
 viscosity term are clipped and the clipped mass is tracked.
 
-A step is three array pieces: `_face_flux` (the advective factor, face
-average and upwind choice), `_stable_dt` (the step bound, which also
-names the limit that set it; `cfl_dt` explains its three limits, each
-read off the operator actually stepped) and `_apply_flux` (limiter,
-update, viscosity, clipping, NaN check).  `simulate_density` runs them
-on plain arrays after one pressure evaluation per step and keeps step
-telemetry; the public `cfl_dt` and `step_density` are the same pieces
-behind Field checks.  The pieces write every intermediate into a `_Workspace` of
-preallocated length-n buffers (one per run, or one per public call),
-read neighbours by slices plus the wrap element, and write each new state
-into whichever of the workspace's two state buffers does not hold the
-current one, so a step allocates no length-n array outside the pressure
-evaluation.  The limiter's factor pass runs only when some cell has
-POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
-(see `_apply_flux`) and skipping the multiply changes no bit.
+The pressure gradient is one Fourier multiplier, `_pressure_symbol`
+(spectral, or the folded mollified symbol when eps > 0), applied on
+arrays through the real FFT.  A step is that pressure evaluation and
+three array pieces: `_face_flux` (the advective factor, face average and
+upwind choice), `_stable_dt` (the step bound, which also names the limit
+that set it; `cfl_dt` explains its three limits, each read off the
+operator actually stepped) and `_apply_flux` (limiter, update,
+viscosity, clipping, NaN check).  `simulate_density` looks the symbol up
+once per run, runs the step on plain arrays and keeps step telemetry;
+each state is checked finite once, where `_apply_flux` makes it.  The
+public `pressure_gradient`, `cfl_dt` and `step_density` are the same
+pieces behind Field checks.  The pieces write every intermediate into a
+`_Workspace` of preallocated length-n buffers (one per run, or one per
+public call), read neighbours by slices plus the wrap element, and write
+each new state into whichever of the workspace's two state buffers does
+not hold the current one, so a step allocates no length-n array outside
+the pressure evaluation.  The limiter's factor pass runs only when some
+cell has POSITIVITY_HEADROOM * u < outflow: otherwise every factor is
+exactly 1.0 (see `_apply_flux`) and skipping the multiply changes no bit.
 
 `_march` is the one time loop of this solver, the integrated scheme and
 the FPME relaxation: snapshot schedule, horizon cap, interpolation of the
@@ -48,12 +52,13 @@ import numpy.ma  # np.median's NaN check loads it on first use; set-up pays here
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
     _CACHE_SIZE,
+    _apply_rows,
     _even_symbol,
+    _folded_symbol,
     _frac_laplacian_rows,
+    _odd_symbol,
     _symbol,
-    mollified_riesz_gradient,
     neg_half_order_norm,
-    riesz_gradient,
 )
 from .similarity import fpme_rate
 
@@ -178,17 +183,24 @@ class SimulationUnstable(RuntimeError):
         self.partial = partial
 
 
+def _pressure_symbol(grid: Grid1D, p: ModelParams) -> np.ndarray:
+    """Half-spectrum symbol of the pressure gradient, cached and read-only:
+    i*k*|k|^(-2s), or i*lambda(k)/k of the mollified operator when eps > 0."""
+    if p.eps > 0.0:
+        return _folded_symbol(grid.half_length, grid.n, p.s, p.eps)
+    return _odd_symbol(grid.half_length, grid.n, -2.0 * p.s)
+
+
 def pressure_gradient(u: Field, p: ModelParams) -> Field:
     """d/dx (-Delta)^(-s) u, or its mollified counterpart when eps > 0.
 
     For eps > 0 the factorization d/dx (-Delta)^(-1) L_eps is used, i.e. the
     spectral inverse-Laplacian gradient composed with the mollified operator
-    of order 1-s (one multiplier, i*lambda(k)/k), which restores the
-    spectral route as eps -> 0.
+    of order 1-s, which restores the spectral route as eps -> 0.  Either
+    form is one Fourier multiplier, `_pressure_symbol`, applied through the
+    real FFT; `simulate_density` applies the same symbol to its arrays.
     """
-    if p.eps > 0.0:
-        return mollified_riesz_gradient(u, p.s, p.eps)
-    return riesz_gradient(u, p.s)
+    return u.with_values(_apply_rows(u.values, _pressure_symbol(u.grid, p)))
 
 
 def _roll1(a: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -503,18 +515,14 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
 
     # Steps work on plain arrays in one workspace, the states alternating
     # between its two state buffers; _march's frames are fresh arrays, so
-    # no snapshot aliases them.  Each new state leaves _apply_flux
-    # nonnegative and finite, so it is neither re-checked nor wrapped in a
-    # new Field: `state` is the Field handed to the pressure operator, its
-    # values rebound to each state.
+    # no snapshot aliases them.
     ws = _Workspace(grid.n)
     np.copyto(ws.states[0], u0.values)
-    state = u0.with_values(ws.states[0])
+    sym = _pressure_symbol(grid, p)
 
     def step(u, t, cap):
         nonlocal clipped_mass, limiter_steps
-        state.values = u
-        w = pressure_gradient(state, p).values  # shared by the bound and the update
+        w = _apply_rows(u, sym)  # shared by the bound and the update
         J, a, w_face = _face_flux(u, w, p, ws)
         dt, limit = _stable_dt(J, a, w_face, grid, p, cap)
         if dt <= 0.0 or not math.isfinite(dt):
@@ -529,7 +537,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
         dts.append(dt)
         return u_next, dt
 
-    for t, frames in _march(state.values, t_end, snap_times, step):
+    for t, frames in _march(ws.states[0], t_end, snap_times, step):
         for ts, values in frames:
             snap = Field(grid, values)
             stored_times.append(ts)
@@ -545,7 +553,6 @@ class ContinuationReport:
     """Cauchy record of the regularization-removal chain."""
 
     schedule: list
-    checkpoint_time: float
     distances: list  # L2 distance between consecutive runs at the checkpoint
     masses: list     # final mass of each run
     decreasing: bool
@@ -602,7 +609,6 @@ def continuation_limit(
     masses = [r.diagnostics[-1].mass for r in runs]
     report = ContinuationReport(
         schedule=schedule,
-        checkpoint_time=float(checkpoint),
         distances=distances,
         masses=masses,
         decreasing=all(b < a for a, b in zip(distances, distances[1:])),

@@ -119,6 +119,8 @@ class PrimitiveField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise ValueError("values do not match grid size")
+        if not (np.all(np.isfinite(v)) and math.isfinite(self.total_mass)):
+            raise ValueError("primitive values and total mass must be finite")
         _check_rows(v[None, :], np.array([self.total_mass], dtype=float))
         self.values = v
 
@@ -280,8 +282,7 @@ def _step_rows(X: np.ndarray, ws: _RowWorkspace, m: float, alpha: FracOrder,
     holds no -0.0.  Equal entries of it then have equal bits, and whichever
     operand np.maximum returns on a tie (maximum.accumulate([0.0, -0.0])
     may keep the -0.0), the cumulative max returns the row itself; so does
-    the clamp, as +0.0 <= x <= M.  A skipped step adds 0.0 to `stats`, as
-    the B zero repairs would.
+    the clamp, as +0.0 <= x <= M.
     """
     if m <= 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
@@ -306,9 +307,6 @@ def _step_rows(X: np.ndarray, ws: _RowWorkspace, m: float, alpha: FracOrder,
     new[:, hi:] = X[:, hi:]
     ws.differences(new)
     if ws.monotone(new):
-        if stats is not None:
-            stats.monotonicity_mass += 0.0
-            stats.clamp_mass += 0.0
         return new, False
 
     mono = np.maximum.accumulate(new, axis=-1, out=G)
@@ -612,7 +610,6 @@ def parabola_supersolution(C: float, b: float, t: float, grid: Grid1D) -> Field:
 class ContactReport:
     margin: float            # min(U - u) over all nodes
     margin_interior: float   # min(U - u) where U > 0
-    location: float          # node of the overall minimum
     strict: bool             # interior margin strictly positive
 
 
@@ -621,13 +618,11 @@ def contact_check(u: Field, U: Field) -> ContactReport:
     if u.grid != U.grid:
         raise ValueError("contact_check requires fields on the same grid")
     diff = U.values - u.values
-    i = int(np.argmin(diff))
     inside = U.values > 0.0
     margin_int = float(diff[inside].min()) if np.any(inside) else float(diff.min())
     return ContactReport(
         margin=float(diff.min()),
         margin_interior=margin_int,
-        location=float(u.grid.nodes[i]),
         strict=bool(margin_int > 0.0),
     )
 

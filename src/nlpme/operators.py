@@ -16,8 +16,10 @@ Three families of operators live here:
   discrete operator is circulant, so it is applied as the Fourier
   multiplier lambda(k) of its quadrature weights.  As eps -> 0 it
   converges to the spectral (-Delta)^(1-s), which is what the convergence
-  tests check.  Its pressure gradient d/dx (-Delta)^(-1) L_eps is folded
-  into the single multiplier i*lambda(k)/k.
+  tests check.  Its one public form is `mollified_frac_laplacian`; the
+  pressure gradient d/dx (-Delta)^(-1) L_eps of the mollified flow is the
+  single multiplier i*lambda(k)/k of `_folded_symbol`, which the density
+  solver applies on arrays.
 
 * Whole-line fractional Laplacians of a callable at given points, for
   the barrier verification: fixed Gauss rules applied to all points at
@@ -55,8 +57,6 @@ __all__ = [
     "neg_half_order_norm",
     "frac_constant",
     "mollified_frac_laplacian",
-    "mollified_symbol",
-    "mollified_riesz_gradient",
     "line_frac_laplacian",
     "line_frac_laplacian_outside",
 ]
@@ -259,6 +259,12 @@ def _periodized_weights(half_length: float, n: int, s: float, eps: float) -> np.
 
 @_cached_readonly
 def _symbol(half_length: float, n: int, s: float, eps: float) -> np.ndarray:
+    """Eigenvalues lambda(k) of the mollified operator on the half spectrum.
+
+    The discrete operator is circulant, so its eigenvalues are
+    lambda_j = sum_d w_d (1 - cos(k_j d h)) >= 0 at k_j = pi*j/L,
+    j = 0..n/2; they are even in k.
+    """
     w = _periodized_weights(half_length, n, s, eps)
     return np.maximum(w.sum() - np.fft.rfft(w).real, 0.0)  # clip roundoff at k=0
 
@@ -269,14 +275,6 @@ def _folded_symbol(half_length: float, n: int, s: float, eps: float) -> np.ndarr
     return _odd_symbol(half_length, n, -2.0) * _symbol(half_length, n, s, eps)
 
 
-def _check_mollified(f: Field, s: float, eps: float):
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    _check_finite(f.values)
-
-
 def mollified_frac_laplacian(f: Field, s: float, eps: float) -> Field:
     """Mollified fractional Laplacian of order 1-s.
 
@@ -285,34 +283,12 @@ def mollified_frac_laplacian(f: Field, s: float, eps: float) -> Field:
     operator's Fourier symbol.  Symmetric and positive semidefinite;
     constants map to zero for any eps.
     """
-    _check_mollified(f, s, eps)
-    return _apply_multiplier(f, mollified_symbol(f.grid, s, eps))
-
-
-def mollified_riesz_gradient(f: Field, s: float, eps: float) -> Field:
-    """Mollified pressure gradient d/dx (-Delta)^(-1) L_eps.
-
-    The composition of :func:`inv_laplacian_gradient` with
-    :func:`mollified_frac_laplacian`, applied as the one multiplier
-    i*lambda(k)/k; it tends to :func:`riesz_gradient` as eps -> 0.
-    """
-    _check_mollified(f, s, eps)
-    sym = _folded_symbol(f.grid.half_length, f.grid.n, s, eps)
-    return _apply_multiplier(f, sym)
-
-
-def mollified_symbol(grid, s: float, eps: float) -> np.ndarray:
-    """Fourier eigenvalues of the mollified operator on the half spectrum.
-
-    The discrete operator is a circulant difference operator, hence
-    diagonal in the Fourier basis with nonnegative eigenvalues
-    lambda_j = sum_d w_d (1 - cos(k_j d h)).  They are even in k, so the
-    values at k_j = pi*j/L for j = 0..n/2 determine the operator.  The
-    returned array is cached and read-only.
-    """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return _symbol(grid.half_length, grid.n, s, eps)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    _check_finite(f.values)
+    return _apply_multiplier(f, _symbol(f.grid.half_length, f.grid.n, s, eps))
 
 
 # --- whole-line quadrature (barrier verification) -----------------------

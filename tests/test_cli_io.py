@@ -388,7 +388,7 @@ def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["propagation", "asymptotics", "continuation",
-                                  "smoothing"])
+                                  "smoothing", "transform-check"])
 def test_cli_zero_mass_exit_two(tmp_path, capsys, kind):
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     cfg = cfg.replace("mass = 1.0", "mass = 0.0")

@@ -33,10 +33,10 @@ from nlpme.evolve import (
 )
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.operators import (
+    _symbol,
     frac_laplacian,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
-    mollified_symbol,
 )
 from nlpme.initial_data import compact_bump, gaussian_bump, mollified_dirac
 from nlpme.similarity import (
@@ -269,8 +269,9 @@ def test_folded_mollified_pressure_matches_composition(s):
 def test_simulate_density_equals_hand_loop_bitwise(p):
     """Sharing one pressure gradient per step changes no bit of the run.
 
-    Oracle: cfl_dt / step_density called without `w`, each computing the
-    pressure gradient itself, with the solver's snapshot interpolation.
+    Oracle: cfl_dt / step_density, each computing the pressure gradient
+    itself through `pressure_gradient`, with the solver's snapshot
+    interpolation.
     """
     g = make_grid(8.0, 256)
     u0 = gaussian_bump(g, 1.0, width=0.7)
@@ -372,7 +373,7 @@ def _stepped_max_eigenvalue(g, p):
     pressure symbol Lambda(k) times sin(kh)/(kh), over k_j, j = 1..n/2-1."""
     n = g.n
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.spacing)[1:n // 2]
-    lam = (mollified_symbol(g, p.s, p.eps)[1:n // 2] if p.eps > 0.0
+    lam = (_symbol(g.half_length, g.n, p.s, p.eps)[1:n // 2] if p.eps > 0.0
            else k ** (2.0 - 2.0 * p.s))
     kh = 2.0 * np.pi * np.arange(1, n // 2) / n
     return float(np.max(lam * (np.sin(kh) / kh)))
@@ -842,6 +843,33 @@ def test_snapshots_share_no_memory(monkeypatch):
     # the stored frames are still the run's: the first is u0, bit for bit
     assert np.array_equal(snaps[0], u0.values)
     assert np.array_equal(snaps[1], u0.values)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_density_run_checks_each_snapshot_not_each_step(monkeypatch, eps):
+    """Steps apply the pressure symbol on arrays: the Field check and the
+    operators' finiteness check run once per stored snapshot (its Field and
+    its diagnostics' energy), never once per step."""
+    import nlpme.operators as operators
+
+    u0 = gaussian_bump(make_grid(8.0, 256), 4.0, width=0.3)
+    counts = {"field": 0, "finite": 0}
+    field_check, finite_check = Field.__post_init__, operators._check_finite
+
+    def counting_field_check(self):
+        counts["field"] += 1
+        field_check(self)
+
+    def counting_finite_check(values):
+        counts["finite"] += 1
+        finite_check(values)
+
+    monkeypatch.setattr(Field, "__post_init__", counting_field_check)
+    monkeypatch.setattr(operators, "_check_finite", counting_finite_check)
+    snap_times = [0.0, 0.1, 0.5]
+    traj = simulate_density(u0, ModelParams(2.0, 0.5, eps=eps), 0.5, snap_times)
+    assert traj.steps > 10 * len(snap_times)
+    assert counts == {"field": len(snap_times), "finite": len(snap_times)}
 
 
 def test_limiter_steps_telemetry():

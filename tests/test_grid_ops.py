@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlpme.evolve import _max_symbol
+from nlpme.evolve import ModelParams, _max_symbol, pressure_gradient
 from nlpme.grid import Field, FracOrder, make_grid
 from nlpme.initial_data import two_bump
 from nlpme.operators import (
@@ -20,8 +20,6 @@ from nlpme.operators import (
     frac_laplacian,
     inv_laplacian_gradient,
     mollified_frac_laplacian,
-    mollified_riesz_gradient,
-    mollified_symbol,
     neg_half_order_norm,
     riesz_gradient,
     spectral_derivative,
@@ -333,7 +331,7 @@ def test_mollified_symbol_matches_direct_apply():
     direct = np.array([np.sum(w * (u[i] - u[(i - d) % g.n])) for i in range(g.n)])
     applied = mollified_frac_laplacian(f, 0.6, 0.2).values
     assert np.max(np.abs(applied - direct)) < 1e-11
-    assert mollified_symbol(g, 0.6, 0.2).min() >= 0.0
+    assert _symbol(g.half_length, g.n, 0.6, 0.2).min() >= 0.0
 
 
 def test_mollified_caches_stay_bounded():
@@ -346,7 +344,7 @@ def test_mollified_caches_stay_bounded():
         info = cached.cache_info()
         assert info.misses > info.maxsize and info.currsize <= info.maxsize
     with pytest.raises(ValueError):
-        mollified_symbol(g, 0.5, 0.1)[0] = 1.0  # cached arrays are read-only
+        _symbol(g.half_length, g.n, 0.5, 0.1)[0] = 1.0  # cached arrays are read-only
 
 
 def test_mollified_eps_sweep_convergence_order():
@@ -370,7 +368,7 @@ def test_mollified_eps_sweep_convergence_order():
 
 def _mollified_half_apply(f, s, eps):
     """The operator square root L_eps^(1/2), through the root of its symbol."""
-    return _apply_multiplier(f, np.sqrt(mollified_symbol(f.grid, s, eps)))
+    return _apply_multiplier(f, np.sqrt(_symbol(f.grid.half_length, f.grid.n, s, eps)))
 
 
 def test_dissipation_inequality_discrete():
@@ -428,8 +426,8 @@ def test_rfft_operators_match_complex_fft_oracle(n, s):
                                    1j * k * inv_absk**2, True),
         "mollified_frac_laplacian": (
             lambda f: mollified_frac_laplacian(f, s, eps), lam, False),
-        "mollified_riesz_gradient": (
-            lambda f: mollified_riesz_gradient(f, s, eps),
+        "pressure_gradient, eps > 0": (
+            lambda f: pressure_gradient(f, ModelParams(2.0, s, eps=eps)),
             1j * k * inv_absk**2 * lam, True),
     }
     rng = np.random.default_rng(n)
@@ -455,7 +453,7 @@ def test_symbol_caches_stay_bounded_and_read_only():
     for s in np.linspace(0.05, 0.95, maxsize + 5):
         frac_laplacian(f, FracOrder(float(s)))
         riesz_gradient(f, float(s))
-        mollified_riesz_gradient(f, float(s), 0.1)
+        pressure_gradient(f, ModelParams(2.0, float(s), eps=0.1))
         _max_symbol(4.0, 16, float(s), 0.0)
     for cached in (_even_symbol, _odd_symbol, _folded_symbol, _max_symbol):
         info = cached.cache_info()

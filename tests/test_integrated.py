@@ -116,6 +116,14 @@ def test_primitive_validation():
         PrimitiveField(g, bad, 1.0)
     with pytest.raises(ValueError):
         PrimitiveField(g, np.linspace(0.2, 1.0, g.n), 1.0)  # wrong left edge
+    # NaN passes every comparison of the monotonicity and range checks
+    for value in (math.nan, math.inf):
+        v = np.linspace(0.0, 1.0, g.n)
+        v[50] = value
+        with pytest.raises(ValueError, match="finite"):
+            PrimitiveField(g, v, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        PrimitiveField(g, np.linspace(0.0, 1.0, g.n), math.nan)
 
 
 def test_step_constant_primitive_unchanged():
