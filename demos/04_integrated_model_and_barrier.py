@@ -45,16 +45,18 @@ print(f"duality: relative L1 gap between d/dx(integrated) and density run: "
 # barrier witness: all mass left of x0 = -1, probe beyond the support
 x0 = -1.0
 u0b = compact_bump(grid, mass=2.0, radius=1.25, center=-2.25)
-rep = infinite_speed_witness(integrate_density(u0b), m, s, x0, t_probe=0.1)
+t_probe = 0.1
+rep = infinite_speed_witness(integrate_density(u0b), m, s, x0, t_probe=t_probe)
 bp = rep.params
 print("\nbarrier witness (m < 2):")
 print(f"  exponents gamma = {bp.gamma:g}, b = {bp.b:.4f}; "
       f"calibrated xi = {bp.xi:.1f}, eps = {bp.eps_b:.2e}")
 print(f"  bump bound C1 = {bp.cap:.3f}, measured tail constant C2 = "
       f"{bp.tail_coef:.3e}")
-print(f"  subsolution inequality max over probes: "
-      f"{rep.inequality['max_lhs']:.2e} (must be <= 0)")
-print(f"  v({rep.probe_x:.2f}, {rep.probe_time}) = {rep.v_at_probe:.3e} >= "
+for c in rep.checks.values():
+    detail = f"  ({c.detail})" if c.detail else ""
+    print(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name} = {c.value:.3e}{detail}")
+print(f"  v({rep.probe_x:.2f}, {t_probe}) = {rep.v_at_probe:.3e} >= "
       f"barrier {rep.barrier_at_probe:.3e} > 0: "
       f"{'witnessed' if rep.passed else 'FAILED'}")
 

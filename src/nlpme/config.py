@@ -333,8 +333,6 @@ def _check_knobs(cfg: ExperimentConfig, section: str) -> None:
                 "the affine support fit needs at least 3")
     if kind == "barrier-check" or mode == "infinite":
         m, x0 = cfg.model.m, knobs["x0"]
-        if not m < 2.0:
-            raise ConfigError(f"model.m: the barrier needs 1 < m < 2, got {m:g}")
         center, radius = _bump_support(x0)
         if not center + radius < cfg.grid.half_length:
             raise ConfigError(f"{section}.x0: need the barrier bump on "

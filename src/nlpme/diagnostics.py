@@ -282,12 +282,13 @@ def extract_profile_inverse(profile: Field, ex: ExponentSet, t: float) -> Field:
 
 @dataclass
 class PropagationReport:
+    """Support radii and tail masses over a run, and the check they decide."""
+
     times: np.ndarray
     support_radii: np.ndarray
     tail_masses: np.ndarray
-    probe_radius: float
     fit: tuple | None         # (intercept, slope, relative residual) for finite
-    verdict: bool
+    check: CheckResult
 
 
 def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
@@ -296,8 +297,8 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     """Fit the support radius to an affine function of time.
 
     The support threshold is relative to each snapshot's sup-norm; the
-    verdict holds if the relative RMS residual of the affine fit stays
-    under `max_residual` over the window.
+    check `support_affine_fit` passes if the relative RMS residual of the
+    affine fit stays under `max_residual` over the window.
     """
     sel = (traj.times >= window[0]) & (traj.times <= window[1])
     times = traj.times[sel]
@@ -310,23 +311,26 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     fitvals = np.polyval(coeffs, times)
     scale = np.mean(radii)  # 0 when the support never leaves the centre node
     resid = float(np.sqrt(np.mean((radii - fitvals) ** 2)) / scale) if scale > 0 else math.inf
+    slope = float(coeffs[0])
     return PropagationReport(
         times=times,
         support_radii=radii,
         tail_masses=np.asarray(tails),
-        probe_radius=0.0,
-        fit=(float(coeffs[1]), float(coeffs[0]), resid),
-        verdict=resid < max_residual,
+        fit=(float(coeffs[1]), slope, resid),
+        check=CheckResult("support_affine_fit", resid < max_residual, resid,
+                          f"slope {slope:.4g}"),
     )
 
 
-def infinite_propagation_report(traj: Trajectory, initial_radius: float,
-                                witness_passed: bool) -> PropagationReport:
-    """Tail-mass witness of infinite propagation speed.
+def infinite_propagation_report(traj: Trajectory,
+                                initial_radius: float) -> PropagationReport:
+    """Tail masses beyond PROBE_FACTOR times the initial support radius.
 
-    Verdict: the mass beyond PROBE_FACTOR times the initial support radius
-    at the final time exceeds 1e3 times the solver's clipping floor, and
-    the integrated-model barrier witness passed.
+    `tail_mass_beyond_support` passes when the final tail exceeds 1e3 times
+    the clipping floor.  It cannot tell m < 2 from m >= 2: the upwind
+    scheme moves the support one cell per step at any m, so it compares
+    steps * h with the probe distance (measured in README).  The evidence
+    for infinite speed is :func:`nlpme.integrated.infinite_speed_witness`.
     """
     probe = PROBE_FACTOR * initial_radius
     tails = np.array([tail_mass(s, probe) for s in traj.snapshots])
@@ -334,14 +338,13 @@ def infinite_propagation_report(traj: Trajectory, initial_radius: float,
         support_radius(s, 1e-8 * max(float(np.max(s.values)), 1e-300))
         for s in traj.snapshots
     ])
-    total = traj.diagnostics[0].mass
-    floor = max(traj.clipped_mass, 1e-15 * total)
-    verdict = bool(tails[-1] > 1e3 * floor) and witness_passed
+    floor = max(traj.clipped_mass, 1e-15 * traj.diagnostics[0].mass)
     return PropagationReport(
         times=traj.times,
         support_radii=radii,
         tail_masses=tails,
-        probe_radius=probe,
         fit=None,
-        verdict=verdict,
+        check=CheckResult("tail_mass_beyond_support",
+                          bool(tails[-1] > 1e3 * floor), float(tails[-1]),
+                          f"probe radius {probe:.3g}"),
     )

@@ -34,6 +34,7 @@ from .diagnostics import (
     mass,
     smoothing_fit,
     standard_checks,
+    support_radius,
 )
 from .evolve import (
     RunAborted,
@@ -194,7 +195,7 @@ def _exp_integrated(cfg: ExperimentConfig, out: _Outputs):
         CheckResult("duality_l1", rel < tol_rel, rel,
                     f"d/dx of integrated run vs density run at t={cfg.t_end:g}"),
         CheckResult("monotonicity_repair",
-                    stats.monotonicity_mass < 1e-6 * v0.total_mass,
+                    stats.monotonicity_mass <= 1e-6 * v0.total_mass,
                     stats.monotonicity_mass),
     ]
     worst, _, sweep = comparison_sweep(pairs, p.m, alpha, n_steps)
@@ -244,19 +245,16 @@ def _exp_propagation(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
     if mode == "infinite":
         v0 = _fitting_primitive(u0, "the initial data")
-        thr = 1e-12 * float(np.max(u0.values))
-        r0 = float(np.max(np.abs(cfg.grid.nodes[u0.values > thr])))
+        r0 = support_radius(u0, 1e-12 * float(np.max(u0.values)))
         if PROBE_FACTOR * r0 >= cfg.grid.half_length:
             raise ConfigError(
                 f"grid.half_length: the tail-mass probe at {PROBE_FACTOR:g} times "
                 f"the initial support radius {r0:g} reaches past the box "
                 f"half-length {cfg.grid.half_length:g}")
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
-    checks: list = []
     if mode == "finite":
         rep = finite_propagation_report(traj, window=cfg.knobs["window"])
-        checks.append(CheckResult("support_affine_fit", rep.verdict, rep.fit[2],
-                                  f"slope {rep.fit[1]:.4g}"))
+        checks = [rep.check]
         out.csv("support_radius.csv", ["t", "radius", "boundary_tail"],
                 [rep.times, rep.support_radii, rep.tail_masses])
         out.svg("support_radius.svg", LineFigure("support radius growth", "t",
@@ -268,16 +266,10 @@ def _exp_propagation(cfg: ExperimentConfig, out: _Outputs):
     else:
         witness = infinite_speed_witness(v0, cfg.model.m, cfg.model.s,
                                          cfg.knobs["x0"], t_probe=cfg.knobs["t_probe"])
-        rep = infinite_propagation_report(traj, r0, witness.passed)
-        checks.append(CheckResult(
-            "tail_mass_beyond_support",
-            bool(rep.tail_masses[-1] > 1e3 * max(traj.clipped_mass,
-                                                 1e-15 * mass(u0))),
-            float(rep.tail_masses[-1]),
-            f"probe radius {rep.probe_radius:.3g}"))
-        checks.append(CheckResult("barrier_witness", witness.passed,
-                                  witness.v_at_probe,
-                                  f"probe x={witness.probe_x:.3g}"))
+        rep = infinite_propagation_report(traj, r0)
+        checks = [rep.check,
+                  CheckResult("barrier_witness", witness.passed, witness.v_at_probe,
+                              f"probe x={witness.probe_x:.3g}")]
         out.csv("tail_mass.csv", ["t", "tail_mass", "support_radius"],
                 [rep.times, rep.tail_masses, rep.support_radii])
     _snapshot_outputs(traj, out)
@@ -378,30 +370,11 @@ def _exp_barrier_check(cfg: ExperimentConfig, out: _Outputs):
     v0 = _fitting_primitive(cfg.initial_field(), "the initial data")
     witness = infinite_speed_witness(v0, p.m, p.s, cfg.knobs["x0"],
                                      t_probe=cfg.knobs["t_probe"])
-    ineq = witness.inequality
-    checks = [
-        CheckResult("bump_tail_coefficient", witness.params.tail_coef > 0,
-                    witness.params.tail_coef),
-        CheckResult("subsolution_inequality", ineq["passed"], ineq["max_lhs"],
-                    f"max over {ineq['n_probes']} probes and "
-                    f"{len(ineq['per_time'])} times"),
-        CheckResult("initial_domination", witness.initial_domination, 0.0),
-        CheckResult("right_domination", witness.right_domination, 0.0),
-        CheckResult("positivity_at_probe",
-                    witness.v_at_probe > 0 and witness.barrier_at_probe > 0
-                    and witness.v_at_probe >= witness.barrier_at_probe,
-                    witness.v_at_probe,
-                    f"barrier {witness.barrier_at_probe:.3e} at "
-                    f"x={witness.probe_x:.3g}"),
-    ]
-    bp = witness.params
-    out.csv("barrier.csv",
-            ["x0", "xi", "eps_b", "tau", "cap", "tail_coef", "gamma", "b",
-             "probe_x", "v_at_probe", "barrier_at_probe"],
-            [[bp.x0], [bp.xi], [bp.eps_b], [bp.tau], [bp.cap],
-             [bp.tail_coef], [bp.gamma], [bp.b], [witness.probe_x],
-             [witness.v_at_probe], [witness.barrier_at_probe]])
-    return checks
+    out.stats("barrier.csv", {**dataclasses.asdict(witness.params),
+                              "probe_x": witness.probe_x,
+                              "v_at_probe": witness.v_at_probe,
+                              "barrier_at_probe": witness.barrier_at_probe})
+    return list(witness.checks.values())
 
 
 _DISPATCH = {

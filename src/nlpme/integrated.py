@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import CheckResult
 from .evolve import CFL_SAFETY, SimulationUnstable, _march
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
@@ -454,9 +455,8 @@ class BarrierParams:
     """Parameters of the moving subsolution barrier.
 
     Phi(x, t) = (t + tau)^(b*gamma) * ((|x| + xi)^(-gamma) + G(x)) - eps_b,
-    where G is the verified right-side bump.  `cap` bounds G from above and
-    `tail_coef` is the measured strength of the negative tail of its
-    fractional Laplacian left of x0.
+    where G is the verified right-side bump; `cap` (its height, sup G) and
+    `tail_coef` are copied from the :class:`BarrierBump`.
     """
 
     x0: float
@@ -475,25 +475,31 @@ class BarrierParams:
             raise ValueError("gamma and b must be positive (requires m < 2)")
 
 
-@dataclass
+def _bump(x, center: float, radius: float, height: float) -> np.ndarray:
+    """height * exp(1 - 1/(1 - y^2)) for |y| < 1, else 0; y = (x - center)/radius."""
+    y = (np.asarray(x, dtype=float) - center) / radius
+    out = np.zeros_like(y)
+    inside = np.abs(y) < 1.0
+    out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
+    return out
+
+
+@dataclass(frozen=True)
 class BarrierBump:
-    """Compact bump G plus the measured constants of its left tail."""
+    """Compact bump G, whose sup `height` it attains at its centre, plus
+    the constants of its left tail measured at the order alpha it was
+    verified with."""
 
     field: Field
     center: float
     radius: float
     height: float
-    cap: float        # sup G
-    tail_coef: float  # inf over probes of |x|^(1+2s) * (-(-Delta)^s G)
+    tail_coef: float  # min over probes of |x|^(1+2 alpha) * (-(-Delta)^alpha G)
     probe_nodes: np.ndarray
-    probe_values: np.ndarray  # (-Delta)^s G at the probes
+    probe_values: np.ndarray  # (-Delta)^alpha G at the probes
 
     def __call__(self, x):
-        y = (np.asarray(x, dtype=float) - self.center) / self.radius
-        out = np.zeros_like(y)
-        inside = np.abs(y) < 1.0
-        out[inside] = self.height * np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
-        return out
+        return _bump(x, self.center, self.radius, self.height)
 
 
 def _bump_support(x0: float) -> tuple[float, float]:
@@ -501,52 +507,42 @@ def _bump_support(x0: float) -> tuple[float, float]:
     return -x0 + 1.0 + 1.0, 1.0
 
 
-def make_barrier_bump(grid: Grid1D, x0: float, s: float,
+def make_barrier_bump(grid: Grid1D, x0: float, alpha: float,
                       height: float = 1.0) -> BarrierBump:
     """Place a smooth bump right of -x0 and verify its left fractional tail.
 
-    The bump exp(1 - 1/(1-y^2)) is supported on [-x0+1, -x0+3].
-    The construction is accepted only if the whole-line (-Delta)^s of the
-    bump is strictly negative at every grid node left of x0, in which case
-    the measured decay constant tail_coef = min |x|^(1+2s) |(-Delta)^s G| is
-    returned with the bump.  Fails for a zero bump (no negative tail).
+    The bump height * exp(1 - 1/(1-y^2)) is supported on [-x0+1, -x0+3].
+    alpha is the order the barrier is used at, 1 - s for the integrated
+    model.  The bump is accepted only if its whole-line (-Delta)^alpha is
+    strictly negative at every grid node left of x0; it is returned with
+    tail_coef = min |x|^(1+2 alpha) |(-Delta)^alpha G| over those nodes.
+    Fails for a zero or negative bump (no negative tail).
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not -grid.half_length < x0 < 0.0:
         raise ValueError(f"x0 must be negative and inside the grid, got {x0}")
     center, radius = _bump_support(x0)
     if center + radius >= grid.half_length:
         raise ValueError("bump support leaves the grid")
-    bump = BarrierBump(
-        field=Field(grid, np.zeros(grid.n)),
-        center=center,
-        radius=radius,
-        height=height,
-        cap=0.0,
-        tail_coef=0.0,
-        probe_nodes=np.empty(0),
-        probe_values=np.empty(0),
-    )
-    values = bump(grid.nodes)
-    bump.field = Field(grid, values)
-    # the bump attains exactly `height` at its center, so the sup bound is
-    # the height itself rather than the sampled maximum
-    bump.cap = float(height)
-    if bump.cap <= 0.0:
-        raise ValueError("bump verification failed: zero bump has no negative tail")
 
     probes = grid.nodes[grid.nodes < x0]
     lap = line_frac_laplacian_outside(
-        bump, (center - radius, center + radius), probes, s
+        lambda y: _bump(y, center, radius, height),
+        (center - radius, center + radius), probes, alpha
     )
     if np.any(lap >= 0.0):
-        raise ValueError("bump verification failed: sign check of (-Delta)^s G")
-    coef = np.abs(probes) ** (1.0 + 2.0 * s) * (-lap)
-    bump.tail_coef = float(coef.min())
-    bump.probe_nodes = probes
-    bump.probe_values = lap
-    return bump
+        raise ValueError("bump verification failed: sign check of (-Delta)^alpha G")
+    coef = np.abs(probes) ** (1.0 + 2.0 * alpha) * (-lap)
+    return BarrierBump(
+        field=Field(grid, _bump(grid.nodes, center, radius, height)),
+        center=center,
+        radius=radius,
+        height=float(height),
+        tail_coef=float(coef.min()),
+        probe_nodes=probes,
+        probe_values=lap,
+    )
 
 
 def barrier_subsolution(bp: BarrierParams, G: Field, t: float) -> Field:
@@ -559,20 +555,20 @@ def barrier_subsolution(bp: BarrierParams, G: Field, t: float) -> Field:
 def subsolution_inequality_check(
     bp: BarrierParams, bump: BarrierBump, m: float, alpha: float,
     times=(0.0, 0.05, 0.1),
-) -> dict:
+) -> CheckResult:
     """Numerically check Phi_t + |Phi_x|^(m-1) (-Delta)^alpha Phi <= 0 left of x0.
 
     The time derivative and slope are analytic; the nonlocal term adds the
     whole-line fractional Laplacians of the power part
     (:func:`line_frac_laplacian`) and of the bump, which vanishes there
     (:func:`line_frac_laplacian_outside`), at up to 40 evenly spread grid
-    nodes left of x0.  Returns the worst value found and per-time maxima.
+    nodes left of x0.  Returns the check `subsolution_inequality`, whose
+    value is the worst left-hand side over the probes and times.
     """
     grid = bump.field.grid
     probes = grid.nodes[grid.nodes < bp.x0]
     if len(probes) > 40:
-        idx = np.linspace(0, len(probes) - 1, 40).astype(int)
-        probes = probes[idx]
+        probes = probes[np.linspace(0, len(probes) - 1, 40).astype(int)]
 
     def power_part(y):
         return (np.abs(y) + bp.xi) ** (-bp.gamma)
@@ -585,17 +581,15 @@ def subsolution_inequality_check(
     slope_core = bp.gamma * (np.abs(probes) + bp.xi) ** (-bp.gamma - 1.0)
 
     worst = -math.inf
-    per_time = {}
     for t in times:
         tb = (t + bp.tau) ** (bp.b * bp.gamma)
         phi_t = bp.b * bp.gamma * (t + bp.tau) ** (bp.b * bp.gamma - 1.0) * core
         phi_x = tb * slope_core
         lap = tb * (lap_power + lap_bump)
         lhs = phi_t + np.abs(phi_x) ** (m - 1.0) * lap
-        per_time[t] = float(lhs.max())
-        worst = max(worst, per_time[t])
-    return {"max_lhs": worst, "per_time": per_time, "passed": worst <= 0.0,
-            "n_probes": len(probes)}
+        worst = max(worst, float(lhs.max()))
+    return CheckResult("subsolution_inequality", worst <= 0.0, worst,
+                       f"max over {len(probes)} probes and {len(times)} times")
 
 
 def parabola_supersolution(C: float, b: float, t: float, grid: Grid1D) -> Field:
@@ -629,17 +623,19 @@ def contact_check(u: Field, U: Field) -> ContactReport:
 
 @dataclass
 class WitnessReport:
-    """Outcome of the infinite-propagation barrier witness."""
+    """Outcome of the infinite-propagation barrier witness: `checks` maps
+    each link of the chain (:func:`infinite_speed_witness`) to its
+    CheckResult, in manifest order, and it passes when all of them do."""
 
     params: BarrierParams
     probe_x: float
-    probe_time: float
     v_at_probe: float
     barrier_at_probe: float
-    initial_domination: bool   # Phi(x,0) <= v(x,0) everywhere
-    right_domination: bool     # Phi <= v on x >= x0 for sampled times
-    inequality: dict           # subsolution_inequality_check output
-    passed: bool
+    checks: dict
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks.values())
 
 
 def _check_barrier_range(m: float, s: float, x0: float, t_probe: float) -> None:
@@ -667,10 +663,11 @@ def infinite_speed_witness(
 ) -> WitnessReport:
     """Run the integrated flow and verify the barrier witness chain.
 
-    Checks, in order: the bump verification, the subsolution inequality on
-    the probe region, domination of the barrier by v at t = 0 and on the
-    right region over [0, t_probe], and finally positivity of both v and
-    the barrier at a probe strictly left of the initial support.  The
+    The report's checks, in order: bump_tail_coefficient (the bump
+    verified at alpha = 1 - s), subsolution_inequality on the probe
+    region, initial_domination (Phi <= v at t = 0), right_domination
+    (Phi <= v on x >= x0 over [0, t_probe]) and positivity_at_probe
+    (v >= Phi > 0 at a probe strictly left of the initial support).  The
     barrier's time shift is tau = 1; the probe, the bump height and eps_b
     are calibrated from the run, eps_b to sit below the measured v at the
     probe.  Raises ValueError before the run when the barrier could pass
@@ -690,8 +687,7 @@ def infinite_speed_witness(
     left_edge = float(grid.nodes[np.argmax(v0.values > tol0)])
     # pick a node strictly left of the initial support but well inside the
     # region the scheme has already invaded, so v there is sizable
-    invaded = np.argmax(v_end.values > 0.0)
-    x_inv = float(grid.nodes[invaded])
+    x_inv = float(grid.nodes[np.argmax(v_end.values > 0.0)])
     if x_inv < left_edge - grid.spacing:
         probe_x = left_edge - 0.25 * (left_edge - x_inv)
     else:
@@ -703,11 +699,11 @@ def infinite_speed_witness(
     # right-region floor of v over the run, used to size the bump height
     right = grid.nodes >= x0
     k1 = min(float(st.values[right].min()) for st in states)
-    bump = make_barrier_bump(grid, x0, s, height=0.5 * k1 if k1 > 0 else 0.5)
+    bump = make_barrier_bump(grid, x0, alpha, height=0.5 * k1 if k1 > 0 else 0.5)
 
     def build(eb: float) -> BarrierParams:
         xi = (x0 + eb ** (-1.0 / gamma)) * 1.0001
-        return BarrierParams(x0=x0, xi=xi, eps_b=eb, tau=1.0, cap=bump.cap,
+        return BarrierParams(x0=x0, xi=xi, eps_b=eb, tau=1.0, cap=bump.height,
                              tail_coef=bump.tail_coef, gamma=gamma, b=b)
 
     # shrink eps_b geometrically until the barrier is positive at the probe
@@ -722,35 +718,25 @@ def infinite_speed_witness(
         eps_b *= 0.1
     bp = build(eps_b)
 
-    ineq = subsolution_inequality_check(bp, bump, m, alpha,
-                                        times=(0.0, 0.5 * t_probe, t_probe))
-
-    phi0 = barrier_subsolution(bp, bump.field, 0.0)
-    initial_dom = bool(np.all(phi0.values <= v0.values + 1e-15))
-    right_dom = True
-    for t, st in zip(times, states):
-        phi = barrier_subsolution(bp, bump.field, t)
-        if not np.all(phi.values[right] <= st.values[right] + 1e-15):
-            right_dom = False
-            break
+    def below(t, v, where=slice(None)) -> bool:
+        return bool(np.all(barrier_subsolution(bp, bump.field, t).values[where]
+                           <= v.values[where] + 1e-15))
 
     phi_probe = float(barrier_subsolution(bp, bump.field, t_probe).values[probe_i])
-    passed = (
-        ineq["passed"]
-        and initial_dom
-        and right_dom
-        and v_probe > 0.0
-        and phi_probe > 0.0
-        and v_probe >= phi_probe
-    )
+    checks = [
+        CheckResult("bump_tail_coefficient", bp.tail_coef > 0, bp.tail_coef),
+        subsolution_inequality_check(bp, bump, m, alpha,
+                                     times=(0.0, 0.5 * t_probe, t_probe)),
+        CheckResult("initial_domination", below(0.0, v0), 0.0),
+        CheckResult("right_domination",
+                    all(below(t, st, right) for t, st in zip(times, states)), 0.0),
+        CheckResult("positivity_at_probe", v_probe >= phi_probe > 0.0, v_probe,
+                    f"barrier {phi_probe:.3e} at x={probe_x:.3g}"),
+    ]
     return WitnessReport(
         params=bp,
         probe_x=probe_x,
-        probe_time=t_probe,
         v_at_probe=v_probe,
         barrier_at_probe=phi_probe,
-        initial_domination=initial_dom,
-        right_domination=right_dom,
-        inequality=ineq,
-        passed=passed,
+        checks={c.name: c for c in checks},
     )

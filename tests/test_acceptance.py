@@ -160,7 +160,7 @@ def test_criterion_06_finite_propagation():
                             snap_times=np.linspace(0.0, 1.0, 21))
     rep = finite_propagation_report(traj, threshold_rel=1e-8,
                                     window=(0.1, 1.0), max_residual=0.05)
-    _verdict(6, "finite propagation", rep.verdict,
+    _verdict(6, "finite propagation", rep.check.passed,
              f"affine-fit residual {rep.fit[2]:.4f}, slope {rep.fit[1]:.3f}",
              t0, 60.0)
 
@@ -172,13 +172,14 @@ def test_criterion_07_infinite_propagation_witness():
     u0 = compact_bump(g, mass=2.0, radius=1.25, center=-2.25)
     rep = infinite_speed_witness(integrate_density(u0), 1.5, 0.5, x0=-1.0,
                                  t_probe=0.1)
-    ok = (rep.passed and rep.inequality["max_lhs"] <= 0.0
-          and rep.initial_domination and rep.right_domination
+    ok = (rep.passed and rep.checks["subsolution_inequality"].value <= 0.0
+          and rep.checks["initial_domination"].passed
+          and rep.checks["right_domination"].passed
           and rep.v_at_probe > 0.0)
     _verdict(7, "infinite-propagation witness", ok,
              f"v({rep.probe_x:.2f}, 0.1) = {rep.v_at_probe:.2e} >= barrier "
              f"{rep.barrier_at_probe:.2e}; inequality max "
-             f"{rep.inequality['max_lhs']:.2e}", t0, 120.0)
+             f"{rep.checks['subsolution_inequality'].value:.2e}", t0, 120.0)
 
 
 def test_criterion_08_duality():

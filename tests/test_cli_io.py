@@ -377,14 +377,25 @@ def test_cli_writes_solver_stats(tmp_path):
     assert "file solver_stats.csv = sha256:" in (outdir / "manifest.txt").read_text()
 
 
-def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys):
-    cfg = MINIMAL.replace("mass = 1.0", "mass = 0.0")
+@pytest.mark.parametrize("kind", ["simulate", "integrated"])
+def test_cli_zero_initial_data_trivial_pass(tmp_path, capsys, kind):
+    """Zero data stay zero and every check passes; integrated's
+    monotonicity_repair bound, 1e-6 times the mass, is 0 and met by a run
+    that repaired nothing."""
+    cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
+    cfg = cfg.replace("mass = 1.0", "mass = 0.0")
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/zero")
-    rc = main(["simulate", "--config", _write(tmp_path, cfg)])
+    if kind == "integrated":
+        cfg += "\n[integrated]\npairs = 4\nsteps = 10\n"
+    rc = main([kind, "--config", _write(tmp_path, cfg)])
     assert rc == 0
     assert "[FAIL]" not in capsys.readouterr().out
-    snaps = np.load(tmp_path / "zero" / "snapshots.npy")
-    assert snaps.shape[1] > 1 and np.all(snaps[:, 1:] == 0.0)
+    if kind == "simulate":
+        snaps = np.load(tmp_path / "zero" / "snapshots.npy")
+        assert snaps.shape[1] > 1 and np.all(snaps[:, 1:] == 0.0)
+    else:
+        header, cols = read_csv(tmp_path / "zero" / "primitive.csv")
+        assert np.all(cols[header.index("v_final")] == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["propagation", "asymptotics", "continuation",

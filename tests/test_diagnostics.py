@@ -258,7 +258,7 @@ def test_finite_propagation_affine_support():
     traj = simulate_density(u0, ModelParams(2.0, 0.25), 1.0,
                             snap_times=np.linspace(0.0, 1.0, 21))
     rep = finite_propagation_report(traj)
-    assert rep.verdict
+    assert rep.check.passed
     assert rep.fit[2] < 0.05
     assert rep.fit[1] > 0.0  # the support does grow
 
@@ -271,7 +271,7 @@ def test_finite_propagation_fails_a_support_stuck_at_one_node():
                             snap_times=[0.0, 0.125, 0.25, 0.5])
     rep = finite_propagation_report(traj, window=(0.1, 0.5))
     assert np.all(rep.support_radii == 0.0)
-    assert rep.fit[2] == np.inf and not rep.verdict
+    assert rep.fit[2] == np.inf and not rep.check.passed
 
 
 def test_infinite_propagation_tail_witness():
@@ -279,7 +279,6 @@ def test_infinite_propagation_tail_witness():
     u0 = compact_bump(g, mass=2.0, radius=0.5)
     traj = simulate_density(u0, ModelParams(1.5, 0.5), 0.1,
                             snap_times=np.linspace(0.0, 0.1, 5))
-    rep = infinite_propagation_report(traj, initial_radius=0.5,
-                                      witness_passed=True)
-    assert rep.verdict
+    rep = infinite_propagation_report(traj, initial_radius=0.5)
+    assert rep.check.passed
     assert rep.tail_masses[-1] > 0.0

@@ -484,7 +484,7 @@ def test_sweep_step_allocates_only_the_fft_result(monkeypatch):
 def test_scalar_bump_path_equals_array_path():
     g = make_grid(10.0, 64)
     bump = BarrierBump(field=Field(g, np.zeros(g.n)), center=2.3, radius=1.1,
-                       height=0.7, cap=0.7, tail_coef=0.0,
+                       height=0.7, tail_coef=0.0,
                        probe_nodes=np.empty(0), probe_values=np.empty(0))
     lo, hi = bump.center - bump.radius, bump.center + bump.radius
     points = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
@@ -633,7 +633,7 @@ def test_make_barrier_bump_against_quadrature_oracle():
     g = make_grid(15.0, 512)
     s, x0 = 0.5, -1.0
     bump = make_barrier_bump(g, x0, s)
-    assert bump.cap == pytest.approx(1.0, abs=1e-6)
+    assert bump.height == pytest.approx(1.0, abs=1e-6)
     assert bump.tail_coef > 0.0
     C = frac_constant(s)
     a, b = bump.center - bump.radius, bump.center + bump.radius
@@ -730,7 +730,7 @@ def test_barrier_formula_and_monotonicity_in_eps():
     def params(eps_b):
         xi = (-1.0 + eps_b ** (-1.0 / gamma)) * 1.001
         return BarrierParams(x0=-1.0, xi=xi, eps_b=eps_b, tau=1.0,
-                             cap=bump.cap, tail_coef=bump.tail_coef,
+                             cap=bump.height, tail_coef=bump.tail_coef,
                              gamma=gamma, b=b)
 
     bp = params(1e-6)
@@ -739,7 +739,7 @@ def test_barrier_formula_and_monotonicity_in_eps():
     # with xi > x0 + eps^(-1/gamma) the barrier starts below the step height
     assert phi0.values[i0] < 1.0
     # pointwise nonincreasing in eps_b at fixed xi and tau
-    big = BarrierParams(x0=-1.0, xi=bp.xi, eps_b=2e-6, tau=1.0, cap=bump.cap,
+    big = BarrierParams(x0=-1.0, xi=bp.xi, eps_b=2e-6, tau=1.0, cap=bump.height,
                         tail_coef=bump.tail_coef, gamma=gamma, b=b)
     lo = barrier_subsolution(big, bump.field, 0.3)
     hi = barrier_subsolution(bp, bump.field, 0.3)
@@ -754,11 +754,11 @@ def test_subsolution_inequality_holds_for_calibrated_barrier():
     bump = make_barrier_bump(g, -1.0, s, height=0.5)
     eps_b = 1e-8
     xi = (-1.0 + eps_b ** (-1.0 / gamma)) * 1.001
-    bp = BarrierParams(x0=-1.0, xi=xi, eps_b=eps_b, tau=1.0, cap=bump.cap,
+    bp = BarrierParams(x0=-1.0, xi=xi, eps_b=eps_b, tau=1.0, cap=bump.height,
                        tail_coef=bump.tail_coef, gamma=gamma, b=b)
     out = subsolution_inequality_check(bp, bump, m, alpha)
-    assert out["passed"]
-    assert out["max_lhs"] <= 0.0
+    assert out.passed
+    assert out.value <= 0.0
 
 
 def test_parabola_values_and_support():
@@ -808,13 +808,33 @@ def test_infinite_speed_witness_full_chain():
     u0 = compact_bump(g, mass=2.0, radius=1.25, center=-2.25)
     rep = infinite_speed_witness(integrate_density(u0), 1.5, 0.5, -1.0,
                                  t_probe=0.1)
+    assert list(rep.checks) == ["bump_tail_coefficient", "subsolution_inequality",
+                                "initial_domination", "right_domination",
+                                "positivity_at_probe"]
+    assert all(c.passed for c in rep.checks.values())
+    assert rep.passed == all(c.passed for c in rep.checks.values())
     assert rep.passed
-    assert rep.inequality["max_lhs"] <= 0.0
+    assert rep.checks["subsolution_inequality"].value <= 0.0
     assert rep.v_at_probe > 0.0
     assert 0.0 < rep.barrier_at_probe <= rep.v_at_probe
     # probe strictly left of the initial support
     left_edge = g.nodes[np.argmax(u0.values > 0)]
     assert rep.probe_x < left_edge
+
+
+def test_witness_measures_its_bump_tail_at_the_integrated_order():
+    """The barrier is a subsolution of the integrated equation, whose order
+    is alpha = 1 - s, so the witness verifies its bump at alpha: at s = 0.3
+    the tail constant is that of order 0.7, not of order 0.3."""
+    g = make_grid(15.0, 1024)
+    u0 = compact_bump(g, mass=2.0, radius=1.25, center=-2.25)
+    rep = infinite_speed_witness(integrate_density(u0), 1.5, 0.3, -1.0,
+                                 t_probe=0.1)
+    bump = make_barrier_bump(g, -1.0, 0.7, height=rep.params.cap)
+    assert rep.params.tail_coef == bump.tail_coef
+    assert rep.checks["bump_tail_coefficient"].value == bump.tail_coef
+    assert make_barrier_bump(g, -1.0, 0.3, height=rep.params.cap).tail_coef \
+        != pytest.approx(bump.tail_coef, rel=0.1)
 
 
 @pytest.mark.parametrize("mass, x0", [(2.0, -11.9), (1e6, -1.0)])
@@ -844,6 +864,7 @@ def test_witness_runs_in_floats_up_to_the_range_check(s, x0):
     g = make_grid(15.0, 256)
     v0 = integrate_density(compact_bump(g, mass=2.0, radius=1.25, center=-2.25))
     rep = infinite_speed_witness(v0, lo, s, x0, t_probe=0.1)
-    assert np.isfinite(rep.inequality["max_lhs"]) and np.isfinite(rep.barrier_at_probe)
+    assert np.isfinite(rep.checks["subsolution_inequality"].value)
+    assert np.isfinite(rep.barrier_at_probe)
     with pytest.raises(ValueError, match="float range"):
         infinite_speed_witness(v0, hi, s, x0, t_probe=0.1)
