@@ -14,23 +14,22 @@ viscosity term are clipped and the clipped mass is tracked.
 
 The pressure gradient is one Fourier multiplier, `_pressure_symbol`
 (spectral, or the folded mollified symbol when eps > 0), applied on
-arrays through the real FFT.  A step is that pressure evaluation and
-three array pieces: `_face_flux` (the advective factor, face average and
-upwind choice), `_stable_dt` (the step bound, which also names the limit
-that set it; `cfl_dt` explains its three limits, each read off the
-operator actually stepped) and `_apply_flux` (limiter, update,
-viscosity, clipping, NaN check).  `simulate_density` looks the symbol up
-once per run, runs the step on plain arrays and keeps step telemetry;
-each state is checked finite once, where `_apply_flux` makes it.  The
-public `pressure_gradient`, `cfl_dt` and `step_density` are the same
-pieces behind Field checks.  The pieces write every intermediate into a
-`_Workspace` of preallocated length-n buffers (one per run, or one per
-public call), read neighbours by slices plus the wrap element, and write
-each new state into whichever of the workspace's two state buffers does
-not hold the current one, so a step allocates no length-n array outside
-the pressure evaluation.  The limiter's factor pass runs only when some
-cell has POSITIVITY_HEADROOM * u < outflow: otherwise every factor is
-exactly 1.0 (see `_apply_flux`) and skipping the multiply changes no bit.
+arrays through the real FFT.  A step is that pressure evaluation,
+`_face_flux` (the advective factor, face average and upwind choice), the
+step bound (`_step_bounds`, `_safe_dt`; `cfl_dt` explains its limits)
+and an update: the Euler `_apply_flux` (limiter, update) or, where
+m >= 2 and the stiffness limit binds, an RKL1 step `_rkl_step` of the
+S stages that reach the other limits (`_rkl_stages`), redone as the
+Euler step if a stage goes negative; then `_finish_step` (viscosity,
+clipping, NaN check).  Every other step is bitwise the Euler step of the
+public `cfl_dt` and `step_density`.  `simulate_density` looks the symbol
+up once per run and keeps step telemetry.  The pieces write every
+intermediate into a `_Workspace` of preallocated length-n buffers and
+each new state into the state buffer that does not hold the current
+one, so a step allocates no length-n array outside the pressure
+evaluations.  The limiter's factor pass runs only when some cell has
+POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
+(see `_apply_flux`) and skipping the multiply changes no bit.
 
 `_march` is the one time loop of this solver, the integrated scheme and
 the FPME relaxation: snapshot schedule, horizon cap, interpolation of the
@@ -82,6 +81,7 @@ POSITIVITY_HEADROOM = 0.9  # a cell may lose at most this fraction per step
 # the bounds of the density step size, in the order they are applied
 STEP_LIMITS = ("advective", "stiffness", "viscosity", "cap")
 MAX_STEPS = 2_000_000  # a run that needs more steps is stuck, not slow
+MAX_STAGES = 64  # bounds the flux evaluations of one RKL1 step
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,12 @@ class Trajectory:
 
     The step telemetry covers every completed step: its count, the
     smallest, largest and median dt (NaN before the first step),
-    `limits`, how many steps each bound of STEP_LIMITS set, and
+    `limits`, how many steps each bound of STEP_LIMITS set,
     `limiter_steps`, in how many steps the positivity limiter cut at least
-    one cell's outflow.
+    one cell's outflow, and `limited_flux_mass`, the flux mass it cut.
+    `flux_evaluations` counts pressure evaluations (rfft/irfft pairs),
+    one per Euler step and S per RKL1 step, and `fallback_steps` the RKL1
+    steps redone as Euler steps.
     """
 
     params: ModelParams
@@ -144,6 +147,9 @@ class Trajectory:
     dt_median: float = math.nan
     limits: dict = field(default_factory=lambda: dict.fromkeys(STEP_LIMITS, 0))
     limiter_steps: int = 0
+    flux_evaluations: int = 0
+    fallback_steps: int = 0
+    limited_flux_mass: float = 0.0
 
     @property
     def grid(self) -> Grid1D:
@@ -227,17 +233,19 @@ class _Workspace:
 
     A run builds one and hands it to every step; :func:`cfl_dt` and
     :func:`step_density` build one per call.  `a`, `J` and `w_face` hold
-    the outputs of :func:`_face_flux`, `b1`..`b3` and `mask` are scratch,
-    and each new state is written to the one of the two `states` buffers
-    that does not hold the current state, so a step allocates no length-n
-    array.
+    the outputs of :func:`_face_flux` and `cut` the flux mass the last
+    limited :func:`_apply_flux` cut, `b1`..`b3`, `y` and `mask` are
+    scratch, and each new state is written to the one of the two `states`
+    buffers that does not hold the current state, so a step allocates no
+    length-n array.
     """
 
     def __init__(self, n: int):
-        self.a, self.J, self.w_face, self.b1, self.b2, self.b3 = (
-            np.empty(n) for _ in range(6))
+        self.a, self.J, self.w_face, self.b1, self.b2, self.b3, self.y = (
+            np.empty(n) for _ in range(7))
         self.mask = np.empty(n, dtype=bool)
         self.states = (np.empty(n), np.empty(n))
+        self.cut = 0.0
 
     def next_state(self, u: np.ndarray) -> np.ndarray:
         """The state buffer that does not hold u."""
@@ -287,37 +295,54 @@ def _max_symbol(half_length: float, n: int, s: float, eps: float) -> float:
     return float(np.max(lam * (np.sin(kh) / kh)))
 
 
-def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
-               p: ModelParams, cap: float):
-    """Stable step from the face fluxes; returns (dt, binding limit).
-
-    The limits are those of :func:`cfl_dt`.  The characteristic speed
-    takes (max u + mu)^(m-2) as max(a)^((m-2)/(m-1)), so its one extra
-    reduction is over w_face.  The limit is the name in STEP_LIMITS
-    of the bound that set dt; a tie goes to the earlier one, and "cap"
-    also covers a state with no limit at all.
-    """
+def _step_bounds(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
+                 p: ModelParams) -> dict:
+    """The limits of :func:`cfl_dt` before CFL_SAFETY, by name, from the face
+    fluxes; inf where a limit is absent.  The characteristic speed takes
+    (max u + mu)^(m-2) as max(a)^((m-2)/(m-1)), so its one extra
+    reduction is over w_face."""
     h = grid.spacing
-    dt, limit = math.inf, "cap"
     vmax = max(float(J.max()), -float(J.min()))  # max|J|; NaN if J has one
     amax = float(np.max(a))
     if amax > 0.0:
         wmax = max(float(w_face.max()), -float(w_face.min()))
         vmax = max(vmax, (p.m - 1.0) * amax ** ((p.m - 2.0) / (p.m - 1.0)) * wmax)
-    if vmax > 0.0:
-        dt, limit = h / vmax, "advective"
-    if amax > 0.0:
-        stiff = 2.0 / (amax * _max_symbol(grid.half_length, grid.n, p.s, p.eps))
-        if stiff < dt:
-            dt, limit = stiff, "stiffness"
-    if p.delta > 0.0:
-        visc = h * h / (2.0 * p.delta)
-        if visc < dt:
-            dt, limit = visc, "viscosity"
+    lam = _max_symbol(grid.half_length, grid.n, p.s, p.eps)
+    return {"advective": h / vmax if vmax > 0.0 else math.inf,
+            "stiffness": 2.0 / (amax * lam) if amax > 0.0 else math.inf,
+            "viscosity": h * h / (2.0 * p.delta) if p.delta > 0.0 else math.inf}
+
+
+def _safe_dt(bounds: dict, cap: float):
+    """(dt, limit): CFL_SAFETY times the smallest bound, or cap when that is
+    smaller, and the name in STEP_LIMITS of what set it; a tie goes to the
+    earlier bound, and "cap" also covers a state with no limit at all."""
+    dt, limit = math.inf, "cap"
+    for name, bound in bounds.items():
+        if bound < dt:
+            dt, limit = bound, name
     dt = CFL_SAFETY * dt
-    if cap < dt:
-        return float(cap), "cap"
-    return float(dt), limit
+    return (float(cap), "cap") if cap < dt else (float(dt), limit)
+
+
+def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
+               p: ModelParams, cap: float):
+    """The explicit Euler step of the face fluxes and its limit."""
+    return _safe_dt(_step_bounds(J, a, w_face, grid, p), cap)
+
+
+def _rkl_stages(bounds: dict, cap: float):
+    """(S, dt, limit) of the RKL1 step that replaces a stiff Euler step: the
+    fewest stages S <= MAX_STAGES whose stability bound, (S^2+S)/2 safe
+    stiffness steps, reaches the step the other limits allow, and the
+    smaller of the two steps with the limit that set it."""
+    target, limit = _safe_dt({**bounds, "stiffness": math.inf}, cap)
+    dt_stiff = CFL_SAFETY * bounds["stiffness"]
+    S = 1
+    while (S * S + S) / 2 * dt_stiff < target and S < MAX_STAGES:
+        S += 1
+    reach = (S * S + S) / 2 * dt_stiff
+    return (S, target, limit) if target <= reach else (S, reach, "stiffness")
 
 
 def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
@@ -339,7 +364,10 @@ def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
       Lambda = |k|^(2-2s) or the mollified symbol for eps > 0 (see
       `_max_symbol`).  lambda is the largest of their moduli, so the
       limit is the exact Euler stability bound of that operator; above
-      it the high modes grow even when the advective limit holds.
+      it the high modes grow even when the advective limit holds.  The
+      spectrum is real and nonpositive, so where this limit binds at
+      m >= 2, :func:`simulate_density` takes an RKL1 step of S stages
+      instead, stable up to (S^2+S)/2 times it.
     * viscosity, h^2/(2 delta), which keeps the three-point diffusion
       step a positive map.
 
@@ -362,12 +390,9 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
     with the limited fluxes.  Outgoing fluxes are scaled per donor cell so
     no cell loses more than POSITIVITY_HEADROOM of its content in one
     step; the scaling is applied to the shared face flux, so conservation
-    is exact.  `limited` tells whether it cut any cell's outflow.  The
-    viscosity term uses the three-point Laplacian: it conserves mass by
-    telescoping and keeps u >= 0 under the delta CFL bound, whereas the
-    spectral Laplacian rings negative at degenerate fronts and burns the
-    clipping budget.  The result is nonnegative; raises
-    :class:`SimulationUnstable` on NaN.
+    is exact.  `limited` tells whether it cut any cell's outflow; if so,
+    `ws.cut` is set to the flux mass dt * sum |J| (1 - factor) that the cut
+    kept in place.  The update is followed by :func:`_finish_step`.
     """
     r = dt / h
     outflow = _roll1(J, 1, ws.b1)
@@ -389,11 +414,28 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
         # the donor of face i+1/2 is cell i when J>0, cell i+1 when J<0
         donor = _roll1(factor, -1, ws.b1)
         np.copyto(donor, factor, where=np.greater(J, 0.0, out=ws.mask))
+        cut = np.subtract(1.0, donor, out=ws.b3)  # the factors are read
+        cut *= J
+        ws.cut = dt * float(np.abs(cut, out=cut).sum())
         J *= donor
 
     div = np.subtract(J, _roll1(J, 1, ws.b1), out=ws.b1)
     div *= r
     u_new = np.subtract(u, div, out=ws.next_state(u))
+    return u_new, _finish_step(u_new, dt, h, p, ws), limited
+
+
+def _finish_step(u_new: np.ndarray, dt: float, h: float, p: ModelParams,
+                 ws: _Workspace) -> float:
+    """Clip, viscosity substep, clip and NaN check of a flux update, in
+    place; returns the clipped mass.
+
+    The viscosity term uses the three-point Laplacian: it conserves mass
+    by telescoping and keeps u >= 0 under the delta CFL bound, whereas the
+    spectral Laplacian rings negative at degenerate fronts and burns the
+    clipping budget.  The result is nonnegative; raises
+    :class:`SimulationUnstable` on NaN.
+    """
     clipped = 0.0
     negative = np.less(u_new, 0.0, out=ws.mask)
     if negative.any():
@@ -415,7 +457,50 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
             np.maximum(u_new, 0.0, out=u_new)
     if not np.isfinite(u_new, out=ws.mask).all():
         raise SimulationUnstable(0.0)
-    return u_new, clipped, limited
+    return clipped
+
+
+def _rkl_step(u: np.ndarray, J: np.ndarray, dt: float, stages: int, h: float,
+              p: ModelParams, sym: np.ndarray, ws: _Workspace):
+    """The flux update of an S-stage RKL1 step (Meyer, Balsara & Aslam,
+    J. Comput. Phys. 2014), with L(v) = -D_-J(v)/h and w1 = 2/(S^2+S):
+
+        Y_1 = u + w1 dt L(u),
+        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + mu_j w1 dt L(Y_{j-1}),
+
+    mu_j = (2j-1)/j, nu_j = -(j-1)/j.  L telescopes and mu_j + nu_j = 1,
+    so each stage conserves mass.  J is u's face flux; each later stage
+    evaluates one pressure.  Stages alternate between `ws.y` and the spare
+    state buffer, where Y_S lands.  Returns (Y_S, flux evaluations), with
+    None for Y_S at the first stage that has a negative cell; raises
+    :class:`SimulationUnstable` at a stage that is not finite.
+    """
+    w1 = 2.0 / (stages * stages + stages)
+    spare = ws.next_state(u)
+    buffers = (spare, ws.y) if stages % 2 else (ws.y, spare)
+    prev2, prev = None, u
+    for j in range(1, stages + 1):
+        if j > 1:
+            J, _, _ = _face_flux(prev, _apply_rows(prev, sym), p, ws)
+        mu = (2 * j - 1) / j
+        L = _roll1(J, 1, ws.b1)
+        L -= J
+        L /= h
+        L *= mu * w1 * dt
+        y = buffers[(j - 1) % 2]
+        if j == 1:
+            np.add(u, L, out=y)
+        else:
+            nu_term = np.multiply(prev2, -(j - 1) / j, out=ws.b2)
+            np.multiply(prev, mu, out=y)
+            y += nu_term
+            y += L
+        if not np.isfinite(y, out=ws.mask).all():
+            raise SimulationUnstable(0.0)
+        if np.less(y, 0.0, out=ws.mask).any():
+            return None, j
+        prev2, prev = prev, y
+    return prev, stages
 
 
 def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
@@ -491,10 +576,11 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     The snapshot times must lie in [0, t_end]; each is filled by linear
     interpolation between the bracketing computed states.  Clipping is
     accumulated over the whole run and the run aborts if it ever exceeds
-    1e-6 of the initial mass, after the step that overspent it.  Each step
-    is bitwise the one :func:`cfl_dt` and :func:`step_density` would take;
-    the trajectory also records the dt range and median, the limit behind
-    each step and how many steps the positivity limiter cut an outflow in.
+    1e-6 of the initial mass, after the step that overspent it.  A step
+    is bitwise the one :func:`cfl_dt` and :func:`step_density` would take,
+    save where m >= 2 and the stiffness limit binds: there it is an RKL1
+    step (see `_rkl_stages`), or that Euler step if a stage goes negative.
+    The trajectory also keeps the step telemetry of :class:`Trajectory`.
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
@@ -505,13 +591,15 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     stored_times, snapshots, diags = [], [], []
     limits = dict.fromkeys(STEP_LIMITS, 0)
     dts = array.array("d")  # every step's dt, 8 bytes a step
-    limiter_steps = 0
+    limiter_steps = evaluations = fallbacks = 0
+    cut_mass = 0.0
 
     def trajectory() -> Trajectory:
         span = ((min(dts), max(dts), float(np.median(dts))) if dts
                 else (math.nan,) * 3)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                          clipped_mass, len(dts), *span, limits, limiter_steps)
+                          clipped_mass, len(dts), *span, limits, limiter_steps,
+                          evaluations, fallbacks, cut_mass)
 
     # Steps work on plain arrays in one workspace, the states alternating
     # between its two state buffers; _march's frames are fresh arrays, so
@@ -521,18 +609,38 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     sym = _pressure_symbol(grid, p)
 
     def step(u, t, cap):
-        nonlocal clipped_mass, limiter_steps
-        w = _apply_rows(u, sym)  # shared by the bound and the update
+        nonlocal clipped_mass, limiter_steps, evaluations, fallbacks, cut_mass
+        w = _apply_rows(u, sym)  # shared by the bound and the first stage
         J, a, w_face = _face_flux(u, w, p, ws)
-        dt, limit = _stable_dt(J, a, w_face, grid, p, cap)
+        bounds = _step_bounds(J, a, w_face, grid, p)
+        dt, limit = _safe_dt(bounds, cap)
         if dt <= 0.0 or not math.isfinite(dt):
             dt, limit = cap, "cap"
+        stages = 1
+        if p.m >= 2.0 and limit == "stiffness":
+            stages, dt_rkl, limit_rkl = _rkl_stages(bounds, cap)
+        evaluations += 1
         try:
-            u_next, clipped, limited = _apply_flux(u, J, dt, h, p, ws)
+            u_next = None
+            if stages > 1:
+                u_next, done = _rkl_step(u, J, dt_rkl, stages, h, p, sym, ws)
+                evaluations += done - 1
+                if u_next is None:  # a stage went negative: take the Euler step
+                    fallbacks += 1
+                    if done > 1:  # the later stages overwrote u's face flux
+                        J, _, _ = _face_flux(u, _apply_rows(u, sym), p, ws)
+                        evaluations += 1
+                else:
+                    dt, limit = dt_rkl, limit_rkl
+                    clipped, limited = _finish_step(u_next, dt, h, p, ws), False
+            if u_next is None:
+                u_next, clipped, limited = _apply_flux(u, J, dt, h, p, ws)
         except SimulationUnstable:
             raise SimulationUnstable(t, trajectory()) from None
         clipped_mass += clipped
-        limiter_steps += limited
+        if limited:
+            limiter_steps += 1
+            cut_mass += ws.cut
         limits[limit] += 1
         dts.append(dt)
         return u_next, dt

@@ -107,14 +107,15 @@ def _snapshot_outputs(traj, out: _Outputs):
          [x.boundary_tail for x in d]],
     )
 
-    # step telemetry; steps_<limit> counts the steps that limit bound, so
-    # those columns sum to steps, and limiter_steps the steps in which the
-    # positivity limiter cut an outflow
+    # step telemetry (see Trajectory); steps_<limit> counts the steps that
+    # limit bound, so those columns sum to steps
     stats = {"steps": traj.steps, "clipped_mass": traj.clipped_mass,
              "dt_min": traj.dt_min, "dt_max": traj.dt_max,
              "dt_median": traj.dt_median}
     stats.update((f"steps_{name}", count) for name, count in traj.limits.items())
-    stats["limiter_steps"] = traj.limiter_steps
+    for name in ("limiter_steps", "limited_flux_mass", "flux_evaluations",
+                 "fallback_steps"):
+        stats[name] = getattr(traj, name)
     out.stats("solver_stats.csv", stats)
 
     stride = max(1, len(traj.times) // MAX_CURVES)

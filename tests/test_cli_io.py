@@ -370,8 +370,10 @@ def test_cli_writes_solver_stats(tmp_path):
     stats = dict(zip(header, (float(c[0]) for c in cols)))
     assert list(stats) == ["steps", "clipped_mass", "dt_min", "dt_max", "dt_median",
                            "steps_advective", "steps_stiffness",
-                           "steps_viscosity", "steps_cap", "limiter_steps"]
+                           "steps_viscosity", "steps_cap", "limiter_steps",
+                           "limited_flux_mass", "flux_evaluations", "fallback_steps"]
     assert stats["steps"] > 0
+    assert stats["flux_evaluations"] >= stats["steps"]
     assert sum(v for k, v in stats.items() if k.startswith("steps_")) == stats["steps"]
     assert 0.0 < stats["dt_min"] <= stats["dt_median"] <= stats["dt_max"]
     assert "file solver_stats.csv = sha256:" in (outdir / "manifest.txt").read_text()

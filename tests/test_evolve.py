@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from nlpme.diagnostics import standard_checks
 from nlpme.evolve import (
     CFL_SAFETY,
+    MAX_STAGES,
     POSITIVITY_HEADROOM,
     STEP_LIMITS,
     ModelParams,
@@ -265,13 +266,14 @@ def test_folded_mollified_pressure_matches_composition(s):
 @pytest.mark.parametrize("p", [
     ModelParams(2.0, 0.3),
     ModelParams(1.5, 0.3, eps=0.05, delta=0.01, mu=0.01),
-], ids=["limit", "regularized"])
+    ModelParams(2.0, 0.1),
+], ids=["limit", "regularized", "stiff"])
 def test_simulate_density_equals_hand_loop_bitwise(p):
     """Sharing one pressure gradient per step changes no bit of the run.
 
-    Oracle: cfl_dt / step_density, each computing the pressure gradient
-    itself through `pressure_gradient`, with the solver's snapshot
-    interpolation.
+    Oracle: `_public_loop`, cfl_dt / step_density and the allocating RKL1
+    step, each computing the pressure gradient itself through
+    `pressure_gradient`, with the solver's snapshot interpolation.
     """
     g = make_grid(8.0, 256)
     u0 = gaussian_bump(g, 1.0, width=0.7)
@@ -279,17 +281,9 @@ def test_simulate_density_equals_hand_loop_bitwise(p):
     snap_times = [0.0, 0.13, 0.31, t_end]
     traj = simulate_density(u0, p, t_end, snap_times=snap_times)
 
-    u, t, steps = u0, 0.0, 0
-    frames = [u0.values]
-    pending = snap_times[1:]
-    while t < t_end - 1e-14:
-        dt = cfl_dt(u, p, cap=t_end - t)
-        u_next, _ = step_density(u, p, dt)
-        while pending and pending[0] <= t + dt + 1e-14:
-            theta = min(max((pending.pop(0) - t) / dt, 0.0), 1.0)
-            frames.append((1 - theta) * u.values + theta * u_next.values)
-        u, t, steps = u_next, t + dt, steps + 1
-    assert traj.steps == steps > 10
+    frames, dts, _, evaluations, fallbacks = _public_loop(u0, p, t_end, snap_times)
+    assert traj.steps == len(dts) > 10
+    assert (traj.flux_evaluations, traj.fallback_steps) == (evaluations, fallbacks)
     assert len(traj.snapshots) == len(frames)
     for snap, frame in zip(traj.snapshots, frames):
         assert np.array_equal(snap.values, frame)
@@ -306,27 +300,96 @@ def test_roll1_is_np_roll():
             assert _roll1(a, shift, out) is out and np.array_equal(out, want)
 
 
-def _public_loop(u0, p, t_end, snap_times):
-    """simulate_density's schedule written with the public cfl_dt and
-    step_density, each computing its own pressure gradient.
+def _rkl_plan(u, p, cap):
+    """(stages, dt) of the RKL1 step that simulate_density takes from u, or
+    None where it takes the Euler step: the rule written out with the
+    np.roll bound pieces.  RKL1 replaces the step only at m >= 2 when the
+    stiffness limit sets it; S is the fewest stages (at most MAX_STAGES)
+    whose (S^2+S)/2 safe stiffness steps reach the step the other limits
+    and the cap allow, and S = 1 is the Euler step."""
+    J, a, w_face = _roll_face_flux(u.values, pressure_gradient(u, p).values, p)
+    if p.m < 2.0 or _roll_stable_dt(J, a, w_face, u.grid, p, cap)[1] != "stiffness":
+        return None
+    target = _roll_stable_dt(J, a, w_face, u.grid, p, cap, stiffness=False)[0]
+    dt_stiff = CFL_SAFETY * (2.0 / (float(np.max(a)) * _stepped_max_eigenvalue(u.grid, p)))
+    S = 1
+    while (S * S + S) / 2 * dt_stiff < target and S < MAX_STAGES:
+        S += 1
+    return (S, min(target, (S * S + S) / 2 * dt_stiff)) if S > 1 else None
 
-    Returns (frames, the step sizes, clipped mass).
+
+def _rkl_reference_step(u, p, stages, dt):
+    """An RKL1 step written out with fresh arrays, the pressure gradient
+    of every stage through the public `pressure_gradient`, then the
+    three-point viscosity substep and its clip.
+
+    Returns (new values, clipped mass, flux evaluations), with None for
+    the values when a stage has a negative cell.
     """
-    u, t, clipped = u0, 0.0, 0.0
+    g = u.grid
+    h = g.spacing
+
+    def flux_divergence(v):
+        J, _, _ = _roll_face_flux(v, pressure_gradient(Field(g, v), p).values, p)
+        return (np.roll(J, 1) - J) / h
+
+    w1 = 2.0 / (stages * stages + stages)
+    prev2, prev = None, u.values
+    for j in range(1, stages + 1):
+        mu, nu = (2 * j - 1) / j, -(j - 1) / j
+        if j == 1:
+            y = prev + mu * w1 * dt * flux_divergence(prev)
+        else:
+            y = mu * prev + nu * prev2 + mu * w1 * dt * flux_divergence(prev)
+        if np.any(y < 0.0):
+            return None, 0.0, j
+        prev2, prev = prev, y
+    clipped = 0.0
+    if p.delta > 0.0:
+        visc = (np.roll(y, -1) - 2.0 * y + np.roll(y, 1)) / h**2
+        y = y + dt * p.delta * visc
+        if np.any(y < 0.0):
+            clipped = float(-h * y[y < 0.0].sum())
+            y = np.maximum(y, 0.0)
+    return y, clipped, stages
+
+
+def _public_loop(u0, p, t_end, snap_times, rkl=True):
+    """simulate_density's schedule written with the public cfl_dt and
+    step_density, and `_rkl_reference_step` on the steps `_rkl_plan`
+    gives to RKL1 (none if not `rkl`), each computing its own pressure
+    gradient.  A step whose stage goes negative is redone with cfl_dt /
+    step_density.
+
+    Returns (frames, the step sizes, clipped mass, flux evaluations,
+    fallback steps): the evaluations are simulate_density's count, which
+    evaluates u's pressure once more only when a stage past the first
+    went negative.
+    """
+    u, t, clipped, evaluations, fallbacks = u0, 0.0, 0.0, 0, 0
     frames, dts = [u0.values], []
     pending = list(snap_times[1:])
     while t < t_end - 1e-14:
         dt = cfl_dt(u, p, cap=t_end - t)
         if dt <= 0.0 or not math.isfinite(dt):
             dt = t_end - t
-        u_next, c = step_density(u, p, dt)
+        plan = _rkl_plan(u, p, t_end - t) if rkl else None
+        values, done = None, 1
+        if plan is not None:
+            values, c, done = _rkl_reference_step(u, p, *plan)
+            fallbacks += values is None
+        evaluations += done + (values is None and done > 1)
+        if values is None:
+            u_next, c = step_density(u, p, dt)
+        else:
+            u_next, dt = u.with_values(values), plan[1]
         clipped += c
         while pending and pending[0] <= t + dt + 1e-14:
             theta = min(max((pending.pop(0) - t) / dt, 0.0), 1.0)
             frames.append((1 - theta) * u.values + theta * u_next.values)
         u, t = u_next, t + dt
         dts.append(dt)
-    return frames, dts, clipped
+    return frames, dts, clipped, evaluations, fallbacks
 
 
 _regularization = st.one_of(st.just(0.0), st.floats(1e-3, 0.2))
@@ -353,8 +416,9 @@ def test_fused_density_loop_equals_public_steps(m, s, eps, delta, mu, n, compact
     snap_times = [0.0, 0.1, t_end]
     traj = simulate_density(u0, p, t_end, snap_times=snap_times)
 
-    frames, dts, clipped = _public_loop(u0, p, t_end, snap_times)
+    frames, dts, clipped, evaluations, fallbacks = _public_loop(u0, p, t_end, snap_times)
     assert traj.steps == len(dts)
+    assert (traj.flux_evaluations, traj.fallback_steps) == (evaluations, fallbacks)
     assert (traj.dt_min, traj.dt_max, traj.dt_median) == (min(dts), max(dts),
                                                           np.median(dts))
     assert traj.clipped_mass == clipped
@@ -366,6 +430,115 @@ def test_fused_density_loop_equals_public_steps(m, s, eps, delta, mu, n, compact
         assert abs(d.mass - mass0) <= 1e-12 * mass0
         assert snap.values.min() >= 0.0
     assert sum(traj.limits.values()) == traj.steps
+
+
+_small = st.one_of(st.just(0.0), st.floats(1e-3, 0.05))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.floats(2.0, 3.5), s=st.floats(0.05, 0.5), eps=_small, delta=_small,
+       mu=_small, n=st.sampled_from([64, 128, 256]), compact=st.booleans())
+@example(m=2.0, s=0.05, eps=0.0, delta=0.0, mu=0.0, n=256, compact=False)
+@example(m=2.0, s=0.1, eps=0.0, delta=0.0, mu=0.05, n=64, compact=True)
+def test_rkl_runs_conserve_mass_and_stay_nonnegative(m, s, eps, delta, mu, n, compact):
+    """Runs at m >= 2, where stiff steps are RKL1 steps, conserve mass to
+    roundoff, keep every frame nonnegative and charge every step to one
+    limit; each step costs at least one flux evaluation and each fallback
+    one more."""
+    p = ModelParams(m, s, eps=eps, delta=delta, mu=mu)
+    g = make_grid(8.0, n)
+    u0 = (compact_bump(g, 1.0, radius=1.5) if compact
+          else gaussian_bump(g, 1.0, width=0.5))
+    traj = simulate_density(u0, p, 0.3, np.linspace(0.0, 0.3, 7))
+    mass0 = traj.diagnostics[0].mass
+    for d, snap in zip(traj.diagnostics, traj.snapshots):
+        assert abs(d.mass - mass0) <= 1e-12 * mass0
+        assert snap.values.min() >= 0.0
+    assert sum(traj.limits.values()) == traj.steps
+    assert traj.flux_evaluations >= traj.steps + traj.fallback_steps
+
+
+def test_rkl_fallback_redoes_the_step_as_euler():
+    """A stage with a negative cell sends its step back to Euler.  With
+    mu > 0 the empty cells around a compact bump are mobile, and RKL1's
+    unlimited stages overdraw them where the Euler limiter would cut the
+    outflow.  Oracle: `_public_loop`, bit for bit, with its evaluation
+    and fallback counts; the redone steps are charged to stiffness."""
+    p = ModelParams(2.0, 0.1, mu=0.1)
+    g = make_grid(8.0, 64)
+    u0 = compact_bump(g, 1.0, radius=1.5)
+    snap_times = [0.0, 0.1, 0.3]
+    traj = simulate_density(u0, p, 0.3, snap_times)
+    frames, dts, clipped, evaluations, fallbacks = _public_loop(u0, p, 0.3, snap_times)
+    assert traj.fallback_steps == fallbacks > 0
+    assert traj.flux_evaluations == evaluations
+    assert traj.limits["stiffness"] >= fallbacks
+    assert traj.clipped_mass == clipped
+    for snap, frame in zip(traj.snapshots, frames):
+        assert np.array_equal(snap.values, frame)
+
+
+def test_rkl_fallback_after_later_stages_is_the_euler_step(monkeypatch):
+    """An RKL1 step thrown away after all its stages, whose pressure
+    evaluations overwrote the workspace's face flux, is redone as the
+    Euler step bit for bit.  Every RKL1 step is made to fail at its last
+    stage; oracle: the public cfl_dt / step_density loop alone."""
+    import nlpme.evolve as evolve
+
+    real = evolve._rkl_step
+    stage_counts = []
+
+    def failing_rkl_step(u, J, dt, stages, *args):
+        stage_counts.append(real(u, J, dt, stages, *args)[1])
+        return None, stages
+
+    monkeypatch.setattr(evolve, "_rkl_step", failing_rkl_step)
+    p = ModelParams(2.0, 0.1)
+    u0 = gaussian_bump(make_grid(8.0, 256), 1.0, width=0.7)
+    snap_times = [0.0, 0.13, 0.31, 1.0]
+    traj = simulate_density(u0, p, 1.0, snap_times)
+    frames, dts, _, _, _ = _public_loop(u0, p, 1.0, snap_times, rkl=False)
+    assert traj.fallback_steps == len(stage_counts) == traj.steps - 1
+    assert min(stage_counts) > 1
+    assert traj.flux_evaluations == traj.steps + sum(stage_counts)
+    assert traj.steps == len(dts)
+    for snap, frame in zip(traj.snapshots, frames):
+        assert np.array_equal(snap.values, frame)
+
+
+def test_rkl_stages_are_capped():
+    """A state at rest has no advective limit, so only the horizon would
+    bound an RKL1 step (about 400 stages here); MAX_STAGES caps each
+    step's flux evaluations, and a capped step is charged to stiffness.
+    The state stays at rest."""
+    g = make_grid(8.0, 64)
+    u0 = Field(g, np.full(g.n, 0.5))
+    traj = simulate_density(u0, ModelParams(2.0, 0.2), 1e4, [0.0, 1e4])
+    assert traj.limits["stiffness"] == traj.steps - 1 > 0
+    assert traj.steps < traj.flux_evaluations <= MAX_STAGES * traj.steps
+    assert np.max(np.abs(traj.snapshots[-1].values - 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.2, 0.3])
+def test_rkl_matches_barenblatt_m2(s):
+    """RKL1 steps lose no accuracy against the exact m = 2 solution while
+    evaluating fewer fluxes than Euler takes steps.  Oracle:
+    similarity.barenblatt_m2 (L = 15, mass 2, n = 2048) evolved from
+    t = 1 to t = 1.5, and the Euler run of the public cfl_dt / step_density."""
+    g = make_grid(15.0, 2048)
+    p = ModelParams(2.0, s)
+    u0 = barenblatt_m2(g, 2.0, 1.0, s)
+    exact = barenblatt_m2(g, 2.0, 1.5, s).values
+    traj = simulate_density(u0, p, 0.5, [0.0, 0.5])
+    u, t, steps = u0, 0.0, 0
+    while t < 0.5 - 1e-14:
+        dt = cfl_dt(u, p, cap=0.5 - t)
+        u, _ = step_density(u, p, dt)
+        t, steps = t + dt, steps + 1
+    error = g.spacing * np.abs(traj.snapshots[-1].values - exact).sum()
+    assert error <= 1.1 * g.spacing * np.abs(u.values - exact).sum()
+    assert traj.fallback_steps == 0
+    assert traj.steps < traj.flux_evaluations < steps
 
 
 def _stepped_max_eigenvalue(g, p):
@@ -528,18 +701,27 @@ def test_abort_carries_exact_partial_trajectory(monkeypatch, abort):
     (ModelParams(2.0, 0.2), "stiffness"),
     (ModelParams(2.0, 0.9), "advective"),
     (ModelParams(2.0, 0.5, delta=0.5), "viscosity"),
+    (ModelParams(1.5, 0.2), "stiffness"),
 ])
 def test_step_telemetry(p, bound):
     """Every step is charged to exactly one limit; which one follows the
     regime: small s is stiff, s near 1 advective, large delta viscous.  Only
-    the last, horizon-capped step is charged to the cap."""
+    the last, horizon-capped step is charged to the cap.  A stiff step at
+    m >= 2 is an RKL1 step of several flux evaluations, charged to the
+    advective limit its stages reach; at m < 2 it stays one Euler step."""
     g = make_grid(15.0, 256)
     traj = simulate_density(gaussian_bump(g, 2.0, width=1.0), p, 0.5,
                             snap_times=np.linspace(0.0, 0.5, 5))
     assert set(traj.limits) == set(STEP_LIMITS)
     assert sum(traj.limits.values()) == traj.steps > 1
-    assert traj.limits[bound] == traj.steps - 1
     assert traj.limits["cap"] == 1
+    assert traj.fallback_steps == 0
+    if p.m >= 2.0 and bound == "stiffness":
+        assert traj.flux_evaluations > traj.steps
+        assert traj.limits["advective"] == traj.steps - 1
+    else:
+        assert traj.flux_evaluations == traj.steps
+        assert traj.limits[bound] == traj.steps - 1
     assert 0.0 < traj.dt_min <= traj.dt_median <= traj.dt_max
 
 
@@ -700,15 +882,16 @@ def _roll_face_flux(u, w, p):
     return -a_up * w_face, a, w_face
 
 
-def _roll_stable_dt(J, a, w_face, grid, p, cap):
-    """_stable_dt as written with np.abs: the three limits in order."""
+def _roll_stable_dt(J, a, w_face, grid, p, cap, stiffness=True):
+    """_stable_dt as written with np.abs: the three limits in order, or
+    the advective and viscosity limits alone."""
     h = grid.spacing
     dt, limit = math.inf, "cap"
     vmax = _advective_speed(J, a, w_face, p)
     if vmax > 0.0:
         dt, limit = h / vmax, "advective"
     amax = float(np.max(a))
-    if amax > 0.0:
+    if stiffness and amax > 0.0:
         stiff = 2.0 / (amax * _stepped_max_eigenvalue(grid, p))
         if stiff < dt:
             dt, limit = stiff, "stiffness"
@@ -808,6 +991,9 @@ def test_workspace_step_equals_roll_pieces(m, s, eps, delta, mu, n, data, seed, 
     assert math.copysign(1.0, clipped) == math.copysign(1.0, clipped_ref)
     assert limited == limited_ref
     assert np.array_equal(_bits(J), _bits(J_lim_ref))
+    if limited:  # the flux mass the cut kept in place
+        cut = dt * np.abs(J_ref - J_lim_ref).sum()
+        assert abs(ws.cut - cut) <= 1e-12 * dt * np.abs(J_ref).sum()
     assert any(new is buf for buf in ws.states)
 
 
@@ -880,9 +1066,11 @@ def test_limiter_steps_telemetry():
     quiet = simulate_density(gaussian_bump(g, 1.0, width=1.0), ModelParams(2.0, 0.5),
                              1.0, [0.0, 1.0])
     assert quiet.steps > 1 and quiet.limiter_steps == 0
+    assert quiet.limited_flux_mass == 0.0
     busy = simulate_density(compact_bump(g, 1.0, radius=1.5),
                             ModelParams(1.2, 0.6, mu=0.05), 1.0, [0.0, 1.0])
     assert busy.steps > 1 and busy.limiter_steps == busy.steps
+    assert busy.limited_flux_mass > 0.0
 
 
 # --- step bounds ---------------------------------------------------------
