@@ -56,7 +56,6 @@ from .similarity import (
     ProfileFamily,
     ProfileKind,
     extract_profile,
-    fpme_parameter_map,
     fpme_rate,
     residual_report,
     scaling_exponents,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import Field
 from .evolve import ModelParams, RunAborted, Trajectory, simulate_density
-from .similarity import ExponentSet, extract_profile
+from .similarity import ExponentSet, extract_profile, scaling_exponents
 
 __all__ = [
     "mass",
@@ -238,8 +238,6 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
     report also tracks t^(N beta (1-1/p)) ||u(t) - profile|| along the
     largest-lambda run, with the profile extracted at that run's final time.
     """
-    from .similarity import scaling_exponents
-
     ex = scaling_exponents(p.m, p.s, p.N, 1.0)
     members = rescaled_family(u0, p, lambdas, t_probe)
     h = u0.grid.spacing

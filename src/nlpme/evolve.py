@@ -133,7 +133,9 @@ class Trajectory:
     one cell's outflow, and `limited_flux_mass`, the flux mass it cut.
     `flux_evaluations` counts pressure evaluations (rfft/irfft pairs),
     one per Euler step and S per RKL1 step, and `fallback_steps` the RKL1
-    steps redone as Euler steps.
+    steps redone as Euler steps.  A step redone after its first stage
+    costs 1 evaluation in all, as an Euler step does; one redone after
+    stage j > 1 costs j + 1, since u's face flux is evaluated again.
     """
 
     params: ModelParams

@@ -35,14 +35,19 @@ def gaussian_bump(grid: Grid1D, mass: float = 1.0, width: float = 1.0,
     return _normalized(grid, v, mass)
 
 
+def _bump(x, center: float, radius: float, height: float = 1.0) -> np.ndarray:
+    """height * exp(1 - 1/(1 - y^2)) for |y| < 1, else 0; y = (x - center)/radius."""
+    y = (np.asarray(x, dtype=float) - center) / radius
+    out = np.zeros_like(y)
+    inside = np.abs(y) < 1.0
+    out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
+    return out
+
+
 def compact_bump(grid: Grid1D, mass: float = 1.0, radius: float = 1.0,
                  center: float = 0.0) -> Field:
     """Smooth compactly supported bump exp(1 - 1/(1-y^2)) on |y| < 1."""
-    y = (grid.nodes - center) / radius
-    v = np.zeros(grid.n)
-    inside = np.abs(y) < 1.0
-    v[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
-    return _normalized(grid, v, mass)
+    return _normalized(grid, _bump(grid.nodes, center, radius), mass)
 
 
 def two_bump(grid: Grid1D, mass: float = 1.0,

@@ -54,6 +54,7 @@ import numpy as np
 from .diagnostics import CheckResult
 from .evolve import CFL_SAFETY, SimulationUnstable, _march
 from .grid import Field, FracOrder, Grid1D
+from .initial_data import _bump
 from .operators import (
     _frac_laplacian_rows,
     line_frac_laplacian,
@@ -473,15 +474,6 @@ class BarrierParams:
             raise ValueError("xi, eps_b and tau must be positive")
         if self.gamma <= 0 or self.b <= 0:
             raise ValueError("gamma and b must be positive (requires m < 2)")
-
-
-def _bump(x, center: float, radius: float, height: float) -> np.ndarray:
-    """height * exp(1 - 1/(1 - y^2)) for |y| < 1, else 0; y = (x - center)/radius."""
-    y = (np.asarray(x, dtype=float) - center) / radius
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
-    return out
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ reaches the quadratic-factor companion equation
 v_t + v^2 (-Delta)^(1-s) v^(1/(m-2)) = 0.
 
 Profile residuals discretize each stationary profile equation with the
-spectral operators; the drift divergence is expanded by the product rule
-(N phi + y phi') so that only periodic factors ever see a spectral
-derivative, and residuals are reported on the central part of the box
-where the truncation of the y-weighted terms is immaterial.
+one-dimensional spectral operators; the drift divergence is expanded by
+the product rule (phi + y phi') so that only periodic factors ever see a
+spectral derivative, and residuals are reported on the central part of
+the box where the truncation of the y-weighted terms is immaterial.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "ProfileKind",
     "scaling_exponents",
     "fpme_rate",
-    "fpme_parameter_map",
     "FpmeTransformResult",
     "transform_fpme_profile",
     "HighMTransformResult",
@@ -106,8 +105,6 @@ def fpme_rate(q: float, sigma: float, N: int = 1) -> float:
 
 class ProfileFamily(enum.Enum):
     MASS_CONSERVING = "mass-conserving"   # forward self-similar, rate beta2
-    EXTINCTION = "extinction"             # backward (finite time), rate -beta2
-    ETERNAL = "eternal"                   # exponential, free rate c
     FPME = "fpme"                         # Barenblatt of the FPME, rate beta1
     COMPANION = "companion"               # quadratic-factor model, rate b
 
@@ -122,39 +119,6 @@ class ProfileKind:
     def __post_init__(self):
         if not self.rate > 0.0:
             raise ValueError(f"profile rate must be positive, got {self.rate}")
-
-
-def mass_conserving_kind(m: float, s: float, N: int = 1) -> ProfileKind:
-    """Forward self-similar kind; requires m > (N-2+2s)/N for a positive rate."""
-    if m <= (N - 2.0 + 2.0 * s) / N:
-        raise ValueError(
-            f"mass-conserving self-similarity needs m > {(N - 2.0 + 2.0 * s) / N}"
-        )
-    return ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s, N).beta2)
-
-
-def fpme_parameter_map(q: float, sigma: float, N: int = 1):
-    """Raw parameter correspondence (q, sigma) -> (m, s, family).
-
-    m = (2q-1)/q, s = 1 - sigma; the family is selected by the position of
-    q relative to N/(N+2 sigma).  No range restriction is applied here: the
-    caller is responsible for checking that m lands in (1, infinity) before
-    using it with the evolution solvers.
-    """
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    m = (2.0 * q - 1.0) / q
-    s = 1.0 - sigma
-    q_star = N / (N + 2.0 * sigma)
-    if q > q_star:
-        fam = ProfileFamily.MASS_CONSERVING
-    elif q < q_star:
-        fam = ProfileFamily.EXTINCTION
-    else:
-        fam = ProfileFamily.ETERNAL
-    return m, s, fam
 
 
 @dataclass
@@ -176,8 +140,7 @@ def transform_fpme_profile(
     (m, s).  Any q <= 1 lands at m <= 1, outside the range of the pressure
     model (q = 1 also degenerates the prefactor exponent), and is
     rejected.  Every q > 1 lies above N/(N+2 sigma), so the image is
-    always mass-conserving: the extinction and eternal families of
-    :func:`fpme_parameter_map` have no image in the model.
+    always mass-conserving.
     """
     if np.any(phi1.values < 0):
         raise ValueError("transform_fpme_profile requires a nonnegative profile")
@@ -187,8 +150,8 @@ def transform_fpme_profile(
             "pressure model's range; only q > 1 produces admissible profiles"
         )
     beta1 = fpme_rate(q, sigma, N)
-    m, s, _ = fpme_parameter_map(q, sigma, N)
-    kind = mass_conserving_kind(m, s, N)
+    m, s = (2.0 * q - 1.0) / q, 1.0 - sigma
+    kind = ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s, N).beta2)
     pref = (beta1 / kind.rate) ** (q / (1.0 - q))
     profile = phi1.with_values(pref * phi1.values**q)
     return FpmeTransformResult(profile=profile, m=m, s=s, kind=kind, prefactor=pref)
@@ -223,23 +186,23 @@ def transform_profile_high_m(
     return HighMTransformResult(profile=psi, mhat=mhat, b=b, c=c)
 
 
-def _drift_term(phi: Field, kind: ProfileKind, N: int) -> np.ndarray:
+def _drift_term(phi: Field, kind: ProfileKind) -> np.ndarray:
     """Drift term of the family's profile equation, with a spectral phi'.
 
-    Every family but COMPANION carries rate*div(y phi), expanded as
-    rate*(N phi + y phi'); COMPANION carries rate*(N phi - y phi').
+    MASS_CONSERVING and FPME carry rate*div(y phi), expanded as
+    rate*(phi + y phi'); COMPANION carries rate*(phi - y phi').
     Multiplying by y before differentiating would feed the sawtooth jump of
     y at the box wrap into the FFT; the product rule keeps every
     differentiated factor periodic.
     """
     y_dphi = phi.grid.nodes * spectral_derivative(phi).values
     if kind.family is ProfileFamily.COMPANION:
-        return kind.rate * (N * phi.values - y_dphi)
-    return kind.rate * (N * phi.values + y_dphi)
+        return kind.rate * (phi.values - y_dphi)
+    return kind.rate * (phi.values + y_dphi)
 
 
 def _profile_terms(
-    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float, N: int
+    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonlinear term of the selected profile equation and its drift term."""
     fam = kind.family
@@ -254,7 +217,7 @@ def _profile_terms(
         w = riesz_gradient(phi, s_or_sigma)
         nonlinear = spectral_derivative(
             phi.with_values(pos ** (m_or_q - 1.0) * w.values)).values
-    return nonlinear, _drift_term(phi, kind, N)
+    return nonlinear, _drift_term(phi, kind)
 
 
 @dataclass
@@ -266,29 +229,28 @@ class ResidualReport:
 
 
 def residual_report(
-    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float,
-    N: int = 1, interior: float = 0.6,
+    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float
 ) -> ResidualReport:
-    """Pointwise residual of the selected stationary profile equation,
-    plus a normalization by the size of the equation's terms.
+    """Pointwise residual of the selected one-dimensional stationary
+    profile equation, plus a normalization by the size of the equation's
+    terms.
 
     Residuals (zero for an exact profile):
 
     * MASS_CONSERVING:  div(phi^(m-1) grad (-Delta)^(-s) phi) + rate*div(y phi)
-    * EXTINCTION:       same nonlinear term - rate*div(y phi)
-    * ETERNAL:          same nonlinear term + rate*div(y phi)
     * FPME:             (-Delta)^sigma (phi^q) - rate*div(y phi)
-    * COMPANION:        phi^2 (-Delta)^(1-s) phi^mhat - rate*(N phi - y phi')
+    * COMPANION:        phi^2 (-Delta)^(1-s) phi^mhat - rate*(phi - y phi')
 
-    Cells outside the central `interior` fraction of the box are masked to
-    zero: the y-weighted drift is meaningless near the truncation boundary.
+    Cells outside the grid's interior mask (the central 60% of the box)
+    are set to zero: the y-weighted drift is meaningless near the
+    truncation boundary.
     """
-    nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma, N)
-    if kind.family in (ProfileFamily.MASS_CONSERVING, ProfileFamily.ETERNAL):
+    nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma)
+    if kind.family is ProfileFamily.MASS_CONSERVING:
         res = nonlinear + drift
     else:
         res = nonlinear - drift
-    mask = phi.grid.interior_mask(interior)
+    mask = phi.grid.interior_mask()
     res = phi.with_values(np.where(mask, res, 0.0))
     scale = max(
         float(np.max(np.abs(nonlinear[mask]))), float(np.max(np.abs(drift[mask])))

@@ -21,9 +21,7 @@ from nlpme.similarity import (
     barenblatt_m2,
     ProfileKind,
     extract_profile,
-    fpme_parameter_map,
     fpme_rate,
-    mass_conserving_kind,
     residual_report,
     scaling_exponents,
     transform_fpme_profile,
@@ -78,15 +76,22 @@ def test_exponent_identity_thousand_tuples():
 
 
 def test_parameter_map_thousand_samples():
-    """(q, sigma) -> (m, s) sends q in (N/(N+2 sigma), inf) into
-    m in ((N-2+2s)/N, 2) over 1000 random draws."""
+    """Over 1000 random draws of q above the critical N/(N+2 sigma), the
+    transformation sends every q > 1 into m in (1, 2), above the
+    mass-conservation threshold (N-2+2s)/N, and rejects every q <= 1."""
     rng = np.random.default_rng(7)
+    g = make_grid(10.0, 16)
+    phi = Field(g, np.exp(-g.nodes**2))
     for _ in range(1000):
         sigma = float(rng.uniform(0.01, 0.99))
         N = int(rng.integers(1, 5))
         q = N / (N + 2.0 * sigma) + float(rng.uniform(1e-6, 20.0))
-        m, s, _ = fpme_parameter_map(q, sigma, N)
-        assert (N - 2.0 + 2.0 * s) / N < m < 2.0
+        if q <= 1.0:
+            with pytest.raises(ValueError):
+                transform_fpme_profile(phi, q, sigma, N)
+            continue
+        res = transform_fpme_profile(phi, q, sigma, N)
+        assert (N - 2.0 + 2.0 * res.s) / N < res.m < 2.0
 
 
 def test_fpme_rate_values_and_critical():
@@ -100,14 +105,15 @@ def test_fpme_rate_values_and_critical():
 @given(sigma=st.floats(0.01, 0.99), N=st.integers(1, 4),
        qshift=st.floats(0.0001, 10.0))
 def test_parameter_map_lands_in_expected_range(sigma, N, qshift):
-    """q > 1 maps into m in (1, 2) with s = 1 - sigma, always above the
-    mass-conservation threshold (N-2+2s)/N."""
+    """q > 1 maps into m in (1, 2) with s = 1 - sigma, onto the
+    mass-conserving profile equation of (m, s) with rate beta2."""
     q = 1.0 + qshift
-    m, s, fam = fpme_parameter_map(q, sigma, N)
-    assert s == 1.0 - sigma
-    assert 1.0 < m < 2.0
-    assert m > (N - 2.0 + 2.0 * s) / N
-    assert fam is ProfileFamily.MASS_CONSERVING
+    g = make_grid(10.0, 16)
+    res = transform_fpme_profile(Field(g, np.exp(-g.nodes**2)), q, sigma, N)
+    assert res.s == 1.0 - sigma
+    assert 1.0 < res.m < 2.0
+    assert res.kind == ProfileKind(ProfileFamily.MASS_CONSERVING,
+                                   scaling_exponents(res.m, res.s, N).beta2)
 
 
 def test_transform_rejects_degenerate_and_low_q():
@@ -115,7 +121,7 @@ def test_transform_rejects_degenerate_and_low_q():
     phi = Field(g, np.exp(-g.nodes**2))
     with pytest.raises(ValueError):
         transform_fpme_profile(phi, 1.0, 0.5)
-    # the eternal borderline q = N/(N+2 sigma) lands at m <= 1: rejected
+    # the borderline q = N/(N+2 sigma) lands at m <= 1: rejected
     with pytest.raises(ValueError) as err:
         transform_fpme_profile(phi, 0.5, 0.5)
     assert "m=" in str(err.value)
@@ -152,8 +158,6 @@ def test_profile_residual_zero_field():
     zero = Field(g, np.zeros(g.n))
     for kind, args in (
         (ProfileKind(ProfileFamily.MASS_CONSERVING, 0.5), (1.5, 0.5)),
-        (ProfileKind(ProfileFamily.EXTINCTION, 0.5), (1.5, 0.5)),
-        (ProfileKind(ProfileFamily.ETERNAL, 1.0), (1.5, 0.5)),
         (ProfileKind(ProfileFamily.FPME, 0.5), (2.0, 0.5)),
     ):
         res = residual_report(zero, kind, *args).residual
@@ -180,7 +184,7 @@ def test_residual_scaling_covariance():
     spectral decomposition of the two terms at a in {0.5, 2}."""
     g = make_grid(12.0, 256)
     m, s = 1.5, 0.5
-    kind = mass_conserving_kind(m, s, 1)
+    kind = ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s).beta2)
     phi = Field(g, np.exp(-0.5 * g.nodes**2))
     interior = g.interior_mask(0.6)
 
@@ -305,8 +309,6 @@ def test_extract_profile_self_consistency():
 def test_profile_kind_validation():
     with pytest.raises(ValueError):
         ProfileKind(ProfileFamily.FPME, 0.0)
-    with pytest.raises(ValueError):
-        mass_conserving_kind(0.4, 0.9, 1)  # below the threshold (N-2+2s)/N
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5])
