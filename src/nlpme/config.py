@@ -70,7 +70,7 @@ EXPERIMENTS = (
     "barrier-check",
 )
 
-INITIAL_KINDS = ("gaussian", "bump", "two-bump", "heaviside-primitive", "file")
+INITIAL_KINDS = ("gaussian", "bump", "two-bump", "file")
 
 # pipelines that normalize by the initial mass or its support, fit its decay,
 # or relax a profile of that mass
@@ -78,8 +78,7 @@ NEEDS_MASS = ("continuation", "propagation", "smoothing", "asymptotics",
               "transform-check")
 # the key that sets how far each initial kind spreads over the grid
 EXTENT_KEYS = {"gaussian": "initial.width", "bump": "initial.radius",
-               "two-bump": "initial.widths", "heaviside-primitive": "initial.radius",
-               "file": "initial.path"}
+               "two-bump": "initial.widths", "file": "initial.path"}
 
 
 class ConfigError(ValueError):
@@ -125,6 +124,10 @@ _COUNT = _where(int, lambda v: v >= 1, "an integer >= 1")
 _WINDOW = _where(_floats, lambda w: len(w) == 2 and 0.0 < w[0] < w[1],
                  "two times 0 < lo < hi")
 _PAIR = _where(_floats, lambda v: len(v) == 2, "two values")
+_POSITIVE_PAIR = _where(_floats, lambda v: len(v) == 2 and min(v) > 0.0,
+                        "two positive values")
+_NONNEGATIVE_PAIR = _where(_floats, lambda v: len(v) == 2 and min(v) >= 0.0,
+                           "two nonnegative values")
 _BARRIER = {"x0": (_where(_finite, lambda v: v < 0.0, "x0 < 0"), -1.0),
             "t_probe": (_POSITIVE, 0.1)}
 REQUIRED = object()  # the default of a key its section must set
@@ -136,8 +139,6 @@ SCHEMA = {
                    "seed": (_where(int, lambda v: v >= 0, "an integer >= 0"), 0)},
     "model": {"m": (_where(_finite, lambda v: v > 1.0, "m > 1"), REQUIRED),
               "s": (_where(_finite, lambda v: 0.0 < v < 1.0, "0 < s < 1"), REQUIRED),
-              "n": (_where(int, lambda v: v == 1,
-                           "n = 1: the solvers are one-dimensional"), 1),
               "eps": (_NONNEGATIVE, 0.0), "delta": (_NONNEGATIVE, 0.0),
               "mu": (_NONNEGATIVE, 0.0)},
     "grid": {"half_length": (_POSITIVE, REQUIRED),
@@ -149,10 +150,9 @@ SCHEMA = {
              "snapshots": (_where(int, lambda v: v >= 2, "an integer >= 2"), 11)},
     "initial": {"kind": (_one_of(*INITIAL_KINDS), "gaussian"),
                 "mass": (_NONNEGATIVE, 1.0), "width": (_finite, 1.0),
-                "radius": (_finite, 1.0), "center": (_finite, 0.0),
-                "centers": (_PAIR, (-2.0, 1.5)), "widths": (_PAIR, (0.9, 0.5)),
-                "weights": (_PAIR, (0.65, 0.35)), "x0": (_finite, -1.0),
-                "path": (str, "")},
+                "radius": (_POSITIVE, 1.0), "center": (_finite, 0.0),
+                "centers": (_PAIR, (-2.0, 1.5)), "widths": (_POSITIVE_PAIR, (0.9, 0.5)),
+                "weights": (_NONNEGATIVE_PAIR, (0.65, 0.35)), "path": (str, "")},
     "output": {"dir": (str, "out")},
     "integrated": {"duality_tol": (_POSITIVE, 0.05), "pairs": (_COUNT, 50),
                    "steps": (_COUNT, 100)},
@@ -182,42 +182,25 @@ SCHEMA = {
 KNOB_SECTION = {"transform-check": "transform", "barrier-check": "barrier"}
 
 
-@dataclass
-class InitialSpec:
-    kind: str
-    mass: float
-    width: float
-    radius: float
-    center: float
-    centers: tuple
-    widths: tuple
-    weights: tuple
-    x0: float
-    path: str
+def _build_initial(initial: dict, grid: Grid1D) -> Field:
+    """The [initial] section's data on the grid, unchecked."""
+    kind, mass = initial["kind"], initial["mass"]
+    if kind == "gaussian":
+        if initial["width"] <= 0.0:  # mollified point mass at grid scale
+            return _init.mollified_dirac(grid, mass, initial["center"])
+        return _init.gaussian_bump(grid, mass, initial["width"], initial["center"])
+    if kind == "bump":
+        return _init.compact_bump(grid, mass, initial["radius"], initial["center"])
+    if kind == "two-bump":
+        return _init.two_bump(grid, mass, initial["centers"], initial["widths"],
+                              initial["weights"])
+    from .csvio import read_csv
 
-    def build(self, grid: Grid1D) -> Field:
-        if self.kind == "gaussian":
-            if self.width <= 0.0:  # mollified point mass at grid scale
-                return _init.mollified_dirac(grid, self.mass, self.center)
-            return _init.gaussian_bump(grid, self.mass, self.width, self.center)
-        if self.kind == "bump":
-            return _init.compact_bump(grid, self.mass, self.radius, self.center)
-        if self.kind == "two-bump":
-            return _init.two_bump(grid, self.mass, self.centers, self.widths,
-                                  self.weights)
-        if self.kind == "heaviside-primitive":
-            # density whose primitive is a smoothed step at x0: a compact
-            # bump of the requested mass just left of x0
-            return _init.compact_bump(grid, self.mass, self.radius,
-                                      self.x0 - 1.05 * self.radius)
-        from .csvio import read_csv
-
-        header, cols = read_csv(self.path)
-        if len(cols) < 2 or len(cols[1]) != grid.n:
-            raise ConfigError(
-                f"initial.path: file {self.path!r} does not hold {grid.n} samples"
-            )
-        return Field(grid, cols[1])
+    path = initial["path"]
+    header, cols = read_csv(path)
+    if len(cols) < 2 or len(cols[1]) != grid.n:
+        raise ConfigError(f"initial.path: file {path!r} does not hold {grid.n} samples")
+    return Field(grid, cols[1])
 
 
 @dataclass
@@ -228,7 +211,7 @@ class ExperimentConfig:
     grid: Grid1D
     t_end: float
     snap_times: np.ndarray
-    initial: InitialSpec
+    initial: dict  # the [initial] section, typed
     output_dir: str
     knobs: dict = field(default_factory=dict)  # the experiment's section, typed
     raw_text: str = ""
@@ -242,9 +225,9 @@ class ExperimentConfig:
         that sup^max(4, m), the scale of the L4 diagnostic and of the flux,
         passes 1e200 and the run would overflow.
         """
-        kind = self.initial.kind
+        kind = self.initial["kind"]
         try:
-            u0 = self.initial.build(self.grid)
+            u0 = _build_initial(self.initial, self.grid)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -325,6 +308,9 @@ def _check_knobs(cfg: ExperimentConfig, section: str) -> None:
                 "the decay fit needs >= 5 spanning at least a decade")
     mode = knobs["mode"] if kind == "propagation" else None
     if mode == "finite":
+        if cfg.model.m < 2.0:
+            raise ConfigError(f"propagation.mode: finite needs m >= 2, got model.m = "
+                              f"{cfg.model.m:g}, where the speed is infinite")
         lo, hi = knobs["window"]
         inside = np.count_nonzero((cfg.snap_times >= lo) & (cfg.snap_times <= hi))
         if inside < 3:
@@ -377,8 +363,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
     model = None
     if parser.has_section("model"):
-        values = _section(parser, "model")
-        model = ModelParams(N=values.pop("n"), **values)
+        model = ModelParams(**_section(parser, "model"))
     elif kind != "transform-check":
         raise ConfigError("model: required section is missing")
 
@@ -391,18 +376,14 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     else:
         snap_times = np.linspace(0.0, t_end, times["snapshots"])
 
-    initial = InitialSpec(**_section(parser, "initial"))
-    if initial.kind in ("bump", "heaviside-primitive") and not initial.radius > 0:
-        raise ConfigError(f"initial.radius: must be positive, got {initial.radius}")
-    if initial.kind == "two-bump" and not all(w > 0 for w in initial.widths):
-        raise ConfigError(f"initial.widths: must be positive, got {initial.widths}")
-    if initial.mass == 0 and kind in NEEDS_MASS:
+    initial = _section(parser, "initial")
+    if initial["mass"] == 0 and kind in NEEDS_MASS:
         raise ConfigError(f"initial.mass: {kind} needs positive mass, got 0")
-    if initial.kind == "file":
-        if not initial.path:
+    if initial["kind"] == "file":
+        if not initial["path"]:
             raise ConfigError("initial.path: required for kind = file")
-        if not os.path.exists(initial.path):
-            raise ConfigError(f"initial.path: no such file {initial.path!r}")
+        if not os.path.exists(initial["path"]):
+            raise ConfigError(f"initial.path: no such file {initial['path']!r}")
 
     cfg = ExperimentConfig(
         experiment=kind,

@@ -199,7 +199,7 @@ def _rescale_initial(u0: Field, lam: float) -> Field:
 
 
 def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float) -> list:
-    """Evolve lam^N u0(lam x) to t_probe for each lam.
+    """Evolve lam u0(lam x) to t_probe for each lam.
 
     All members share mass(u0) by construction plus conservation.  Returns
     FamilyMember entries holding full trajectories, with frames at six even
@@ -224,7 +224,7 @@ class ConvergenceReport:
     lambdas: list
     pairwise_distances: list     # L^p distance between consecutive members
     decreasing: bool
-    weighted_profile_distances: list  # t^(N beta (1-1/p)) ||u - profile|| along the largest run
+    weighted_profile_distances: list  # t^(beta (1-1/p)) ||u - profile|| along the largest run
     weighted_decreasing: bool
     masses: list
 
@@ -235,10 +235,10 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
 
     Consecutive L^p distances between family members must decrease for the
     family to be consistent with convergence to a self-similar limit.  The
-    report also tracks t^(N beta (1-1/p)) ||u(t) - profile|| along the
+    report also tracks t^(beta (1-1/p)) ||u(t) - profile|| along the
     largest-lambda run, with the profile extracted at that run's final time.
     """
-    ex = scaling_exponents(p.m, p.s, p.N, 1.0)
+    ex = scaling_exponents(p.m, p.s)
     members = rescaled_family(u0, p, lambdas, t_probe)
     h = u0.grid.spacing
 
@@ -255,7 +255,7 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
         if t <= 0.0:
             continue
         ref = extract_profile_inverse(profile, ex, t)
-        w = t ** (p.N * ex.beta2 * (1.0 - 1.0 / lp))
+        w = t ** (ex.beta2 * (1.0 - 1.0 / lp))
         weighted.append(w * dist(snap, ref))
     return ConvergenceReport(
         lambdas=[m.lam for m in members],

@@ -90,13 +90,12 @@ class ModelParams:
 
     m > 1 is the nonlinearity, s in (0,1) the pressure order.  eps mollifies
     the nonlocal operator, delta adds vanishing viscosity, mu shifts the
-    degeneracy; all default to zero (the unregularized problem).  N is kept
-    for the exponent formulas; the evolution solvers require N = 1.
+    degeneracy; all default to zero (the unregularized problem).  The
+    solvers are one-dimensional: a model holds no space dimension.
     """
 
     m: float
     s: float
-    N: int = 1
     eps: float = 0.0
     delta: float = 0.0
     mu: float = 0.0
@@ -108,8 +107,6 @@ class ModelParams:
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
         if self.eps < 0 or self.delta < 0 or self.mu < 0:
             raise ValueError("eps, delta, mu must be nonnegative")
-        if self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
 
 
 @dataclass
@@ -211,16 +208,14 @@ def pressure_gradient(u: Field, p: ModelParams) -> Field:
     return u.with_values(_apply_rows(u.values, _pressure_symbol(u.grid, p)))
 
 
-def _roll1(a: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
-    """np.roll(a, shift, axis=-1) for shift = +1 or -1, written by slices.
+def _roll1(a: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
+    """np.roll(a, shift, axis=-1) for shift = +1 or -1, written by slices
+    into `out`.
 
     Bitwise the same result, for one field or a (B, n) stack of them,
     without np.roll's generic-axis overhead, which costs more than the copy
-    on the grids used here.  The result goes into `out` when given, into a
-    new array otherwise.
+    on the grids used here.
     """
-    if out is None:
-        out = np.empty_like(a, order="C")
     if shift == 1:
         out[..., 1:] = a[..., :-1]
         out[..., 0] = a[..., -1]
@@ -327,12 +322,6 @@ def _safe_dt(bounds: dict, cap: float):
     return (float(cap), "cap") if cap < dt else (float(dt), limit)
 
 
-def _stable_dt(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
-               p: ModelParams, cap: float):
-    """The explicit Euler step of the face fluxes and its limit."""
-    return _safe_dt(_step_bounds(J, a, w_face, grid, p), cap)
-
-
 def _rkl_stages(bounds: dict, cap: float):
     """(S, dt, limit) of the RKL1 step that replaces a stiff Euler step: the
     fewest stages S <= MAX_STAGES whose stability bound, (S^2+S)/2 safe
@@ -380,7 +369,7 @@ def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
         raise ValueError("cfl_dt requires a nonnegative field")
     w = pressure_gradient(u, p)
     J, a, w_face = _face_flux(u.values, w.values, p, _Workspace(u.grid.n))
-    return _stable_dt(J, a, w_face, u.grid, p, cap)[0]
+    return _safe_dt(_step_bounds(J, a, w_face, u.grid, p), cap)[0]
 
 
 def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParams,
@@ -707,7 +696,7 @@ def continuation_limit(
     h = u0.grid.spacing
 
     runs = [
-        simulate_density(u0, ModelParams(p.m, p.s, p.N, eps=eps, delta=delta, mu=mu),
+        simulate_density(u0, ModelParams(p.m, p.s, eps=eps, delta=delta, mu=mu),
                          t_end, snap_times=snap_times)
         for eps, delta, mu in schedule
     ]

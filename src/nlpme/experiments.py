@@ -39,6 +39,7 @@ from .diagnostics import (
 from .evolve import (
     RunAborted,
     SimulationUnstable,
+    SnapshotDiagnostics,
     continuation_limit,
     fpme_profile_by_rescaling,
     simulate_density,
@@ -96,16 +97,9 @@ def _snapshot_outputs(traj, out: _Outputs):
     grid = traj.grid
     out.npy("snapshots.npy", [grid.nodes] + [s.values for s in traj.snapshots])
 
-    d = traj.diagnostics
-    out.csv(
-        "diagnostics.csv",
-        ["t", "mass", "sup_norm", "l2_norm", "l4_norm", "second_energy",
-         "boundary_tail"],
-        [traj.times,
-         [x.mass for x in d], [x.sup_norm for x in d], [x.l2_norm for x in d],
-         [x.l4_norm for x in d], [x.second_energy for x in d],
-         [x.boundary_tail for x in d]],
-    )
+    names = [f.name for f in dataclasses.fields(SnapshotDiagnostics)]
+    out.csv("diagnostics.csv", ["t", *names],
+            [traj.times, *([getattr(x, name) for x in traj.diagnostics] for name in names)])
 
     # step telemetry (see Trajectory); steps_<limit> counts the steps that
     # limit bound, so those columns sum to steps
@@ -141,7 +135,7 @@ def _fitting_primitive(u: Field, what: str):
 def _exp_simulate(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
-    ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
+    ex = scaling_exponents(cfg.model.m, cfg.model.s)
     checks = list(standard_checks(traj, ex).values())
     total = traj.diagnostics[0].mass
     tail = traj.diagnostics[-1].boundary_tail
@@ -280,7 +274,7 @@ def _exp_propagation(cfg: ExperimentConfig, out: _Outputs):
 def _exp_smoothing(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
-    ex = scaling_exponents(cfg.model.m, cfg.model.s, cfg.model.N)
+    ex = scaling_exponents(cfg.model.m, cfg.model.s)
     fit = smoothing_fit(traj, ex, window=cfg.knobs["window"])
     checks = [CheckResult(
         "smoothing_gap", fit.relative_gap < cfg.knobs["gap_tol"], fit.relative_gap,
@@ -328,7 +322,7 @@ def _exp_transform_check(cfg: ExperimentConfig, out: _Outputs):
     kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
 
     def residuals(g):
-        u0 = gaussian_bump(g, cfg.initial.mass, width=1.0)
+        u0 = gaussian_bump(g, cfg.initial["mass"], width=1.0)
         phi1, stats = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
         rep1 = residual_report(phi1, kind1, q, sigma)
         mapped = transform_fpme_profile(phi1, q, sigma)

@@ -66,10 +66,12 @@ def test_parse_rejects_bad_m_with_key_name():
 
 
 def test_parse_rejects_multidimensional_model():
-    with pytest.raises(ConfigError) as err:
-        parse_config(MINIMAL.replace("s = 0.5", "s = 0.5\nn = 2"))
-    assert "model.n" in str(err.value)
-    assert parse_config(MINIMAL.replace("s = 0.5", "s = 0.5\nn = 1")).model.N == 1
+    """The solvers are one-dimensional and the model holds no dimension:
+    any model.n, 1 included, is an unknown key, named."""
+    for n in (2, 1):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("s = 0.5", f"s = 0.5\nn = {n}"))
+        assert "model.n" in str(err.value)
 
 
 def test_parse_rejects_unknown_experiment_listing_names():
@@ -120,6 +122,16 @@ def test_parse_two_bump_lists_need_two_values(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert f"initial.{key}" in str(err.value)
+
+
+def test_cli_negative_weight_names_its_key(tmp_path, capsys):
+    """A negative two-bump weight ends in exit 2 naming initial.weights,
+    not initial.widths, the key that sets the data's extent."""
+    cfg = MINIMAL.replace("kind = gaussian", "kind = two-bump\nweights = 1 -0.5")
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
+    assert "initial.weights" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_cli_override_conflict():
@@ -473,6 +485,8 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     # gamma = 397: the barrier would peak past the float range
     ("barrier-check", 1.99, "", "model.m"),
     ("propagation", 1.99, "[propagation]\nmode = infinite", "model.m"),
+    # the speed is infinite for m < 2: no support fit may pass there
+    ("propagation", 1.5, "[propagation]\nmode = finite", "propagation.mode"),
     ("barrier-check", 1.5, "[barrier]\nx0 = 1", "barrier.x0"),
     ("barrier-check", 1.5, "[barrier]\nx0 = -13", "barrier.x0"),
     ("propagation", 1.5, "[propagation]\nx0 = 1", "propagation.x0"),
@@ -624,9 +638,14 @@ def _fuzz_configs(draw):
             model[key] = value
     kind = draw(st.sampled_from(INITIAL_KINDS))
     size = draw(_SIZES)
-    initial = {"kind": kind, "mass": draw(_MASSES), "width": size, "radius": size,
-               "widths": f"{size} {draw(_SIZES)}",
+    initial = {"kind": kind, "mass": draw(_MASSES),
                "center": draw(st.sampled_from([0.0, 0.05, -3.0]))}
+    # only the drawn kind's extent key: a zero radius or width range-checks
+    # in its cast whatever the kind, and would hide the point-mass gaussian
+    if kind == "two-bump":
+        initial["widths"] = f"{size} {draw(_SIZES)}"
+    elif kind != "file":
+        initial["width" if kind == "gaussian" else "radius"] = size
     t_end = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
     time = {"t_end": t_end}
     if draw(st.booleans()):
@@ -902,7 +921,7 @@ _INVENTORY_BASE = """
 kind = {kind}
 seed = 5
 [model]
-m = 1.5
+m = {m}
 s = 0.5
 [grid]
 half_length = 15.0
@@ -952,7 +971,8 @@ def test_manifest_inventories_every_output(tmp_path, kind, init, mass, mode):
     from nlpme.experiments import run_experiment
 
     center = -2.25 if init == "bump" else 0.0
-    text = _INVENTORY_BASE.format(kind=kind, init=init, mass=mass, mode=mode,
+    m = 2.0 if (kind, mode) == ("propagation", "finite") else 1.5  # finite needs m >= 2
+    text = _INVENTORY_BASE.format(kind=kind, m=m, init=init, mass=mass, mode=mode,
                                   center=center)
     man = run_experiment(parse_config(text), output_dir=str(tmp_path / "o"))
     lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
@@ -1087,8 +1107,7 @@ def test_simulate_manifest_writes_the_standard_checks(tmp_path):
     run_experiment(cfg, output_dir=str(tmp_path / "o"))
     traj = simulate_density(cfg.initial_field(), cfg.model, cfg.t_end,
                             snap_times=cfg.snap_times)
-    battery = standard_checks(traj, scaling_exponents(cfg.model.m, cfg.model.s,
-                                                      cfg.model.N))
+    battery = standard_checks(traj, scaling_exponents(cfg.model.m, cfg.model.s))
     expected = [f"check {name} = {'PASS' if c.passed else 'FAIL'} value={c.value:.9g}"
                 for name, c in battery.items()]
     lines = [ln for ln in (tmp_path / "o" / "manifest.txt").read_text().splitlines()
