@@ -8,71 +8,16 @@ transformations to the fractional porous medium equation, and diagnostics
 that turn the flow's structural properties (conservation, monotone norms,
 smoothing exponents, propagation speed, rescaled-family convergence) into
 pass/fail checks.
+
+Every name a library module lists in its ``__all__`` is importable from
+``nlpme``; that list is the one declaration of the public API.
 """
 
-from .grid import Field, FracOrder, Grid1D, make_grid
-from .evolve import (
-    ContinuationReport,
-    ModelParams,
-    RunAborted,
-    SimulationUnstable,
-    Trajectory,
-    cfl_dt,
-    continuation_limit,
-    fpme_profile_by_rescaling,
-    pressure_gradient,
-    simulate_density,
-    step_density,
-)
-from .integrated import (
-    BarrierParams,
-    PrimitiveField,
-    barrier_exponents,
-    barrier_subsolution,
-    comparison_sweep,
-    contact_check,
-    differentiate_primitive,
-    heaviside_primitive,
-    infinite_speed_witness,
-    integrate_density,
-    integrated_cfl_dt,
-    make_barrier_bump,
-    parabola_supersolution,
-    simulate_integrated,
-    step_integrated,
-    subsolution_inequality_check,
-)
-from .operators import (
-    frac_constant,
-    frac_laplacian,
-    inv_laplacian_gradient,
-    mollified_frac_laplacian,
-    neg_half_order_norm,
-    riesz_gradient,
-    spectral_derivative,
-)
-from .similarity import (
-    ExponentSet,
-    ProfileFamily,
-    ProfileKind,
-    extract_profile,
-    fpme_rate,
-    residual_report,
-    scaling_exponents,
-    transform_fpme_profile,
-    transform_profile_high_m,
-)
-from .diagnostics import (
-    asymptotic_convergence,
-    finite_propagation_report,
-    infinite_propagation_report,
-    lp_norm,
-    mass,
-    rescaled_family,
-    smoothing_fit,
-    standard_checks,
-    support_radius,
-    tail_mass,
-)
+from .grid import *
+from .evolve import *
+from .integrated import *
+from .operators import *
+from .similarity import *
+from .diagnostics import *
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .similarity import ExponentSet, extract_profile, scaling_exponents
 
 __all__ = [
     "mass",
-    "lp_norm",
     "support_radius",
     "tail_mass",
     "DecayFit",
@@ -30,7 +29,6 @@ __all__ = [
     "smoothing_fit",
     "CheckResult",
     "standard_checks",
-    "FamilyMember",
     "rescaled_family",
     "ConvergenceReport",
     "asymptotic_convergence",
@@ -45,15 +43,6 @@ PROBE_FACTOR = 1.5  # tail-mass probe radius over the initial support radius
 def mass(u: Field) -> float:
     """Box integral of the samples (periodic trapezoid = rectangle sum)."""
     return float(u.grid.spacing * u.values.sum())
-
-
-def lp_norm(u: Field, p: float) -> float:
-    """(int |u|^p)^(1/p); p = inf returns the max norm."""
-    if math.isinf(p):
-        return float(np.max(np.abs(u.values)))
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float((u.grid.spacing * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
 
 
 def support_radius(u: Field, threshold: float) -> float:
@@ -168,16 +157,6 @@ def standard_checks(traj: Trajectory, ex: ExponentSet | None = None,
     return {c.name: c for c in checks}
 
 
-@dataclass
-class FamilyMember:
-    lam: float
-    trajectory: Trajectory
-
-    @property
-    def final(self) -> Field:
-        return self.trajectory.snapshots[-1]
-
-
 def _rescale_initial(u0: Field, lam: float) -> Field:
     """lam * u0(lam x) on the same grid, mass-renormalized to mass(u0).
 
@@ -202,26 +181,19 @@ def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float) -> list:
     """Evolve lam u0(lam x) to t_probe for each lam.
 
     All members share mass(u0) by construction plus conservation.  Returns
-    FamilyMember entries holding full trajectories, with frames at six even
-    times over [0, t_probe] (the snapshot at t_probe is member.final).
+    their trajectories, in the order of lambdas, with frames at six even
+    times over [0, t_probe] (the last one at t_probe).
     """
     lambdas = [float(l) for l in lambdas]
-    if any(l < 1.0 for l in lambdas) or any(
-        b <= a for a, b in zip(lambdas, lambdas[1:])
-    ):
+    if any(l < 1.0 for l in lambdas) or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be >= 1 and increasing")
     snap_times = np.linspace(0.0, t_probe, 6)
-
-    return [
-        FamilyMember(lam, simulate_density(_rescale_initial(u0, lam), p, t_probe,
-                                           snap_times=snap_times))
-        for lam in lambdas
-    ]
+    return [simulate_density(_rescale_initial(u0, lam), p, t_probe, snap_times=snap_times)
+            for lam in lambdas]
 
 
 @dataclass
 class ConvergenceReport:
-    lambdas: list
     pairwise_distances: list     # L^p distance between consecutive members
     decreasing: bool
     weighted_profile_distances: list  # t^(beta (1-1/p)) ||u - profile|| along the largest run
@@ -239,16 +211,16 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
     largest-lambda run, with the profile extracted at that run's final time.
     """
     ex = scaling_exponents(p.m, p.s)
-    members = rescaled_family(u0, p, lambdas, t_probe)
+    runs = rescaled_family(u0, p, lambdas, t_probe)
     h = u0.grid.spacing
 
     def dist(a: Field, b: Field) -> float:
         return float((h * np.sum(np.abs(a.values - b.values) ** lp)) ** (1.0 / lp))
 
-    finals = [m.final for m in members]
+    finals = [r.snapshots[-1] for r in runs]
     pairwise = [dist(a, b) for a, b in zip(finals, finals[1:])]
 
-    big = members[-1].trajectory
+    big = runs[-1]
     profile = extract_profile(big, ex, big.times[-1])
     weighted = []
     for t, snap in zip(big.times, big.snapshots):
@@ -258,12 +230,11 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
         w = t ** (ex.beta2 * (1.0 - 1.0 / lp))
         weighted.append(w * dist(snap, ref))
     return ConvergenceReport(
-        lambdas=[m.lam for m in members],
         pairwise_distances=pairwise,
         decreasing=all(b < a for a, b in zip(pairwise, pairwise[1:])),
         weighted_profile_distances=weighted,
         weighted_decreasing=all(b < a for a, b in zip(weighted, weighted[1:])),
-        masses=[mass(m.final) for m in members],
+        masses=[mass(f) for f in finals],
     )
 
 

@@ -534,7 +534,9 @@ def _march(u: np.ndarray, t_end: float, snap_times, step):
     at t = 0 and after every step: frames are the (time, values) pairs of
     the snapshot times reached, a copy of u at t = 0 and after a step the
     linear interpolation between its two states.  Stops after the last
-    snapshot time; raises RunAborted past MAX_STEPS steps.
+    snapshot time; raises RunAborted past MAX_STEPS steps, or as soon as a
+    step is so short that t_end lies more than 1e3 * MAX_STEPS such steps
+    away.
     """
     snap_times = np.sort(np.asarray(snap_times, dtype=float))
     if len(snap_times) == 0 or snap_times[0] < 0 or snap_times[-1] > t_end + 1e-12:
@@ -559,6 +561,9 @@ def _march(u: np.ndarray, t_end: float, snap_times, step):
         steps += 1
         if steps >= MAX_STEPS:
             raise RunAborted(f"exceeded {MAX_STEPS} steps at t={t:.6g}", t)
+        if pending and t_end - t > 1e3 * MAX_STEPS * dt:
+            raise RunAborted(f"step {dt:.3g} at t={t:.6g} cannot reach t_end = "
+                             f"{t_end:.6g} within {MAX_STEPS} steps", t)
 
 
 def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Trajectory:
@@ -610,17 +615,16 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
         stages = 1
         if p.m >= 2.0 and limit == "stiffness":
             stages, dt_rkl, limit_rkl = _rkl_stages(bounds, cap)
-        evaluations += 1
+        evals, fell_back = 1, False  # counted once the step completes
         try:
             u_next = None
             if stages > 1:
-                u_next, done = _rkl_step(u, J, dt_rkl, stages, h, p, sym, ws)
-                evaluations += done - 1
+                u_next, evals = _rkl_step(u, J, dt_rkl, stages, h, p, sym, ws)
                 if u_next is None:  # a stage went negative: take the Euler step
-                    fallbacks += 1
-                    if done > 1:  # the later stages overwrote u's face flux
+                    fell_back = True
+                    if evals > 1:  # the later stages overwrote u's face flux
                         J, _, _ = _face_flux(u, _apply_rows(u, sym), p, ws)
-                        evaluations += 1
+                        evals += 1
                 else:
                     dt, limit = dt_rkl, limit_rkl
                     clipped, limited = _finish_step(u_next, dt, h, p, ws), False
@@ -629,6 +633,8 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
         except SimulationUnstable:
             raise SimulationUnstable(t, trajectory()) from None
         clipped_mass += clipped
+        evaluations += evals
+        fallbacks += fell_back
         if limited:
             limiter_steps += 1
             cut_mass += ws.cut
@@ -651,7 +657,6 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
 class ContinuationReport:
     """Cauchy record of the regularization-removal chain."""
 
-    schedule: list
     distances: list  # L2 distance between consecutive runs at the checkpoint
     masses: list     # final mass of each run
     decreasing: bool
@@ -692,9 +697,7 @@ def continuation_limit(
     if checkpoint is None:
         checkpoint = t_end
     snap_times = sorted(set(np.linspace(0.0, t_end, 5)) | {float(checkpoint)})
-
     h = u0.grid.spacing
-
     runs = [
         simulate_density(u0, ModelParams(p.m, p.s, eps=eps, delta=delta, mu=mu),
                          t_end, snap_times=snap_times)
@@ -706,13 +709,8 @@ def continuation_limit(
         for a, b in zip(checkpoints, checkpoints[1:])
     ]
     masses = [r.diagnostics[-1].mass for r in runs]
-    report = ContinuationReport(
-        schedule=schedule,
-        distances=distances,
-        masses=masses,
-        decreasing=all(b < a for a, b in zip(distances, distances[1:])),
-    )
-    return runs[-1], report
+    decreasing = all(b < a for a, b in zip(distances, distances[1:]))
+    return runs[-1], ContinuationReport(distances, masses, decreasing)
 
 
 def _dilate(primitive: np.ndarray, faces: np.ndarray, stretch: float) -> np.ndarray:

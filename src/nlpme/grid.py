@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = ["Grid1D", "Field", "FracOrder", "make_grid"]
 
+INTERIOR_FRACTION = 0.6  # the central share of the box that interior_mask keeps
+
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
@@ -45,9 +47,9 @@ class Grid1D:
     def __hash__(self) -> int:
         return hash((self.half_length, self.n))
 
-    def interior_mask(self, fraction: float = 0.6) -> np.ndarray:
-        """Boolean mask selecting the central `fraction` of the box."""
-        return np.abs(self.nodes) <= fraction * self.half_length
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask selecting the central INTERIOR_FRACTION of the box."""
+        return np.abs(self.nodes) <= INTERIOR_FRACTION * self.half_length
 
 
 def make_grid(half_length: float, n: int) -> Grid1D:

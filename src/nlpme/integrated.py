@@ -67,7 +67,6 @@ __all__ = [
     "BarrierBump",
     "integrate_density",
     "differentiate_primitive",
-    "heaviside_primitive",
     "integrated_cfl_dt",
     "step_integrated",
     "comparison_sweep",
@@ -126,9 +125,6 @@ class PrimitiveField:
         _check_rows(v[None, :], np.array([self.total_mass], dtype=float))
         self.values = v
 
-    def copy(self) -> "PrimitiveField":
-        return PrimitiveField(self.grid, self.values.copy(), self.total_mass)
-
 
 def integrate_density(u: Field) -> PrimitiveField:
     """Cumulative trapezoid of a nonnegative density from the left edge."""
@@ -149,12 +145,6 @@ def differentiate_primitive(v: PrimitiveField) -> Field:
     if dv.min() < -1e-9 * max(v.total_mass, 1.0):
         raise ValueError("primitive is not monotone enough to differentiate")
     return Field(v.grid, np.maximum(dv, 0.0))
-
-
-def heaviside_primitive(grid: Grid1D, mass: float, x0: float) -> PrimitiveField:
-    """Step primitive: 0 left of x0, `mass` to the right of it."""
-    vals = np.where(grid.nodes > x0, float(mass), 0.0)
-    return PrimitiveField(grid, vals, float(mass))
 
 
 class _RowWorkspace:

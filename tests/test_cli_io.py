@@ -134,6 +134,15 @@ def test_cli_negative_weight_names_its_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_parse_requires_experiment_kind():
+    """Without [experiment] kind only the command line can select the
+    pipeline: parse_config alone names the missing key."""
+    text = MINIMAL.replace("kind = simulate\n", "", 1)
+    with pytest.raises(ConfigError, match="experiment.kind: required key is missing"):
+        parse_config(text)
+    assert parse_config(text, experiment="simulate").experiment == "simulate"
+
+
 def test_parse_cli_override_conflict():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL, experiment="smoothing")
@@ -508,6 +517,8 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
      "continuation.schedule"),
     ("continuation", 2.0, "[continuation]\nschedule = nan 0.01 0.01",
      "continuation.schedule"),
+    ("continuation", 2.0, "[continuation]\nschedule = 0.1 0.01; 0.05 0.005 0.005",
+     "continuation.schedule"),
     # a tolerance no value can meet
     ("smoothing", 1.5, "[smoothing]\nwindow = 0.01 0.5\ngap_tol = 0", "smoothing.gap_tol"),
     ("integrated", 1.5, "[integrated]\nduality_tol = 0", "integrated.duality_tol"),
@@ -519,6 +530,33 @@ def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, ke
     cfg = cfg.replace("m = 2.0", f"m = {m}")
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
     assert main([kind, "--config", _write(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old, new, samples, key", [
+    ("[model]\nm = 2.0\ns = 0.5\n", "", None, "model: required section"),
+    ("n = 256\n", "", None, "grid.n: required key"),
+    ("kind = gaussian", "kind = file", None, "initial.path: required"),
+    ("kind = gaussian", "kind = file\npath = {tmp}/absent.csv", None,
+     "initial.path: no such file"),
+    ("kind = gaussian", "kind = file\npath = {tmp}/u0.csv", np.ones(100),
+     "initial.path: file"),
+    ("kind = gaussian", "kind = file\npath = {tmp}/u0.csv",
+     np.where(np.arange(256) == 7, -1.0, 1.0), "initial.path: the file data"),
+], ids=["no-model", "no-grid-n", "file-no-path", "file-absent", "file-length",
+        "file-negative"])
+def test_cli_missing_or_unusable_input_exit_two(tmp_path, capsys, old, new, samples, key):
+    """A missing section or key, and an initial-data file that is not
+    named, does not exist, holds another number of samples than the grid
+    or a negative one, end in exit 2 naming the key, and leave no output
+    directory."""
+    if samples is not None:
+        write_csv(tmp_path / "u0.csv", ["x", "u"], [np.arange(len(samples)), samples])
+    assert old in MINIMAL
+    cfg = MINIMAL.replace(old, new.format(tmp=tmp_path), 1)
+    cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -822,24 +860,42 @@ def test_cli_box_too_small_for_lambda_exit_one(tmp_path, capsys):
     assert "box too small for lambda=4" in text
 
 
+_UNREACHABLE_HORIZON = (MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+                        .replace("mass = 1.0", "mass = 1e200") + "\n[transform]\nq = 1.5\n")
+
+
 def test_cli_step_limit_exit_one(tmp_path, capsys, monkeypatch):
     """A run past evolve.MAX_STEPS ends in a manifest, not a traceback: a
     density run, and an FPME relaxation at mass 1e200 and q = 1.5, where
-    phi^q stays finite and the step bound is ~1e-150, so that without the
-    guard the relaxation to tau_end = 14 never ends."""
+    phi^q stays finite and the step bound is ~1e-102, so that the
+    relaxation to tau_end = 14 is aborted at its first step, whose length
+    could not reach the horizon within MAX_STEPS steps."""
     import nlpme.evolve as evolve
 
     monkeypatch.setattr(evolve, "MAX_STEPS", 3)
-    relaxation = MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
-    relaxation = relaxation.replace("mass = 1.0", "mass = 1e200")
-    relaxation += "\n[transform]\nq = 1.5\n"
-    for kind, cfg in (("simulate", MINIMAL), ("transform-check", relaxation)):
+    for kind, cfg, reason in (("simulate", MINIMAL, "exceeded 3 steps"),
+                              ("transform-check", _UNREACHABLE_HORIZON,
+                               "cannot reach t_end = 14 within 3 steps")):
         cfg = cfg.replace("dir = out", f"dir = {tmp_path}/{kind}")
         assert main([kind, "--config", _write(tmp_path, cfg)]) == 1
         assert "[FAIL] completed" in capsys.readouterr().out
         text = (tmp_path / kind / "manifest.txt").read_text()
         assert "check completed = FAIL" in text
-        assert "exceeded 3 steps" in text
+        assert reason in text
+
+
+def test_cli_unreachable_horizon_exit_one(tmp_path, capsys):
+    """With the real MAX_STEPS, the relaxation whose steps are ~1e-102
+    long ends at its first step in a manifest and exit 1, rather than
+    after MAX_STEPS steps of no progress."""
+    from nlpme.evolve import MAX_STEPS
+
+    cfg = _UNREACHABLE_HORIZON.replace("dir = out", f"dir = {tmp_path}/o")
+    assert main(["transform-check", "--config", _write(tmp_path, cfg)]) == 1
+    assert "[FAIL] completed" in capsys.readouterr().out
+    text = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "check completed = FAIL" in text
+    assert f"cannot reach t_end = 14 within {MAX_STEPS} steps" in text
 
 
 def test_cli_integrated_writes_repair_stats(tmp_path):
@@ -1059,6 +1115,27 @@ def test_bare_import_loads_no_scipy():
     """`import nlpme` loads no scipy module at all: only the manifest
     writer, which the pipelines import, needs the top-level scipy."""
     assert _scipy_modules_after("import nlpme") == set()
+
+
+def test_nlpme_reexports_exactly_what_its_modules_declare():
+    """Each library module's __all__ is the one declaration of the public
+    API: every name it lists is defined there and is nlpme.<name>, the same
+    object, and nlpme adds no public name of its own but its submodules."""
+    import importlib
+    import types
+
+    import nlpme
+
+    declared = set()
+    for name in ("grid", "evolve", "integrated", "operators", "similarity", "diagnostics"):
+        module = importlib.import_module(f"nlpme.{name}")
+        for attr in module.__all__:
+            assert getattr(module, attr).__module__ == module.__name__, attr
+            assert getattr(nlpme, attr) is getattr(module, attr), attr
+        declared.update(module.__all__)
+    public = {attr for attr, value in vars(nlpme).items()
+              if not attr.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == declared
 
 
 def test_transform_check_relaxes_through_the_public_function(tmp_path, monkeypatch):

@@ -510,6 +510,31 @@ def test_rkl_fallback_after_later_stages_is_the_euler_step(monkeypatch):
         assert np.array_equal(snap.values, frame)
 
 
+def test_rkl_stage_not_finite_loses_the_step(monkeypatch):
+    """A stage that is not finite raises SimulationUnstable at the time
+    before its step, and the partial trajectory counts no evaluation of
+    the lost step.  The first step is RKL1; its third pressure
+    evaluation, at stage 3, returns NaN."""
+    real = evolve._apply_rows
+    calls = []
+
+    def nan_on_third(u, sym):
+        calls.append(1)
+        w = real(u, sym)
+        return np.full_like(w, np.nan) if len(calls) == 3 else w
+
+    monkeypatch.setattr(evolve, "_apply_rows", nan_on_third)
+    u0 = gaussian_bump(make_grid(8.0, 256), 1.0, width=0.7)
+    with pytest.raises(SimulationUnstable) as info:
+        simulate_density(u0, ModelParams(2.0, 0.2), 1.0, [0.0, 0.5, 1.0])
+    assert len(calls) == 3
+    assert info.value.t_last == 0.0
+    partial = info.value.partial
+    assert list(partial.times) == [0.0]
+    assert np.array_equal(partial.snapshots[0].values, u0.values)
+    assert partial.steps == partial.flux_evaluations == partial.fallback_steps == 0
+
+
 def test_rkl_stages_are_capped():
     """A state at rest has no advective limit, so only the horizon would
     bound an RKL1 step (about 400 stages here); MAX_STAGES caps each
@@ -699,6 +724,7 @@ def test_abort_carries_exact_partial_trajectory(monkeypatch, abort):
             want = (1 - theta) * us[j] + theta * us[j + 1]
         assert np.array_equal(snap.values, want)
     assert partial.clipped_mass == (1.0 if abort == "budget" else 0.0)
+    assert partial.flux_evaluations == done  # Euler steps, one each
 
 
 @pytest.mark.parametrize("p, bound", [

@@ -37,7 +37,6 @@ from nlpme.integrated import (
     comparison_sweep,
     contact_check,
     differentiate_primitive,
-    heaviside_primitive,
     infinite_speed_witness,
     integrate_density,
     integrated_cfl_dt,
@@ -47,6 +46,12 @@ from nlpme.integrated import (
     step_integrated,
     subsolution_inequality_check,
 )
+
+
+def heaviside_primitive(grid, mass: float, x0: float) -> PrimitiveField:
+    """Step primitive: 0 left of x0, `mass` to the right of it."""
+    vals = np.where(grid.nodes > x0, float(mass), 0.0)
+    return PrimitiveField(grid, vals, float(mass))
 
 
 def test_integrate_zero_density():

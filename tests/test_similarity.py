@@ -173,7 +173,7 @@ def test_fpme_residual_of_constant_profile():
     beta1 = fpme_rate(2.0, 0.5, 1)
     res = residual_report(phi, ProfileKind(ProfileFamily.FPME, beta1), 2.0,
                           0.5).residual
-    interior = g.interior_mask(0.6)
+    interior = g.interior_mask()
     assert np.max(np.abs(res.values[interior] - (-beta1 * c))) < 1e-8
     assert np.all(res.values[~interior] == 0.0)  # boundary masked
 
@@ -186,7 +186,7 @@ def test_residual_scaling_covariance():
     m, s = 1.5, 0.5
     kind = ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s).beta2)
     phi = Field(g, np.exp(-0.5 * g.nodes**2))
-    interior = g.interior_mask(0.6)
+    interior = g.interior_mask()
 
     def terms(f):
         w = riesz_gradient(f, s)
@@ -220,7 +220,7 @@ def test_companion_residual_formula():
     lap = frac_laplacian(Field(g, phi.values**mhat), FracOrder(1.0 - s)).values
     dphi = spectral_derivative(phi).values
     expected = phi.values**2 * lap - b * (phi.values - g.nodes * dphi)
-    interior = g.interior_mask(0.6)
+    interior = g.interior_mask()
     assert np.max(np.abs(res.values[interior] - expected[interior])) < 1e-12
     assert np.all(res.values[~interior] == 0.0)
 
@@ -237,7 +237,7 @@ def test_companion_term_scale_uses_its_own_drift():
     drift = b * (phi.values - g.nodes * dphi)
     res = rep.residual.values
     nonlinear = res + drift
-    interior = g.interior_mask(0.6)
+    interior = g.interior_mask()
     expected = max(np.max(np.abs(nonlinear[interior])),
                    np.max(np.abs(drift[interior])))
     assert np.isclose(rep.term_scale, expected, rtol=1e-12)
