@@ -2,8 +2,9 @@
 
 Everything here turns a qualitative statement about the flow into a
 number: mass conservation, decay of the norms and energies, the
-L^1 -> L^inf smoothing exponent, support growth and tail masses for the
-finite/infinite propagation dichotomy, and the Cauchy behavior of
+L^1 -> L^inf smoothing exponent, support growth on the finite side of
+the propagation dichotomy (the infinite side is the barrier witness of
+:mod:`nlpme.integrated`), and the Cauchy behavior of
 rescaled solution families that stands in for convergence to the
 self-similar attractor.  A pass/fail verdict is a :class:`CheckResult`,
 the one check type of the per-run battery and of the run manifests.
@@ -34,10 +35,7 @@ __all__ = [
     "asymptotic_convergence",
     "PropagationReport",
     "finite_propagation_report",
-    "infinite_propagation_report",
 ]
-
-PROBE_FACTOR = 1.5  # tail-mass probe radius over the initial support radius
 
 
 def mass(u: Field) -> float:
@@ -251,12 +249,13 @@ def extract_profile_inverse(profile: Field, ex: ExponentSet, t: float) -> Field:
 
 @dataclass
 class PropagationReport:
-    """Support radii and tail masses over a run, and the check they decide."""
+    """Support radii and boundary tails (mass beyond 0.9 L) over a run's fit
+    window, their affine fit and the check it decides."""
 
     times: np.ndarray
     support_radii: np.ndarray
     tail_masses: np.ndarray
-    fit: tuple | None         # (intercept, slope, relative residual) for finite
+    fit: tuple                # (intercept, slope, relative residual)
     check: CheckResult
 
 
@@ -271,11 +270,8 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     """
     sel = (traj.times >= window[0]) & (traj.times <= window[1])
     times = traj.times[sel]
-    radii, tails = [], []
-    for snap in [s for s, keep in zip(traj.snapshots, sel) if keep]:
-        radii.append(support_radius(snap, threshold_rel * float(np.max(snap.values))))
-        tails.append(tail_mass(snap, 0.9 * traj.grid.half_length))
-    radii = np.asarray(radii)
+    radii = np.array([support_radius(snap, threshold_rel * float(np.max(snap.values)))
+                      for snap, keep in zip(traj.snapshots, sel) if keep])
     coeffs = np.polyfit(times, radii, 1)
     fitvals = np.polyval(coeffs, times)
     scale = np.mean(radii)  # 0 when the support never leaves the centre node
@@ -284,36 +280,10 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
     return PropagationReport(
         times=times,
         support_radii=radii,
-        tail_masses=np.asarray(tails),
+        tail_masses=np.array([d.boundary_tail
+                              for d, keep in zip(traj.diagnostics, sel) if keep]),
         fit=(float(coeffs[1]), slope, resid),
         check=CheckResult("support_affine_fit", resid < max_residual, resid,
                           f"slope {slope:.4g}"),
     )
 
-
-def infinite_propagation_report(traj: Trajectory,
-                                initial_radius: float) -> PropagationReport:
-    """Tail masses beyond PROBE_FACTOR times the initial support radius.
-
-    `tail_mass_beyond_support` passes when the final tail exceeds 1e3 times
-    the clipping floor.  It cannot tell m < 2 from m >= 2: the upwind
-    scheme moves the support one cell per step at any m, so it compares
-    steps * h with the probe distance (measured in README).  The evidence
-    for infinite speed is :func:`nlpme.integrated.infinite_speed_witness`.
-    """
-    probe = PROBE_FACTOR * initial_radius
-    tails = np.array([tail_mass(s, probe) for s in traj.snapshots])
-    radii = np.array([
-        support_radius(s, 1e-8 * max(float(np.max(s.values)), 1e-300))
-        for s in traj.snapshots
-    ])
-    floor = max(traj.clipped_mass, 1e-15 * traj.diagnostics[0].mass)
-    return PropagationReport(
-        times=traj.times,
-        support_radii=radii,
-        tail_masses=tails,
-        fit=None,
-        check=CheckResult("tail_mass_beyond_support",
-                          bool(tails[-1] > 1e3 * floor), float(tails[-1]),
-                          f"probe radius {probe:.3g}"),
-    )

@@ -130,9 +130,9 @@ class Trajectory:
     one cell's outflow, and `limited_flux_mass`, the flux mass it cut.
     `flux_evaluations` counts pressure evaluations (rfft/irfft pairs),
     one per Euler step and S per RKL1 step, and `fallback_steps` the RKL1
-    steps redone as Euler steps.  A step redone after its first stage
-    costs 1 evaluation in all, as an Euler step does; one redone after
-    stage j > 1 costs j + 1, since u's face flux is evaluated again.
+    steps redone as Euler steps.  A step redone after stage j costs j
+    evaluations in all: u's pressure gradient is kept, so redoing its face
+    flux after later stages overwrote it costs none.
     """
 
     params: ModelParams
@@ -606,7 +606,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
 
     def step(u, t, cap):
         nonlocal clipped_mass, limiter_steps, evaluations, fallbacks, cut_mass
-        w = _apply_rows(u, sym)  # shared by the bound and the first stage
+        w = _apply_rows(u, sym)  # the bound, the first stage and any fallback
         J, a, w_face = _face_flux(u, w, p, ws)
         bounds = _step_bounds(J, a, w_face, grid, p)
         dt, limit = _safe_dt(bounds, cap)
@@ -623,8 +623,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
                 if u_next is None:  # a stage went negative: take the Euler step
                     fell_back = True
                     if evals > 1:  # the later stages overwrote u's face flux
-                        J, _, _ = _face_flux(u, _apply_rows(u, sym), p, ws)
-                        evals += 1
+                        J, _, _ = _face_flux(u, w, p, ws)
                 else:
                     dt, limit = dt_rkl, limit_rkl
                     clipped, limited = _finish_step(u_next, dt, h, p, ws), False

@@ -26,15 +26,12 @@ import numpy.random  # numpy loads it on first use (default_rng); here set-up pa
 from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv, write_npy_columns
 from .diagnostics import (
-    PROBE_FACTOR,
     CheckResult,
     asymptotic_convergence,
     finite_propagation_report,
-    infinite_propagation_report,
     mass,
     smoothing_fit,
     standard_checks,
-    support_radius,
 )
 from .evolve import (
     RunAborted,
@@ -205,9 +202,8 @@ def _exp_integrated(cfg: ExperimentConfig, out: _Outputs):
     # steps in which the cumulative max or clamp ran
     out.stats("sweep_stats.csv", dataclasses.asdict(sweep))
     out.svg("primitive_evolution.svg", LineFigure("integrated model", "x", "v", [
-        Series(grid.nodes.tolist(), v0.values.tolist(), "t=0"),
-        Series(grid.nodes.tolist(), states[-1].values.tolist(),
-               f"t={cfg.t_end:g}"),
+        Series(grid.nodes, v0.values, "t=0"),
+        Series(grid.nodes, states[-1].values, f"t={cfg.t_end:g}"),
     ]))
     return checks
 
@@ -236,37 +232,23 @@ def _exp_continuation(cfg: ExperimentConfig, out: _Outputs):
 
 
 def _exp_propagation(cfg: ExperimentConfig, out: _Outputs):
-    mode = cfg.knobs["mode"]
     u0 = cfg.initial_field()
-    if mode == "infinite":
+    infinite = cfg.knobs["mode"] == "infinite"
+    if infinite:
         v0 = _fitting_primitive(u0, "the initial data")
-        r0 = support_radius(u0, 1e-12 * float(np.max(u0.values)))
-        if PROBE_FACTOR * r0 >= cfg.grid.half_length:
-            raise ConfigError(
-                f"grid.half_length: the tail-mass probe at {PROBE_FACTOR:g} times "
-                f"the initial support radius {r0:g} reaches past the box "
-                f"half-length {cfg.grid.half_length:g}")
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
-    if mode == "finite":
+    if infinite:
+        checks = _witness(cfg, v0, out)
+    else:
         rep = finite_propagation_report(traj, window=cfg.knobs["window"])
         checks = [rep.check]
         out.csv("support_radius.csv", ["t", "radius", "boundary_tail"],
                 [rep.times, rep.support_radii, rep.tail_masses])
         out.svg("support_radius.svg", LineFigure("support radius growth", "t",
                                                  "radius", [
-            Series(rep.times.tolist(), rep.support_radii.tolist(), "measured"),
-            Series(rep.times.tolist(),
-                   (rep.fit[0] + rep.fit[1] * rep.times).tolist(), "affine fit"),
+            Series(rep.times, rep.support_radii, "measured"),
+            Series(rep.times, rep.fit[0] + rep.fit[1] * rep.times, "affine fit"),
         ]))
-    else:
-        witness = infinite_speed_witness(v0, cfg.model.m, cfg.model.s,
-                                         cfg.knobs["x0"], t_probe=cfg.knobs["t_probe"])
-        rep = infinite_propagation_report(traj, r0)
-        checks = [rep.check,
-                  CheckResult("barrier_witness", witness.passed, witness.v_at_probe,
-                              f"probe x={witness.probe_x:.3g}")]
-        out.csv("tail_mass.csv", ["t", "tail_mass", "support_radius"],
-                [rep.times, rep.tail_masses, rep.support_radii])
     _snapshot_outputs(traj, out)
     return checks
 
@@ -282,8 +264,8 @@ def _exp_smoothing(cfg: ExperimentConfig, out: _Outputs):
     out.csv("decay.csv", ["t", "sup_norm"], [fit.times, fit.values])
     theory = fit.values[0] * (fit.times / fit.times[0]) ** fit.theory_exponent
     out.svg("decay_loglog.svg", LineFigure("sup-norm decay", "t", "sup u", [
-        Series(fit.times.tolist(), fit.values.tolist(), "measured"),
-        Series(fit.times.tolist(), theory.tolist(), "theory slope"),
+        Series(fit.times, fit.values, "measured"),
+        Series(fit.times, theory, "theory slope"),
     ], logx=True, logy=True))
     _snapshot_outputs(traj, out)
     return checks
@@ -350,19 +332,21 @@ def _exp_transform_check(cfg: ExperimentConfig, out: _Outputs):
     out.csv("relaxation_stats.csv", list(stats_f),
             [[stats_c[key], stats_f[key]] for key in stats_f])
     out.svg("profiles.svg", LineFigure("profile transformation", "y", "value", [
-        Series(grid.nodes.tolist(), phi1_f.values.tolist(), "source"),
-        Series(grid.nodes.tolist(), mapped_f.profile.values.tolist(), "mapped"),
+        Series(grid.nodes, phi1_f.values, "source"),
+        Series(grid.nodes, mapped_f.profile.values, "mapped"),
     ]))
     out.svg("residual_map.svg", LineFigure("profile residual map", "y", "residual", [
-        Series(grid.nodes.tolist(), rep2_f.residual.values.tolist(), "mapped"),
-        Series(grid.nodes.tolist(), rep1_f.residual.values.tolist(), "source"),
+        Series(grid.nodes, rep2_f.residual.values, "mapped"),
+        Series(grid.nodes, rep1_f.residual.values, "source"),
     ]))
     return checks
 
 
-def _exp_barrier_check(cfg: ExperimentConfig, out: _Outputs):
+def _witness(cfg: ExperimentConfig, v0: Field, out: _Outputs):
+    """The barrier witness for the primitive v0, with `barrier.csv`: one
+    row of the barrier's parameters, the probe node and the primitive and
+    barrier there.  Returns the five links of its chain."""
     p = cfg.model
-    v0 = _fitting_primitive(cfg.initial_field(), "the initial data")
     witness = infinite_speed_witness(v0, p.m, p.s, cfg.knobs["x0"],
                                      t_probe=cfg.knobs["t_probe"])
     out.stats("barrier.csv", {**dataclasses.asdict(witness.params),
@@ -370,6 +354,11 @@ def _exp_barrier_check(cfg: ExperimentConfig, out: _Outputs):
                               "v_at_probe": witness.v_at_probe,
                               "barrier_at_probe": witness.barrier_at_probe})
     return list(witness.checks.values())
+
+
+def _exp_barrier_check(cfg: ExperimentConfig, out: _Outputs):
+    v0 = _fitting_primitive(cfg.initial_field(), "the initial data")
+    return _witness(cfg, v0, out)
 
 
 _DISPATCH = {

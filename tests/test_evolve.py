@@ -363,9 +363,8 @@ def _public_loop(u0, p, t_end, snap_times, rkl=True):
     step_density.
 
     Returns (frames, the step sizes, clipped mass, flux evaluations,
-    fallback steps): the evaluations are simulate_density's count, which
-    evaluates u's pressure once more only when a stage past the first
-    went negative.
+    fallback steps): the evaluations are simulate_density's count, the
+    stages evaluated, since a fallback reuses u's pressure gradient.
     """
     u, t, clipped, evaluations, fallbacks = u0, 0.0, 0.0, 0, 0
     frames, dts = [u0.values], []
@@ -379,7 +378,7 @@ def _public_loop(u0, p, t_end, snap_times, rkl=True):
         if plan is not None:
             values, c, done = _rkl_reference_step(u, p, *plan)
             fallbacks += values is None
-        evaluations += done + (values is None and done > 1)
+        evaluations += done
         if values is None:
             u_next, c = step_density(u, p, dt)
         else:
@@ -504,10 +503,48 @@ def test_rkl_fallback_after_later_stages_is_the_euler_step(monkeypatch):
     frames, dts, _, _, _ = _public_loop(u0, p, 1.0, snap_times, rkl=False)
     assert traj.fallback_steps == len(stage_counts) == traj.steps - 1
     assert min(stage_counts) > 1
-    assert traj.flux_evaluations == traj.steps + sum(stage_counts)
+    assert traj.flux_evaluations == 1 + sum(stage_counts)  # the last step is Euler
     assert traj.steps == len(dts)
     for snap, frame in zip(traj.snapshots, frames):
         assert np.array_equal(snap.values, frame)
+
+
+def test_rkl_fallback_at_stage_two_reuses_u_pressure():
+    """A stage-2 fallback met in an unforced run (m = 2.5, s = 0.05,
+    mu = 0.01) costs its two stage evaluations and no third: u's pressure
+    gradient from the top of the step is reused.  `flux_evaluations`
+    equals the pressure applications made, and the redone step is
+    bitwise step_density from the same state with the same dt."""
+    p = ModelParams(2.5, 0.05, mu=0.01)
+    g = make_grid(10.0, 64)
+    u0 = gaussian_bump(g, 2.0, width=0.4)
+    real_rkl, real_flux = evolve._rkl_step, evolve._apply_flux
+    stage_counts, failed, redone = [], [], []
+
+    def recording_rkl_step(u, *args):
+        y, evals = real_rkl(u, *args)
+        stage_counts.append(evals)
+        if y is None:
+            failed.append((evals, u.copy()))
+        return y, evals
+
+    def recording_apply_flux(u, J, dt, *args):
+        u_new, clipped, limited = real_flux(u, J, dt, *args)
+        if failed and len(redone) < len(failed):
+            redone.append((u.copy(), dt, u_new.copy()))
+        return u_new, clipped, limited
+
+    with mock.patch.object(evolve, "_rkl_step", recording_rkl_step), \
+         mock.patch.object(evolve, "_apply_flux", recording_apply_flux), \
+         mock.patch.object(evolve, "_apply_rows", wraps=evolve._apply_rows) as spy:
+        traj = simulate_density(u0, p, 0.2, [0.0, 0.1, 0.2])
+    assert failed[0][0] == 2 and traj.fallback_steps == len(failed)
+    # one evaluation per Euler step, one per stage an RKL1 step ran
+    assert traj.flux_evaluations == spy.call_count == (
+        traj.steps - len(stage_counts) + sum(stage_counts))
+    (_, u), (u_in, dt, u_new) = failed[0], redone[0]
+    assert np.array_equal(u_in, u)
+    assert np.array_equal(u_new, step_density(Field(g, u), p, dt)[0].values)
 
 
 def test_rkl_stage_not_finite_loses_the_step(monkeypatch):
