@@ -370,7 +370,8 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     times = _section(parser, "time")
     t_end = times["t_end"]
     if times["snap_times"] is not None:
-        snap_times = np.unique(np.asarray(times["snap_times"], dtype=float))
+        snap_times = np.sort(np.asarray(times["snap_times"], dtype=float))
+        snap_times = snap_times[np.concatenate(([True], snap_times[1:] != snap_times[:-1]))]
         if snap_times[0] < 0 or snap_times[-1] > t_end:
             raise ConfigError("time.snap_times: values must lie in [0, t_end]")
     else:

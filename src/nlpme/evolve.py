@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # np.median's NaN check loads it on first use; set-up pays here
 
 from .grid import Field, FracOrder, Grid1D
 from .operators import (
@@ -566,6 +565,14 @@ def _march(u: np.ndarray, t_end: float, snap_times, step):
                              f"{t_end:.6g} within {MAX_STEPS} steps", t)
 
 
+def _median(values) -> float:
+    """np.median of all the values, bit for bit; np.median itself would load
+    numpy.ma, for a masked-array check that no nlpme array needs."""
+    v = np.sort(values, axis=None)
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2.0)
+
+
 def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Trajectory:
     """Evolve u0 with adaptive CFL steps, storing snapshots at snap_times.
 
@@ -591,7 +598,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     cut_mass = 0.0
 
     def trajectory() -> Trajectory:
-        span = ((min(dts), max(dts), float(np.median(dts))) if dts
+        span = ((min(dts), max(dts), _median(dts)) if dts
                 else (math.nan,) * 3)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
                           clipped_mass, len(dts), *span, limits, limiter_steps,
@@ -795,7 +802,7 @@ def fpme_profile_by_rescaling(
     # max(u)^(q-1) could overflow in the step bound
     with np.errstate(over="ignore"):
         (_, phi), = (f for _, fs in _march(u, tau_end, [tau_end], step) for f in fs)
-    dt_min, dt_median, dt_max = ((min(dts), float(np.median(dts)), max(dts)) if dts
+    dt_min, dt_median, dt_max = ((min(dts), _median(dts), max(dts)) if dts
                                  else (math.nan,) * 3)
     return u0.with_values(phi), {"steps": len(dts), "dt_min": dt_min,
                                  "dt_median": dt_median, "dt_max": dt_max,

@@ -21,7 +21,6 @@ import os
 import time
 
 import numpy as np
-import numpy.random  # numpy loads it on first use (default_rng); here set-up pays
 
 from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv, write_npy_columns
@@ -154,7 +153,8 @@ def _exp_integrated(cfg: ExperimentConfig, out: _Outputs):
     # Every pair is drawn before any run, so a box too small for them ends
     # the experiment before it starts; stepping draws no random numbers, so
     # the rng call order, and with it the seeded data, is that of drawing
-    # and stepping one pair at a time.
+    # and stepping one pair at a time.  numpy.random loads here, on first
+    # use, so only this pipeline pays for it.
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
     what = "the comparison pairs (Gaussians centred within 0.4 L)"

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import CheckResult
-from .evolve import CFL_SAFETY, SimulationUnstable, _march
+from .evolve import CFL_SAFETY, SimulationUnstable, _march, _median
 from .grid import Field, FracOrder, Grid1D
 from .initial_data import _bump
 from .operators import (
@@ -385,7 +385,7 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
         _check_rows(X, M, ws.F)
         gap = np.subtract(X[:P], X[P:], out=ws.G[:P])
         worst = max(worst, float(gap.max()))
-    span = ((float(dts.min()), float(np.median(dts)), float(dts.max())) if n_steps
+    span = ((float(dts.min()), _median(dts), float(dts.max())) if n_steps
             else (math.nan,) * 3)
     return worst, X, SweepStats(n_steps, *span, repair_steps)
 

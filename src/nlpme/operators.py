@@ -43,9 +43,9 @@ import functools
 import math
 
 import numpy as np
-# numpy loads these on first use; imported here, set-up pays for them, not a run
+# every pipeline transforms, so set-up pays for numpy.fft; numpy.polynomial
+# loads on first use in _gauss_legendre, so only the barrier pipelines pay
 import numpy.fft
-import numpy.polynomial
 
 from .grid import Field, FracOrder, Grid1D
 

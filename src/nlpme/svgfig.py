@@ -76,8 +76,9 @@ def _m4_indices(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
         hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), lengths))
         return hits[np.concatenate(([True], group[hits[1:]] != group[hits[:-1]]))]
 
-    return np.unique(np.concatenate(
+    kept = np.sort(np.concatenate(
         (starts, starts + lengths - 1, first_hit(np.minimum), first_hit(np.maximum))))
+    return kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
 
 
 def _ticks(lo: float, hi: float, log: bool, n: int = 5):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlpme.cli import main
@@ -95,6 +95,21 @@ def test_parse_rejects_bad_grid_and_times():
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("snapshots = 3", f"snap_times = {times}"))
         assert "time.snap_times" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(times=st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5),
+                      min_size=2, max_size=30))
+@example(times=[0.5, -0.0, 0.25, 0.0, 0.25])
+@example(times=[0.0, -0.0, 0.5])
+def test_parse_snap_times_are_np_unique(times):
+    """time.snap_times parse to np.unique of the listed values, bit for bit,
+    repeats and a -0.0/0.0 pair included."""
+    assume(len(set(times)) >= 2)
+    cfg = parse_config(MINIMAL.replace("snapshots = 3",
+                                       "snap_times = " + " ".join(map(repr, times))))
+    want = np.unique(np.asarray(times, dtype=float))
+    assert cfg.snap_times.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -1091,19 +1106,25 @@ def test_manifest_records_versions_on_a_comment_line(tmp_path):
     assert "versions" not in manifest_core(text)
 
 
-def _scipy_modules_after(code: str) -> set:
-    """The scipy modules a fresh interpreter holds after running `code`."""
+def _modules_after(code: str, *packages: str) -> set:
+    """The modules of `packages` (each package and its submodules) that a
+    fresh interpreter holds after running `code`."""
     import nlpme
 
     src = str(Path(nlpme.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.')))")
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules if any("
+             f"m == p or m.startswith(p + '.') for p in {packages!r})))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _scipy_modules_after(code: str) -> set:
+    """The scipy modules a fresh interpreter holds after running `code`."""
+    return _modules_after(code, "scipy")
 
 
 def test_import_and_runs_keep_scipy_subpackages_cold(tmp_path):
@@ -1131,6 +1152,47 @@ def test_import_and_runs_keep_scipy_subpackages_cold(tmp_path):
         runs.append(f"assert main([{kind!r}, '--config', {str(cfg)!r}]) == 0")
     loaded = _scipy_modules_after("from nlpme.cli import main\n" + "\n".join(runs))
     assert loaded == bare
+
+
+def test_import_and_runs_load_only_the_numpy_they_use(tmp_path):
+    """Importing the CLI loads none of numpy.ma, numpy.random and
+    numpy.polynomial; simulate, continuation and transform-check load none
+    of them either, integrated loads numpy.random on first use and
+    barrier-check numpy.polynomial, and no pipeline loads numpy.ma."""
+    lazy = ("numpy.ma", "numpy.random", "numpy.polynomial")
+    assert _modules_after("import nlpme.cli, nlpme.experiments", *lazy) == set()
+
+    small = MINIMAL.replace("n = 256", "n = 64").replace("t_end = 0.5", "t_end = 0.05")
+    configs = {
+        "simulate": small,
+        "continuation": small.replace("kind = simulate", "kind = continuation", 1),
+        "transform-check": (MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+                            .replace("n = 256", "n = 64") + "\n[transform]\ntau_end = 2.0\n"),
+        "integrated": (small.replace("kind = simulate", "kind = integrated", 1)
+                       .replace("m = 2.0", "m = 1.5")
+                       + "\n[integrated]\npairs = 4\nsteps = 10\nduality_tol = 0.1\n"),
+        "barrier-check": (MINIMAL.replace("kind = simulate", "kind = barrier-check", 1)
+                          .replace("m = 2.0", "m = 1.5").replace("t_end = 0.5", "t_end = 0.1")
+                          .replace("kind = gaussian", "kind = bump\nradius = 1.25\ncenter = -2.25")
+                          .replace("width = 1.0", "") + "[barrier]\nx0 = -1.0\nt_probe = 0.1\n"),
+    }
+    runs = {}
+    for kind, text in configs.items():
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(text.replace("dir = out", f"dir = {tmp_path}/{kind}"))
+        runs[kind] = f"assert main([{kind!r}, '--config', {str(cfg)!r}]) == 0"
+
+    def after(*kinds):
+        return _modules_after("from nlpme.cli import main\n"
+                              + "\n".join(runs[k] for k in kinds), *lazy)
+
+    assert after("simulate", "continuation", "transform-check") == set()
+    integrated = after("integrated")
+    assert "numpy.random" in integrated
+    assert not {m for m in integrated if m.startswith(("numpy.ma", "numpy.polynomial"))}
+    barrier = after("barrier-check")
+    assert "numpy.polynomial" in barrier
+    assert not {m for m in barrier if m.startswith(("numpy.ma", "numpy.random"))}
 
 
 def test_bare_import_loads_no_scipy():

@@ -26,6 +26,7 @@ from nlpme.evolve import (
     ModelParams,
     SimulationUnstable,
     _dilate,
+    _median,
     _roll1,
     cfl_dt,
     continuation_limit,
@@ -289,6 +290,39 @@ def test_simulate_density_equals_hand_loop_bitwise(p):
     assert len(traj.snapshots) == len(frames)
     for snap, frame in zip(traj.snapshots, frames):
         assert np.array_equal(snap.values, frame)
+
+
+_step_sizes = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(_step_sizes, min_size=1, max_size=500))
+@example(values=[2.0])
+@example(values=[3.0, 1.0])
+@example(values=[1e308, 1e308, -1.0])
+@example(values=[1e308, 1e308])
+def test_median_is_np_median_bitwise(values):
+    """_median returns np.median's bits, on the array.array of step sizes
+    simulate_density keeps and on a plain array.  Signed zeros are folded to
+    +0.0: which of -0.0 and 0.0 lands in the middle is the sort's choice.
+    Two middle values near the largest float overflow to inf in both."""
+    import array
+
+    with np.errstate(over="ignore"):
+        want = np.float64(np.median(values)).tobytes()
+        assert np.float64(_median(np.array(values))).tobytes() == want
+        assert np.float64(_median(array.array("d", values))).tobytes() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 60), pairs=st.integers(1, 8), data=st.data())
+def test_median_of_sweep_steps_is_np_median_bitwise(steps, pairs, data):
+    """On the (steps, P) array of comparison_sweep's step sizes, _median is
+    np.median over all entries, bit for bit."""
+    dts = np.array(data.draw(st.lists(_step_sizes, min_size=steps * pairs,
+                                      max_size=steps * pairs))).reshape(steps, pairs)
+    with np.errstate(over="ignore"):
+        assert np.float64(_median(dts)).tobytes() == np.float64(np.median(dts)).tobytes()
 
 
 def test_roll1_is_np_roll():

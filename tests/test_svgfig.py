@@ -242,6 +242,23 @@ def test_m4_indices_properties(points, monotone):
             <= set(kept.tolist())
 
 
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([-1.0, 0.0, 2.0])),
+                       min_size=1, max_size=80))
+def test_m4_indices_are_np_unique_of_the_candidates(points):
+    """The kept indices equal, dtype and bits, np.unique of every run's
+    first, last, lowest and highest index, a list with repeats (a run of
+    one point names its index four times)."""
+    cols = np.sort(np.array([c for c, _ in points]))
+    ys = np.array([y for _, y in points])
+    candidates = []
+    for run in np.split(np.arange(len(cols)), np.flatnonzero(np.diff(cols)) + 1):
+        candidates += [run[0], run[-1], run[np.argmin(ys[run])], run[np.argmax(ys[run])]]
+    want = np.unique(np.array(candidates))
+    keep = _m4_indices(cols, ys)
+    assert keep.dtype == want.dtype and keep.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=4),
        kind=st.sampled_from(KINDS), n=st.integers(0, 4 * PW))
