@@ -9,8 +9,11 @@ spectral, the advective factor (u + mu)^(m-1) is upwinded by the transport
 direction at each face, and face fluxes telescope so the box mass is
 conserved to roundoff.  Outgoing fluxes are limited so that no cell can be
 driven negative (the limiter only engages at degenerate front cells where
-the naive update would overdraw); whatever tiny negatives remain from the
-viscosity term are clipped and the clipped mass is tracked.
+the naive update would overdraw).  The viscosity term follows as S equal
+three-point substeps (`_viscous_substeps`, at most MAX_STAGES), each a
+positive map, so the density step runs at the advective or stiffness
+bound and not at CFL_SAFETY * h^2/(2 delta); whatever tiny negatives
+remain are clipped and the clipped mass is tracked.
 
 The pressure gradient is one Fourier multiplier, `_pressure_symbol`
 (spectral, or the folded mollified symbol when eps > 0), applied on
@@ -20,13 +23,13 @@ step bound (`_step_bounds`, `_safe_dt`; `cfl_dt` explains its limits)
 and an update: the Euler `_apply_flux` (limiter, update) or, where
 m >= 2 and the stiffness limit binds, an RKL1 step `_rkl_step` of the
 S stages that reach the other limits (`_rkl_stages`), redone as the
-Euler step if a stage goes negative; then `_finish_step` (viscosity,
-clipping, NaN check).  Every other step is bitwise the Euler step of the
-public `cfl_dt` and `step_density`.  `simulate_density` looks the symbol
-up once per run and keeps step telemetry.  The pieces write every
-intermediate into a `_Workspace` of preallocated length-n buffers and
-each new state into the state buffer that does not hold the current
-one, so a step allocates no length-n array outside the pressure
+Euler step if a stage goes negative; then `_finish_step` (the viscous
+substeps, clipping, NaN check).  Every other step is bitwise the Euler
+step of the public `cfl_dt` and `step_density`.  `simulate_density`
+looks the symbol up once per run and keeps step telemetry.  The pieces
+write every intermediate into a `_Workspace` of preallocated length-n
+buffers and each new state into the state buffer that does not hold the
+current one, so a step allocates no length-n array outside the pressure
 evaluations.  The limiter's factor pass runs only when some cell has
 POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
 (see `_apply_flux`) and skipping the multiply changes no bit.
@@ -80,7 +83,9 @@ POSITIVITY_HEADROOM = 0.9  # a cell may lose at most this fraction per step
 # the bounds of the density step size, in the order they are applied
 STEP_LIMITS = ("advective", "stiffness", "viscosity", "cap")
 MAX_STEPS = 2_000_000  # a run that needs more steps is stuck, not slow
-MAX_STAGES = 64  # bounds the flux evaluations of one RKL1 step
+# bounds the flux evaluations of one RKL1 step and the viscous substeps of
+# one step, so the viscosity limit is MAX_STAGES * h^2/(2 delta)
+MAX_STAGES = 64
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,8 @@ class Trajectory:
     steps redone as Euler steps.  A step redone after stage j costs j
     evaluations in all: u's pressure gradient is kept, so redoing its face
     flux after later stages overwrote it costs none.
+    `viscosity_substeps` counts the three-point viscous substeps, S per
+    step when delta > 0 (see `_viscous_substeps`) and none when delta = 0.
     """
 
     params: ModelParams
@@ -148,6 +155,7 @@ class Trajectory:
     flux_evaluations: int = 0
     fallback_steps: int = 0
     limited_flux_mass: float = 0.0
+    viscosity_substeps: int = 0
 
     @property
     def grid(self) -> Grid1D:
@@ -230,7 +238,8 @@ class _Workspace:
     A run builds one and hands it to every step; :func:`cfl_dt` and
     :func:`step_density` build one per call.  `a`, `J` and `w_face` hold
     the outputs of :func:`_face_flux` and `cut` the flux mass the last
-    limited :func:`_apply_flux` cut, `b1`..`b3`, `y` and `mask` are
+    limited :func:`_apply_flux` cut and `substeps` the viscous substeps
+    of the last :func:`_finish_step`, `b1`..`b3`, `y` and `mask` are
     scratch, and each new state is written to the one of the two `states`
     buffers that does not hold the current state, so a step allocates no
     length-n array.
@@ -242,6 +251,7 @@ class _Workspace:
         self.mask = np.empty(n, dtype=bool)
         self.states = (np.empty(n), np.empty(n))
         self.cut = 0.0
+        self.substeps = 0
 
     def next_state(self, u: np.ndarray) -> np.ndarray:
         """The state buffer that does not hold u."""
@@ -306,7 +316,21 @@ def _step_bounds(J: np.ndarray, a: np.ndarray, w_face: np.ndarray, grid: Grid1D,
     lam = _max_symbol(grid.half_length, grid.n, p.s, p.eps)
     return {"advective": h / vmax if vmax > 0.0 else math.inf,
             "stiffness": 2.0 / (amax * lam) if amax > 0.0 else math.inf,
-            "viscosity": h * h / (2.0 * p.delta) if p.delta > 0.0 else math.inf}
+            "viscosity": MAX_STAGES * h * h / (2.0 * p.delta) if p.delta > 0.0
+            else math.inf}
+
+
+def _viscous_substeps(dt: float, h: float, delta: float) -> int:
+    """Number S of equal three-point viscous substeps of a step of size dt:
+    the fewest with dt/S <= CFL_SAFETY * h^2/(2 delta), at most MAX_STAGES.
+
+    S is 1 wherever dt is within that bound, and MAX_STAGES where dt/S
+    cannot reach it, including an infinite or NaN ratio.  Within the
+    viscosity limit of `_step_bounds` the ratio is at most MAX_STAGES up
+    to rounding, so each substep stays a positive map.
+    """
+    ratio = dt / (CFL_SAFETY * (h * h / (2.0 * delta)))
+    return max(1, math.ceil(ratio)) if ratio <= MAX_STAGES else MAX_STAGES
 
 
 def _safe_dt(bounds: dict, cap: float):
@@ -358,8 +382,11 @@ def cfl_dt(u: Field, p: ModelParams, cap: float = math.inf) -> float:
       spectrum is real and nonpositive, so where this limit binds at
       m >= 2, :func:`simulate_density` takes an RKL1 step of S stages
       instead, stable up to (S^2+S)/2 times it.
-    * viscosity, h^2/(2 delta), which keeps the three-point diffusion
-      step a positive map.
+    * viscosity, MAX_STAGES * h^2/(2 delta).  The step splits its
+      three-point diffusion into S <= MAX_STAGES equal substeps, each
+      within CFL_SAFETY * h^2/(2 delta) and so a positive map (see
+      `_viscous_substeps`); this limit binds only where MAX_STAGES
+      substeps fall short.
 
     With zero velocity and delta = 0 the returned step is just `cap` (the
     configured horizon).
@@ -417,13 +444,17 @@ def _apply_flux(u: np.ndarray, J: np.ndarray, dt: float, h: float, p: ModelParam
 
 def _finish_step(u_new: np.ndarray, dt: float, h: float, p: ModelParams,
                  ws: _Workspace) -> float:
-    """Clip, viscosity substep, clip and NaN check of a flux update, in
-    place; returns the clipped mass.
+    """Clip, viscous substeps, clip and NaN check of a flux update, in
+    place; returns the clipped mass and sets `ws.substeps`.
 
-    The viscosity term uses the three-point Laplacian: it conserves mass
-    by telescoping and keeps u >= 0 under the delta CFL bound, whereas the
-    spectral Laplacian rings negative at degenerate fronts and burns the
-    clipping budget.  The result is nonnegative; raises
+    The viscosity term is S = `_viscous_substeps` equal explicit steps
+    of dt/S with the three-point Laplacian (S = 0 when delta = 0, and 1
+    where dt is within CFL_SAFETY * h^2/(2 delta), which is the single
+    update bit for bit).  Each substep conserves mass by telescoping and,
+    for dt within the viscosity limit of :func:`cfl_dt`, is a positive
+    map, as dt/S is then within that bound; the spectral Laplacian
+    instead rings negative at degenerate fronts and burns the clipping
+    budget.  The result is nonnegative; raises
     :class:`SimulationUnstable` on NaN.
     """
     clipped = 0.0
@@ -431,16 +462,20 @@ def _finish_step(u_new: np.ndarray, dt: float, h: float, p: ModelParams,
     if negative.any():
         clipped = float(-h * u_new[negative].sum())
         np.maximum(u_new, 0.0, out=u_new)
+    ws.substeps = 0
     if p.delta > 0.0:
-        # applied to the post-flux field: (I + dt*delta*Lap_h) preserves
-        # nonnegativity on its own under the delta CFL bound, so the two
+        # applied to the post-flux field: each (I + (dt/S)*delta*Lap_h)
+        # preserves nonnegativity on its own, so the flux update and the
         # substeps cannot jointly overdraw a cell
-        visc = _roll1(u_new, -1, ws.b1)
-        visc -= np.multiply(u_new, 2.0, out=ws.b2)
-        visc += _roll1(u_new, 1, ws.b2)
-        visc /= h**2
-        visc *= dt * p.delta
-        u_new += visc
+        ws.substeps = _viscous_substeps(dt, h, p.delta)
+        scale = dt / ws.substeps * p.delta
+        for _ in range(ws.substeps):
+            visc = _roll1(u_new, -1, ws.b1)
+            visc -= np.multiply(u_new, 2.0, out=ws.b2)
+            visc += _roll1(u_new, 1, ws.b2)
+            visc /= h**2
+            visc *= scale
+            u_new += visc
         negative = np.less(u_new, 0.0, out=ws.mask)
         if negative.any():
             clipped += float(-h * u_new[negative].sum())
@@ -499,7 +534,8 @@ def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
     Returns the stepped field and the mass clipped to keep it nonnegative.
     Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`.  The
     step is the positivity-limited flux update followed by the three-point
-    viscosity term.  Raises :class:`SimulationUnstable` on NaN.
+    viscosity term in `_viscous_substeps` equal substeps.  Raises
+    :class:`SimulationUnstable` on NaN.
     """
     if np.any(u.values < 0):
         raise ValueError("step_density requires a nonnegative field")
@@ -594,7 +630,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     stored_times, snapshots, diags = [], [], []
     limits = dict.fromkeys(STEP_LIMITS, 0)
     dts = array.array("d")  # every step's dt, 8 bytes a step
-    limiter_steps = evaluations = fallbacks = 0
+    limiter_steps = evaluations = fallbacks = substeps = 0
     cut_mass = 0.0
 
     def trajectory() -> Trajectory:
@@ -602,7 +638,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
                 else (math.nan,) * 3)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
                           clipped_mass, len(dts), *span, limits, limiter_steps,
-                          evaluations, fallbacks, cut_mass)
+                          evaluations, fallbacks, cut_mass, substeps)
 
     # Steps work on plain arrays in one workspace, the states alternating
     # between its two state buffers; _march's frames are fresh arrays, so
@@ -613,6 +649,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
 
     def step(u, t, cap):
         nonlocal clipped_mass, limiter_steps, evaluations, fallbacks, cut_mass
+        nonlocal substeps
         w = _apply_rows(u, sym)  # the bound, the first stage and any fallback
         J, a, w_face = _face_flux(u, w, p, ws)
         bounds = _step_bounds(J, a, w_face, grid, p)
@@ -641,6 +678,7 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
         clipped_mass += clipped
         evaluations += evals
         fallbacks += fell_back
+        substeps += ws.substeps
         if limited:
             limiter_steps += 1
             cut_mass += ws.cut
@@ -661,11 +699,15 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
 
 @dataclass
 class ContinuationReport:
-    """Cauchy record of the regularization-removal chain."""
+    """Cauchy record of the regularization-removal chain, with the step
+    telemetry of each run (see :class:`Trajectory`)."""
 
     distances: list  # L2 distance between consecutive runs at the checkpoint
     masses: list     # final mass of each run
     decreasing: bool
+    steps: list               # steps of each run
+    flux_evaluations: list    # pressure evaluations of each run
+    viscosity_substeps: list  # viscous substeps of each run
 
 
 def _checked_schedule(schedule) -> list:
@@ -697,7 +739,7 @@ def continuation_limit(
     trajectory (frames at five even times over [0, t_end] and at the
     checkpoint) plus a report with the L2 distances at the checkpoint time
     between consecutive runs, which should decrease as the regularization
-    vanishes.
+    vanishes, and every run's final mass and step counts.
     """
     schedule = _checked_schedule(schedule)
     if checkpoint is None:
@@ -716,7 +758,9 @@ def continuation_limit(
     ]
     masses = [r.diagnostics[-1].mass for r in runs]
     decreasing = all(b < a for a, b in zip(distances, distances[1:]))
-    return runs[-1], ContinuationReport(distances, masses, decreasing)
+    return runs[-1], ContinuationReport(
+        distances, masses, decreasing, [r.steps for r in runs],
+        [r.flux_evaluations for r in runs], [r.viscosity_substeps for r in runs])
 
 
 def _dilate(primitive: np.ndarray, faces: np.ndarray, stretch: float) -> np.ndarray:

@@ -104,7 +104,7 @@ def _snapshot_outputs(traj, out: _Outputs):
              "dt_median": traj.dt_median}
     stats.update((f"steps_{name}", count) for name, count in traj.limits.items())
     for name in ("limiter_steps", "limited_flux_mass", "flux_evaluations",
-                 "fallback_steps"):
+                 "fallback_steps", "viscosity_substeps"):
         stats[name] = getattr(traj, name)
     out.stats("solver_stats.csv", stats)
 
@@ -221,9 +221,11 @@ def _exp_continuation(cfg: ExperimentConfig, out: _Outputs):
                     "L2 distances at the checkpoint between consecutive runs"),
         CheckResult("mass_conservation", mass_drift < 1e-8, mass_drift),
     ]
-    out.csv("continuation.csv", ["eps", "delta", "mu", "final_mass"],
+    out.csv("continuation.csv", ["eps", "delta", "mu", "final_mass", "steps",
+                                 "flux_evaluations", "viscosity_substeps"],
             [[s[0] for s in schedule], [s[1] for s in schedule],
-             [s[2] for s in schedule], report.masses])
+             [s[2] for s in schedule], report.masses, report.steps,
+             report.flux_evaluations, report.viscosity_substeps])
     if report.distances:
         out.csv("cauchy_distances.csv", ["pair", "l2_distance"],
                 [np.arange(1, len(report.distances) + 1), report.distances])

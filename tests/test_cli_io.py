@@ -407,12 +407,37 @@ def test_cli_writes_solver_stats(tmp_path):
     assert list(stats) == ["steps", "clipped_mass", "dt_min", "dt_max", "dt_median",
                            "steps_advective", "steps_stiffness",
                            "steps_viscosity", "steps_cap", "limiter_steps",
-                           "limited_flux_mass", "flux_evaluations", "fallback_steps"]
+                           "limited_flux_mass", "flux_evaluations", "fallback_steps",
+                           "viscosity_substeps"]
     assert stats["steps"] > 0
     assert stats["flux_evaluations"] >= stats["steps"]
     assert sum(v for k, v in stats.items() if k.startswith("steps_")) == stats["steps"]
     assert 0.0 < stats["dt_min"] <= stats["dt_median"] <= stats["dt_max"]
+    assert stats["viscosity_substeps"] == 0  # delta = 0
     assert "file solver_stats.csv = sha256:" in (outdir / "manifest.txt").read_text()
+
+
+def test_cli_continuation_writes_every_runs_telemetry(tmp_path):
+    """continuation.csv has one row per run of the schedule with its step
+    telemetry; the last row is the final run of solver_stats.csv.  At
+    n = 512 the first run's viscous update is split into substeps."""
+    cfg = MINIMAL.replace("kind = simulate", "kind = continuation", 1)
+    cfg = cfg.replace("n = 256", "n = 512").replace("dir = out", f"dir = {tmp_path}/out")
+    assert main(["continuation", "--config", _write(tmp_path, cfg)]) == 0
+    outdir = tmp_path / "out"
+    header, cols = read_csv(outdir / "continuation.csv")
+    assert header == ["eps", "delta", "mu", "final_mass", "steps",
+                      "flux_evaluations", "viscosity_substeps"]
+    runs = dict(zip(header, cols))
+    assert len(runs["steps"]) == 3  # the default schedule
+    assert np.all(runs["steps"] > 0)
+    assert np.all(runs["flux_evaluations"] >= runs["steps"])
+    assert np.all(runs["viscosity_substeps"] >= runs["steps"])  # delta > 0
+    assert runs["viscosity_substeps"][0] > runs["steps"][0]
+    stats_header, stats_cols = read_csv(outdir / "solver_stats.csv")
+    stats = dict(zip(stats_header, (float(c[0]) for c in stats_cols)))
+    for name in ("steps", "flux_evaluations", "viscosity_substeps"):
+        assert runs[name][-1] == stats[name]
 
 
 @pytest.mark.parametrize("kind", ["simulate", "integrated"])

@@ -108,12 +108,16 @@ def test_cfl_zero_field_returns_cap():
 
 
 def test_cfl_delta_limit_halves():
-    """Doubling delta at fixed u at most halves the delta-limited step."""
+    """Where the viscosity limit binds, the step is CFL_SAFETY times
+    MAX_STAGES * h^2/(2 delta), the reach of MAX_STAGES safe three-point
+    substeps, and doubling delta at fixed u halves it exactly."""
     g = make_grid(10.0, 256)
+    h = g.spacing
     u = gaussian_bump(g, 1.0, width=0.7)
     d1 = cfl_dt(u, ModelParams(2.0, 0.5, delta=50.0))
     d2 = cfl_dt(u, ModelParams(2.0, 0.5, delta=100.0))
-    assert d2 <= 0.5 * d1 * (1.0 + 1e-12)
+    assert d1 == CFL_SAFETY * (MAX_STAGES * h * h / (2.0 * 50.0))
+    assert d2 == 0.5 * d1
 
 
 def test_cfl_step_is_finite_and_stable():
@@ -353,10 +357,29 @@ def _rkl_plan(u, p, cap):
     return (S, min(target, (S * S + S) / 2 * dt_stiff)) if S > 1 else None
 
 
+def _roll_viscosity(v, dt, h, delta):
+    """The viscosity term written out with np.roll: S equal three-point
+    substeps of dt/S, S the fewest (at most MAX_STAGES) with dt/S within
+    CFL_SAFETY * h^2/(2 delta), then the clip.  Returns (values, clipped
+    mass, S); delta = 0 leaves v as it is, with S = 0."""
+    if delta == 0.0:
+        return v, 0.0, 0
+    S = 1
+    while dt / S > CFL_SAFETY * (h * h / (2.0 * delta)) and S < MAX_STAGES:
+        S += 1
+    for _ in range(S):
+        v = v + dt / S * delta * ((np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2)
+    clipped = 0.0
+    if np.any(v < 0.0):
+        clipped = float(-h * v[v < 0.0].sum())
+        v = np.maximum(v, 0.0)
+    return v, clipped, S
+
+
 def _rkl_reference_step(u, p, stages, dt):
     """An RKL1 step written out with fresh arrays, the pressure gradient
     of every stage through the public `pressure_gradient`, then the
-    three-point viscosity substep and its clip.
+    viscous substeps and their clip (`_roll_viscosity`).
 
     Returns (new values, clipped mass, flux evaluations), with None for
     the values when a stage has a negative cell.
@@ -379,13 +402,7 @@ def _rkl_reference_step(u, p, stages, dt):
         if np.any(y < 0.0):
             return None, 0.0, j
         prev2, prev = prev, y
-    clipped = 0.0
-    if p.delta > 0.0:
-        visc = (np.roll(y, -1) - 2.0 * y + np.roll(y, 1)) / h**2
-        y = y + dt * p.delta * visc
-        if np.any(y < 0.0):
-            clipped = float(-h * y[y < 0.0].sum())
-            y = np.maximum(y, 0.0)
+    y, clipped, _ = _roll_viscosity(y, dt, h, p.delta)
     return y, clipped, stages
 
 
@@ -665,7 +682,8 @@ def _advective_speed(J, a, w_face, p):
 
 def _reference_step(u, p, dt, w):
     """The density step as first written: np.roll shifts, the limiter
-    factor through nested np.where under errstate, then viscosity."""
+    factor through nested np.where under errstate, then the viscous
+    substeps (`_roll_viscosity`)."""
     h = u.grid.spacing
     v = u.values
     a = (v + p.mu) ** (p.m - 1.0)
@@ -686,12 +704,8 @@ def _reference_step(u, p, dt, w):
     if np.any(new < 0.0):
         clipped = float(-h * new[new < 0.0].sum())
         new = np.maximum(new, 0.0)
-    if p.delta > 0.0:
-        new = new + dt * p.delta * (np.roll(new, -1) - 2.0 * new
-                                    + np.roll(new, 1)) / h**2
-        if np.any(new < 0.0):
-            clipped += float(-h * new[new < 0.0].sum())
-            new = np.maximum(new, 0.0)
+    new, visc_clipped, _ = _roll_viscosity(new, dt, h, p.delta)
+    clipped += visc_clipped
     return new, clipped, bool(np.any(factor < 1.0)), bool(np.any(naive < 0.0))
 
 
@@ -718,7 +732,7 @@ def test_step_equals_reference_scheme(p, factor):
     bound = min(g.spacing / _advective_speed(vel, a, w_face, p),
                 2.0 / (np.max(a) * _stepped_max_eigenvalue(g, p)))
     if p.delta > 0.0:
-        bound = min(bound, g.spacing**2 / (2.0 * p.delta))
+        bound = min(bound, MAX_STAGES * g.spacing * g.spacing / (2.0 * p.delta))
     assert dt == CFL_SAFETY * bound
 
     out, clipped = step_density(u, p, factor * dt)
@@ -731,7 +745,10 @@ def test_step_equals_reference_scheme(p, factor):
         assert limited
     if factor == 200.0:
         assert overdrawn and limited
-        assert (clipped > 0.0) == (p.delta > 0.0)  # the viscosity overshoots
+        # the limiter keeps the flux update nonnegative; 200 CFL steps of
+        # the regularized case need more viscous substeps than MAX_STAGES,
+        # so the capped substeps overshoot
+        assert (clipped > 0.0) == (p.delta > 0.0)
 
 
 def test_unstable_step_raises_simulation_unstable():
@@ -739,6 +756,55 @@ def test_unstable_step_raises_simulation_unstable():
     u = compact_bump(g, 1.0, radius=1.5)
     with pytest.raises(SimulationUnstable), np.errstate(all="ignore"):
         step_density(u, ModelParams(2.0, 0.5, delta=1e300), 1e10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(1.05, 3.5), s=st.floats(0.1, 0.9),
+       delta=st.floats(-3.0, 2.0).map(lambda e: 10.0**e), mu=_regularization,
+       n=st.sampled_from([32, 64, 128]),
+       data=st.sampled_from(["gaussian", "compact", "random"]),
+       seed=st.integers(0, 2**32 - 1), reach=st.floats(0.0, 1.0))
+@example(m=2.0, s=0.5, delta=100.0, mu=0.0, n=128, data="compact", seed=0, reach=1.0)
+@example(m=1.05, s=0.1, delta=1e-3, mu=0.2, n=32, data="random", seed=1, reach=0.0)
+def test_viscous_substeps_keep_positivity_and_mass(m, s, delta, mu, n, data, seed,
+                                                   reach):
+    """A viscous part of any step up to the viscosity limit, CFL_SAFETY *
+    MAX_STAGES * h^2/(2 delta), takes the substeps of `_roll_viscosity`
+    (at most MAX_STAGES) bit for bit, keeps u >= 0, clips nothing and
+    conserves mass to roundoff.  A run takes
+    1 to MAX_STAGES substeps a step, conserves mass, stays nonnegative,
+    and charges a step to the viscosity limit only where that limit binds:
+    no step is longer, and those steps have exactly its length."""
+    p = ModelParams(m, s, delta=delta, mu=mu)
+    g = make_grid(8.0, n)
+    h = g.spacing
+    if data == "gaussian":
+        u0 = gaussian_bump(g, 1.0, width=0.5)
+    elif data == "compact":
+        u0 = compact_bump(g, 1.0, radius=1.5)
+    else:
+        rng = np.random.default_rng(seed)
+        u0 = Field(g, rng.random(n) * (rng.random(n) < 0.7))  # some empty cells
+    mass0 = h * u0.values.sum()
+    limit = CFL_SAFETY * (MAX_STAGES * h * h / (2.0 * delta))
+
+    ws = evolve._Workspace(n)
+    v = u0.values.copy()
+    assert evolve._finish_step(v, reach * limit, h, p, ws) == 0.0
+    ref, _, substeps = _roll_viscosity(u0.values, reach * limit, h, delta)
+    assert np.array_equal(v, ref)
+    assert 1 <= ws.substeps == substeps <= MAX_STAGES
+    assert v.min() >= 0.0
+    assert abs(h * v.sum() - mass0) <= 1e-12 * mass0
+
+    t_end = 4.0 * cfl_dt(u0, p)
+    traj = simulate_density(u0, p, t_end, [0.0, t_end])
+    assert traj.steps <= traj.viscosity_substeps <= MAX_STAGES * traj.steps
+    for d, snap in zip(traj.diagnostics, traj.snapshots):
+        assert abs(d.mass - mass0) <= 1e-12 * mass0
+        assert snap.values.min() >= 0.0
+    assert traj.dt_max <= limit
+    assert traj.limits["viscosity"] == 0 or traj.dt_max == limit
 
 
 @pytest.mark.parametrize("abort", ["budget", "nan"])
@@ -801,7 +867,9 @@ def test_abort_carries_exact_partial_trajectory(monkeypatch, abort):
 @pytest.mark.parametrize("p, bound", [
     (ModelParams(2.0, 0.2), "stiffness"),
     (ModelParams(2.0, 0.9), "advective"),
-    (ModelParams(2.0, 0.5, delta=0.5), "viscosity"),
+    # the viscosity limit, MAX_STAGES * h^2/(2 delta), binds only at a delta
+    # where 64 safe three-point substeps fall short of the advective step
+    (ModelParams(2.0, 0.5, delta=5.0), "viscosity"),
     (ModelParams(1.5, 0.2), "stiffness"),
 ])
 def test_step_telemetry(p, bound):
@@ -985,7 +1053,9 @@ def _roll_face_flux(u, w, p):
 
 def _roll_stable_dt(J, a, w_face, grid, p, cap, stiffness=True):
     """cfl_dt's step as written with np.abs: the three limits in order, or
-    the advective and viscosity limits alone."""
+    the advective and viscosity limits alone.  The viscosity limit is
+    MAX_STAGES * h^2/(2 delta), where MAX_STAGES substeps of the safe
+    three-point step fall short."""
     h = grid.spacing
     dt, limit = math.inf, "cap"
     vmax = _advective_speed(J, a, w_face, p)
@@ -997,7 +1067,7 @@ def _roll_stable_dt(J, a, w_face, grid, p, cap, stiffness=True):
         if stiff < dt:
             dt, limit = stiff, "stiffness"
     if p.delta > 0.0:
-        visc = h * h / (2.0 * p.delta)
+        visc = MAX_STAGES * h * h / (2.0 * p.delta)
         if visc < dt:
             dt, limit = visc, "viscosity"
     dt = CFL_SAFETY * dt
@@ -1007,8 +1077,9 @@ def _roll_stable_dt(J, a, w_face, grid, p, cap, stiffness=True):
 
 
 def _roll_apply_flux(u, J, dt, h, p):
-    """_apply_flux as written with fresh arrays, np.roll shifts and the
-    limiter pass always run; also returns whether any factor is below 1."""
+    """_apply_flux as written with fresh arrays, np.roll shifts, the
+    limiter pass always run and the viscous substeps of `_roll_viscosity`;
+    also returns whether any factor is below 1."""
     out_right = np.maximum(J, 0.0)
     out_left = np.maximum(-np.roll(J, 1), 0.0)
     outflow = (dt / h) * (out_right + out_left)
@@ -1021,12 +1092,8 @@ def _roll_apply_flux(u, J, dt, h, p):
     if np.any(u_new < 0.0):
         clipped = float(-h * u_new[u_new < 0.0].sum())
         u_new = np.maximum(u_new, 0.0)
-    if p.delta > 0.0:
-        visc = (np.roll(u_new, -1) - 2.0 * u_new + np.roll(u_new, 1)) / h**2
-        u_new = u_new + dt * p.delta * visc
-        if np.any(u_new < 0.0):
-            clipped += float(-h * u_new[u_new < 0.0].sum())
-            u_new = np.maximum(u_new, 0.0)
+    u_new, visc_clipped, _ = _roll_viscosity(u_new, dt, h, p.delta)
+    clipped += visc_clipped
     return u_new, clipped, J, bool(np.any(factor < 1.0))
 
 
