@@ -34,8 +34,10 @@ q, sigma = 2.0, 0.5
 grid = make_grid(20.0, 1024)
 print(f"relaxing the rescaled flow to its Barenblatt profile (q={q}, "
       f"sigma={sigma}) ...")
-phi1, _ = fpme_profile_by_rescaling(gaussian_bump(grid, 1.0, width=1.0), q, sigma,
-                                    tau_end=14.0)
+phi1, stats = fpme_profile_by_rescaling(gaussian_bump(grid, 1.0, width=1.0), q,
+                                        sigma, tau_end=14.0)
+print(f"  stopped at tau = {stats['tau']:.2f} of at most 14, after "
+      f"{stats['steps']} steps")
 kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
 rep1 = residual_report(phi1, kind1, q, sigma)
 print(f"  source profile: sup {phi1.values.max():.4f}, relative residual "

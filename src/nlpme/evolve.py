@@ -38,7 +38,8 @@ POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
 the FPME relaxation: snapshot schedule, horizon cap, interpolation of the
 frames a step crosses and the step-count guard; each supplies its step.
 The relaxation has one entry point, `fpme_profile_by_rescaling`, which
-returns its step telemetry beside the profile.
+stops at stationarity or at tau_end and returns its step telemetry beside
+the profile.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ MAX_STEPS = 2_000_000  # a run that needs more steps is stuck, not slow
 # bounds the flux evaluations of one RKL1 step and the viscous substeps of
 # one step, so the viscosity limit is MAX_STAGES * h^2/(2 delta)
 MAX_STAGES = 64
+# the FPME relaxation stops at the first step that changes its profile by
+# less than STATIONARY_TOL * dt * mass in L1
+STATIONARY_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -455,7 +459,9 @@ def _finish_step(u_new: np.ndarray, dt: float, h: float, p: ModelParams,
     map, as dt/S is then within that bound; the spectral Laplacian
     instead rings negative at degenerate fronts and burns the clipping
     budget.  The result is nonnegative; raises
-    :class:`SimulationUnstable` on NaN.
+    :class:`SimulationUnstable` on NaN, and where MAX_STAGES substeps
+    leave dt/S past h^2/(2 delta), where a substep is no longer a
+    positive map and the state would blow up instead.
     """
     clipped = 0.0
     negative = np.less(u_new, 0.0, out=ws.mask)
@@ -469,6 +475,8 @@ def _finish_step(u_new: np.ndarray, dt: float, h: float, p: ModelParams,
         # substeps cannot jointly overdraw a cell
         ws.substeps = _viscous_substeps(dt, h, p.delta)
         scale = dt / ws.substeps * p.delta
+        if not 2.0 * scale <= h * h:  # dt/S past h^2/(2 delta): not a positive map
+            raise SimulationUnstable(0.0)
         for _ in range(ws.substeps):
             visc = _roll1(u_new, -1, ws.b1)
             visc -= np.multiply(u_new, 2.0, out=ws.b2)
@@ -535,7 +543,8 @@ def step_density(u: Field, p: ModelParams, dt: float) -> tuple[Field, float]:
     Requires u >= 0 and dt within the CFL bound of :func:`cfl_dt`.  The
     step is the positivity-limited flux update followed by the three-point
     viscosity term in `_viscous_substeps` equal substeps.  Raises
-    :class:`SimulationUnstable` on NaN.
+    :class:`SimulationUnstable` on NaN, and at a dt so far past the
+    viscosity limit that MAX_STAGES substeps each exceed h^2/(2 delta).
     """
     if np.any(u.values < 0):
         raise ValueError("step_density requires a nonnegative field")
@@ -785,7 +794,7 @@ def fpme_profile_by_rescaling(
     into phi_tau = -(-Delta)^sigma (phi^q) + beta1 * div(y phi), whose
     steady state is the Barenblatt profile of the given mass.  Evolving the
     rescaled equation equates to evolving the original flow to time
-    e^tau_end while continuously rescaling, which avoids resampling the
+    e^tau while continuously rescaling, which avoids resampling the
     slowly decaying tails through the box boundary.  Each step is
     split: explicit fractional diffusion, the positivity clip, then the
     drift, which is a pure dilation and is stepped exactly on the
@@ -797,9 +806,18 @@ def fpme_profile_by_rescaling(
     diffusion's alone.  The renormalization each step restores mass
     removed by the positivity clip.
 
-    Returns (profile, stats): stats holds the step count, the dt minimum,
-    median and maximum, and `clip_steps`, the number of steps in which the
-    positivity clip removed mass.  The steps run through `_march`: raises
+    The profile converges like e^(-tau), so tau_end is an upper bound:
+    the relaxation stops after the first step of size dt that moves phi
+    by less than STATIONARY_TOL * dt * M in L1 (M the mass of u0), and
+    returns that step's state; a run that reaches tau_end first returns
+    the state there.  Any u0 of the right mass will do, so a profile
+    relaxed on a coarser grid and moved onto this one starts it close to
+    its fixed point.
+
+    Returns (profile, stats): stats holds the step count, `tau`, the
+    rescaled time reached, the dt minimum, median and maximum, and
+    `clip_steps`, the number of steps in which the positivity clip
+    removed mass.  The steps run through `_march`: raises
     :class:`RunAborted` past MAX_STEPS steps, and
     :class:`SimulationUnstable` at the rescaled time reached when phi^q,
     the step or its dilation factor is not finite.
@@ -815,9 +833,10 @@ def fpme_profile_by_rescaling(
     primitive = np.zeros(grid.n + 1)  # Phi at the faces; Phi = 0 at the left edge
     dts = array.array("d")
     clip_steps = 0
+    latest, stationary = u, False
 
     def step(u, tau, cap):
-        nonlocal clip_steps
+        nonlocal clip_steps, latest, stationary
         try:
             rhs = _frac_laplacian_rows(u**q, grid, order)
         except ValueError:
@@ -835,19 +854,26 @@ def fpme_profile_by_rescaling(
         np.maximum(rhs, 0.0, out=rhs)
         np.cumsum(rhs, out=primitive[1:])
         primitive[1:] *= h
-        u = _dilate(primitive, faces, stretch) / h
-        total = h * u.sum()
+        latest = _dilate(primitive, faces, stretch) / h
+        total = h * latest.sum()
         if total > 0.0:
-            u *= mass / total
+            latest *= mass / total
+        change = np.abs(np.subtract(latest, u, out=rhs), out=rhs)
+        stationary = bool(h * change.sum() < STATIONARY_TOL * dt * mass)
         dts.append(dt)
-        return u, dt
+        return latest, dt
 
     # an overflowing u**q is caught by the operator's finiteness check, before
     # max(u)^(q-1) could overflow in the step bound
     with np.errstate(over="ignore"):
-        (_, phi), = (f for _, fs in _march(u, tau_end, [tau_end], step) for f in fs)
+        for tau, frames in _march(u, tau_end, [tau_end], step):
+            if frames:  # tau_end reached
+                (_, phi), = frames
+            elif stationary:
+                phi = latest
+                break
     dt_min, dt_median, dt_max = ((min(dts), _median(dts), max(dts)) if dts
                                  else (math.nan,) * 3)
-    return u0.with_values(phi), {"steps": len(dts), "dt_min": dt_min,
+    return u0.with_values(phi), {"steps": len(dts), "tau": tau, "dt_min": dt_min,
                                  "dt_median": dt_median, "dt_max": dt_max,
                                  "clip_steps": clip_steps}

@@ -23,9 +23,10 @@ solver's time-loop driver, which also fills its snapshot frames.
 Every step runs in one :class:`_RowWorkspace`, built once per sweep or run
 (once per call in `step_integrated`): the ramp is formed once, the
 slopes come from one difference pass whose shifts give the backward and
-forward slopes, neighbours are read as shifts of the flattened stack, and
-each new stack goes to one of two state buffers, so a step allocates only
-the FFT's own arrays.  The difference of the new stack is formed once; it
+forward slopes, neighbours are read as shifts of the flattened stack,
+each new stack goes to one of two state buffers and the FFT writes its
+spectrum and result into workspace buffers, so a step allocates no array
+the size of the stack.  The difference of the new stack is formed once; it
 validates the stack and becomes the next step's slopes.  The cumulative
 max and [0, M] clamp that repair a step are skipped when they cannot
 change a bit: every difference, and the first value, has a clear sign
@@ -157,9 +158,10 @@ class _RowWorkspace:
     before, so that it validates that stack and :meth:`face_slopes` then
     turns it in place into the forward slopes of the next step.  `ramp` is
     the affine primitive of each row's boundary values, `G` and `mask`
-    are scratch, and each new stack is written to
-    the one of the two `states` buffers that does not hold the current
-    one, so a step allocates no (B, n) array of its own.  Every pass over
+    are scratch, `spectrum` holds the stack's real FFT, and each new stack
+    is written to the one of the two `states` buffers that does not hold
+    the current one, which holds the spectral operator's result until
+    then; so a step allocates no (B, n) array.  Every pass over
     a whole stack runs on contiguous memory: neighbours are read as shifts
     of the flattened stack, and what a shift carries across a row boundary
     lands in an end cell, which is then overwritten.
@@ -175,6 +177,7 @@ class _RowWorkspace:
         self.differences(X)
         self.G = np.empty((B, n))
         self.mask = np.empty((B, n), dtype=bool)
+        self.spectrum = np.empty((B, n // 2 + 1), dtype=complex)
         self.states = (np.empty((B, n)), np.empty((B, n)))
         # |x| grows away from the centre node x = 0, so the cells that move
         # are one run [lo, hi); the end cells never move either
@@ -279,7 +282,9 @@ def _step_rows(X: np.ndarray, ws: _RowWorkspace, m: float, alpha: FracOrder,
     if m <= 1.0:
         raise ValueError(f"m must exceed 1, got {m}")
     G, mask, F = ws.G, ws.mask, ws.F
-    A = _frac_laplacian_rows(np.subtract(X, ws.ramp, out=G), ws.grid, alpha)
+    # the operator's result lives in the spare state buffer until `new` does
+    A = _frac_laplacian_rows(np.subtract(X, ws.ramp, out=G), ws.grid, alpha,
+                             out=ws.next_state(X), spectrum=ws.spectrum)
     np.copyto(G, F)
     backward = np.greater(A, 0.0, out=mask).reshape(-1)[1:]
     np.copyto(G.reshape(-1)[1:], F.reshape(-1)[:-1], where=backward)

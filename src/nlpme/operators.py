@@ -63,7 +63,8 @@ __all__ = [
 
 
 def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
+    # max propagates NaN: two reductions, and no boolean array of the input
+    if not (math.isfinite(values.max()) and math.isfinite(values.min())):
         raise ValueError("operator input contains NaN or Inf")
 
 
@@ -108,13 +109,19 @@ def _odd_symbol(half_length: float, n: int, power: float) -> np.ndarray:
     return sym
 
 
-def _apply_rows(a: np.ndarray, sym: np.ndarray) -> np.ndarray:
+def _apply_rows(a: np.ndarray, sym: np.ndarray, out: np.ndarray | None = None,
+                spectrum: np.ndarray | None = None) -> np.ndarray:
     """Apply a half-spectrum symbol along the last axis of a real array.
 
     `a` is one field's samples or a (B, n) stack of them; numpy's batched
-    FFT gives each row bitwise the result of its own 1-D transform.
+    FFT gives each row bitwise the result of its own 1-D transform.  The
+    result goes to `out` and the spectrum, (..., n/2+1) complex, to
+    `spectrum` when they are given, and to new arrays otherwise; the bits
+    are the same either way.
     """
-    return np.fft.irfft(sym * np.fft.rfft(a, axis=-1), a.shape[-1], axis=-1)
+    spectrum = np.fft.rfft(a, axis=-1, out=spectrum)
+    np.multiply(sym, spectrum, out=spectrum)
+    return np.fft.irfft(spectrum, a.shape[-1], axis=-1, out=out)
 
 
 def _apply_multiplier(f: Field, sym: np.ndarray) -> Field:
@@ -122,10 +129,14 @@ def _apply_multiplier(f: Field, sym: np.ndarray) -> Field:
     return f.with_values(_apply_rows(f.values, sym))
 
 
-def _frac_laplacian_rows(a: np.ndarray, grid: Grid1D, order: FracOrder) -> np.ndarray:
-    """(-Delta)^alpha along the last axis of a real array on `grid`."""
+def _frac_laplacian_rows(a: np.ndarray, grid: Grid1D, order: FracOrder,
+                         out: np.ndarray | None = None,
+                         spectrum: np.ndarray | None = None) -> np.ndarray:
+    """(-Delta)^alpha along the last axis of a real array on `grid`, into
+    the buffers `out` and `spectrum` of :func:`_apply_rows` when given."""
     _check_finite(a)
-    return _apply_rows(a, _even_symbol(grid.half_length, grid.n, 2.0 * order.alpha))
+    return _apply_rows(a, _even_symbol(grid.half_length, grid.n, 2.0 * order.alpha),
+                       out, spectrum)
 
 
 def _parseval(f: Field, sym: np.ndarray) -> float:

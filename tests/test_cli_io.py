@@ -818,8 +818,11 @@ def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
 def test_cli_transform_check_writes_relaxation_stats(tmp_path):
     """relaxation_stats.csv holds each grid's relaxation telemetry and is in
     the manifest.  At the benchmark's transform-check config the clip never
-    fires, so both profiles are fixed points of the scheme, and the two
-    relaxations take at most 3500 steps (13,440 with an explicit drift)."""
+    fires, so both profiles are fixed points of the scheme; both
+    relaxations stop at stationarity before tau_end, the fine one started
+    from the coarse profile, and they take at most 1600 steps (747 + 684
+    measured; 1112 + 2231 run to tau_end from the Gaussian, 13,440 with an
+    explicit drift)."""
     cfg = MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
     cfg = cfg.replace("n = 256", "n = 1024").replace("mass = 1.0", "mass = 2.0")
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
@@ -827,9 +830,11 @@ def test_cli_transform_check_writes_relaxation_stats(tmp_path):
     assert main(["transform-check", "--config", _write(tmp_path, cfg)]) == 0
     header, cols = read_csv(tmp_path / "o" / "relaxation_stats.csv")
     stats = dict(zip(header, cols))
-    assert header == ["n", "steps", "dt_min", "dt_median", "dt_max", "clip_steps"]
+    assert header == ["n", "steps", "tau", "dt_min", "dt_median", "dt_max",
+                      "clip_steps"]
     assert list(stats["n"]) == [512, 1024] and list(stats["clip_steps"]) == [0, 0]
-    assert stats["steps"][1] <= 2500 and stats["steps"].sum() <= 3500
+    assert stats["steps"][1] <= 800 and stats["steps"].sum() <= 1600
+    assert np.all((0.0 < stats["tau"]) & (stats["tau"] < 14.0))
     assert np.all((0.0 < stats["dt_min"]) & (stats["dt_min"] <= stats["dt_median"])
                   & (stats["dt_median"] <= stats["dt_max"]))
     text = (tmp_path / "o" / "manifest.txt").read_text()
@@ -986,9 +991,9 @@ def test_cli_integrated_nan_exit_one(tmp_path, capsys, monkeypatch):
     real = integrated._frac_laplacian_rows
     calls = []
 
-    def poisoned(W, grid, alpha):
+    def poisoned(W, grid, alpha, **buffers):
         calls.append(None)
-        A = real(W, grid, alpha)
+        A = real(W, grid, alpha, **buffers)
         if len(calls) == 3:  # the third step of the primitive run
             A[:, grid.n // 2] = np.nan
         return A

@@ -440,37 +440,43 @@ def test_row_kernel_equals_roll_references(m, s, n, kinds, signed_zeros, edge, s
         _assert_sweep_stats(sweep, 3, ref_dts)
 
 
-def test_sweep_step_allocates_only_the_fft_result(monkeypatch):
+def test_sweep_step_allocates_no_stack_array(monkeypatch):
     """After a warm-up step, one step of the sweep at the pipeline's
-    (100, 1024) stack allocates nothing but the spectral operator's arrays
-    and a margin of one numpy iterator buffer of doubles (64 KB, which the
-    broadcast of dt over the rows takes) plus 32 KB: outside the operator
-    call the traced peak stays within its (B, n) result plus that margin,
-    so a reintroduced full-stack temporary (800 KB) or boolean mask
-    (100 KB) fails.  The window runs from the second step's CFL bound to
-    the third's: one whole step, its validation and its gap included."""
+    (100, 1024) stack allocates no array of the stack's size, in the
+    spectral operator or out of it: the FFT writes its spectrum and result
+    into the workspace.  Outside the operator call the traced peak stays
+    within a margin of one numpy iterator buffer of doubles (64 KB, which
+    the broadcast of dt over the rows takes) plus 32 KB, so a reintroduced
+    full-stack temporary (800 KB) or boolean mask (100 KB) fails.  The
+    operator call stays within one iterator buffer of complex doubles
+    (128 KB, which the real symbol's cast and broadcast over the rows
+    take) plus 32 KB, so a fresh spectrum (821 KB) or result (800 KB)
+    fails.  The window runs from the second step's CFL bound to the
+    third's: one whole step, its validation and its gap included."""
     g = make_grid(15.0, 1024)
     pairs = _ordered_pairs(g, np.random.default_rng(1), 50)
     cfl_rows, frac_laplacian_rows = integrated._cfl_rows, integrated._frac_laplacian_rows
-    calls, peaks, results = [], [], []
+    calls, outside, inside, results = [], [], [], []
 
     def cfl_spy(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
             tracemalloc.start()
-            peaks.append(tracemalloc.get_traced_memory()[0])
         elif len(calls) == 3:
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            outside.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         return cfl_rows(*args, **kwargs)
 
     def operator_spy(*args, **kwargs):
         if tracemalloc.is_tracing():
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            outside.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
         A = frac_laplacian_rows(*args, **kwargs)
         if tracemalloc.is_tracing():
-            results.append(A.nbytes)
-            tracemalloc.reset_peak()  # the operator's own arrays are its cost
+            inside.append(tracemalloc.get_traced_memory()[1] - before)
+            results.append(A is kwargs.get("out"))
+            tracemalloc.reset_peak()
         return A
 
     monkeypatch.setattr(integrated, "_cfl_rows", cfl_spy)
@@ -479,11 +485,10 @@ def test_sweep_step_allocates_only_the_fft_result(monkeypatch):
         comparison_sweep(pairs, 1.5, FracOrder(0.5), 3)
     finally:
         tracemalloc.stop()
-    base, before, after = peaks
     margin = 8 * np.getbufsize() + 32 * 1024
-    assert results == [100 * 1024 * 8]
-    assert before - base < margin
-    assert after - base < results[0] + margin
+    assert len(outside) == 2 and max(outside) < margin
+    assert len(inside) == 1 and inside[0] < 16 * np.getbufsize() + 32 * 1024
+    assert results == [True]  # the result is the buffer the step handed in
 
 
 def test_scalar_bump_path_equals_array_path():
