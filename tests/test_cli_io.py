@@ -1285,6 +1285,40 @@ def test_transform_check_relaxes_through_the_public_function(tmp_path, monkeypat
         assert plain == counted_run, name
 
 
+@pytest.mark.parametrize("n, tau_end, seeded", [(64, 2.0, False), (256, 14.0, True)])
+def test_transform_check_seeds_the_fine_grid_only_from_a_stationary_profile(
+        tmp_path, monkeypatch, n, tau_end, seeded):
+    """At the CI transform-check config (n = 64, tau_end = 2) the coarse
+    relaxation reaches tau_end, so the fine one starts from the Gaussian
+    and relaxes for as long; at the transform-check-stop config (n = 256,
+    tau_end = 14) the coarse one stops at stationarity and the fine one
+    starts from its interpolant."""
+    import nlpme.experiments as experiments
+    from nlpme.evolve import fpme_profile_by_rescaling
+    from nlpme.initial_data import gaussian_bump
+
+    runs = []
+
+    def recorded(u0, *args, **kwargs):
+        profile, stats = fpme_profile_by_rescaling(u0, *args, **kwargs)
+        runs.append((u0, profile, stats))
+        return profile, stats
+
+    monkeypatch.setattr(experiments, "fpme_profile_by_rescaling", recorded)
+    cfg = (MINIMAL.replace("kind = simulate", "kind = transform-check", 1)
+           .replace("mass = 1.0", "mass = 2.0").replace("n = 256", f"n = {n}")
+           + f"\n[transform]\ntau_end = {tau_end}\n")
+    assert main(["transform-check", "--config", _write(tmp_path, cfg),
+                 "--output", str(tmp_path / "o")]) == 0
+    (_, coarse_profile, coarse_stats), (fine_u0, _, fine_stats) = runs
+    assert (coarse_stats["tau"] < tau_end) == seeded
+    start = (experiments._prolong(coarse_profile, fine_u0.grid) if seeded
+             else gaussian_bump(fine_u0.grid, 2.0, width=1.0))
+    assert np.array_equal(fine_u0.values, start.values)
+    if not seeded:
+        assert fine_stats["tau"] == tau_end
+
+
 def test_simulate_manifest_writes_the_standard_checks(tmp_path):
     """A simulate run's manifest holds the standard battery's checks, line
     for line as standard_checks returns them, then its own watchdog."""
