@@ -9,7 +9,7 @@ of one experiment (`[transform]` for transform-check, `[barrier]` for
 barrier-check, else the experiment's own name); only the selected
 experiment's section is read, into the typed values of
 `ExperimentConfig.knobs`, so one file may carry the knobs of several
-experiments.  A default may depend on `t_end` or `m`.  Every check that
+experiments.  A default may depend on `t_end`.  Every check that
 needs only the config runs here, so a bad value ends before a run
 starts; each is reported with the dotted key that caused it and, for
 syntax errors, the line number from the parser.
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import decay_fit_span
+from .diagnostics import _finite_speed, decay_fit_span
 from .evolve import ModelParams, _checked_schedule
 from .grid import Field, Grid1D, make_grid
 from .integrated import _bump_support, _check_barrier_range
@@ -107,10 +107,6 @@ def _where(cast, test, need: str):
     return checked
 
 
-def _one_of(*names):
-    return _where(str, lambda v: v in names, "one of " + ", ".join(names))
-
-
 def _schedule(raw: str) -> list:
     triples = [_floats(part) for part in raw.split(";")]
     if any(len(tri) != 3 for tri in triples):
@@ -148,7 +144,8 @@ SCHEMA = {
              "snap_times": (_where(_floats, lambda v: len(set(v)) >= 2,
                                    "at least 2 distinct times"), None),
              "snapshots": (_where(int, lambda v: v >= 2, "an integer >= 2"), 11)},
-    "initial": {"kind": (_one_of(*INITIAL_KINDS), "gaussian"),
+    "initial": {"kind": (_where(str, lambda v: v in INITIAL_KINDS,
+                                "one of " + ", ".join(INITIAL_KINDS)), "gaussian"),
                 "mass": (_NONNEGATIVE, 1.0), "width": (_finite, 1.0),
                 "radius": (_POSITIVE, 1.0), "center": (_finite, 0.0),
                 "centers": (_PAIR, (-2.0, 1.5)), "widths": (_POSITIVE_PAIR, (0.9, 0.5)),
@@ -159,18 +156,14 @@ SCHEMA = {
     "continuation": {"schedule": (_schedule, ((0.1, 0.01, 0.01), (0.05, 0.005, 0.005),
                                               (0.025, 0.0025, 0.0025))),
                      "checkpoint": (_NONNEGATIVE, lambda cfg: cfg.t_end)},
-    "propagation": {"mode": (_one_of("finite", "infinite"),
-                             lambda cfg: "finite" if cfg.model.m >= 2.0 else "infinite"),
-                    "window": (_WINDOW, lambda cfg: (0.1, min(1.0, cfg.t_end))),
+    "propagation": {"window": (_WINDOW, lambda cfg: (0.1, min(1.0, cfg.t_end))),
                     **_BARRIER},
     "smoothing": {"window": (_WINDOW, (1.0, 20.0)), "gap_tol": (_POSITIVE, 0.10)},
     "asymptotics": {
         "lambdas": (_where(_floats, lambda v: len(v) >= 2 and v[0] >= 1.0
                            and all(b > a for a, b in zip(v, v[1:])),
                            ">= 2 strictly increasing values, the first >= 1"),
-                    (1.0, 2.0, 4.0, 8.0)),
-        "t_probe": (_POSITIVE, lambda cfg: cfg.t_end),
-        "lp": (_where(_finite, lambda v: v >= 1.0, "lp >= 1"), 2.0)},
+                    (1.0, 2.0, 4.0, 8.0))},
     # the image exponent m = (2q-1)/q of the FPME map must exceed 1
     "transform": {"q": (_where(_finite, lambda v: v > 1.0, "q > 1"), 2.0),
                   "sigma": (_where(_finite, lambda v: 0.0 < v < 1.0, "0 < sigma < 1"),
@@ -306,18 +299,14 @@ def _check_knobs(cfg: ExperimentConfig, section: str) -> None:
                 f"smoothing.window: holds {len(inside)} of the snapshot times "
                 f"(geometric from {cfg.snap_times[1]:g} to time.t_end = {cfg.t_end:g}); "
                 "the decay fit needs >= 5 spanning at least a decade")
-    mode = knobs["mode"] if kind == "propagation" else None
-    if mode == "finite":
-        if cfg.model.m < 2.0:
-            raise ConfigError(f"propagation.mode: finite needs m >= 2, got model.m = "
-                              f"{cfg.model.m:g}, where the speed is infinite")
+    if kind == "propagation" and _finite_speed(cfg.model.m):  # the support fit
         lo, hi = knobs["window"]
         inside = np.count_nonzero((cfg.snap_times >= lo) & (cfg.snap_times <= hi))
         if inside < 3:
             raise ConfigError(
                 f"propagation.window: holds {inside} of the snapshot times; "
                 "the affine support fit needs at least 3")
-    if kind == "barrier-check" or mode == "infinite":
+    elif kind in ("barrier-check", "propagation"):  # the barrier witness
         m, x0 = cfg.model.m, knobs["x0"]
         center, radius = _bump_support(x0)
         if not center + radius < cfg.grid.half_length:

@@ -37,6 +37,10 @@ __all__ = [
     "finite_propagation_report",
 ]
 
+CHECK_TOL = 1e-8  # the battery's bound on mass drift and on each relative uptick
+SUPPORT_THRESHOLD = 1e-8  # support level, relative to the snapshot's sup-norm
+MAX_FIT_RESIDUAL = 0.05  # relative RMS residual the affine support fit passes under
+
 
 def mass(u: Field) -> float:
     """Box integral of the samples (periodic trapezoid = rectangle sum)."""
@@ -113,33 +117,32 @@ class CheckResult:
     detail: str = ""
 
 
-def _monotone(name: str, values, tol: float) -> CheckResult:
+def _monotone(name: str, values) -> CheckResult:
     """Nonincreasing check: the value is the largest relative uptick
-    between consecutive snapshots, and it passes below tol."""
+    between consecutive snapshots, and it passes below CHECK_TOL."""
     worst = 0.0
     for a, b in zip(values, values[1:]):
         if a > 0:
             worst = max(worst, (b - a) / a)
-    return CheckResult(name, bool(worst < tol), float(worst))
+    return CheckResult(name, bool(worst < CHECK_TOL), float(worst))
 
 
-def standard_checks(traj: Trajectory, ex: ExponentSet | None = None,
-                    tol: float = 1e-8) -> dict:
+def standard_checks(traj: Trajectory, ex: ExponentSet | None = None) -> dict:
     """The per-run conservation and monotonicity battery, {name: CheckResult}.
 
-    mass drift, sup / L2 / L4 / second-energy monotonicity, and (when the
-    exponent set is given and the run spans past t=1) the smoothing
-    envelope sup u(t) <= 2 * C * t^(-gamma) M^delta with C fitted at the
-    first snapshot past t=1.
+    mass drift, sup / L2 / L4 / second-energy monotonicity, each passing
+    below CHECK_TOL (1e-8), and (when the exponent set is given and the run
+    spans past t=1) the smoothing envelope sup u(t) <= 2 * C * t^(-gamma)
+    M^delta with C fitted at the first snapshot past t=1.
     """
     d = traj.diagnostics
     m0 = d[0].mass
     drift = max(abs(x.mass - m0) for x in d) / m0 if m0 > 0 else 0.0
-    checks = [CheckResult("mass_drift", bool(drift < tol), float(drift))]
+    checks = [CheckResult("mass_drift", bool(drift < CHECK_TOL), float(drift))]
     for name, attr in (("sup_monotone", "sup_norm"), ("l2_monotone", "l2_norm"),
                        ("l4_monotone", "l4_norm"),
                        ("second_energy_monotone", "second_energy")):
-        checks.append(_monotone(name, [getattr(x, attr) for x in d], tol))
+        checks.append(_monotone(name, [getattr(x, attr) for x in d]))
     if ex is not None and m0 > 0:
         times = traj.times
         sups = np.array([x.sup_norm for x in d])
@@ -192,20 +195,20 @@ def rescaled_family(u0: Field, p: ModelParams, lambdas, t_probe: float) -> list:
 
 @dataclass
 class ConvergenceReport:
-    pairwise_distances: list     # L^p distance between consecutive members
+    pairwise_distances: list     # L^2 distance between consecutive members
     decreasing: bool
-    weighted_profile_distances: list  # t^(beta (1-1/p)) ||u - profile|| along the largest run
+    weighted_profile_distances: list  # t^(beta/2) ||u - profile||_2 along the largest run
     weighted_decreasing: bool
     masses: list
 
 
-def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
-                           lp: float = 2.0) -> ConvergenceReport:
+def asymptotic_convergence(u0: Field, p: ModelParams, lambdas,
+                           t_probe: float) -> ConvergenceReport:
     """Cauchy record of the rescaled family at t_probe.
 
-    Consecutive L^p distances between family members must decrease for the
+    Consecutive L^2 distances between family members must decrease for the
     family to be consistent with convergence to a self-similar limit.  The
-    report also tracks t^(beta (1-1/p)) ||u(t) - profile|| along the
+    report also tracks t^(beta/2) ||u(t) - profile||_2 along the
     largest-lambda run, with the profile extracted at that run's final time.
     """
     ex = scaling_exponents(p.m, p.s)
@@ -213,7 +216,7 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
     h = u0.grid.spacing
 
     def dist(a: Field, b: Field) -> float:
-        return float((h * np.sum(np.abs(a.values - b.values) ** lp)) ** (1.0 / lp))
+        return float((h * np.sum((a.values - b.values) ** 2)) ** 0.5)
 
     finals = [r.snapshots[-1] for r in runs]
     pairwise = [dist(a, b) for a, b in zip(finals, finals[1:])]
@@ -225,7 +228,7 @@ def asymptotic_convergence(u0: Field, p: ModelParams, lambdas, t_probe: float,
         if t <= 0.0:
             continue
         ref = extract_profile_inverse(profile, ex, t)
-        w = t ** (ex.beta2 * (1.0 - 1.0 / lp))
+        w = t ** (ex.beta2 * 0.5)
         weighted.append(w * dist(snap, ref))
     return ConvergenceReport(
         pairwise_distances=pairwise,
@@ -247,6 +250,12 @@ def extract_profile_inverse(profile: Field, ex: ExponentSet, t: float) -> Field:
     return profile.with_values(vals)
 
 
+def _finite_speed(m: float) -> bool:
+    """The propagation dichotomy in one dimension: the speed is finite for
+    m >= 2 and infinite for 1 < m < 2."""
+    return m >= 2.0
+
+
 @dataclass
 class PropagationReport:
     """Support radii and boundary tails (mass beyond 0.9 L) over a run's fit
@@ -259,18 +268,17 @@ class PropagationReport:
     check: CheckResult
 
 
-def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
-                              window: tuple = (0.1, 1.0),
-                              max_residual: float = 0.05) -> PropagationReport:
+def finite_propagation_report(traj: Trajectory,
+                              window: tuple = (0.1, 1.0)) -> PropagationReport:
     """Fit the support radius to an affine function of time.
 
-    The support threshold is relative to each snapshot's sup-norm; the
-    check `support_affine_fit` passes if the relative RMS residual of the
-    affine fit stays under `max_residual` over the window.
+    The support threshold is SUPPORT_THRESHOLD (1e-8) times each snapshot's
+    sup-norm; the check `support_affine_fit` passes if the relative RMS
+    residual of the fit over the window stays under MAX_FIT_RESIDUAL (0.05).
     """
     sel = (traj.times >= window[0]) & (traj.times <= window[1])
     times = traj.times[sel]
-    radii = np.array([support_radius(snap, threshold_rel * float(np.max(snap.values)))
+    radii = np.array([support_radius(snap, SUPPORT_THRESHOLD * float(np.max(snap.values)))
                       for snap, keep in zip(traj.snapshots, sel) if keep])
     coeffs = np.polyfit(times, radii, 1)
     fitvals = np.polyval(coeffs, times)
@@ -283,7 +291,7 @@ def finite_propagation_report(traj: Trajectory, threshold_rel: float = 1e-8,
         tail_masses=np.array([d.boundary_tail
                               for d, keep in zip(traj.diagnostics, sel) if keep]),
         fit=(float(coeffs[1]), slope, resid),
-        check=CheckResult("support_affine_fit", resid < max_residual, resid,
+        check=CheckResult("support_affine_fit", resid < MAX_FIT_RESIDUAL, resid,
                           f"slope {slope:.4g}"),
     )
 

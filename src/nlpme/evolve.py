@@ -610,12 +610,16 @@ def _march(u: np.ndarray, t_end: float, snap_times, step):
                              f"{t_end:.6g} within {MAX_STEPS} steps", t)
 
 
-def _median(values) -> float:
-    """np.median of all the values, bit for bit; np.median itself would load
+def _dt_span(values) -> tuple:
+    """(min, median, max) of all the step sizes, nan for none, from one sort:
+    bit for bit np.min, np.median and np.max; np.median itself would load
     numpy.ma, for a masked-array check that no nlpme array needs."""
     v = np.sort(values, axis=None)
+    if not len(v):
+        return (math.nan,) * 3
     mid = len(v) // 2
-    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2.0)
+    median = v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2.0
+    return float(v[0]), float(median), float(v[-1])
 
 
 def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Trajectory:
@@ -643,11 +647,10 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     cut_mass = 0.0
 
     def trajectory() -> Trajectory:
-        span = ((min(dts), max(dts), _median(dts)) if dts
-                else (math.nan,) * 3)
+        dt_min, dt_median, dt_max = _dt_span(dts)
         return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                          clipped_mass, len(dts), *span, limits, limiter_steps,
-                          evaluations, fallbacks, cut_mass, substeps)
+                          clipped_mass, len(dts), dt_min, dt_max, dt_median, limits,
+                          limiter_steps, evaluations, fallbacks, cut_mass, substeps)
 
     # Steps work on plain arrays in one workspace, the states alternating
     # between its two state buffers; _march's frames are fresh arrays, so
@@ -872,8 +875,7 @@ def fpme_profile_by_rescaling(
             elif stationary:
                 phi = latest
                 break
-    dt_min, dt_median, dt_max = ((min(dts), _median(dts), max(dts)) if dts
-                                 else (math.nan,) * 3)
+    dt_min, dt_median, dt_max = _dt_span(dts)
     return u0.with_values(phi), {"steps": len(dts), "tau": tau, "dt_min": dt_min,
                                  "dt_median": dt_median, "dt_max": dt_max,
                                  "clip_steps": clip_steps}

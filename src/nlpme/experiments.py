@@ -26,6 +26,7 @@ from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv, write_npy_columns
 from .diagnostics import (
     CheckResult,
+    _finite_speed,
     asymptotic_convergence,
     finite_propagation_report,
     mass,
@@ -235,7 +236,7 @@ def _exp_continuation(cfg: ExperimentConfig, out: _Outputs):
 
 def _exp_propagation(cfg: ExperimentConfig, out: _Outputs):
     u0 = cfg.initial_field()
-    infinite = cfg.knobs["mode"] == "infinite"
+    infinite = not _finite_speed(cfg.model.m)
     if infinite:
         v0 = _fitting_primitive(u0, "the initial data")
     traj = simulate_density(u0, cfg.model, cfg.t_end, snap_times=cfg.snap_times)
@@ -274,9 +275,8 @@ def _exp_smoothing(cfg: ExperimentConfig, out: _Outputs):
 
 
 def _exp_asymptotics(cfg: ExperimentConfig, out: _Outputs):
-    lambdas, t_probe, lp = (cfg.knobs[key] for key in ("lambdas", "t_probe", "lp"))
     u0 = cfg.initial_field()
-    report = asymptotic_convergence(u0, cfg.model, lambdas, t_probe, lp=lp)
+    report = asymptotic_convergence(u0, cfg.model, cfg.knobs["lambdas"], cfg.t_end)
     m0 = mass(u0)
     mass_spread = max(abs(m - m0) / m0 for m in report.masses)
     checks = [
@@ -292,7 +292,7 @@ def _exp_asymptotics(cfg: ExperimentConfig, out: _Outputs):
             [np.arange(1, len(report.pairwise_distances) + 1),
              report.pairwise_distances])
     out.svg("family_distances.svg", LineFigure(
-        "rescaled-family Cauchy distances", "pair", f"L{lp:g} distance", [
+        "rescaled-family Cauchy distances", "pair", "L2 distance", [
             Series(list(range(1, len(report.pairwise_distances) + 1)),
                    report.pairwise_distances, "consecutive")],
         logy=True))

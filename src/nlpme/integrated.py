@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import CheckResult
-from .evolve import CFL_SAFETY, SimulationUnstable, _march, _median
+from .evolve import CFL_SAFETY, SimulationUnstable, _dt_span, _march
 from .grid import Field, FracOrder, Grid1D
 from .initial_data import _bump
 from .operators import (
@@ -390,9 +390,7 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
         _check_rows(X, M, ws.F)
         gap = np.subtract(X[:P], X[P:], out=ws.G[:P])
         worst = max(worst, float(gap.max()))
-    span = ((float(dts.min()), _median(dts), float(dts.max())) if n_steps
-            else (math.nan,) * 3)
-    return worst, X, SweepStats(n_steps, *span, repair_steps)
+    return worst, X, SweepStats(n_steps, *_dt_span(dts), repair_steps)
 
 
 def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,

@@ -530,12 +530,10 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     ("transform-check", 2.0, "[transform]\ntau_end = 0", "transform.tau_end"),
     ("transform-check", 2.0, "[transform]\ntau_end = -1", "transform.tau_end"),
     ("barrier-check", 2.5, "", "model.m"),
-    ("propagation", 2.5, "[propagation]\nmode = infinite", "model.m"),
-    # gamma = 397: the barrier would peak past the float range
+    # gamma = 397: the barrier would peak past the float range; propagation
+    # takes the barrier witness at every m < 2
     ("barrier-check", 1.99, "", "model.m"),
-    ("propagation", 1.99, "[propagation]\nmode = infinite", "model.m"),
-    # the speed is infinite for m < 2: no support fit may pass there
-    ("propagation", 1.5, "[propagation]\nmode = finite", "propagation.mode"),
+    ("propagation", 1.99, "", "model.m"),
     ("barrier-check", 1.5, "[barrier]\nx0 = 1", "barrier.x0"),
     ("barrier-check", 1.5, "[barrier]\nx0 = -13", "barrier.x0"),
     ("propagation", 1.5, "[propagation]\nx0 = 1", "propagation.x0"),
@@ -546,6 +544,10 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     ("integrated", 1.5, "[integrated]\npairs = 0", "integrated.pairs"),
     ("integrated", 1.5, "[integrated]\nsteps = -3", "integrated.steps"),
     ("integrated", 1.5, "[integrated]\nduality_tol = nan", "integrated.duality_tol"),
+    # keys that [propagation] and [asymptotics] do not declare, rejected as
+    # unknown: propagation's verdict follows model.m, and asymptotics
+    # compares its family at time.t_end in L2
+    ("propagation", 1.5, "[propagation]\nmode = finite", "propagation.mode"),
     ("asymptotics", 2.0, "[asymptotics]\nt_probe = inf", "asymptotics.t_probe"),
     ("asymptotics", 2.0, "[asymptotics]\nt_probe = -1", "asymptotics.t_probe"),
     ("asymptotics", 2.0, "[asymptotics]\nt_probe = 0", "asymptotics.t_probe"),
@@ -564,8 +566,9 @@ def test_cli_bad_window_exit_two(tmp_path, capsys, kind, t_end, window):
     ("integrated", 1.5, "[integrated]\nduality_tol = 0", "integrated.duality_tol"),
 ])
 def test_cli_bad_experiment_knob_exit_two(tmp_path, capsys, kind, m, section, key):
-    """A knob outside the range its pipeline can run ends in exit 2 naming
-    the key, and leaves no output directory."""
+    """A knob outside the range its pipeline can run, or one its section
+    does not declare, ends in exit 2 naming the key, and leaves no output
+    directory."""
     cfg = MINIMAL.replace("kind = simulate", f"kind = {kind}", 1)
     cfg = cfg.replace("m = 2.0", f"m = {m}")
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o") + f"\n{section}\n"
@@ -679,13 +682,11 @@ _KNOB_VALUES = {
                  ["0.1 0.01 0.01; 0.2 0.01 0.01", "-0.1 0.01 0.01", "0.1 0.01",
                   "0.1 0.01 0.01;", "nan 0 0"]),
     "checkpoint": (["0", "1e-6"], ["-1", "5"]),
-    "mode": (["finite", "infinite"], ["infinit"]),
     "window": (["0.01 0.5", "1e-6 1e-3"], ["0.3 0.1", "0 1", "0.2"]),
     "x0": (["-1", "-0.01", "-13"], ["0", "1", "nan"]),
     "t_probe": (["0.1", "1e-6", "2"], ["0", "-1"]),
     "gap_tol": (["0.1", "1e-12"], ["0", "inf"]),
     "lambdas": (["1 2", "1 2 4 8", "1 1.01"], ["0.5 1", "2 1", "3"]),
-    "lp": (["1", "2", "7.5"], ["0.5", "0", "inf"]),
     "q": (["1.01", "1.5", "2.0", "4.0", "30.0"], ["1", "0.5"]),
     "sigma": (["0.01", "0.3", "0.5", "0.99"], ["0", "1"]),
     "tau_end": (["1e-6", "0.1", "1.0", "3.0"], ["0", "-1"]),
@@ -1040,9 +1041,7 @@ schedule = 0.1 0.01 0.01; 0.05 0.005 0.005
 window = 0.004 0.1
 [asymptotics]
 lambdas = 1 2
-t_probe = 0.1
 [propagation]
-mode = {mode}
 window = 0.01 0.1
 x0 = -1.0
 [barrier]
@@ -1052,24 +1051,27 @@ tau_end = 0.5
 """
 
 
-@pytest.mark.parametrize("kind, init, mass, mode", [
+# the last field names propagation's verdict, which m selects; the other
+# pipelines run at m = 1.5 whatever it says
+@pytest.mark.parametrize("kind, init, mass, speed", [
     (kind, "bump" if kind == "barrier-check" else "gaussian", 1.0, "finite")
     for kind in EXPERIMENTS] + [
     ("propagation", "bump", 1.0, "infinite"),
     ("transform-check", "gaussian", 1e200, "finite"),  # SimulationUnstable
 ])
-def test_manifest_inventories_every_output(tmp_path, kind, init, mass, mode):
+def test_manifest_inventories_every_output(tmp_path, kind, init, mass, speed):
     """Every pipeline, and an aborted run: the files in the output
     directory, the manifest aside, are exactly the manifest's `file`
-    lines, and each checksum is that of the file on disk."""
+    lines, and each checksum is that of the file on disk.  `propagation`
+    takes the support fit at m = 2.0 exactly and the barrier witness at
+    m = 1.5, and writes the table of the one it took."""
     import hashlib
 
     from nlpme.experiments import run_experiment
 
     center = -2.25 if init == "bump" else 0.0
-    m = 2.0 if (kind, mode) == ("propagation", "finite") else 1.5  # finite needs m >= 2
-    text = _INVENTORY_BASE.format(kind=kind, m=m, init=init, mass=mass, mode=mode,
-                                  center=center)
+    m = 2.0 if (kind, speed) == ("propagation", "finite") else 1.5
+    text = _INVENTORY_BASE.format(kind=kind, m=m, init=init, mass=mass, center=center)
     man = run_experiment(parse_config(text), output_dir=str(tmp_path / "o"))
     lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
     listed = dict(ln[len("file "):].split(" = sha256:")
@@ -1079,10 +1081,13 @@ def test_manifest_inventories_every_output(tmp_path, kind, init, mass, mode):
     assert listed == on_disk == man.files
     aborted = any(c.name == "completed" for c in man.checks)
     assert aborted == (mass == 1e200) and bool(on_disk) != aborted
+    if kind == "propagation":
+        assert ("support_radius.csv" in on_disk, "barrier.csv" in on_disk) == (
+            speed == "finite", speed == "infinite")
 
 
 def test_propagation_infinite_reports_the_barrier_witness_as_barrier_check(tmp_path):
-    """`propagation` in infinite mode and `barrier-check` report one witness:
+    """`propagation` at m < 2 and `barrier-check` report one witness:
     the same `barrier.csv`, byte for byte, and the same five check lines in
     the chain's order.  On the bench's barrier bump (a 7-step density run
     at m = 1.5) every link passes, so the run exits 0."""
@@ -1090,10 +1095,9 @@ def test_propagation_infinite_reports_the_barrier_witness_as_barrier_check(tmp_p
             "[time]\nt_end = 0.1\n[initial]\nkind = bump\nmass = 2.0\n"
             "radius = 1.25\ncenter = -2.25\n")
     checks = {}
-    for kind, extra in (("barrier-check", ""),
-                        ("propagation", "[propagation]\nmode = infinite\n")):
+    for kind in ("barrier-check", "propagation"):
         path = tmp_path / f"{kind}.ini"
-        path.write_text(base + extra)
+        path.write_text(base)
         assert main([kind, "--config", str(path), "--output", str(tmp_path / kind)]) == 0
         manifest = (tmp_path / kind / "manifest.txt").read_text().splitlines()
         checks[kind] = [ln for ln in manifest if ln.startswith("check ")]

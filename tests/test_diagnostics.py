@@ -253,7 +253,7 @@ def test_asymptotic_convergence_cauchy():
     g = make_grid(15.0, 1024)
     u0 = two_bump(g, 1.0)
     p = ModelParams(1.5, 0.5)
-    rep = asymptotic_convergence(u0, p, [1.0, 2.0, 4.0], 0.5, lp=2.0)
+    rep = asymptotic_convergence(u0, p, [1.0, 2.0, 4.0], 0.5)
     assert rep.decreasing
     m0 = mass(u0)
     assert max(abs(m - m0) / m0 for m in rep.masses) < 1e-8

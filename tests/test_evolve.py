@@ -27,7 +27,7 @@ from nlpme.evolve import (
     ModelParams,
     SimulationUnstable,
     _dilate,
-    _median,
+    _dt_span,
     _roll1,
     cfl_dt,
     continuation_limit,
@@ -308,27 +308,29 @@ _step_sizes = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v +
 @example(values=[1e308, 1e308, -1.0])
 @example(values=[1e308, 1e308])
 def test_median_is_np_median_bitwise(values):
-    """_median returns np.median's bits, on the array.array of step sizes
-    simulate_density keeps and on a plain array.  Signed zeros are folded to
-    +0.0: which of -0.0 and 0.0 lands in the middle is the sort's choice.
-    Two middle values near the largest float overflow to inf in both."""
+    """_dt_span returns the bits of np.min, np.median and np.max, on the
+    array.array of step sizes simulate_density keeps and on a plain array.
+    Signed zeros are folded to +0.0: which of -0.0 and 0.0 lands in the
+    middle is the sort's choice.  Two middle values near the largest float
+    overflow to inf in both."""
     import array
 
     with np.errstate(over="ignore"):
-        want = np.float64(np.median(values)).tobytes()
-        assert np.float64(_median(np.array(values))).tobytes() == want
-        assert np.float64(_median(array.array("d", values))).tobytes() == want
+        want = [np.float64(f(values)).tobytes() for f in (np.min, np.median, np.max)]
+        for dts in (np.array(values), array.array("d", values)):
+            assert [np.float64(v).tobytes() for v in _dt_span(dts)] == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(steps=st.integers(1, 60), pairs=st.integers(1, 8), data=st.data())
 def test_median_of_sweep_steps_is_np_median_bitwise(steps, pairs, data):
-    """On the (steps, P) array of comparison_sweep's step sizes, _median is
-    np.median over all entries, bit for bit."""
+    """On the (steps, P) array of comparison_sweep's step sizes, _dt_span is
+    np.min, np.median and np.max over all entries, bit for bit."""
     dts = np.array(data.draw(st.lists(_step_sizes, min_size=steps * pairs,
                                       max_size=steps * pairs))).reshape(steps, pairs)
     with np.errstate(over="ignore"):
-        assert np.float64(_median(dts)).tobytes() == np.float64(np.median(dts)).tobytes()
+        want = [np.float64(f(dts)).tobytes() for f in (np.min, np.median, np.max)]
+        assert [np.float64(v).tobytes() for v in _dt_span(dts)] == want
 
 
 def test_roll1_is_np_roll():
@@ -1354,9 +1356,10 @@ def test_max_symbol_is_the_stepped_operator_spectrum(n, s, eps):
 
 
 def _failed_checks(traj):
-    """The checks of standard_checks(tol=1e-8) that fail, with their values."""
+    """The checks of standard_checks (bound CHECK_TOL = 1e-8) that fail,
+    with their values."""
     failed = {}
-    for name, check in standard_checks(traj, tol=1e-8).items():
+    for name, check in standard_checks(traj).items():
         if not check.passed:
             failed[name] = check.value
     return failed
