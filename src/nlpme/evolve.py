@@ -26,13 +26,14 @@ S stages that reach the other limits (`_rkl_stages`), redone as the
 Euler step if a stage goes negative; then `_finish_step` (the viscous
 substeps, clipping, NaN check).  Every other step is bitwise the Euler
 step of the public `cfl_dt` and `step_density`.  `simulate_density`
-looks the symbol up once per run and keeps step telemetry.  The pieces
-write every intermediate into a `_Workspace` of preallocated length-n
-buffers and each new state into the state buffer that does not hold the
-current one, so a step allocates no length-n array outside the pressure
-evaluations.  The limiter's factor pass runs only when some cell has
-POSITIVITY_HEADROOM * u < outflow: otherwise every factor is exactly 1.0
-(see `_apply_flux`) and skipping the multiply changes no bit.
+looks the symbol up once per run and adds each step's telemetry to the
+`Trajectory` it returns.  The pieces write every intermediate into a
+`_Workspace` of preallocated length-n buffers and each new state into the
+state buffer that does not hold the current one, so a step allocates no
+length-n array outside the pressure evaluations.  The limiter's factor
+pass runs only when some cell has POSITIVITY_HEADROOM * u < outflow:
+otherwise every factor is exactly 1.0 (see `_apply_flux`) and skipping
+the multiply changes no bit.
 
 `_march` is the one time loop of this solver, the integrated scheme and
 the FPME relaxation: snapshot schedule, horizon cap, interpolation of the
@@ -47,7 +48,7 @@ from __future__ import annotations
 import array
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -131,34 +132,37 @@ class SnapshotDiagnostics:
 class Trajectory:
     """Time-stamped snapshots of a run plus per-snapshot diagnostics.
 
-    The step telemetry covers every completed step: its count, the
-    smallest, largest and median dt (NaN before the first step),
-    `limits`, how many steps each bound of STEP_LIMITS set,
-    `limiter_steps`, in how many steps the positivity limiter cut at least
-    one cell's outflow, and `limited_flux_mass`, the flux mass it cut.
-    `flux_evaluations` counts pressure evaluations (rfft/irfft pairs),
-    one per Euler step and S per RKL1 step, and `fallback_steps` the RKL1
-    steps redone as Euler steps.  A step redone after stage j costs j
-    evaluations in all: u's pressure gradient is kept, so redoing its face
-    flux after later stages overwrote it costs none.
-    `viscosity_substeps` counts the three-point viscous substeps, S per
-    step when delta > 0 (see `_viscous_substeps`) and none when delta = 0.
+    The keyword-only fields are the step telemetry of every completed
+    step, declared in the column order of `solver_stats.csv`: the step
+    count, the clipped mass, the smallest, largest and median dt (NaN
+    before the first step), `limits`, how many steps each bound of
+    STEP_LIMITS set, `limiter_steps`, in how many steps the positivity
+    limiter cut at least one cell's outflow, and `limited_flux_mass`, the
+    flux mass it cut.  `flux_evaluations` counts pressure evaluations
+    (rfft/irfft pairs), one per Euler step and S per RKL1 step, and
+    `fallback_steps` the RKL1 steps redone as Euler steps.  A step redone
+    after stage j costs j evaluations in all: u's pressure gradient is
+    kept, so redoing its face flux after later stages overwrote it costs
+    none.  `viscosity_substeps` counts the three-point viscous substeps, S
+    per step when delta > 0 (see `_viscous_substeps`) and none when
+    delta = 0.
     """
 
     params: ModelParams
     times: np.ndarray
     snapshots: list
     diagnostics: list
-    clipped_mass: float = 0.0
+    _: KW_ONLY
     steps: int = 0
+    clipped_mass: float = 0.0
     dt_min: float = math.nan
     dt_max: float = math.nan
     dt_median: float = math.nan
     limits: dict = field(default_factory=lambda: dict.fromkeys(STEP_LIMITS, 0))
     limiter_steps: int = 0
+    limited_flux_mass: float = 0.0
     flux_evaluations: int = 0
     fallback_steps: int = 0
-    limited_flux_mass: float = 0.0
     viscosity_substeps: int = 0
 
     @property
@@ -181,21 +185,20 @@ class Trajectory:
 
 
 class RunAborted(RuntimeError):
-    """Raised when a run cannot reach its horizon for a reason other than
-    instability (too many steps, a box too small for the data); carries
-    the time reached."""
+    """Raised when a run cannot reach its horizon (too many steps, a box
+    too small for the data, an unstable step); carries the time reached."""
 
     def __init__(self, message: str, t_last: float = 0.0):
         super().__init__(message)
         self.t_last = t_last
 
 
-class SimulationUnstable(RuntimeError):
-    """Raised when a step produces NaN; carries the last stable time."""
+class SimulationUnstable(RunAborted):
+    """Raised when a step produces NaN; carries the last stable time and
+    the trajectory of the steps completed before it."""
 
     def __init__(self, t_last: float, partial: "Trajectory | None" = None):
-        super().__init__(f"simulation went unstable; last stable time t={t_last:.6g}")
-        self.t_last = t_last
+        super().__init__(f"simulation unstable at t={t_last:.6g}", t_last)
         self.partial = partial
 
 
@@ -632,25 +635,24 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     is bitwise the one :func:`cfl_dt` and :func:`step_density` would take,
     save where m >= 2 and the stiffness limit binds: there it is an RKL1
     step (see `_rkl_stages`), or that Euler step if a stage goes negative.
-    The trajectory also keeps the step telemetry of :class:`Trajectory`.
+    The trajectory also keeps the step telemetry of :class:`Trajectory`;
+    an abort raises :class:`SimulationUnstable` with the same trajectory,
+    up to the last completed step, as `partial`.
     """
     if np.any(u0.values < 0):
         raise ValueError("initial data must be nonnegative")
     grid = u0.grid
     h = grid.spacing
     mass0 = float(h * u0.values.sum())
-    clipped_mass = 0.0
-    stored_times, snapshots, diags = [], [], []
-    limits = dict.fromkeys(STEP_LIMITS, 0)
+    # the run's one record: each completed step adds its counts to it, and
+    # record() turns its times, a list until then, into an array
+    traj = Trajectory(p, [], [], [])
     dts = array.array("d")  # every step's dt, 8 bytes a step
-    limiter_steps = evaluations = fallbacks = substeps = 0
-    cut_mass = 0.0
 
-    def trajectory() -> Trajectory:
-        dt_min, dt_median, dt_max = _dt_span(dts)
-        return Trajectory(p, np.asarray(stored_times), snapshots, diags,
-                          clipped_mass, len(dts), dt_min, dt_max, dt_median, limits,
-                          limiter_steps, evaluations, fallbacks, cut_mass, substeps)
+    def record() -> Trajectory:
+        traj.times = np.asarray(traj.times)
+        traj.dt_min, traj.dt_median, traj.dt_max = _dt_span(dts)
+        return traj
 
     # Steps work on plain arrays in one workspace, the states alternating
     # between its two state buffers; _march's frames are fresh arrays, so
@@ -660,8 +662,6 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
     sym = _pressure_symbol(grid, p)
 
     def step(u, t, cap):
-        nonlocal clipped_mass, limiter_steps, evaluations, fallbacks, cut_mass
-        nonlocal substeps
         w = _apply_rows(u, sym)  # the bound, the first stage and any fallback
         J, a, w_face = _face_flux(u, w, p, ws)
         bounds = _step_bounds(J, a, w_face, grid, p)
@@ -686,40 +686,40 @@ def simulate_density(u0: Field, p: ModelParams, t_end: float, snap_times) -> Tra
             if u_next is None:
                 u_next, clipped, limited = _apply_flux(u, J, dt, h, p, ws)
         except SimulationUnstable:
-            raise SimulationUnstable(t, trajectory()) from None
-        clipped_mass += clipped
-        evaluations += evals
-        fallbacks += fell_back
-        substeps += ws.substeps
+            raise SimulationUnstable(t, record()) from None
+        traj.steps += 1
+        traj.clipped_mass += clipped
+        traj.limits[limit] += 1
         if limited:
-            limiter_steps += 1
-            cut_mass += ws.cut
-        limits[limit] += 1
+            traj.limiter_steps += 1
+            traj.limited_flux_mass += ws.cut
+        traj.flux_evaluations += evals
+        traj.fallback_steps += fell_back
+        traj.viscosity_substeps += ws.substeps
         dts.append(dt)
         return u_next, dt
 
     for t, frames in _march(ws.states[0], t_end, snap_times, step):
         for ts, values in frames:
             snap = Field(grid, values)
-            stored_times.append(ts)
-            snapshots.append(snap)
-            diags.append(_diagnose(snap, p))
-        if mass0 > 0 and clipped_mass > 1e-6 * mass0:
-            raise SimulationUnstable(t, trajectory())
-    return trajectory()
+            traj.times.append(ts)
+            traj.snapshots.append(snap)
+            traj.diagnostics.append(_diagnose(snap, p))
+        if mass0 > 0 and traj.clipped_mass > 1e-6 * mass0:
+            raise SimulationUnstable(t, record())
+    return record()
 
 
 @dataclass
 class ContinuationReport:
-    """Cauchy record of the regularization-removal chain, with the step
-    telemetry of each run (see :class:`Trajectory`)."""
+    """Cauchy record of the regularization-removal chain, beside the
+    trajectory of each run, which holds its step telemetry (see
+    :class:`Trajectory`)."""
 
     distances: list  # L2 distance between consecutive runs at the checkpoint
     masses: list     # final mass of each run
     decreasing: bool
-    steps: list               # steps of each run
-    flux_evaluations: list    # pressure evaluations of each run
-    viscosity_substeps: list  # viscous substeps of each run
+    runs: list       # the Trajectory of each run, in schedule order
 
 
 def _checked_schedule(schedule) -> list:
@@ -751,7 +751,7 @@ def continuation_limit(
     trajectory (frames at five even times over [0, t_end] and at the
     checkpoint) plus a report with the L2 distances at the checkpoint time
     between consecutive runs, which should decrease as the regularization
-    vanishes, and every run's final mass and step counts.
+    vanishes, every run's final mass and every run's trajectory.
     """
     schedule = _checked_schedule(schedule)
     if checkpoint is None:
@@ -770,9 +770,7 @@ def continuation_limit(
     ]
     masses = [r.diagnostics[-1].mass for r in runs]
     decreasing = all(b < a for a, b in zip(distances, distances[1:]))
-    return runs[-1], ContinuationReport(
-        distances, masses, decreasing, [r.steps for r in runs],
-        [r.flux_evaluations for r in runs], [r.viscosity_substeps for r in runs])
+    return runs[-1], ContinuationReport(distances, masses, decreasing, runs)
 
 
 def _dilate(primitive: np.ndarray, faces: np.ndarray, stretch: float) -> np.ndarray:

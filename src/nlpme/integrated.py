@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import CheckResult
-from .evolve import CFL_SAFETY, SimulationUnstable, _dt_span, _march
+from .evolve import CFL_SAFETY, RunAborted, SimulationUnstable, _dt_span, _march
 from .grid import Field, FracOrder, Grid1D
 from .initial_data import _bump
 from .operators import (
@@ -366,7 +366,8 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
     dt = min(cfl(v), cfl(V)), every row is validated after every step, and
     `worst` is the largest max(v - V) seen over all pairs and steps (0 if
     the order always held).  Each row is bitwise what stepping its pair
-    alone with :func:`step_integrated` gives.
+    alone with :func:`step_integrated` gives.  A step that is not finite
+    raises :class:`RunAborted` naming it.
     """
     if not pairs:
         return 0.0, np.empty((0, 0)), SweepStats(0, math.nan, math.nan, math.nan, 0)
@@ -385,7 +386,11 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
     for k in range(n_steps):
         row_dts = _cfl_rows(ws.face_slopes(), grid.spacing, m, alpha)
         dt = np.minimum(row_dts[:P], row_dts[P:], out=dts[k])
-        X, repaired = _step_rows(X, ws, m, alpha, np.concatenate((dt, dt)))
+        try:
+            X, repaired = _step_rows(X, ws, m, alpha, np.concatenate((dt, dt)))
+        except SimulationUnstable:  # the pairs share no clock: name the step
+            raise RunAborted(f"comparison sweep step {k + 1} of {n_steps} "
+                             "is not finite") from None
         repair_steps += repaired
         _check_rows(X, M, ws.F)
         gap = np.subtract(X[:P], X[P:], out=ws.G[:P])

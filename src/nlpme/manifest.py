@@ -42,7 +42,6 @@ class RunManifest:
     checks: list = field(default_factory=list)
     files: dict = field(default_factory=dict)  # relpath -> sha256
     wall_clock: float = 0.0
-    version: str = VERSION
 
     @property
     def all_passed(self) -> bool:
@@ -61,7 +60,7 @@ def _render(man: RunManifest) -> str:
              f"# versions: python {sys.version.split()[0]}, "
              f"numpy {numpy.__version__}, scipy {scipy.__version__}"]
     lines.append(f"experiment = {man.experiment}")
-    lines.append(f"version = {man.version}")
+    lines.append(f"version = {VERSION}")
     lines.append(f"all_passed = {str(man.all_passed).lower()}")
     for c in man.checks:
         status = "PASS" if c.passed else "FAIL"

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = ["Series", "LineFigure", "render_svg", "write_svg"]
 
+WIDTH, HEIGHT = 720, 480  # every figure's size in pixels
 _PALETTE = ["#1f5fa8", "#c23b22", "#2e8540", "#8031a7", "#b8860b", "#12787f",
             "#77216f", "#444444"]
 
@@ -39,8 +40,6 @@ class LineFigure:
     series: list = field(default_factory=list)
     logx: bool = False
     logy: bool = False
-    width: int = 720
-    height: int = 480
 
 
 def _axis_values(vals, log: bool) -> np.ndarray:
@@ -95,7 +94,7 @@ def _ticks(lo: float, hi: float, log: bool, n: int = 5):
 
 
 def render_svg(fig: LineFigure) -> str:
-    W, H = fig.width, fig.height
+    W, H = WIDTH, HEIGHT
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = W - ml - mr, H - mt - mb
 

@@ -396,9 +396,19 @@ def test_cli_exit_zero_on_pass_and_outputs(tmp_path, capsys):
     assert (outdir / "density_evolution.svg").exists()
 
 
-def test_cli_writes_solver_stats(tmp_path):
+def test_cli_writes_solver_stats(tmp_path, monkeypatch):
     """solver_stats.csv holds the run's step telemetry and is in the
-    manifest; every step is charged to one limit."""
+    manifest; every step is charged to one limit.  The row read back is
+    the returned trajectory's telemetry, bit for bit."""
+    import nlpme.experiments as exps
+
+    real, runs = exps.simulate_density, []
+
+    def simulate_density(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(exps, "simulate_density", simulate_density)
     cfg = MINIMAL.replace("dir = out", f"dir = {tmp_path}/out")
     assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
     outdir = tmp_path / "out"
@@ -415,12 +425,28 @@ def test_cli_writes_solver_stats(tmp_path):
     assert 0.0 < stats["dt_min"] <= stats["dt_median"] <= stats["dt_max"]
     assert stats["viscosity_substeps"] == 0  # delta = 0
     assert "file solver_stats.csv = sha256:" in (outdir / "manifest.txt").read_text()
+    (traj,) = runs
+    for name, value in stats.items():
+        limit = name.removeprefix("steps_")
+        want = traj.limits[limit] if limit in traj.limits else getattr(traj, name)
+        assert np.float64(value).tobytes() == np.float64(want).tobytes(), name
 
 
-def test_cli_continuation_writes_every_runs_telemetry(tmp_path):
+def test_cli_continuation_writes_every_runs_telemetry(tmp_path, monkeypatch):
     """continuation.csv has one row per run of the schedule with its step
-    telemetry; the last row is the final run of solver_stats.csv.  At
-    n = 512 the first run's viscous update is split into substeps."""
+    telemetry; every row is that run's trajectory, bit for bit, and the
+    last row is the final run of solver_stats.csv.  At n = 512 the first
+    run's viscous update is split into substeps."""
+    import nlpme.experiments as exps
+
+    real, reports = exps.continuation_limit, []
+
+    def continuation_limit(*args, **kwargs):
+        final, report = real(*args, **kwargs)
+        reports.append(report)
+        return final, report
+
+    monkeypatch.setattr(exps, "continuation_limit", continuation_limit)
     cfg = MINIMAL.replace("kind = simulate", "kind = continuation", 1)
     cfg = cfg.replace("n = 256", "n = 512").replace("dir = out", f"dir = {tmp_path}/out")
     assert main(["continuation", "--config", _write(tmp_path, cfg)]) == 0
@@ -438,6 +464,13 @@ def test_cli_continuation_writes_every_runs_telemetry(tmp_path):
     stats = dict(zip(stats_header, (float(c[0]) for c in stats_cols)))
     for name in ("steps", "flux_evaluations", "viscosity_substeps"):
         assert runs[name][-1] == stats[name]
+    (report,) = reports
+    assert len(report.runs) == 3
+    for i, traj in enumerate(report.runs):
+        row = [traj.params.eps, traj.params.delta, traj.params.mu,
+               traj.diagnostics[-1].mass, traj.steps, traj.flux_evaluations,
+               traj.viscosity_substeps]
+        assert np.array_equal(np.array([c[i] for c in cols]), np.array(row, dtype=float))
 
 
 @pytest.mark.parametrize("kind", ["simulate", "integrated"])
@@ -813,7 +846,27 @@ def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
     cfg = cfg.replace("dir = out", f"dir = {tmp_path}/o")
     assert main(["transform-check", "--config", _write(tmp_path, cfg)]) == 1
     assert "[FAIL] completed" in capsys.readouterr().out
-    assert "check completed = FAIL" in (tmp_path / "o" / "manifest.txt").read_text()
+    assert ("check completed = FAIL value=0  # simulation unstable at t=0\n"
+            in (tmp_path / "o" / "manifest.txt").read_text())
+
+
+def test_cli_comparison_sweep_abort_names_its_step(tmp_path):
+    """At m = 1000 the density and primitive runs complete, and the
+    comparison sweep's first step is not finite: the CLI, in a fresh
+    interpreter, exits 1 without a traceback, and the manifest names the
+    sweep step, since the pairs step on no shared clock."""
+    path = _write(tmp_path, "[model]\nm = 1000\ns = 0.5\n[grid]\nhalf_length = 15.0\n"
+                  "n = 64\n[time]\nt_end = 0.05\n[integrated]\npairs = 4\nsteps = 10\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "nlpme.cli", "integrated", "--config",
+                           path, "--output", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("check completed = FAIL value=0  # comparison sweep step 1 of 10 is not "
+            "finite\n" in (tmp_path / "o" / "manifest.txt").read_text())
 
 
 def test_cli_transform_check_writes_relaxation_stats(tmp_path):
@@ -869,10 +922,13 @@ def test_cli_failed_check_exit_one(tmp_path, capsys):
 
 
 def test_numerical_abort_gives_partial_manifest(tmp_path, monkeypatch):
-    """A solver abort still writes a manifest, with a failed check."""
+    """A solver abort still writes a manifest, with a failed check.  An
+    instability is one kind of RunAborted, and its detail names the time."""
     import nlpme.experiments as exps
     from nlpme.config import parse_config
-    from nlpme.evolve import SimulationUnstable
+    from nlpme.evolve import RunAborted, SimulationUnstable
+
+    assert issubclass(SimulationUnstable, RunAborted)
 
     def boom(*args, **kwargs):
         raise SimulationUnstable(0.25)
@@ -882,7 +938,7 @@ def test_numerical_abort_gives_partial_manifest(tmp_path, monkeypatch):
     assert not man.all_passed
     assert any(c.name == "completed" and not c.passed for c in man.checks)
     text = (tmp_path / "manifest.txt").read_text()
-    assert "check completed = FAIL" in text
+    assert "check completed = FAIL value=0.25  # simulation unstable at t=0.25\n" in text
 
 
 def test_cli_box_too_small_for_lambda_exit_one(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from nlpme.svgfig import _PALETTE, LineFigure, Series, _m4_indices, render_svg
 
-PW = 630  # plot width in pixels of the default 720 x 480 figure
+PW = 630  # plot width in pixels of the 720 x 480 figure
 KINDS = ("random", "spiky", "smooth", "log", "nonfinite")
 
 
@@ -48,7 +48,7 @@ def _ticks(lo, hi, log, n=5):
 
 def _reference_render(fig):
     """(svg text drawing every point, [[(px, py), ...] per series])."""
-    W, H = fig.width, fig.height
+    W, H = 720, 480  # every figure's size
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = W - ml - mr, H - mt - mb
 
