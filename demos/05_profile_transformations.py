@@ -14,12 +14,9 @@ import numpy as np
 
 from nlpme import (
     ProfileFamily,
-    ProfileKind,
     fpme_profile_by_rescaling,
-    fpme_rate,
     make_grid,
     residual_report,
-    scaling_exponents,
     transform_fpme_profile,
     transform_profile_high_m,
 )
@@ -38,22 +35,21 @@ phi1, stats = fpme_profile_by_rescaling(gaussian_bump(grid, 1.0, width=1.0), q,
                                         sigma, tau_end=14.0)
 print(f"  stopped at tau = {stats['tau']:.2f} of at most 14, after "
       f"{stats['steps']} steps")
-kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
-rep1 = residual_report(phi1, kind1, q, sigma)
+rep1 = residual_report(phi1, ProfileFamily.FPME, q, sigma)
 print(f"  source profile: sup {phi1.values.max():.4f}, relative residual "
       f"{rep1.relative:.2e}")
 
 mapped = transform_fpme_profile(phi1, q, sigma)
-rep2 = residual_report(mapped.profile, mapped.kind, mapped.m, mapped.s)
+rep2 = residual_report(mapped.profile, ProfileFamily.MASS_CONSERVING, mapped.m,
+                       mapped.s)
 print(f"  mapped to (m={mapped.m}, s={mapped.s}) with prefactor "
       f"{mapped.prefactor:.4f}: relative residual {rep2.relative:.2e} "
       f"({rep2.relative / rep1.relative:.2f}x the source floor)")
 
 # the m > 2 companion map and its algebraic inverse
 m_high = 3.0
-beta = scaling_exponents(m_high, 0.5).beta2
 positive = Field(grid, 0.2 + np.exp(-grid.nodes**2))
-res = transform_profile_high_m(positive, m_high, beta, 0.5)
+res = transform_profile_high_m(positive, m_high, 0.5)
 back = res.c * res.profile.values**res.mhat
 print(f"\nm={m_high} companion map: mhat = {res.mhat:g}, b = {res.b:.4f}, "
       f"round-trip error {np.max(np.abs(back - positive.values)):.2e}")

@@ -52,8 +52,6 @@ from .integrated import (
 from .manifest import RunManifest, write_manifest
 from .similarity import (
     ProfileFamily,
-    ProfileKind,
-    fpme_rate,
     residual_report,
     scaling_exponents,
     transform_fpme_profile,
@@ -315,13 +313,13 @@ def _exp_transform_check(cfg: ExperimentConfig, out: _Outputs):
     q, sigma, tau_end = (cfg.knobs[key] for key in ("q", "sigma", "tau_end"))
     grid = cfg.grid
     coarse = make_grid(grid.half_length, grid.n // 2)
-    kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
 
     def residuals(u0):
         phi1, stats = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
-        rep1 = residual_report(phi1, kind1, q, sigma)
+        rep1 = residual_report(phi1, ProfileFamily.FPME, q, sigma)
         mapped = transform_fpme_profile(phi1, q, sigma)
-        rep2 = residual_report(mapped.profile, mapped.kind, mapped.m, mapped.s)
+        rep2 = residual_report(mapped.profile, ProfileFamily.MASS_CONSERVING,
+                               mapped.m, mapped.s)
         return phi1, mapped, rep1, rep2, {"n": u0.grid.n, **stats}
 
     phi1_c, _, _, rep2_c, stats_c = residuals(

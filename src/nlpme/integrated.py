@@ -347,8 +347,9 @@ def step_integrated(v: PrimitiveField, m: float, alpha: FracOrder, dt: float,
 @dataclass(frozen=True)
 class SweepStats:
     """Telemetry of :func:`comparison_sweep`: the steps taken, the range
-    and median of the P * steps pair steps dt, and the number of steps in
-    which the cumulative max or clamp ran."""
+    and median of the pair steps dt of the pairs that moved (nan if none
+    did), and the number of steps in which the cumulative max or clamp
+    ran."""
 
     steps: int
     dt_min: float
@@ -366,8 +367,11 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
     dt = min(cfl(v), cfl(V)), every row is validated after every step, and
     `worst` is the largest max(v - V) seen over all pairs and steps (0 if
     the order always held).  Each row is bitwise what stepping its pair
-    alone with :func:`step_integrated` gives.  A step that is not finite
-    raises :class:`RunAborted` naming it.
+    alone with :func:`step_integrated` gives.  A pair with no speed (its
+    slope power is 0, or so small that its step bound is infinite) steps
+    by dt = 0 and stays bitwise as it is; that bound is left out of the dt
+    record.  A step that is not finite, an overflowing slope power's
+    among them, raises :class:`RunAborted` naming it.
     """
     if not pairs:
         return 0.0, np.empty((0, 0)), SweepStats(0, math.nan, math.nan, math.nan, 0)
@@ -383,19 +387,22 @@ def comparison_sweep(pairs, m: float, alpha: FracOrder, n_steps: int):
     worst = 0.0
     dts = np.empty((n_steps, P))
     repair_steps = 0
-    for k in range(n_steps):
-        row_dts = _cfl_rows(ws.face_slopes(), grid.spacing, m, alpha)
-        dt = np.minimum(row_dts[:P], row_dts[P:], out=dts[k])
-        try:
-            X, repaired = _step_rows(X, ws, m, alpha, np.concatenate((dt, dt)))
-        except SimulationUnstable:  # the pairs share no clock: name the step
-            raise RunAborted(f"comparison sweep step {k + 1} of {n_steps} "
-                             "is not finite") from None
-        repair_steps += repaired
-        _check_rows(X, M, ws.F)
-        gap = np.subtract(X[:P], X[P:], out=ws.G[:P])
-        worst = max(worst, float(gap.max()))
-    return worst, X, SweepStats(n_steps, *_dt_span(dts), repair_steps)
+    # an overflowing slope power gives a step that _step_rows finds not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            row_dts = _cfl_rows(ws.face_slopes(), grid.spacing, m, alpha)
+            dt = np.minimum(row_dts[:P], row_dts[P:], out=dts[k])
+            dt = np.where(np.isinf(dt), 0.0, dt)
+            try:
+                X, repaired = _step_rows(X, ws, m, alpha, np.concatenate((dt, dt)))
+            except SimulationUnstable:  # the pairs share no clock: name the step
+                raise RunAborted(f"comparison sweep step {k + 1} of {n_steps} "
+                                 "is not finite") from None
+            repair_steps += repaired
+            _check_rows(X, M, ws.F)
+            gap = np.subtract(X[:P], X[P:], out=ws.G[:P])
+            worst = max(worst, float(gap.max()))
+    return worst, X, SweepStats(n_steps, *_dt_span(dts[np.isfinite(dts)]), repair_steps)
 
 
 def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
@@ -427,10 +434,12 @@ def simulate_integrated(v0: PrimitiveField, m: float, alpha: FracOrder,
         return X, float(dt[0])
 
     times, states = [], []
-    for _, frames in _march(X0, t_end, snap_times, step):
-        for ts, X in frames:
-            times.append(ts)
-            states.append(PrimitiveField(grid, X[0], v0.total_mass))
+    # an overflowing slope power gives a step that _step_rows finds not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, frames in _march(X0, t_end, snap_times, step):
+            for ts, X in frames:
+                times.append(ts)
+                states.append(PrimitiveField(grid, X[0], v0.total_mass))
     return np.asarray(times), states, stats
 
 

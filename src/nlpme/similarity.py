@@ -30,7 +30,6 @@ from .operators import frac_laplacian, riesz_gradient, spectral_derivative
 __all__ = [
     "ExponentSet",
     "ProfileFamily",
-    "ProfileKind",
     "scaling_exponents",
     "fpme_rate",
     "FpmeTransformResult",
@@ -89,18 +88,25 @@ def scaling_exponents(m: float, s: float, N: int = 1, p: float = 1.0) -> Exponen
     )
 
 
-def fpme_rate(q: float, sigma: float, N: int = 1) -> float:
-    """Barenblatt rate beta1 = 1/(N(q-1) + 2 sigma) of the FPME.
+def fpme_rate(q: float, sigma: float) -> float:
+    """Barenblatt rate beta1 = 1/(q - 1 + 2 sigma) of the one-dimensional FPME.
 
-    Defined (positive) only above the critical exponent q > (N - 2 sigma)/N.
+    Defined (positive) only above the critical exponent q > 1 - 2 sigma.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    if q <= (N - 2.0 * sigma) / N:
-        raise ValueError(
-            f"q={q} is at or below the critical exponent {(N - 2.0 * sigma) / N}"
-        )
-    return 1.0 / (N * (q - 1.0) + 2.0 * sigma)
+    if q <= 1.0 - 2.0 * sigma:
+        raise ValueError(f"q={q} is at or below the critical exponent {1.0 - 2.0 * sigma}")
+    return 1.0 / (q - 1.0 + 2.0 * sigma)
+
+
+def _companion_rate(mhat: float, s: float) -> float:
+    """Rate b = 1/(mhat + 1 + 2(1 - s)) of the one-dimensional companion
+    equation; positive for mhat > 0 and 0 < s < 1."""
+    if not (mhat > 0.0 and 0.0 < s < 1.0):
+        raise ValueError(f"the companion rate needs mhat > 0 and 0 < s < 1, "
+                         f"got mhat={mhat}, s={s}")
+    return 1.0 / (mhat + 1.0 + 2.0 * (1.0 - s))
 
 
 class ProfileFamily(enum.Enum):
@@ -109,38 +115,23 @@ class ProfileFamily(enum.Enum):
     COMPANION = "companion"               # quadratic-factor model, rate b
 
 
-@dataclass(frozen=True)
-class ProfileKind:
-    """A profile equation selector plus its rate parameter."""
-
-    family: ProfileFamily
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError(f"profile rate must be positive, got {self.rate}")
-
-
 @dataclass
 class FpmeTransformResult:
     profile: Field
     m: float
     s: float
-    kind: ProfileKind
     prefactor: float
 
 
-def transform_fpme_profile(
-    phi1: Field, q: float, sigma: float, N: int = 1
-) -> FpmeTransformResult:
+def transform_fpme_profile(phi1: Field, q: float, sigma: float) -> FpmeTransformResult:
     """Map an FPME Barenblatt profile to a nonlocal-pressure profile.
 
     The image profile is (beta1/beta2)^(q/(1-q)) * phi1^q with
     m = (2q-1)/q, s = 1 - sigma and beta2 the mass-conserving rate of
     (m, s).  Any q <= 1 lands at m <= 1, outside the range of the pressure
     model (q = 1 also degenerates the prefactor exponent), and is
-    rejected.  Every q > 1 lies above N/(N+2 sigma), so the image is
-    always mass-conserving.
+    rejected.  Every q > 1 lies above 1/(1 + 2 sigma), so the image always
+    solves the mass-conserving profile equation.
     """
     if np.any(phi1.values < 0):
         raise ValueError("transform_fpme_profile requires a nonnegative profile")
@@ -149,12 +140,10 @@ def transform_fpme_profile(
             f"q={q} gives the image exponent m=(2q-1)/q <= 1, outside the "
             "pressure model's range; only q > 1 produces admissible profiles"
         )
-    beta1 = fpme_rate(q, sigma, N)
     m, s = (2.0 * q - 1.0) / q, 1.0 - sigma
-    kind = ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s, N).beta2)
-    pref = (beta1 / kind.rate) ** (q / (1.0 - q))
+    pref = (fpme_rate(q, sigma) / scaling_exponents(m, s).beta2) ** (q / (1.0 - q))
     profile = phi1.with_values(pref * phi1.values**q)
-    return FpmeTransformResult(profile=profile, m=m, s=s, kind=kind, prefactor=pref)
+    return FpmeTransformResult(profile=profile, m=m, s=s, prefactor=pref)
 
 
 @dataclass
@@ -165,13 +154,11 @@ class HighMTransformResult:
     c: float
 
 
-def transform_profile_high_m(
-    phi: Field, m: float, beta: float, s: float, N: int = 1
-) -> HighMTransformResult:
+def transform_profile_high_m(phi: Field, m: float, s: float) -> HighMTransformResult:
     """Map an m > 2 pressure-model profile to the companion equation.
 
-    With mhat = 1/(m-2), b = 1/(N(mhat+1) + 2(1-s)) and
-    c = (beta/b)^(1/(m-1)), the companion profile is psi = (phi/c)^(1/mhat),
+    With mhat = 1/(m-2), the companion rate b = 1/(mhat + 1 + 2(1-s)) and
+    c = (beta2/b)^(1/(m-1)), the companion profile is psi = (phi/c)^(1/mhat),
     i.e. (phi/c)^(m-2).  Nonnegative input is required; the inverse map is
     phi = c * psi^mhat.
     """
@@ -180,44 +167,42 @@ def transform_profile_high_m(
     if np.any(phi.values < 0):
         raise ValueError("profile must be nonnegative on the evaluation set")
     mhat = 1.0 / (m - 2.0)
-    b = 1.0 / (N * (mhat + 1.0) + 2.0 * (1.0 - s))
-    c = (beta / b) ** (1.0 / (m - 1.0))
+    b = _companion_rate(mhat, s)
+    c = (scaling_exponents(m, s).beta2 / b) ** (1.0 / (m - 1.0))
     psi = phi.with_values((phi.values / c) ** (m - 2.0))
     return HighMTransformResult(profile=psi, mhat=mhat, b=b, c=c)
 
 
-def _drift_term(phi: Field, kind: ProfileKind) -> np.ndarray:
-    """Drift term of the family's profile equation, with a spectral phi'.
+def _profile_terms(
+    phi: Field, family: ProfileFamily, m_or_q: float, s_or_sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonlinear term of the family's profile equation and its drift term,
+    whose rate is derived from the exponents.
 
     MASS_CONSERVING and FPME carry rate*div(y phi), expanded as
-    rate*(phi + y phi'); COMPANION carries rate*(phi - y phi').
-    Multiplying by y before differentiating would feed the sawtooth jump of
-    y at the box wrap into the FFT; the product rule keeps every
-    differentiated factor periodic.
+    rate*(phi + y phi'); COMPANION carries rate*(phi - y phi'), with a
+    spectral phi'.  Multiplying by y before differentiating would feed the
+    sawtooth jump of y at the box wrap into the FFT; the product rule keeps
+    every differentiated factor periodic.
     """
-    y_dphi = phi.grid.nodes * spectral_derivative(phi).values
-    if kind.family is ProfileFamily.COMPANION:
-        return kind.rate * (phi.values - y_dphi)
-    return kind.rate * (phi.values + y_dphi)
-
-
-def _profile_terms(
-    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlinear term of the selected profile equation and its drift term."""
-    fam = kind.family
     pos = np.maximum(phi.values, 0.0)
-    if fam is ProfileFamily.FPME:
+    if family is ProfileFamily.FPME:
+        rate = fpme_rate(m_or_q, s_or_sigma)
         nonlinear = frac_laplacian(
             phi.with_values(pos**m_or_q), FracOrder(s_or_sigma)).values
-    elif fam is ProfileFamily.COMPANION:
+    elif family is ProfileFamily.COMPANION:
+        rate = _companion_rate(m_or_q, s_or_sigma)
         nonlinear = phi.values**2 * frac_laplacian(
             phi.with_values(pos**m_or_q), FracOrder(1.0 - s_or_sigma)).values
     else:
+        rate = scaling_exponents(m_or_q, s_or_sigma).beta2
         w = riesz_gradient(phi, s_or_sigma)
         nonlinear = spectral_derivative(
             phi.with_values(pos ** (m_or_q - 1.0) * w.values)).values
-    return nonlinear, _drift_term(phi, kind)
+    y_dphi = phi.grid.nodes * spectral_derivative(phi).values
+    if family is ProfileFamily.COMPANION:
+        return nonlinear, rate * (phi.values - y_dphi)
+    return nonlinear, rate * (phi.values + y_dphi)
 
 
 @dataclass
@@ -229,24 +214,24 @@ class ResidualReport:
 
 
 def residual_report(
-    phi: Field, kind: ProfileKind, m_or_q: float, s_or_sigma: float
+    phi: Field, family: ProfileFamily, m_or_q: float, s_or_sigma: float
 ) -> ResidualReport:
-    """Pointwise residual of the selected one-dimensional stationary
-    profile equation, plus a normalization by the size of the equation's
-    terms.
+    """Pointwise residual of the family's one-dimensional stationary
+    profile equation at exponents (m_or_q, s_or_sigma), plus a
+    normalization by the size of the equation's terms.
 
     Residuals (zero for an exact profile):
 
-    * MASS_CONSERVING:  div(phi^(m-1) grad (-Delta)^(-s) phi) + rate*div(y phi)
-    * FPME:             (-Delta)^sigma (phi^q) - rate*div(y phi)
-    * COMPANION:        phi^2 (-Delta)^(1-s) phi^mhat - rate*(phi - y phi')
+    * MASS_CONSERVING (m, s):  div(phi^(m-1) grad (-Delta)^(-s) phi) + beta2*div(y phi)
+    * FPME (q, sigma):         (-Delta)^sigma (phi^q) - beta1*div(y phi)
+    * COMPANION (mhat, s):     phi^2 (-Delta)^(1-s) phi^mhat - b*(phi - y phi')
 
     Cells outside the grid's interior mask (the central 60% of the box)
     are set to zero: the y-weighted drift is meaningless near the
     truncation boundary.
     """
-    nonlinear, drift = _profile_terms(phi, kind, m_or_q, s_or_sigma)
-    if kind.family is ProfileFamily.MASS_CONSERVING:
+    nonlinear, drift = _profile_terms(phi, family, m_or_q, s_or_sigma)
+    if family is ProfileFamily.MASS_CONSERVING:
         res = nonlinear + drift
     else:
         res = nonlinear - drift

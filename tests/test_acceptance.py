@@ -33,9 +33,7 @@ from nlpme.integrated import (
 from nlpme.operators import frac_laplacian, mollified_frac_laplacian, riesz_gradient
 from nlpme.similarity import (
     ProfileFamily,
-    ProfileKind,
     extract_profile,
-    fpme_rate,
     residual_report,
     scaling_exponents,
     transform_fpme_profile,
@@ -232,16 +230,16 @@ def test_criterion_10_transformation_closure():
     below 3x the source floor, decreasing from n=512 to n=1024."""
     t0 = time.monotonic()
     q, sigma = 2.0, 0.5
-    kind1 = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
     results = {}
     for n in (512, 1024):
         g = make_grid(20.0, n)
         phi1, _ = fpme_profile_by_rescaling(gaussian_bump(g, 1.0, width=1.0),
                                             q, sigma, tau_end=14.0)
-        rep1 = residual_report(phi1, kind1, q, sigma)
+        rep1 = residual_report(phi1, ProfileFamily.FPME, q, sigma)
         mapped = transform_fpme_profile(phi1, q, sigma)
         assert mapped.m == 1.5 and mapped.s == 0.5
-        rep2 = residual_report(mapped.profile, mapped.kind, mapped.m, mapped.s)
+        rep2 = residual_report(mapped.profile, ProfileFamily.MASS_CONSERVING,
+                               mapped.m, mapped.s)
         results[n] = (rep1.relative, rep2.relative)
     ratio = results[1024][1] / results[1024][0]
     ok = ratio < 3.0 and results[1024][1] < results[512][1]

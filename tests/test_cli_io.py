@@ -851,17 +851,18 @@ def test_cli_transform_check_overflow_exit_one(tmp_path, capsys):
 
 
 def test_cli_comparison_sweep_abort_names_its_step(tmp_path):
-    """At m = 1000 the density and primitive runs complete, and the
-    comparison sweep's first step is not finite: the CLI, in a fresh
-    interpreter, exits 1 without a traceback, and the manifest names the
-    sweep step, since the pairs step on no shared clock."""
-    path = _write(tmp_path, "[model]\nm = 1000\ns = 0.5\n[grid]\nhalf_length = 15.0\n"
+    """At m = 3000 the density and primitive runs complete, and in the
+    comparison sweep's first step a slope power (1.42^2999) overflows, so
+    the step is not finite: the CLI, in a fresh interpreter that turns
+    warnings into errors, exits 1 without a traceback, and the manifest
+    names the sweep step, since the pairs step on no shared clock."""
+    path = _write(tmp_path, "[model]\nm = 3000\ns = 0.5\n[grid]\nhalf_length = 15.0\n"
                   "n = 64\n[time]\nt_end = 0.05\n[integrated]\npairs = 4\nsteps = 10\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "nlpme.cli", "integrated", "--config",
-                           path, "--output", str(tmp_path / "o")],
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "nlpme.cli", "integrated",
+                           "--config", path, "--output", str(tmp_path / "o")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -47,9 +47,7 @@ from nlpme.operators import (
 from nlpme.initial_data import compact_bump, gaussian_bump, mollified_dirac
 from nlpme.similarity import (
     ProfileFamily,
-    ProfileKind,
     barenblatt_m2,
-    fpme_rate,
     residual_report,
 )
 
@@ -1061,7 +1059,6 @@ def test_fpme_relaxation_beats_and_approaches_the_explicit_oracle(q, sigma, tau_
     at q = 3 when h halves, checked against 0.55 (measured when the scheme
     changed: residuals 3.6e-2 vs 4.7e-2 and 1.9e-2 vs 2.5e-2 at q = 2,
     0.154 vs 0.159 and 8.9e-2 vs 9.2e-2 at q = 3)."""
-    kind = ProfileKind(ProfileFamily.FPME, fpme_rate(q, sigma))
     distances = []
     for n in (256, 512):
         g = make_grid(15.0, n)
@@ -1069,8 +1066,9 @@ def test_fpme_relaxation_beats_and_approaches_the_explicit_oracle(q, sigma, tau_
         profile, stats = fpme_profile_by_rescaling(u0, q, sigma, tau_end)
         phi = profile.values
         explicit = _explicit_fpme_relaxation(u0, q, sigma, tau_end)
-        assert (residual_report(Field(g, phi), kind, q, sigma).relative
-                < residual_report(Field(g, explicit), kind, q, sigma).relative)
+        fpme = ProfileFamily.FPME
+        assert (residual_report(Field(g, phi), fpme, q, sigma).relative
+                < residual_report(Field(g, explicit), fpme, q, sigma).relative)
         distances.append(g.spacing * np.abs(phi - explicit).sum())
         assert list(stats) == ["steps", "tau", "dt_min", "dt_median", "dt_max",
                                "clip_steps"]

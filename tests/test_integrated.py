@@ -9,6 +9,7 @@ the barrier exponents and parabola values.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,28 @@ def test_comparison_sweep_without_pairs():
     assert worst == 0.0 and final.size == 0
     assert stats.steps == 0 and stats.repair_steps == 0
     assert math.isnan(stats.dt_min) and math.isnan(stats.dt_max)
+
+
+def test_comparison_sweep_pair_with_no_speed_stays_unchanged():
+    """A pair whose slope power is 0 has an infinite step bound: it steps
+    by 0, without a warning, and stays bitwise as it is, while the other
+    pairs are bitwise what they are swept without it and the dt record
+    spans theirs alone (nan when no pair moves)."""
+    g = make_grid(10.0, 64)
+    al = FracOrder(0.5)
+    moving = _ordered_pairs(g, np.random.default_rng(1), 2)
+    still = PrimitiveField(g, np.zeros(g.n), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        worst, final, stats = comparison_sweep(
+            [moving[0], (still, still), moving[1]], 1.5, al, 10)
+        ref_worst, ref_final, ref_stats = comparison_sweep(moving, 1.5, al, 10)
+        _, _, none_moved = comparison_sweep([(still, still)], 1.5, al, 10)
+    assert _bits(worst) == _bits(ref_worst)
+    assert np.array_equal(_bits(final[[1, 4]]), _bits(np.zeros((2, g.n))))
+    assert np.array_equal(_bits(final[[0, 2, 3, 5]]), _bits(ref_final))
+    assert stats == ref_stats
+    assert math.isnan(none_moved.dt_min) and math.isnan(none_moved.dt_max)
 
 
 def _stack_step(rows, m, al, dts, stats):

@@ -19,7 +19,6 @@ from nlpme.operators import riesz_gradient, spectral_derivative
 from nlpme.similarity import (
     ProfileFamily,
     barenblatt_m2,
-    ProfileKind,
     extract_profile,
     fpme_rate,
     residual_report,
@@ -76,44 +75,43 @@ def test_exponent_identity_thousand_tuples():
 
 
 def test_parameter_map_thousand_samples():
-    """Over 1000 random draws of q above the critical N/(N+2 sigma), the
+    """Over 1000 random draws of q above the critical 1/(1 + 2 sigma), the
     transformation sends every q > 1 into m in (1, 2), above the
-    mass-conservation threshold (N-2+2s)/N, and rejects every q <= 1."""
+    mass-conservation threshold 2s - 1, and rejects every q <= 1."""
     rng = np.random.default_rng(7)
     g = make_grid(10.0, 16)
     phi = Field(g, np.exp(-g.nodes**2))
     for _ in range(1000):
         sigma = float(rng.uniform(0.01, 0.99))
-        N = int(rng.integers(1, 5))
-        q = N / (N + 2.0 * sigma) + float(rng.uniform(1e-6, 20.0))
+        q = 1.0 / (1.0 + 2.0 * sigma) + float(rng.uniform(1e-6, 20.0))
         if q <= 1.0:
             with pytest.raises(ValueError):
-                transform_fpme_profile(phi, q, sigma, N)
+                transform_fpme_profile(phi, q, sigma)
             continue
-        res = transform_fpme_profile(phi, q, sigma, N)
-        assert (N - 2.0 + 2.0 * res.s) / N < res.m < 2.0
+        res = transform_fpme_profile(phi, q, sigma)
+        assert max(2.0 * res.s - 1.0, 1.0) < res.m < 2.0
 
 
 def test_fpme_rate_values_and_critical():
-    assert fpme_rate(2.0, 0.5, 1) == 0.5
-    assert fpme_rate(1.0, 0.5, 1) == 1.0
+    assert fpme_rate(2.0, 0.5) == 0.5
+    assert fpme_rate(1.0, 0.5) == 1.0
     with pytest.raises(ValueError):
-        fpme_rate(0.0, 0.5, 1)  # q = (N - 2 sigma)/N exactly
+        fpme_rate(0.0, 0.5)  # q = 1 - 2 sigma exactly
 
 
 @settings(max_examples=200, deadline=None)
-@given(sigma=st.floats(0.01, 0.99), N=st.integers(1, 4),
-       qshift=st.floats(0.0001, 10.0))
-def test_parameter_map_lands_in_expected_range(sigma, N, qshift):
-    """q > 1 maps into m in (1, 2) with s = 1 - sigma, onto the
-    mass-conserving profile equation of (m, s) with rate beta2."""
+@given(sigma=st.floats(0.01, 0.99), qshift=st.floats(0.0001, 10.0))
+def test_parameter_map_lands_in_expected_range(sigma, qshift):
+    """q > 1 maps into m in (1, 2) with s = 1 - sigma, and the prefactor
+    (beta1/beta2)^(q/(1-q)) takes beta2 = 1/(m + 1 - 2s) of the image,
+    here written out: m + 1 - 2s = (q - 1)/q + 2 sigma."""
     q = 1.0 + qshift
     g = make_grid(10.0, 16)
-    res = transform_fpme_profile(Field(g, np.exp(-g.nodes**2)), q, sigma, N)
+    res = transform_fpme_profile(Field(g, np.exp(-g.nodes**2)), q, sigma)
     assert res.s == 1.0 - sigma
     assert 1.0 < res.m < 2.0
-    assert res.kind == ProfileKind(ProfileFamily.MASS_CONSERVING,
-                                   scaling_exponents(res.m, res.s, N).beta2)
+    ratio = ((q - 1.0) / q + 2.0 * sigma) / (q - 1.0 + 2.0 * sigma)
+    assert np.isclose(res.prefactor, ratio ** (q / (1.0 - q)), rtol=1e-8, atol=0.0)
 
 
 def test_transform_rejects_degenerate_and_low_q():
@@ -121,7 +119,7 @@ def test_transform_rejects_degenerate_and_low_q():
     phi = Field(g, np.exp(-g.nodes**2))
     with pytest.raises(ValueError):
         transform_fpme_profile(phi, 1.0, 0.5)
-    # the borderline q = N/(N+2 sigma) lands at m <= 1: rejected
+    # the borderline q = 1/(1 + 2 sigma) lands at m <= 1: rejected
     with pytest.raises(ValueError) as err:
         transform_fpme_profile(phi, 0.5, 0.5)
     assert "m=" in str(err.value)
@@ -132,7 +130,6 @@ def test_transform_prefactor_and_parameters():
     phi = Field(g, np.exp(-g.nodes**2))
     res = transform_fpme_profile(phi, 2.0, 0.5)
     assert res.m == 1.5 and res.s == 0.5
-    assert res.kind.family is ProfileFamily.MASS_CONSERVING
     # beta1 = 1/2, beta2 = 2/3: prefactor (beta1/beta2)^(q/(1-q)) = (3/4)^-2
     assert np.isclose(res.prefactor, (0.75) ** (-2.0))
     assert np.allclose(res.profile.values, res.prefactor * phi.values**2)
@@ -141,50 +138,66 @@ def test_transform_prefactor_and_parameters():
 def test_high_m_transform_values_and_round_trip():
     g = make_grid(10.0, 128)
     phi = Field(g, 0.3 + np.exp(-g.nodes**2))
-    beta = scaling_exponents(3.0, 0.5).beta2
-    res = transform_profile_high_m(phi, 3.0, beta, 0.5)
+    res = transform_profile_high_m(phi, 3.0, 0.5)
     assert res.mhat == 1.0
-    res4 = transform_profile_high_m(phi, 4.0, scaling_exponents(4.0, 0.5).beta2, 0.5)
+    # b = 1/(mhat + 3 - 2s) and c = (beta2/b)^(1/(m-1)) with beta2 = 1/3
+    assert res.b == 1.0 / 3.0 and res.c == 1.0
+    res4 = transform_profile_high_m(phi, 4.0, 0.5)
     assert res4.mhat == 0.5
     # algebraic inverse: phi = c * psi^mhat
     back = res.c * res.profile.values**res.mhat
     assert np.max(np.abs(back - phi.values)) < 1e-12
     with pytest.raises(ValueError):
-        transform_profile_high_m(phi, 2.0, beta, 0.5)
+        transform_profile_high_m(phi, 2.0, 0.5)
 
 
 def test_profile_residual_zero_field():
     g = make_grid(10.0, 128)
     zero = Field(g, np.zeros(g.n))
-    for kind, args in (
-        (ProfileKind(ProfileFamily.MASS_CONSERVING, 0.5), (1.5, 0.5)),
-        (ProfileKind(ProfileFamily.FPME, 0.5), (2.0, 0.5)),
+    for family, args in (
+        (ProfileFamily.MASS_CONSERVING, (1.5, 0.5)),
+        (ProfileFamily.FPME, (2.0, 0.5)),
     ):
-        res = residual_report(zero, kind, *args).residual
+        res = residual_report(zero, family, *args).residual
         assert np.all(res.values == 0.0)
+    # exponents that give no positive drift rate are rejected
+    for family, args in (
+        (ProfileFamily.MASS_CONSERVING, (1.0, 0.5)),
+        (ProfileFamily.FPME, (0.0, 0.5)),
+        (ProfileFamily.COMPANION, (0.0, 0.5)),
+    ):
+        with pytest.raises(ValueError):
+            residual_report(zero, family, *args)
 
 
-def test_fpme_residual_of_constant_profile():
-    """phi = const: the nonlocal term vanishes and div(y phi) = N phi, so
-    the interior residual equals -beta1 * N * const to 1e-8."""
+@pytest.mark.parametrize("family, exponents, drift", [
+    (ProfileFamily.MASS_CONSERVING, (1.5, 0.5), 2.0 / 3.0),  # +beta2(1.5, 0.5)
+    (ProfileFamily.FPME, (2.0, 0.5), -0.5),                  # -beta1(2, 0.5)
+    (ProfileFamily.COMPANION, (1.0, 0.5), -1.0 / 3.0),       # -b(1, 0.5)
+], ids=["mass-conserving", "fpme", "companion"])
+def test_residual_of_constant_profile(family, exponents, drift):
+    """phi = const: the nonlinear term vanishes and the drift is rate * c,
+    so the interior residual is the derived rate times c to 1e-8, with the
+    sign the family's equation gives its drift."""
     g = make_grid(10.0, 256)
     c = 0.37
     phi = Field(g, np.full(g.n, c))
-    beta1 = fpme_rate(2.0, 0.5, 1)
-    res = residual_report(phi, ProfileKind(ProfileFamily.FPME, beta1), 2.0,
-                          0.5).residual
+    res = residual_report(phi, family, *exponents).residual
     interior = g.interior_mask()
-    assert np.max(np.abs(res.values[interior] - (-beta1 * c))) < 1e-8
+    assert np.max(np.abs(res.values[interior] - drift * c)) < 1e-8
     assert np.all(res.values[~interior] == 0.0)  # boundary masked
+    if family is ProfileFamily.COMPANION:
+        # the companion map's b is the rate this residual applies at mhat = 1
+        assert transform_profile_high_m(phi, 3.0, 0.5).b == -drift
 
 
 def test_residual_scaling_covariance():
     """Scaling phi -> a phi multiplies the nonlinear term by a^m and the
-    drift term by a (mass-conserving kind); checked against an in-test
+    drift term by a (mass-conserving family); checked against an in-test
     spectral decomposition of the two terms at a in {0.5, 2}."""
     g = make_grid(12.0, 256)
     m, s = 1.5, 0.5
-    kind = ProfileKind(ProfileFamily.MASS_CONSERVING, scaling_exponents(m, s).beta2)
+    beta2 = scaling_exponents(m, s).beta2
     phi = Field(g, np.exp(-0.5 * g.nodes**2))
     interior = g.interior_mask()
 
@@ -197,8 +210,9 @@ def test_residual_scaling_covariance():
 
     T1, D = terms(phi)
     for a in (0.5, 2.0):
-        res = residual_report(Field(g, a * phi.values), kind, m, s).residual
-        expected = a**m * T1 + kind.rate * a * D
+        res = residual_report(Field(g, a * phi.values), ProfileFamily.MASS_CONSERVING,
+                              m, s).residual
+        expected = a**m * T1 + beta2 * a * D
         diff = np.abs(res.values[interior] - expected[interior])
         assert np.max(diff) < 1e-10 * max(np.max(np.abs(expected)), 1.0)
 
@@ -211,12 +225,12 @@ def test_companion_residual_formula():
 
     g = make_grid(12.0, 256)
     s, mhat, b = 0.5, 1.0, 1.0 / 3.0
-    kind = ProfileKind(ProfileFamily.COMPANION, b)
     zero = Field(g, np.zeros(g.n))
-    assert np.all(residual_report(zero, kind, mhat, s).residual.values == 0.0)
+    assert np.all(residual_report(zero, ProfileFamily.COMPANION, mhat, s)
+                  .residual.values == 0.0)
 
     phi = Field(g, 0.1 + np.exp(-0.5 * g.nodes**2))
-    res = residual_report(phi, kind, mhat, s).residual
+    res = residual_report(phi, ProfileFamily.COMPANION, mhat, s).residual
     lap = frac_laplacian(Field(g, phi.values**mhat), FracOrder(1.0 - s)).values
     dphi = spectral_derivative(phi).values
     expected = phi.values**2 * lap - b * (phi.values - g.nodes * dphi)
@@ -231,8 +245,7 @@ def test_companion_term_scale_uses_its_own_drift():
     g = make_grid(12.0, 256)
     s, mhat, b = 0.5, 1.0, 1.0 / 3.0
     phi = Field(g, 0.05 + 0.3 * np.exp(-0.5 * g.nodes**2))
-    kind = ProfileKind(ProfileFamily.COMPANION, b)
-    rep = residual_report(phi, kind, mhat, s)
+    rep = residual_report(phi, ProfileFamily.COMPANION, mhat, s)
     dphi = spectral_derivative(phi).values
     drift = b * (phi.values - g.nodes * dphi)
     res = rep.residual.values
@@ -249,7 +262,7 @@ def test_residual_operator_on_exact_linear_profile():
     1/(pi (1+y^2)) with rate 1; the residual floor is box truncation."""
     g = make_grid(40.0, 1024)
     phi = Field(g, 1.0 / (np.pi * (1.0 + g.nodes**2)))
-    rep = residual_report(phi, ProfileKind(ProfileFamily.FPME, 1.0), 1.0, 0.5)
+    rep = residual_report(phi, ProfileFamily.FPME, 1.0, 0.5)
     assert rep.relative < 1e-3
 
 
@@ -259,10 +272,10 @@ def test_manufactured_profile_transform_closure():
     q, sigma = 2.0, 0.5
     phi1, _ = fpme_profile_by_rescaling(gaussian_bump(g, 1.0, width=1.0), q, sigma,
                                         tau_end=12.0)
-    rep1 = residual_report(phi1, ProfileKind(ProfileFamily.FPME,
-                                             fpme_rate(q, sigma)), q, sigma)
+    rep1 = residual_report(phi1, ProfileFamily.FPME, q, sigma)
     mapped = transform_fpme_profile(phi1, q, sigma)
-    rep2 = residual_report(mapped.profile, mapped.kind, mapped.m, mapped.s)
+    rep2 = residual_report(mapped.profile, ProfileFamily.MASS_CONSERVING, mapped.m,
+                           mapped.s)
     assert rep2.relative < 3.0 * rep1.relative
 
 
@@ -304,11 +317,6 @@ def test_extract_profile_self_consistency():
         b = extract_profile(traj, ex, 2.0 * t).values
         diffs.append(np.abs(a - b).sum() * g.spacing)
     assert diffs[2] < diffs[1] < diffs[0]
-
-
-def test_profile_kind_validation():
-    with pytest.raises(ValueError):
-        ProfileKind(ProfileFamily.FPME, 0.0)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5])
